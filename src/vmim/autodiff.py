@@ -28,6 +28,7 @@ __all__ = [
     "ShapeMismatchError",
     "UnknownOpError",
     "GraphError",
+    "NonFiniteError",
 ]
 
 _INV_SQRT2 = 1.0 / np.sqrt(2.0)
@@ -47,7 +48,7 @@ class GraphError(RuntimeError):
 
 
 class NonFiniteError(FloatingPointError):
-    """A value that must be finite is not."""
+    """A value that must be finite is not: a loss, a gradient, a probe."""
 
 
 def _as_contiguous_f64(arr: Any) -> np.ndarray:
@@ -131,10 +132,6 @@ class Tensor:
 
     def mean(self, axis=None, keepdims: bool = False) -> "Tensor":
         return apply("mean", (self,), {"axis": axis, "keepdims": keepdims})
-
-
-def constant(data: Any) -> Tensor:
-    return Tensor(data, requires_grad=False)
 
 
 # ---------------------------------------------------------------------------
@@ -379,23 +376,6 @@ def _vjp_concat(ctx, g):
     return tuple(np.ascontiguousarray(p) for p in np.split(g, offsets, axis=axis))
 
 
-def _fwd_slice(arrays, attrs):
-    (a,) = arrays
-    key = attrs["key"]
-    if not isinstance(key, tuple):
-        key = (key,)
-    if len(key) > a.ndim or not all(isinstance(s, slice) for s in key):
-        raise _shape_error("slice", f"key {key} invalid for shape {a.shape}")
-    return a[key].copy(), (a.shape, key)
-
-
-def _vjp_slice(ctx, g):
-    shape, key = ctx
-    out = np.zeros(shape)
-    out[key] = g
-    return (out,)
-
-
 def _fwd_gather_rows(arrays, attrs):
     (a,) = arrays
     idx = np.asarray(attrs["indices"], dtype=np.int64)
@@ -607,7 +587,6 @@ _register("linear", _fwd_linear, _vjp_linear)
 _register("reshape", _fwd_reshape, _vjp_reshape)
 _register("permute", _fwd_permute, _vjp_permute)
 _register("concat", _fwd_concat, _vjp_concat)
-_register("slice", _fwd_slice, _vjp_slice)
 _register("gather_rows", _fwd_gather_rows, _vjp_gather_rows)
 _register("scatter_rows", _fwd_scatter_rows, _vjp_scatter_rows)
 _register("softmax", _fwd_softmax, _vjp_softmax)
@@ -616,8 +595,6 @@ _register("gelu", _fwd_gelu, _vjp_gelu)
 _register("sum", _fwd_sum, _vjp_reduce)
 _register("mean", _fwd_mean, _vjp_reduce)
 _register("conv_transpose3", _fwd_conv_transpose3, _vjp_conv_transpose3)
-# embed_add adds a positional/embedding table; same rule as add.
-_register("embed_add", _fwd_add, _vjp_add)
 _register("abs", _fwd_abs, _vjp_abs)
 _register("exp", _fwd_exp, _vjp_exp)
 _register("log", _fwd_log, _vjp_log)

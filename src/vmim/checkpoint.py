@@ -9,6 +9,8 @@ so save -> load -> save is byte-identical.
 from __future__ import annotations
 
 import json
+import math
+import os
 import struct
 
 import numpy as np
@@ -45,20 +47,30 @@ def save_checkpoint(path: str, params: dict[str, Tensor], config: dict) -> None:
 
 
 def load_checkpoint(path: str) -> tuple[dict[str, Tensor], dict]:
+    """Named tensors and config echo; a corrupt file raises CheckpointError."""
     with open(path, "rb") as fh:
         magic = fh.read(len(MAGIC))
         if magic != MAGIC:
             raise CheckpointError(f"{path}: bad magic {magic!r}, expected {MAGIC!r}")
-        (header_len,) = struct.unpack("<Q", fh.read(8))
-        header = json.loads(fh.read(header_len).decode("utf-8"))
+        header_len = int.from_bytes(fh.read(8), "little")
+        if header_len > os.fstat(fh.fileno()).st_size - fh.tell():
+            raise CheckpointError(f"{path}: header length {header_len} exceeds the file")
+        try:
+            header = json.loads(fh.read(header_len).decode("utf-8"))
+        except ValueError as exc:  # not UTF-8, or not JSON
+            raise CheckpointError(f"{path}: malformed header: {exc}") from None
         payload = fh.read()
+    try:
+        config = header["config"]
+        index = [(e["name"], tuple(int(n) for n in e["shape"]), int(e["offset"]))
+                 for e in header["tensors"]]
+    except (KeyError, TypeError, ValueError) as exc:
+        raise CheckpointError(f"{path}: malformed tensor index: {exc!r}") from None
     params: dict[str, Tensor] = {}
-    for entry in header["tensors"]:
-        shape = tuple(entry["shape"])
-        size = int(np.prod(shape)) if shape else 1
-        start = entry["offset"]
+    for name, shape, start in index:
+        size = math.prod(shape)
+        if min(shape, default=0) < 0 or start < 0 or start + size * 8 > len(payload):
+            raise CheckpointError(f"{path}: tensor {name} runs past the payload")
         raw = np.frombuffer(payload, dtype="<f8", count=size, offset=start)
-        if raw.size != size:
-            raise CheckpointError(f"{path}: truncated payload for tensor {entry['name']}")
-        params[entry["name"]] = Tensor(raw.reshape(shape).copy(), requires_grad=True)
-    return params, header["config"]
+        params[name] = Tensor(raw.reshape(shape).copy(), requires_grad=True)
+    return params, config

@@ -13,17 +13,13 @@ import json
 import os
 import sys
 
-import numpy as np
-
 from . import __version__
 from .checkpoint import load_checkpoint
-from .config import ConfigError, derived, resolve_config
-from .inference import SlidingWindowConfig, evaluate, reconstruct_dump
-from .losses import ReconLossConfig
-from .models import MAEDecoderConfig, SegConfig, SimCLRConfig, ViTConfig
+from .config import ConfigError, build, derived, resolve_config
+from .inference import evaluate, reconstruct_dump
 from .patches import MaskingConfig
 from .rng import derive_seed
-from .train import TrainConfig, finetune, pretrain
+from .train import finetune, pretrain
 from .volume import (
     LabelVolume,
     Volume,
@@ -76,40 +72,6 @@ def _write_manifest(
     with open(path, "w", encoding="utf-8") as fh:
         json.dump(manifest, fh, sort_keys=True, indent=2)
         fh.write("\n")
-    return path
-
-
-def _vit(cfg: dict) -> ViTConfig:
-    return ViTConfig(
-        cfg["model.embed_dim"],
-        cfg["model.depth"],
-        cfg["model.num_heads"],
-        cfg["model.token_patch"],
-        cfg["model.mlp_ratio"],
-        cfg["model.channels"],
-    )
-
-
-def _train_cfg(cfg: dict, seed: int) -> TrainConfig:
-    return TrainConfig(
-        base_lr=cfg["train.base_lr"],
-        weight_decay=cfg["train.weight_decay"],
-        beta1=cfg["train.beta1"],
-        beta2=cfg["train.beta2"],
-        batch_size=cfg["train.batch_size"],
-        warmup_epochs=cfg["train.warmup_epochs"],
-        total_epochs=cfg["train.total_epochs"],
-        window=cfg["train.window"],
-        seed=seed,
-        min_lr=cfg["train.min_lr"],
-        grad_clip=cfg["train.grad_clip"],
-        checkpoint_every=cfg["train.checkpoint_every"],
-        eval_every=cfg["train.eval_every"],
-    )
-
-
-def _swi(cfg: dict) -> SlidingWindowConfig:
-    return SlidingWindowConfig(cfg["swi.window"], cfg["swi.overlap"])
 
 
 # ---------------------------------------------------------------------------
@@ -140,20 +102,16 @@ def _cmd_synth(args) -> int:
 
 def _pretrain_once(method, cfg, seed, data_dir, out_dir):
     dataset = _load_unlabeled(data_dir)
-    vit = _vit(cfg)
-    mask_cfg = MaskingConfig(cfg["mask.patch"], cfg["mask.ratio"])
-    dec_cfg = MAEDecoderConfig(cfg["dec.dim"], cfg["dec.depth"], cfg["dec.heads"])
-    simclr_cfg = SimCLRConfig(cfg["simclr.hidden"], cfg["simclr.dim"], cfg["simclr.temperature"])
     return pretrain(
         method,
-        vit,
-        _train_cfg(cfg, seed),
+        build("model", cfg),
+        build("train", cfg, seed=seed),
         dataset,
         out_dir,
-        mask_cfg=mask_cfg,
-        dec_cfg=dec_cfg,
-        recon_cfg=ReconLossConfig(cfg["recon.norm"]),
-        simclr_cfg=simclr_cfg,
+        mask_cfg=build("mask", cfg),
+        dec_cfg=build("dec", cfg),
+        recon_cfg=build("recon", cfg),
+        simclr_cfg=build("simclr", cfg),
     )
 
 
@@ -181,11 +139,10 @@ def _cmd_pretrain(args) -> int:
     return 0
 
 
-def _finetune_once(cfg, seed, checkpoint, data_dir, val_dir, out_dir, labeled_ratio):
+def _finetune_once(cfg, seed, checkpoint, data_dir, val_dir, out_dir):
     train_set = _load_labeled(data_dir)
     val_set = _load_labeled(val_dir) if val_dir else []
-    vit = _vit(cfg)
-    seg_cfg = SegConfig(vit, cfg["seg.num_classes"], cfg["seg.width"])
+    seg_cfg = build("seg", cfg, vit=build("model", cfg))
     checkpoint_params = None
     if checkpoint:
         checkpoint_params, ck_cfg = load_checkpoint(checkpoint)
@@ -197,12 +154,12 @@ def _finetune_once(cfg, seed, checkpoint, data_dir, val_dir, out_dir, labeled_ra
     return finetune(
         checkpoint_params,
         seg_cfg,
-        _train_cfg(cfg, seed),
+        build("train", cfg, seed=seed),
         train_set,
         val_set,
         out_dir,
-        labeled_ratio=labeled_ratio,
-        swi_cfg=_swi(cfg),
+        labeled_ratio=cfg["train.labeled_ratio"],
+        swi_cfg=build("swi", cfg),
     )
 
 
@@ -225,8 +182,7 @@ def _cmd_finetune(args) -> int:
         inputs={"data": args.data, "val_data": args.val_data, "checkpoint": args.checkpoint},
     )
     result = _finetune_once(
-        cfg, args.seed, args.checkpoint, args.data, args.val_data, args.out,
-        cfg["train.labeled_ratio"],
+        cfg, args.seed, args.checkpoint, args.data, args.val_data, args.out
     )
     note = f", final dice {result.final_dice:.4f}" if result.dice_trace else ""
     print(f"finetuned: final loss {result.losses[-1]:.6f}{note} -> {result.checkpoint_path}")
@@ -241,7 +197,7 @@ def _cmd_eval(args) -> int:
         args.out, "eval", cfg, args.seed, [report_path],
         inputs={"data": args.data, "checkpoint": args.checkpoint},
     )
-    report = evaluate(args.checkpoint, dataset, _swi(cfg))
+    report = evaluate(args.checkpoint, dataset, build("swi", cfg))
     report.save(report_path)
     print(report.to_text(), end="")
     print(f"report -> {report_path}")
@@ -262,7 +218,7 @@ def _cmd_reconstruct(args) -> int:
         args.out, "reconstruct", cfg, args.seed, [],
         inputs={"volume": args.volume, "depths": depths, "checkpoint": args.checkpoint},
     )
-    mask_cfg = MaskingConfig(cfg["mask.patch"], cfg["mask.ratio"])
+    mask_cfg = build("mask", cfg)
     paths = reconstruct_dump(args.checkpoint, volume, mask_cfg, depths, args.out, seed=args.seed)
     print(f"wrote {len(paths)} images to {args.out}")
     return 0
@@ -297,8 +253,7 @@ def _cmd_ablate(args) -> int:
         result = _pretrain_once(args.method, cell_cfg, cell_seed, args.data,
                                 os.path.join(cell_dir, "pretrain"))
         ft = _finetune_once(cell_cfg, cell_seed, result.checkpoint_path, args.labeled_data,
-                            args.val_data, os.path.join(cell_dir, "finetune"),
-                            cell_cfg["train.labeled_ratio"])
+                            args.val_data, os.path.join(cell_dir, "finetune"))
         rows.append((args.method, patch, ratio, ft.final_dice))
         print(f"cell patch={patch} ratio={ratio}: dice avg {ft.final_dice:.4f}")
 

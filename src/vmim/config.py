@@ -1,10 +1,17 @@
-"""Flat dotted-key run configuration: defaults, file loading, overrides."""
+"""Flat dotted-key run configuration: defaults, file loading, overrides,
+and the one schema between dotted keys and the config dataclasses.
+"""
 
 from __future__ import annotations
 
 import json
+from dataclasses import dataclass, fields
 from typing import Any
 
+from .losses import ReconLossConfig
+from .models import MAEDecoderConfig, SegConfig, SimCLRConfig, ViTConfig
+from .optim import AdamWConfig
+from .patches import MaskingConfig
 from .volume import read_kv
 
 # Every tunable field, addressable by dotted key. Zeros marked "derived"
@@ -48,6 +55,82 @@ DEFAULTS: dict[str, Any] = {
 
 class ConfigError(ValueError):
     pass
+
+
+@dataclass
+class TrainConfig:
+    base_lr: float = 3e-4
+    weight_decay: float = 0.05
+    beta1: float = 0.9
+    beta2: float = 0.999
+    batch_size: int = 4
+    warmup_epochs: int = 3
+    total_epochs: int = 30
+    window: int = 48
+    seed: int = 0
+    min_lr: float = 0.0
+    grad_clip: float = 0.0
+    checkpoint_every: int = 0  # 0 -> total_epochs // 10
+    eval_every: int = 0  # 0 -> checkpoint cadence
+
+    def __post_init__(self):
+        if self.base_lr <= 0:
+            raise ValueError(f"base_lr must be positive, got {self.base_lr}")
+        if not 0 <= self.warmup_epochs <= self.total_epochs:
+            raise ValueError(
+                f"need 0 <= warmup ({self.warmup_epochs}) <= total ({self.total_epochs})"
+            )
+        if self.batch_size < 1:
+            raise ValueError(f"batch_size must be >= 1, got {self.batch_size}")
+
+    @property
+    def adamw(self) -> AdamWConfig:
+        return AdamWConfig(self.weight_decay, self.beta1, self.beta2)
+
+    def checkpoint_cadence(self) -> int:
+        return self.checkpoint_every or max(1, self.total_epochs // 10)
+
+    def eval_cadence(self) -> int:
+        return self.eval_every or self.checkpoint_cadence()
+
+
+@dataclass(frozen=True)
+class SlidingWindowConfig:
+    window: int
+    overlap: float = 0.5
+
+    def __post_init__(self):
+        if self.window < 1:
+            raise ValueError(f"window must be >= 1, got {self.window}")
+        if not 0.0 <= self.overlap < 1.0:
+            raise ValueError(f"overlap must lie in [0, 1), got {self.overlap}")
+
+    @property
+    def stride(self) -> int:
+        return max(1, round(self.window * (1.0 - self.overlap)))
+
+
+# The dataclass behind each key prefix. A key names the field after its
+# dot, except where _KEY_OF says otherwise; fields without a key
+# (TrainConfig.seed, SegConfig.vit) are passed to build() by the caller.
+SECTIONS = {
+    "model": ViTConfig,
+    "dec": MAEDecoderConfig,
+    "mask": MaskingConfig,
+    "recon": ReconLossConfig,
+    "simclr": SimCLRConfig,
+    "seg": SegConfig,
+    "train": TrainConfig,
+    "swi": SlidingWindowConfig,
+}
+_KEY_OF = {
+    ("dec", "decoder_dim"): "dec.dim",
+    ("dec", "decoder_depth"): "dec.depth",
+    ("dec", "decoder_heads"): "dec.heads",
+    ("simclr", "proj_hidden"): "simclr.hidden",
+    ("simclr", "proj_dim"): "simclr.dim",
+    ("mask", "masked_patch"): "mask.patch",
+}
 
 
 def parse_scalar(text: str) -> Any:
@@ -126,3 +209,45 @@ def derived(config: dict[str, Any]) -> dict[str, Any]:
     if not out["swi.window"]:
         out["swi.window"] = out["train.window"]
     return out
+
+
+def _key(section: str, field_name: str) -> str:
+    return _KEY_OF.get((section, field_name), f"{section}.{field_name}")
+
+
+def build(section: str, config: dict[str, Any], **extra: Any):
+    """The dataclass of one key prefix, from a flat config or checkpoint echo.
+
+    Keys absent from ``config`` leave the field at its dataclass default;
+    a field without one raises ConfigError.
+    """
+    kwargs = dict(extra)
+    for f in fields(SECTIONS[section]):
+        key = _key(section, f.name)
+        if f.name not in kwargs and key in config:
+            kwargs[f.name] = config[key]
+    try:
+        return SECTIONS[section](**kwargs)
+    except TypeError as exc:  # a required field has no key in ``config``
+        raise ConfigError(f"incomplete {section!r} config: {exc}") from None
+
+
+def flatten(section: str, obj) -> dict[str, Any]:
+    """The config keys of a section dataclass: the inverse of build()."""
+    keys = {f.name: _key(section, f.name) for f in fields(obj)}
+    return {key: getattr(obj, name) for name, key in keys.items() if key in DEFAULTS}
+
+
+def checkpoint_config(
+    method: str, train: TrainConfig, labeled_ratio: float | None = None, **sections
+) -> dict[str, Any]:
+    """The config a checkpoint echoes: method, crop window, seed, every field
+    of the given section dataclasses (``model=vit, seg=seg_cfg``) and, for
+    fine-tuning, the labeled ratio.
+    """
+    config = {"method": method, "train.window": train.window, "train.seed": train.seed}
+    for section, part in sections.items():
+        config.update(flatten(section, part))
+    if labeled_ratio is not None:
+        config["train.labeled_ratio"] = labeled_ratio
+    return config

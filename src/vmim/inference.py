@@ -3,41 +3,17 @@
 from __future__ import annotations
 
 import os
-from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
 
 from .checkpoint import load_checkpoint
-from .losses import ReconLossConfig
+from .config import SlidingWindowConfig, build
 from .metrics import DiceReport, dice
-from .models import (
-    MAEDecoderConfig,
-    SegConfig,
-    ViTConfig,
-    mae_forward,
-    simmim_forward,
-    unetr_segment,
-)
+from .models import SegConfig, mae_forward, simmim_forward, unetr_segment
 from .patches import MaskingConfig, PatchGrid, sample_mask
 from .rng import Rng
 from .volume import LabelVolume, Volume
-
-
-@dataclass(frozen=True)
-class SlidingWindowConfig:
-    window: int
-    overlap: float = 0.5
-
-    def __post_init__(self):
-        if self.window < 1:
-            raise ValueError(f"window must be >= 1, got {self.window}")
-        if not 0.0 <= self.overlap < 1.0:
-            raise ValueError(f"overlap must lie in [0, 1), got {self.overlap}")
-
-    @property
-    def stride(self) -> int:
-        return max(1, round(self.window * (1.0 - self.overlap)))
 
 
 def _window_starts(extent: int, window: int, stride: int) -> list[int]:
@@ -101,17 +77,6 @@ def predict_labels(
     return np.argmax(logits, axis=0).astype(np.uint16)
 
 
-def _vit_from_config(config: dict) -> ViTConfig:
-    return ViTConfig(
-        int(config["model.embed_dim"]),
-        int(config["model.depth"]),
-        int(config["model.num_heads"]),
-        int(config["model.token_patch"]),
-        int(config["model.mlp_ratio"]),
-        int(config["model.channels"]),
-    )
-
-
 def dice_over_dataset(
     predict: Callable[[Volume], np.ndarray],
     dataset: list[tuple[Volume, LabelVolume]],
@@ -148,9 +113,7 @@ def evaluate(
     params, config = load_checkpoint(checkpoint_path)
     if config.get("method") != "seg":
         raise ValueError(f"checkpoint method {config.get('method')!r} is not a segmentation model")
-    seg_cfg = SegConfig(
-        _vit_from_config(config), int(config["seg.num_classes"]), int(config["seg.width"])
-    )
+    seg_cfg = build("seg", config, vit=build("model", config))
     return dice_over_dataset(
         lambda v: predict_labels(seg_cfg, params, v, swi_cfg),
         dataset,
@@ -200,7 +163,7 @@ def reconstruct_dump(
     method = config.get("method")
     if method not in ("mae", "simmim"):
         raise ValueError(f"checkpoint method {method!r} cannot reconstruct volumes")
-    vit = _vit_from_config(config)
+    vit = build("model", config)
     grid = PatchGrid.for_volume(volume, vit.token_patch)
     depth_extent = volume.data.shape[1]
     for d in depth_indices:
@@ -211,13 +174,11 @@ def reconstruct_dump(
     mask = sample_mask(grid, mask_cfg, rng) if mask_cfg.ratio > 0 else None
     if mask is not None and mask.num_masked == 0:
         mask = None
-    recon_cfg = ReconLossConfig(config.get("recon.norm", "l1"))
+    recon_cfg = build("recon", config)
     if mask is None:
         recon = volume.data  # nothing masked: the target itself
     elif method == "mae":
-        dec_cfg = MAEDecoderConfig(
-            int(config["dec.dim"]), int(config["dec.depth"]), int(config["dec.heads"])
-        )
+        dec_cfg = build("dec", config)
         recon = mae_forward(vit, dec_cfg, params, volume, mask, recon_cfg)[0].data
     else:
         recon = simmim_forward(vit, params, volume, mask, recon_cfg)[0].data

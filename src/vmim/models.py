@@ -15,7 +15,7 @@ import numpy as np
 
 from .autodiff import Tensor, apply
 from .losses import ReconLossConfig, masked_recon_loss, ntxent
-from .patches import Mask, PatchGrid, patchify, positional_table
+from .patches import Mask, PatchGrid, TokenBatch, patchify, positional_table
 from .rng import np_generator
 from .volume import Volume
 
@@ -38,10 +38,6 @@ class ViTConfig:
             )
         if self.depth < 0:
             raise ValueError(f"depth must be >= 0, got {self.depth}")
-
-    @property
-    def head_dim(self) -> int:
-        return self.embed_dim // self.num_heads
 
     @property
     def mlp_dim(self) -> int:
@@ -88,22 +84,10 @@ class SegConfig:
             )
 
 
-# ViT3D-B from the standard recipe; "tiny" is the desk-scale default that
-# keeps the test suite in CPU minutes.
+# ViT3D-B from the standard recipe; the desk-scale default that keeps the
+# test suite in CPU minutes is config.DEFAULTS.
 def vit3d_base(token_patch: int = 16, channels: int = 1) -> ViTConfig:
     return ViTConfig(768, 12, 12, token_patch, channels=channels)
-
-
-def vit3d_tiny(token_patch: int = 8, channels: int = 1) -> ViTConfig:
-    return ViTConfig(64, 4, 4, token_patch, channels=channels)
-
-
-def mae_decoder_tiny() -> MAEDecoderConfig:
-    return MAEDecoderConfig(32, 2, 4)
-
-
-def simclr_default(cfg: ViTConfig, temperature: float = 0.5) -> SimCLRConfig:
-    return SimCLRConfig(cfg.embed_dim, min(128, cfg.embed_dim), temperature)
 
 
 # ---------------------------------------------------------------------------
@@ -170,9 +154,7 @@ def init_mae_params(cfg: ViTConfig, dec_cfg: MAEDecoderConfig, seed: int) -> Par
     _init_encoder(init, cfg)
     init.weight("dec_embed.w", (cfg.embed_dim, dec_cfg.decoder_dim))
     init.zeros("dec_embed.b", (dec_cfg.decoder_dim,))
-    init.params["mask_token"] = Tensor(
-        _trunc_normal(init.gen, (1, dec_cfg.decoder_dim)), requires_grad=True
-    )
+    init.weight("mask_token", (1, dec_cfg.decoder_dim))
     for i in range(dec_cfg.decoder_depth):
         init.block(f"dec.{i}", dec_cfg.decoder_dim, dec_cfg.decoder_dim * 4)
     init.ones("dec_norm.g", (dec_cfg.decoder_dim,))
@@ -185,9 +167,7 @@ def init_mae_params(cfg: ViTConfig, dec_cfg: MAEDecoderConfig, seed: int) -> Par
 def init_simmim_params(cfg: ViTConfig, seed: int) -> Params:
     init = _Init(seed, "simmim")
     _init_encoder(init, cfg)
-    init.params["mask_token"] = Tensor(
-        _trunc_normal(init.gen, (1, cfg.embed_dim)), requires_grad=True
-    )
+    init.weight("mask_token", (1, cfg.embed_dim))
     init.weight("head.w", (cfg.embed_dim, cfg.token_dim()))
     init.zeros("head.b", (cfg.token_dim(),))
     return init.params
@@ -304,7 +284,7 @@ def encode(cfg: ViTConfig, params: Params, tokens, positions) -> Tensor:
     if pos.shape != (x.shape[0], cfg.embed_dim):
         raise ValueError(f"positions shape {pos.shape} misaligned with tokens {x.shape}")
     h = _linear(x, params, "patch_embed")
-    h = apply("embed_add", (h, pos))
+    h = h + pos
     h = _run_blocks(h, params, "enc", cfg.depth, cfg.num_heads)
     return _ln(h, params, "enc_norm")
 
@@ -316,12 +296,27 @@ def _unpatchify_tensor(tokens: Tensor, grid: PatchGrid) -> Tensor:
     return blocks.permute((3, 0, 4, 1, 5, 2, 6)).reshape((c, gd * p, gh * p, gw * p))
 
 
-def _broadcast_token(token: Tensor, rows: int) -> Tensor:
-    return apply("embed_add", (Tensor(np.zeros((rows, token.shape[1]))), token))
-
-
 def _scatter(rows: Tensor, indices: np.ndarray, total: int) -> Tensor:
     return apply("scatter_rows", (rows,), {"indices": indices, "total": total})
+
+
+def _patchify_masked(cfg: ViTConfig, volume: Volume, mask: Mask) -> TokenBatch:
+    """Tokens of a volume whose ``mask`` a reconstruction head will fill."""
+    if mask.num_masked == 0:
+        raise ValueError("no masked patches to reconstruct")
+    batch = patchify(volume, cfg.token_patch)
+    if mask.total_tokens != batch.grid.num_tokens:
+        raise ValueError(
+            f"mask covers {mask.total_tokens} tokens, volume has {batch.grid.num_tokens}"
+        )
+    return batch
+
+
+def _fill_masked(rows: Tensor, visible: np.ndarray, token: Tensor, mask: Mask) -> Tensor:
+    """The full sequence: ``rows`` at the visible slots, ``token`` at each masked one."""
+    token_rows = Tensor(np.zeros((mask.num_masked, token.shape[1]))) + token
+    total = mask.total_tokens
+    return _scatter(rows, visible, total) + _scatter(token_rows, mask.masked_token_ids, total)
 
 
 def mae_forward(
@@ -337,24 +332,19 @@ def mae_forward(
 
     Returns (reconstructed volume tensor, masked reconstruction loss).
     """
-    if mask.num_masked == 0:
-        raise ValueError("no masked patches to reconstruct")
-    batch = patchify(volume, cfg.token_patch)
+    batch = _patchify_masked(cfg, volume, mask)
+    if mask.num_masked == mask.total_tokens:
+        raise ValueError("no visible patches to encode")
     grid = batch.grid
-    if mask.total_tokens != grid.num_tokens:
-        raise ValueError(f"mask covers {mask.total_tokens} tokens, volume has {grid.num_tokens}")
 
     visible = mask.visible_token_ids()
     enc_pos = positional_table(grid, cfg.embed_dim)
     latents = encode(cfg, params, batch.tokens[visible], enc_pos[visible])
 
     projected = _linear(latents, params, "dec_embed")
-    mask_rows = _broadcast_token(params["mask_token"], mask.num_masked)
-    full = _scatter(projected, visible, grid.num_tokens) + _scatter(
-        mask_rows, mask.masked_token_ids, grid.num_tokens
-    )
+    full = _fill_masked(projected, visible, params["mask_token"], mask)
     dec_pos = Tensor(positional_table(grid, dec_cfg.decoder_dim))
-    full = apply("embed_add", (full, dec_pos))
+    full = full + dec_pos
     decoded = _run_blocks(full, params, "dec", dec_cfg.decoder_depth, dec_cfg.decoder_heads)
     decoded = _ln(decoded, params, "dec_norm")
     pred = _linear(decoded, params, "dec_head")
@@ -373,22 +363,15 @@ def simmim_forward(
     """Full-sequence pass with mask-token substitution in embedding space
     and a single linear projection back to voxels.
     """
-    if mask.num_masked == 0:
-        raise ValueError("no masked patches to reconstruct")
-    batch = patchify(volume, cfg.token_patch)
+    batch = _patchify_masked(cfg, volume, mask)
     grid = batch.grid
-    if mask.total_tokens != grid.num_tokens:
-        raise ValueError(f"mask covers {mask.total_tokens} tokens, volume has {grid.num_tokens}")
 
     embedded = _linear(Tensor(batch.tokens), params, "patch_embed")
     visible = mask.visible_token_ids()
     kept = apply("gather_rows", (embedded,), {"indices": visible})
-    mask_rows = _broadcast_token(params["mask_token"], mask.num_masked)
-    mixed = _scatter(kept, visible, grid.num_tokens) + _scatter(
-        mask_rows, mask.masked_token_ids, grid.num_tokens
-    )
+    mixed = _fill_masked(kept, visible, params["mask_token"], mask)
     pos = Tensor(positional_table(grid, cfg.embed_dim))
-    h = apply("embed_add", (mixed, pos))
+    h = mixed + pos
     h = _run_blocks(h, params, "enc", cfg.depth, cfg.num_heads)
     h = _ln(h, params, "enc_norm")
     pred = _linear(h, params, "head")
@@ -460,7 +443,7 @@ def unetr_segment(cfg: SegConfig, params: Params, volume: Volume) -> Tensor:
 
     pos = positional_table(grid, vit.embed_dim)
     h = _linear(Tensor(batch.tokens), params, "patch_embed")
-    h = apply("embed_add", (h, Tensor(pos)))
+    h = h + Tensor(pos)
     tapped: dict[int, Tensor] = {}
     for i in range(vit.depth):
         h = _block(h, params, f"enc.{i}", vit.num_heads)

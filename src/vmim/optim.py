@@ -7,11 +7,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .autodiff import Tensor
-
-
-class NonFiniteGradientError(FloatingPointError):
-    pass
+from .autodiff import NonFiniteError, Tensor
 
 
 @dataclass
@@ -58,7 +54,7 @@ def adamw_step(
         if g.shape != p.shape:
             raise ValueError(f"gradient shape {g.shape} != parameter {name} shape {p.shape}")
         if not np.isfinite(g).all():
-            raise NonFiniteGradientError(f"non-finite gradient for parameter {name!r}")
+            raise NonFiniteError(f"non-finite gradient for parameter {name!r}")
         w = p.data
         if cfg.weight_decay:
             w = w * (1.0 - lr * cfg.weight_decay)
@@ -92,13 +88,23 @@ def lr_at(
 
 
 def clip_grad_norm(grads: dict[str, np.ndarray | Tensor], max_norm: float) -> dict[str, np.ndarray]:
-    """Global-norm gradient clipping; no-op when max_norm <= 0."""
+    """Global-norm gradient clipping; no-op when max_norm <= 0.
+
+    A non-finite gradient raises NonFiniteError naming the first such
+    parameter, searched for only when the global norm is not finite:
+    scaling by that norm would zero the finite gradients (inf) or poison
+    all of them (NaN).
+    """
     arrays = {
         name: (g.data if isinstance(g, Tensor) else np.asarray(g)) for name, g in grads.items()
     }
     if max_norm <= 0:
         return arrays
     total = math.sqrt(sum(float((a * a).sum()) for a in arrays.values()))
+    if not math.isfinite(total):
+        for name, a in arrays.items():
+            if not np.isfinite(a).all():
+                raise NonFiniteError(f"non-finite gradient for parameter {name!r}")
     if total <= max_norm:
         return arrays
     factor = max_norm / total

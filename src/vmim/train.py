@@ -13,11 +13,19 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .autodiff import Graph, Tensor, backward
+from .autodiff import Graph, NonFiniteError, Tensor, backward
 from .checkpoint import save_checkpoint
-from .inference import SlidingWindowConfig, predict_labels
+from .config import (
+    DEFAULTS,
+    SlidingWindowConfig,
+    TrainConfig,
+    build,
+    checkpoint_config,
+    derived,
+    flatten,
+)
+from .inference import dice_over_dataset, predict_labels
 from .losses import ReconLossConfig, dice_ce_loss
-from .metrics import dice
 from .models import (
     MAEDecoderConfig,
     SegConfig,
@@ -33,7 +41,7 @@ from .models import (
     simmim_forward,
     unetr_segment,
 )
-from .optim import AdamWConfig, OptState, adamw_step, clip_grad_norm, lr_at
+from .optim import OptState, adamw_step, clip_grad_norm, lr_at
 from .patches import MaskingConfig, PatchGrid, sample_mask
 from .rng import Rng
 from .volume import LabelVolume, Volume
@@ -41,50 +49,8 @@ from .volume import LabelVolume, Volume
 PRETRAIN_METHODS = ("mae", "simmim", "simclr")
 
 
-class TrainingDivergedError(FloatingPointError):
-    pass
-
-
 class CheckpointMismatchError(ValueError):
     pass
-
-
-@dataclass
-class TrainConfig:
-    base_lr: float = 3e-4
-    weight_decay: float = 0.05
-    beta1: float = 0.9
-    beta2: float = 0.999
-    batch_size: int = 4
-    warmup_epochs: int = 3
-    total_epochs: int = 30
-    window: int = 48
-    seed: int = 0
-    min_lr: float = 0.0
-    grad_clip: float = 0.0
-    checkpoint_every: int = 0  # 0 -> total_epochs // 10
-    eval_every: int = 0  # 0 -> checkpoint cadence
-    overfit_single_batch: bool = False
-
-    def __post_init__(self):
-        if self.base_lr <= 0:
-            raise ValueError(f"base_lr must be positive, got {self.base_lr}")
-        if not 0 <= self.warmup_epochs <= self.total_epochs:
-            raise ValueError(
-                f"need 0 <= warmup ({self.warmup_epochs}) <= total ({self.total_epochs})"
-            )
-        if self.batch_size < 1:
-            raise ValueError(f"batch_size must be >= 1, got {self.batch_size}")
-
-    @property
-    def adamw(self) -> AdamWConfig:
-        return AdamWConfig(self.weight_decay, self.beta1, self.beta2)
-
-    def checkpoint_cadence(self) -> int:
-        return self.checkpoint_every or max(1, self.total_epochs // 10)
-
-    def eval_cadence(self) -> int:
-        return self.eval_every or self.checkpoint_cadence()
 
 
 # ---------------------------------------------------------------------------
@@ -126,16 +92,16 @@ def subset_labeled(ids: list, ratio: float, seed: int) -> list:
     return [ids[i] for i in picks]
 
 
+# ---------------------------------------------------------------------------
+# The training loop
+# ---------------------------------------------------------------------------
+
 def _make_batches(order: list[int], batch_size: int, min_size: int = 1) -> list[list[int]]:
     batches = [order[i : i + batch_size] for i in range(0, len(order), batch_size)]
     if len(batches) > 1 and len(batches[-1]) < min_size:
         batches[-2].extend(batches[-1])
         batches.pop()
     return batches
-
-
-def _steps_per_epoch(n: int, batch_size: int, min_size: int = 1) -> int:
-    return len(_make_batches(list(range(n)), batch_size, min_size))
 
 
 def _mean_loss(losses: list[Tensor]) -> Tensor:
@@ -145,56 +111,90 @@ def _mean_loss(losses: list[Tensor]) -> Tensor:
     return total.scale(1.0 / len(losses))
 
 
-class _TraceWriter:
-    """Line-oriented trace: step, lr, loss, then optional per-class dice."""
-
-    def __init__(self, path: str):
-        self.path = path
-        self._fh = open(path, "w", encoding="utf-8")
-
-    def row(self, step: int, lr: float, loss: float, dice_scores: dict[int, float] | None = None):
-        cells = [str(step), repr(lr), repr(loss)]
-        if dice_scores is not None:
-            cells.extend(repr(dice_scores[c]) for c in sorted(dice_scores))
-        self._fh.write("\t".join(cells) + "\n")
-
-    def close(self):
-        self._fh.close()
+def _trace_row(step: int, lr: float, loss: float, dice_scores: dict | None = None) -> str:
+    """One trace line: step, lr, loss, then optional per-class dice."""
+    cells = [str(step), repr(lr), repr(loss)]
+    if dice_scores is not None:
+        cells.extend(repr(dice_scores[c]) for c in sorted(dice_scores))
+    return "\t".join(cells) + "\n"
 
 
 def _step(params, graph, loss, state, lr, cfg: TrainConfig, step: int):
     """Backward, clip and AdamW-update; returns the new (params, state).
 
-    A non-finite loss, or a non-finite raw gradient, raises
-    TrainingDivergedError naming the step (and, for a gradient, the first
-    parameter in ``params`` order). Gradients are checked before clipping,
-    because one NaN makes the global norm, and so every clipped gradient, NaN.
+    A non-finite loss, or a non-finite raw gradient, raises NonFiniteError
+    naming the step (and, for a gradient, the first parameter in ``params``
+    order). Gradients are checked before clipping, because one NaN makes
+    the global norm, and so every clipped gradient, NaN.
     """
     if not np.isfinite(loss.data).all():
-        raise TrainingDivergedError(f"non-finite loss at step {step}")
+        raise NonFiniteError(f"non-finite loss at step {step}")
     gradmap = backward(graph, loss)
     grads = {name: gradmap[p.node_id] for name, p in params.items()}
     for name, g in grads.items():
         if not np.isfinite(g.data).all():
-            raise TrainingDivergedError(
+            raise NonFiniteError(
                 f"non-finite gradient for parameter {name!r} at step {step}"
             )
     grads = clip_grad_norm(grads, cfg.grad_clip)
     return adamw_step(params, grads, state, lr, cfg.adamw)
 
 
-# ---------------------------------------------------------------------------
-# Pretraining
-# ---------------------------------------------------------------------------
-
 @dataclass
 class PretrainResult:
+    """What a training run wrote, and the parameters it ended with."""
+
     checkpoint_path: str
     trace_path: str
     losses: list[float]
     params: dict = field(repr=False, default_factory=dict)
     config: dict = field(default_factory=dict)
 
+
+def _train(params, cfg: TrainConfig, n, min_batch, rng, batch_loss, epoch_end, out_dir, config):
+    """The one training loop behind pretrain and finetune.
+
+    Each epoch draws a permutation of the ``n`` example ids from ``rng``;
+    ``batch_loss(params, batch_ids)`` builds one step's loss on the active
+    graph. After every epoch ``epoch_end(epochs_done, steps_done, params)``
+    may return per-class Dice scores, which are traced on an extra row.
+    Numpy overflow warnings are silenced inside a step: the explicit
+    finiteness checks of _step report divergence instead. Creates
+    ``out_dir`` and writes trace.tsv and checkpoint.vmim there.
+    """
+    os.makedirs(out_dir, exist_ok=True)
+    state = OptState.init(params)
+    spe = len(_make_batches(list(range(n)), cfg.batch_size, min_batch))
+    total_steps = spe * cfg.total_epochs
+    warmup_steps = spe * cfg.warmup_epochs
+    trace_path = os.path.join(out_dir, "trace.tsv")
+    losses: list[float] = []
+    step = 0
+    with open(trace_path, "w", encoding="utf-8") as trace:
+        for epoch in range(cfg.total_epochs):
+            order = rng.permutation(n)
+            for batch_ids in _make_batches(order, cfg.batch_size, min_batch):
+                lr = lr_at(step, warmup_steps, total_steps, cfg.base_lr, cfg.min_lr)
+                with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+                    with Graph() as graph:
+                        graph.watch_all(params.values())
+                        loss = batch_loss(params, batch_ids)
+                    params, state = _step(params, graph, loss, state, lr, cfg, step)
+                loss_value = loss.item()
+                losses.append(loss_value)
+                trace.write(_trace_row(step, lr, loss_value))
+                step += 1
+            scores = epoch_end(epoch + 1, step, params)
+            if scores is not None:
+                trace.write(_trace_row(step, lr, loss_value, scores))
+    checkpoint_path = os.path.join(out_dir, "checkpoint.vmim")
+    save_checkpoint(checkpoint_path, params, config)
+    return PretrainResult(checkpoint_path, trace_path, losses, params, config)
+
+
+# ---------------------------------------------------------------------------
+# Pretraining
+# ---------------------------------------------------------------------------
 
 def _augment_view(volume: Volume, window: int, rng: Rng) -> Volume:
     crop, _ = crop_sampler(volume, None, window, rng)
@@ -215,7 +215,8 @@ def pretrain(
 ) -> PretrainResult:
     """Self-supervised pretraining; emits checkpoints and a loss trace.
 
-    Raises TrainingDivergedError, naming the step, when the loss or a
+    A None head or masking config takes config.DEFAULTS, resolved against
+    ``vit_cfg``. Raises NonFiniteError, naming the step, when the loss or a
     gradient turns non-finite.
     """
     if method not in PRETRAIN_METHODS:
@@ -226,116 +227,55 @@ def pretrain(
         raise ValueError(
             f"window {train_cfg.window} not divisible by token patch {vit_cfg.token_patch}"
         )
-    os.makedirs(out_dir, exist_ok=True)
-
-    config = {
-        "method": method,
-        "model.embed_dim": vit_cfg.embed_dim,
-        "model.depth": vit_cfg.depth,
-        "model.num_heads": vit_cfg.num_heads,
-        "model.token_patch": vit_cfg.token_patch,
-        "model.mlp_ratio": vit_cfg.mlp_ratio,
-        "model.channels": vit_cfg.channels,
-        "train.window": train_cfg.window,
-        "train.seed": train_cfg.seed,
-    }
-    if method == "mae":
-        dec_cfg = dec_cfg or MAEDecoderConfig()
-        params = init_mae_params(vit_cfg, dec_cfg, train_cfg.seed)
-        config.update(
-            {
-                "dec.dim": dec_cfg.decoder_dim,
-                "dec.depth": dec_cfg.decoder_depth,
-                "dec.heads": dec_cfg.decoder_heads,
-            }
-        )
-    elif method == "simmim":
-        params = init_simmim_params(vit_cfg, train_cfg.seed)
-    else:
-        simclr_cfg = simclr_cfg or SimCLRConfig(vit_cfg.embed_dim, min(128, vit_cfg.embed_dim))
-        params = init_simclr_params(vit_cfg, simclr_cfg, train_cfg.seed)
-        config.update(
-            {
-                "simclr.hidden": simclr_cfg.proj_hidden,
-                "simclr.dim": simclr_cfg.proj_dim,
-                "simclr.temperature": simclr_cfg.temperature,
-            }
-        )
+    defaults = derived({**DEFAULTS, **flatten("model", vit_cfg)})
+    mask_cfg = mask_cfg or build("mask", defaults)
+    dec_cfg = dec_cfg or build("dec", defaults)
+    simclr_cfg = simclr_cfg or build("simclr", defaults)
+    window, seed = train_cfg.window, train_cfg.seed
+    if method == "simclr":
         if train_cfg.batch_size < 2 or len(dataset) < 2:
             raise ValueError("contrastive pretraining needs batch size >= 2 and >= 2 volumes")
-    if method in ("mae", "simmim"):
-        if mask_cfg is None:
-            mask_cfg = MaskingConfig(vit_cfg.token_patch, 0.75)
-        config.update(
-            {"mask.patch": mask_cfg.masked_patch, "mask.ratio": mask_cfg.ratio,
-             "recon.norm": recon_cfg.norm}
-        )
+        params = init_simclr_params(vit_cfg, simclr_cfg, seed)
+        heads = {"simclr": simclr_cfg}
+    elif method == "mae":
+        params = init_mae_params(vit_cfg, dec_cfg, seed)
+        heads = {"dec": dec_cfg, "mask": mask_cfg, "recon": recon_cfg}
+    else:
+        params = init_simmim_params(vit_cfg, seed)
+        heads = {"mask": mask_cfg, "recon": recon_cfg}
+    config = checkpoint_config(method, train_cfg, model=vit_cfg, **heads)
+    rng = Rng.derive(seed, "pretrain", method)
 
-    rng = Rng.derive(train_cfg.seed, "pretrain", method)
-    state = OptState.init(params)
-    n = len(dataset)
-    min_batch = 2 if method == "simclr" else 1
-    spe = _steps_per_epoch(n, train_cfg.batch_size, min_batch)
-    total_steps = spe * train_cfg.total_epochs
-    warmup_steps = spe * train_cfg.warmup_epochs
+    def batch_loss(params, batch_ids):
+        if method == "simclr":
+            views1 = [_augment_view(dataset[i], window, rng) for i in batch_ids]
+            views2 = [_augment_view(dataset[i], window, rng) for i in batch_ids]
+            return simclr_forward(vit_cfg, params, views1, views2, simclr_cfg.temperature)
+        samples = []
+        for i in batch_ids:
+            crop, _ = crop_sampler(dataset[i], None, window, rng)
+            grid = PatchGrid.for_volume(crop, vit_cfg.token_patch)
+            samples.append((crop, sample_mask(grid, mask_cfg, rng)))
+        terms = []
+        for crop, mask in samples:
+            if method == "mae":
+                _, term = mae_forward(vit_cfg, dec_cfg, params, crop, mask, recon_cfg)
+            else:
+                _, term = simmim_forward(vit_cfg, params, crop, mask, recon_cfg)
+            terms.append(term)
+        return _mean_loss(terms)
 
-    trace_path = os.path.join(out_dir, "trace.tsv")
-    trace = _TraceWriter(trace_path)
     cadence = train_cfg.checkpoint_cadence()
-    losses: list[float] = []
-    frozen_batch = None
-    step = 0
-    try:
-        for epoch in range(train_cfg.total_epochs):
-            order = rng.permutation(n)
-            for batch_ids in _make_batches(order, train_cfg.batch_size, min_batch):
-                lr = lr_at(step, warmup_steps, total_steps, train_cfg.base_lr, train_cfg.min_lr)
-                with Graph() as graph:
-                    graph.watch_all(params.values())
-                    if method == "simclr":
-                        if frozen_batch is None:
-                            views1 = [_augment_view(dataset[i], train_cfg.window, rng) for i in batch_ids]
-                            views2 = [_augment_view(dataset[i], train_cfg.window, rng) for i in batch_ids]
-                            if train_cfg.overfit_single_batch:
-                                frozen_batch = (views1, views2)
-                        else:
-                            views1, views2 = frozen_batch
-                        loss = simclr_forward(
-                            vit_cfg, params, views1, views2, simclr_cfg.temperature
-                        )
-                    else:
-                        if frozen_batch is None:
-                            samples = []
-                            for i in batch_ids:
-                                crop, _ = crop_sampler(dataset[i], None, train_cfg.window, rng)
-                                grid = PatchGrid.for_volume(crop, vit_cfg.token_patch)
-                                samples.append((crop, sample_mask(grid, mask_cfg, rng)))
-                            if train_cfg.overfit_single_batch:
-                                frozen_batch = samples
-                        else:
-                            samples = frozen_batch
-                        terms = []
-                        for crop, mask in samples:
-                            if method == "mae":
-                                _, term = mae_forward(vit_cfg, dec_cfg, params, crop, mask, recon_cfg)
-                            else:
-                                _, term = simmim_forward(vit_cfg, params, crop, mask, recon_cfg)
-                            terms.append(term)
-                        loss = _mean_loss(terms)
-                params, state = _step(params, graph, loss, state, lr, train_cfg, step)
-                loss_value = loss.item()
-                losses.append(loss_value)
-                trace.row(step, lr, loss_value)
-                step += 1
-            if (epoch + 1) % cadence == 0 and (epoch + 1) < train_cfg.total_epochs:
-                save_checkpoint(
-                    os.path.join(out_dir, f"checkpoint_ep{epoch + 1:04d}.vmim"), params, config
-                )
-    finally:
-        trace.close()
-    checkpoint_path = os.path.join(out_dir, "checkpoint.vmim")
-    save_checkpoint(checkpoint_path, params, config)
-    return PretrainResult(checkpoint_path, trace_path, losses, params, config)
+
+    def epoch_end(epoch, step, params):
+        if epoch % cadence == 0 and epoch < train_cfg.total_epochs:
+            path = os.path.join(out_dir, f"checkpoint_ep{epoch:04d}.vmim")
+            save_checkpoint(path, params, config)
+
+    min_batch = 2 if method == "simclr" else 1
+    return _train(
+        params, train_cfg, len(dataset), min_batch, rng, batch_loss, epoch_end, out_dir, config
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -343,20 +283,16 @@ def pretrain(
 # ---------------------------------------------------------------------------
 
 @dataclass
-class FinetuneResult:
-    checkpoint_path: str
-    trace_path: str
-    losses: list[float]
-    dice_trace: list[tuple[int, dict[int, float], float]]
-    params: dict = field(repr=False, default_factory=dict)
-    config: dict = field(default_factory=dict)
+class FinetuneResult(PretrainResult):
+    # (step, per-class Dice, mean Dice) at each validation
+    dice_trace: list[tuple[int, dict[int, float], float]] = field(default_factory=list)
 
     @property
     def final_dice(self) -> float:
         return self.dice_trace[-1][2] if self.dice_trace else 0.0
 
 
-def load_encoder_weights(params: dict, checkpoint_params: dict, embed_dim: int) -> dict:
+def load_encoder_weights(params: dict, checkpoint_params: dict) -> dict:
     """Copy encoder weights from a pretraining checkpoint into seg params."""
     updated = dict(params)
     for name in encoder_param_names(params):
@@ -370,21 +306,6 @@ def load_encoder_weights(params: dict, checkpoint_params: dict, embed_dim: int) 
             )
         updated[name] = Tensor(source.data, requires_grad=True)
     return updated
-
-
-def validation_dice(
-    seg_cfg: SegConfig,
-    params: dict,
-    val_set: list[tuple[Volume, LabelVolume]],
-    swi_cfg: SlidingWindowConfig,
-) -> dict[int, float]:
-    """Per-foreground-class Dice averaged over validation volumes."""
-    sums = {c: 0.0 for c in range(1, seg_cfg.num_classes)}
-    for volume, labels in val_set:
-        predicted = predict_labels(seg_cfg, params, volume, swi_cfg)
-        for c in sums:
-            sums[c] += dice(labels, predicted, c)
-    return {c: s / len(val_set) for c, s in sums.items()}
 
 
 def finetune(
@@ -401,8 +322,8 @@ def finetune(
 
     checkpoint_params None trains from scratch (the supervised baseline).
     Validation Dice is recorded every eval cadence and at the final epoch.
-    Raises TrainingDivergedError, naming the step, when the loss or a
-    gradient turns non-finite.
+    Raises NonFiniteError, naming the step, when the loss or a gradient
+    turns non-finite.
     """
     if not train_set:
         raise ValueError("labeled training set is empty")
@@ -411,71 +332,36 @@ def finetune(
         raise ValueError(
             f"window {train_cfg.window} not divisible by token patch {vit.token_patch}"
         )
-    os.makedirs(out_dir, exist_ok=True)
-    swi_cfg = swi_cfg or SlidingWindowConfig(train_cfg.window, 0.5)
+    swi_cfg = swi_cfg or build("swi", DEFAULTS, window=train_cfg.window)
 
     params = init_seg_params(seg_cfg, train_cfg.seed)
     if checkpoint_params is not None:
-        params = load_encoder_weights(params, checkpoint_params, vit.embed_dim)
+        params = load_encoder_weights(params, checkpoint_params)
+    config = checkpoint_config("seg", train_cfg, labeled_ratio, model=vit, seg=seg_cfg)
 
-    config = {
-        "method": "seg",
-        "model.embed_dim": vit.embed_dim,
-        "model.depth": vit.depth,
-        "model.num_heads": vit.num_heads,
-        "model.token_patch": vit.token_patch,
-        "model.mlp_ratio": vit.mlp_ratio,
-        "model.channels": vit.channels,
-        "seg.num_classes": seg_cfg.num_classes,
-        "seg.width": seg_cfg.width,
-        "train.window": train_cfg.window,
-        "train.seed": train_cfg.seed,
-        "train.labeled_ratio": labeled_ratio,
-    }
-
-    ids = subset_labeled(list(range(len(train_set))), labeled_ratio, train_cfg.seed)
-    active = [train_set[i] for i in ids]
+    active = subset_labeled(train_set, labeled_ratio, train_cfg.seed)
     rng = Rng.derive(train_cfg.seed, "finetune")
-    state = OptState.init(params)
-    n = len(active)
-    spe = _steps_per_epoch(n, train_cfg.batch_size)
-    total_steps = spe * train_cfg.total_epochs
-    warmup_steps = spe * train_cfg.warmup_epochs
 
-    trace_path = os.path.join(out_dir, "trace.tsv")
-    trace = _TraceWriter(trace_path)
+    def batch_loss(params, batch_ids):
+        terms = []
+        for i in batch_ids:
+            crop, label_crop = crop_sampler(active[i][0], active[i][1], train_cfg.window, rng)
+            logits = unetr_segment(seg_cfg, params, crop)
+            terms.append(dice_ce_loss(logits, label_crop.data))
+        return _mean_loss(terms)
+
     eval_cadence = train_cfg.eval_cadence()
-    losses: list[float] = []
     dice_trace: list[tuple[int, dict[int, float], float]] = []
-    step = 0
-    try:
-        for epoch in range(train_cfg.total_epochs):
-            order = rng.permutation(n)
-            for batch_ids in _make_batches(order, train_cfg.batch_size):
-                lr = lr_at(step, warmup_steps, total_steps, train_cfg.base_lr, train_cfg.min_lr)
-                with Graph() as graph:
-                    graph.watch_all(params.values())
-                    terms = []
-                    for i in batch_ids:
-                        crop, label_crop = crop_sampler(
-                            active[i][0], active[i][1], train_cfg.window, rng
-                        )
-                        logits = unetr_segment(seg_cfg, params, crop)
-                        terms.append(dice_ce_loss(logits, label_crop.data))
-                    loss = _mean_loss(terms)
-                params, state = _step(params, graph, loss, state, lr, train_cfg, step)
-                loss_value = loss.item()
-                losses.append(loss_value)
-                trace.row(step, lr, loss_value)
-                step += 1
-            last_epoch = epoch + 1 == train_cfg.total_epochs
-            if val_set and ((epoch + 1) % eval_cadence == 0 or last_epoch):
-                scores = validation_dice(seg_cfg, params, val_set, swi_cfg)
-                avg = sum(scores.values()) / len(scores)
-                dice_trace.append((step, scores, avg))
-                trace.row(step, lr, loss_value, scores)
-    finally:
-        trace.close()
-    checkpoint_path = os.path.join(out_dir, "checkpoint.vmim")
-    save_checkpoint(checkpoint_path, params, config)
-    return FinetuneResult(checkpoint_path, trace_path, losses, dice_trace, params, config)
+
+    def epoch_end(epoch, step, params):
+        if val_set and (epoch % eval_cadence == 0 or epoch == train_cfg.total_epochs):
+            scores = dice_over_dataset(
+                lambda v: predict_labels(seg_cfg, params, v, swi_cfg),
+                val_set,
+                seg_cfg.num_classes,
+            ).per_class
+            dice_trace.append((step, scores, sum(scores.values()) / len(scores)))
+            return scores
+
+    result = _train(params, train_cfg, len(active), 1, rng, batch_loss, epoch_end, out_dir, config)
+    return FinetuneResult(**vars(result), dice_trace=dice_trace)

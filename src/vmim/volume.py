@@ -8,7 +8,7 @@ with a uint16 payload. In memory everything is float64.
 from __future__ import annotations
 
 import os
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -72,15 +72,6 @@ class LabelVolume:
             raise VolumeIOError(
                 f"label id {int(self.data.max())} out of range for {self.num_classes} classes"
             )
-
-
-@dataclass
-class VolumeHeader:
-    shape: tuple[int, ...]
-    spacing: tuple[float, float, float]
-    modality: str
-    dtype: str = "f32le"
-    extra: dict = field(default_factory=dict)
 
 
 # ---------------------------------------------------------------------------

@@ -16,9 +16,6 @@ DIFFERENTIABLE_PROBES = {
     "concat": lambda t, aux: (
         apply("concat", (t, aux["b"]), {"axis": 0}) * aux["cat_w"]
     ).sum(),
-    "slice": lambda t, aux: (
-        apply("slice", (t,), {"key": (slice(1, 4), slice(0, 3))}) * aux["sl_w"]
-    ).sum(),
     "gather_rows": lambda t, aux: (
         apply("gather_rows", (t,), {"indices": np.array([3, 1, 1, 0])}) * aux["g_w"]
     ).sum(),
@@ -36,7 +33,6 @@ DIFFERENTIABLE_PROBES = {
     "conv_transpose3": lambda t, aux: (
         apply("conv_transpose3", (aux["cv_x"], t), {"stride": 2}) * aux["cv_w"]
     ).sum(),
-    "embed_add": lambda t, aux: apply("embed_add", (t, aux["b"])).sum(),
     "abs": lambda t, aux: apply("abs", (t,)).sum(),
     "exp": lambda t, aux: apply("exp", (t,)).sum(),
     "log": lambda t, aux: apply("log", (apply("exp", (t,)),)).sum(),
@@ -55,7 +51,6 @@ def probe_aux(rng):
         "v4": Tensor(rng.normal(size=(4,))),
         "v5": Tensor(rng.normal(size=(5,))),
         "cat_w": Tensor(rng.normal(size=(8, 5))),
-        "sl_w": Tensor(rng.normal(size=(3, 3))),
         "g_w": Tensor(rng.normal(size=(4, 5))),
         "sc_w": Tensor(rng.normal(size=(7, 5))),
         "cv_x": Tensor(rng.normal(size=(2, 2, 2, 2))),

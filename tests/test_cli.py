@@ -3,6 +3,8 @@
 import json
 import os
 import re
+import struct
+import warnings
 
 import numpy as np
 import pytest
@@ -10,7 +12,17 @@ import pytest
 import vmim.train
 from vmim.autodiff import Tensor
 from vmim.cli import build_parser, run
-from vmim.config import ConfigError, DEFAULTS, derived, resolve_config
+from vmim.config import (
+    SECTIONS,
+    ConfigError,
+    DEFAULTS,
+    build,
+    checkpoint_config,
+    derived,
+    flatten,
+    resolve_config,
+)
+from vmim.models import ViTConfig
 from vmim.volume import load_labels, load_volume
 
 
@@ -48,6 +60,38 @@ class TestConfig:
         assert DEFAULTS["train.weight_decay"] == 0.05
         cfg = resolve_config(None, {}, ["train.weight_decay=0.005"])
         assert cfg["train.weight_decay"] == 0.005
+
+    @pytest.mark.parametrize("section", sorted(SECTIONS))
+    def test_build_and_flatten_are_inverse(self, section):
+        cfg = derived(DEFAULTS)
+        extra = {"seg": {"vit": build("model", cfg)}, "train": {"seed": 3}}.get(section, {})
+        obj = build(section, cfg, **extra)
+        flat = flatten(section, obj)
+        assert flat and all(cfg[k] == v for k, v in flat.items())
+        assert build(section, flat, **extra) == obj
+
+    def test_renamed_keys_reach_their_fields(self):
+        cfg = derived(resolve_config(None, {}, ["dec.dim=48", "simclr.hidden=24",
+                                               "mask.patch=16"]))
+        assert build("dec", cfg).decoder_dim == 48
+        assert build("simclr", cfg).proj_hidden == 24
+        assert build("mask", cfg).masked_patch == 16
+
+    def test_missing_required_key_rejected(self):
+        with pytest.raises(ConfigError, match="incomplete 'model' config"):
+            build("model", {"model.embed_dim": 64})
+
+    def test_checkpoint_config_echoes_sections(self):
+        cfg = derived(DEFAULTS)
+        vit = build("model", cfg)
+        echo = checkpoint_config("seg", build("train", cfg, seed=4), 0.5,
+                                 model=vit, seg=build("seg", cfg, vit=vit))
+        assert echo == {
+            "method": "seg", "train.window": 48, "train.seed": 4,
+            "train.labeled_ratio": 0.5, "seg.num_classes": 3, "seg.width": 16,
+            **{k: cfg[k] for k in cfg if k.startswith("model.")},
+        }
+        assert build("model", echo) == vit == ViTConfig(64, 4, 4, 8)
 
 
 class TestSynth:
@@ -110,7 +154,36 @@ class TestDispatch:
                          err, re.MULTILINE), err
 
 
+    def test_divergence_reports_error_without_numpy_warnings(self, synth_dir, tmp_path, capsys):
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            code = run(["pretrain", "--method", "simmim", "--data", synth_dir,
+                        "--out", str(tmp_path / "out"), "--epochs", "30", "--window", "16",
+                        "--set", "model.embed_dim=32", "--set", "model.depth=1",
+                        "--set", "train.warmup_epochs=0", "--set", "train.base_lr=1e18"])
+        assert code == 1
+        assert re.search(r"^error: non-finite .* at step \d+$", capsys.readouterr().err,
+                         re.MULTILINE)
+        assert [w for w in caught if issubclass(w.category, RuntimeWarning)] == []
+
+    def test_eval_on_corrupt_checkpoint_exit_1(self, synth_dir, tmp_path, capsys):
+        path = tmp_path / "corrupt.vmim"
+        path.write_bytes(b"VMIM1\n" + struct.pack("<Q", 10**12) + b"{}")
+        code = run(["eval", "--checkpoint", str(path), "--data", synth_dir,
+                    "--out", str(tmp_path / "ev")])
+        assert code == 1
+        assert "header length" in capsys.readouterr().err
+
+
 class TestPretrainCLI:
+    def test_mae_with_every_patch_masked_exit_1(self, synth_dir, tmp_path, capsys):
+        code = run(["pretrain", "--method", "mae", "--data", synth_dir,
+                    "--out", str(tmp_path / "full"), "--mask-ratio", "1.0",
+                    "--epochs", "1", "--window", "16", "--set", "train.warmup_epochs=0",
+                    "--set", "model.embed_dim=32", "--set", "model.depth=1"])
+        assert code == 1
+        assert "error: no visible patches to encode" in capsys.readouterr().err
+
     def test_manifest_echoes_masking_flags(self, synth_dir, tmp_path):
         out = str(tmp_path / "pre")
         code = run(["pretrain", "--method", "mae", "--data", synth_dir, "--out", out,

@@ -1,5 +1,8 @@
 """Encoder/heads: shapes, equivariance, masking semantics, checkpoints."""
 
+import json
+import struct
+
 import numpy as np
 import pytest
 
@@ -17,22 +20,20 @@ from vmim.models import (
     init_simclr_params,
     init_simmim_params,
     mae_forward,
-    mae_decoder_tiny,
     param_count,
     simclr_forward,
     simmim_forward,
     tap_depths,
     unetr_segment,
     vit3d_base,
-    vit3d_tiny,
 )
 from vmim.patches import Mask, MaskingConfig, PatchGrid, patchify, positional_table, sample_mask
 from vmim.rng import Rng
 from vmim.volume import Volume
 
 
-CFG = vit3d_tiny(8)
-DEC = mae_decoder_tiny()
+CFG = ViTConfig(64, 4, 4, 8)
+DEC = MAEDecoderConfig(32, 2, 4)
 
 
 def small_volume(seed=0, edge=16):
@@ -134,6 +135,11 @@ class TestMAE:
         v = small_volume()
         with pytest.raises(ValueError, match="no masked patches"):
             mae_forward(CFG, DEC, init_mae_params(CFG, DEC, 0), v, mask_for(v, ratio=0.0))
+
+    def test_full_mask_rejected(self):
+        v = small_volume()
+        with pytest.raises(ValueError, match="no visible patches to encode"):
+            mae_forward(CFG, DEC, init_mae_params(CFG, DEC, 0), v, mask_for(v, ratio=1.0))
 
 
 class TestSimMIM:
@@ -309,6 +315,28 @@ class TestCheckpoint:
         for name in params:
             assert np.array_equal(loaded[name].data, params[name].data)
             assert loaded[name].requires_grad
+
+    @pytest.mark.parametrize("corrupt", ["huge_header_length", "not_utf8", "not_json",
+                                         "offset_past_payload", "shape_past_payload"])
+    def test_corrupt_file_raises_checkpoint_error(self, tmp_path, corrupt):
+        from vmim.checkpoint import CheckpointError
+
+        def header(offset=0, shape=(2, 2)):
+            index = [{"name": "w", "shape": list(shape), "offset": offset}]
+            return json.dumps({"version": 1, "config": {}, "tensors": index}).encode()
+
+        raw_header = {
+            "huge_header_length": b"{}",
+            "not_utf8": b"\xff\xfe{}",
+            "not_json": b"{\"tensors\": [",
+            "offset_past_payload": header(offset=8),
+            "shape_past_payload": header(shape=(3, 2)),
+        }[corrupt]
+        length = 10**12 if corrupt == "huge_header_length" else len(raw_header)
+        path = tmp_path / "corrupt.vmim"
+        path.write_bytes(b"VMIM1\n" + struct.pack("<Q", length) + raw_header + bytes(32))
+        with pytest.raises(CheckpointError):
+            load_checkpoint(str(path))
 
     def test_bad_magic_rejected(self, tmp_path):
         path = str(tmp_path / "bad.vmim")

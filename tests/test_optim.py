@@ -5,10 +5,9 @@ import math
 import numpy as np
 import pytest
 
-from vmim.autodiff import Tensor
+from vmim.autodiff import NonFiniteError, Tensor
 from vmim.optim import (
     AdamWConfig,
-    NonFiniteGradientError,
     OptState,
     adamw_step,
     clip_grad_norm,
@@ -82,7 +81,7 @@ class TestAdamW:
     def test_non_finite_gradient_names_parameter(self):
         params = single(1.0)
         state = OptState.init(params)
-        with pytest.raises(NonFiniteGradientError, match="'w'"):
+        with pytest.raises(NonFiniteError, match="'w'"):
             adamw_step(params, {"w": np.array([np.nan])}, state, 0.1)
 
     def test_shape_mismatch_rejected(self):
@@ -146,3 +145,11 @@ class TestClip:
         grads = {"a": np.array([30.0, 40.0])}
         out = clip_grad_norm(grads, 0.0)
         assert np.array_equal(out["a"], grads["a"])
+
+    def test_non_finite_gradient_named(self):
+        # inf would zero the finite gradients, NaN would poison them all.
+        grads = {"a": np.ones(3), "b": np.array([1.0, np.inf]), "c": np.array([np.nan])}
+        with pytest.raises(NonFiniteError, match="'b'"):
+            clip_grad_norm(grads, 1.0)
+        with pytest.raises(NonFiniteError, match="'c'"):
+            clip_grad_norm({"a": grads["a"], "c": grads["c"]}, 1.0)

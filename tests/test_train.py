@@ -3,15 +3,13 @@
 import numpy as np
 import pytest
 
-from vmim.autodiff import Graph, Tensor
-from vmim.inference import SlidingWindowConfig
-from vmim.models import SegConfig, ViTConfig, encoder_param_names, init_seg_params, mae_decoder_tiny
+from vmim.autodiff import Graph, NonFiniteError, Tensor
+from vmim.models import MAEDecoderConfig, SegConfig, ViTConfig, encoder_param_names, init_seg_params
 from vmim.optim import OptState
 from vmim.patches import MaskingConfig
 from vmim.rng import Rng
 from vmim.train import (
     TrainConfig,
-    TrainingDivergedError,
     _step,
     crop_sampler,
     finetune,
@@ -124,7 +122,7 @@ class TestPretrain:
             volumes,
             str(tmp_path / method),
             mask_cfg=MaskingConfig(8, 0.75),
-            dec_cfg=mae_decoder_tiny(),
+            dec_cfg=MAEDecoderConfig(32, 2, 4),
         )
         steps_per_epoch = 2  # 6 volumes, batch 3
         assert len(result.losses) == steps_per_epoch * cfg.total_epochs
@@ -156,6 +154,14 @@ class TestPretrain:
         names = sorted(p.name for p in out.glob("*.vmim"))
         assert names == ["checkpoint.vmim", "checkpoint_ep0002.vmim"]
 
+    def test_missing_head_configs_come_from_defaults(self, volumes, tmp_path):
+        cfg = quick_cfg(total_epochs=1, warmup_epochs=0, batch_size=6)
+        mae = pretrain("mae", TINY, cfg, volumes, str(tmp_path / "mae")).config
+        assert (mae["dec.dim"], mae["dec.depth"], mae["dec.heads"]) == (32, 2, 4)
+        assert (mae["mask.patch"], mae["mask.ratio"]) == (TINY.token_patch, 0.75)
+        simclr = pretrain("simclr", TINY, cfg, volumes, str(tmp_path / "simclr")).config
+        assert (simclr["simclr.hidden"], simclr["simclr.dim"]) == (32, 32)
+
     def test_empty_dataset_rejected(self, tmp_path):
         with pytest.raises(ValueError, match="empty"):
             pretrain("mae", TINY, quick_cfg(), [], str(tmp_path / "x"))
@@ -181,7 +187,7 @@ class TestFinetune:
                        mask_cfg=MaskingConfig(8, 0.75))
         seg = SegConfig(TINY, 3, width=8)
         scratch = init_seg_params(seg, seed=42)
-        warm = load_encoder_weights(scratch, pre.params, TINY.embed_dim)
+        warm = load_encoder_weights(scratch, pre.params)
         enc = set(encoder_param_names(scratch))
         for name in scratch:
             same = np.array_equal(scratch[name].data, warm[name].data)
@@ -197,7 +203,7 @@ class TestFinetune:
         from vmim.train import CheckpointMismatchError
 
         with pytest.raises(CheckpointMismatchError, match="shape"):
-            load_encoder_weights(scratch, other, TINY.embed_dim)
+            load_encoder_weights(scratch, other)
 
     def test_bitwise_deterministic(self, labeled, tmp_path):
         seg = SegConfig(TINY, 3, width=8)
@@ -218,7 +224,7 @@ class TestFinetune:
 def test_diverged_loss_reports_step(volumes, tmp_path):
     # Absurd learning rate drives SimMIM into overflow within a few steps.
     cfg = quick_cfg(base_lr=1e18, total_epochs=30, warmup_epochs=0, batch_size=6)
-    with pytest.raises(TrainingDivergedError, match=r"step \d+"):
+    with pytest.raises(NonFiniteError, match=r"step \d+"):
         pretrain("simmim", TINY, cfg, volumes, str(tmp_path / "boom"),
                  mask_cfg=MaskingConfig(8, 0.75))
 
@@ -245,6 +251,6 @@ def test_non_finite_gradient_reports_step_and_parameter(grad_clip):
         loss = loss + overflow(params["y"])
     assert np.isfinite(loss.item())
     cfg = quick_cfg(grad_clip=grad_clip)
-    with pytest.raises(TrainingDivergedError,
+    with pytest.raises(NonFiniteError,
                        match=r"non-finite gradient for parameter 'x' at step 7"):
         _step(params, graph, loss, OptState.init(params), 1e-3, cfg, 7)
