@@ -316,7 +316,10 @@ def _fwd_linear(arrays, attrs):
         raise _shape_error("linear", f"input {x.shape} incompatible with weight {w.shape}")
     if b.shape != (w.shape[1],):
         raise _shape_error("linear", f"bias {b.shape} incompatible with weight {w.shape}")
-    return x @ w + b, (x, w)
+    # One GEMM over every leading axis; x @ w on a >2-D x would run one
+    # small GEMM per row of the leading axes.
+    out = x.reshape(-1, x.shape[-1]) @ w + b
+    return out.reshape(x.shape[:-1] + (w.shape[1],)), (x, w)
 
 
 def _vjp_linear(ctx, g):
@@ -501,37 +504,37 @@ def _fwd_conv_transpose3(arrays, attrs):
     x, w = arrays
     s = int(attrs["stride"])
     if x.ndim != 4:
-        raise _shape_error("conv_transpose3", f"input must be (C,D,H,W), got {x.shape}")
-    if w.ndim != 5 or w.shape[0] != x.shape[0] or w.shape[2:] != (s, s, s):
+        raise _shape_error("conv_transpose3", f"input must be (D,H,W,C), got {x.shape}")
+    if w.ndim != 5 or w.shape[0] != x.shape[-1] or w.shape[2:] != (s, s, s):
         raise _shape_error(
             "conv_transpose3",
-            f"weight must be ({x.shape[0]},Cout,{s},{s},{s}), got {w.shape}",
+            f"weight must be ({x.shape[-1]},Cout,{s},{s},{s}), got {w.shape}",
         )
-    # Each input voxel expands into one s^3 block: a (V,C) x (C,K*s^3)
-    # matmul followed by a block interleave.
-    c, d, h, wd = x.shape
+    # Each input voxel expands into one s^3 block: a (V,C) x (C,s^3*K)
+    # matmul followed by a block interleave that keeps K innermost.
+    d, h, wd, c = x.shape
     k = w.shape[1]
-    out2 = x.reshape(c, -1).T @ w.reshape(c, -1)
+    out2 = x.reshape(-1, c) @ w.transpose(0, 2, 3, 4, 1).reshape(c, -1)
     out = (
-        out2.reshape(d, h, wd, k, s, s, s)
-        .transpose(3, 0, 4, 1, 5, 2, 6)
-        .reshape(k, d * s, h * s, wd * s)
+        out2.reshape(d, h, wd, s, s, s, k)
+        .transpose(0, 3, 1, 4, 2, 5, 6)
+        .reshape(d * s, h * s, wd * s, k)
     )
     return out, (x, w, s)
 
 
 def _vjp_conv_transpose3(ctx, g):
     x, w, s = ctx
-    c, d, h, wd = x.shape
+    d, h, wd, c = x.shape
     k = w.shape[1]
     g2 = (
-        g.reshape(k, d, s, h, s, wd, s)
-        .transpose(1, 3, 5, 0, 2, 4, 6)
-        .reshape(d * h * wd, k * s**3)
+        g.reshape(d, s, h, s, wd, s, k)
+        .transpose(0, 2, 4, 1, 3, 5, 6)
+        .reshape(d * h * wd, s**3 * k)
     )
-    w2 = w.reshape(c, -1)
-    gx = (g2 @ w2.T).T.reshape(c, d, h, wd)
-    gw = (x.reshape(c, -1) @ g2).reshape(w.shape)
+    w2 = w.transpose(0, 2, 3, 4, 1).reshape(c, -1)
+    gx = (g2 @ w2.T).reshape(x.shape)
+    gw = (x.reshape(-1, c).T @ g2).reshape(c, s, s, s, k).transpose(0, 4, 1, 2, 3)
     return (gx, gw)
 
 

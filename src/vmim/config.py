@@ -5,6 +5,7 @@ and the one schema between dotted keys and the config dataclasses.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass, fields
 from typing import Any
 
@@ -162,7 +163,9 @@ def _coerce(key: str, value: Any) -> Any:
             raise ConfigError(f"{key} expects an integer, got {value}")
         return int(value)
     if isinstance(default, float):
-        return float(value)
+        value = float(value)
+        if not math.isfinite(value):
+            raise ConfigError(f"{key} must be finite, got {value}")
     return value
 
 

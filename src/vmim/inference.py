@@ -11,7 +11,7 @@ from .checkpoint import load_checkpoint
 from .config import SlidingWindowConfig, build
 from .metrics import DiceReport, dice
 from .models import SegConfig, mae_forward, simmim_forward, unetr_segment
-from .patches import MaskingConfig, PatchGrid, sample_mask
+from .patches import MaskingConfig, PatchGrid, sample_mask, unpatchify
 from .rng import Rng
 from .volume import LabelVolume, Volume
 
@@ -62,7 +62,7 @@ def sliding_window_infer(
 
 def seg_model_fn(seg_cfg: SegConfig, params: dict) -> Callable[[np.ndarray], np.ndarray]:
     def run(window: np.ndarray) -> np.ndarray:
-        return unetr_segment(seg_cfg, params, Volume(window)).data
+        return np.moveaxis(unetr_segment(seg_cfg, params, Volume(window)).data, -1, 0)
 
     return run
 
@@ -179,9 +179,9 @@ def reconstruct_dump(
         recon = volume.data  # nothing masked: the target itself
     elif method == "mae":
         dec_cfg = build("dec", config)
-        recon = mae_forward(vit, dec_cfg, params, volume, mask, recon_cfg)[0].data
+        recon = unpatchify(mae_forward(vit, dec_cfg, params, volume, mask, recon_cfg)[0].data, grid)
     else:
-        recon = simmim_forward(vit, params, volume, mask, recon_cfg)[0].data
+        recon = unpatchify(simmim_forward(vit, params, volume, mask, recon_cfg)[0].data, grid)
 
     os.makedirs(out_dir, exist_ok=True)
     original_bytes = _to_bytes(volume.data[0])

@@ -1,4 +1,8 @@
-"""Training objectives: masked reconstruction, Dice+CE, and NT-Xent."""
+"""Training objectives: masked reconstruction, Dice+CE, and NT-Xent.
+
+Inputs are channel-last: reconstruction predictions are (N, token_dim)
+token rows and segmentation logits are (D, H, W, num_classes).
+"""
 
 from __future__ import annotations
 
@@ -64,22 +68,22 @@ def dice_ce_loss(
 ) -> Tensor:
     """weight_dice * (1 - soft Dice) + (1 - weight_dice) * cross-entropy.
 
-    logits: (num_classes, D, H, W); labels: (D, H, W) integer ids.
+    logits: (D, H, W, num_classes); labels: (D, H, W) integer ids.
     Soft Dice is computed on softmax probabilities and averaged over all
     classes, with a small smoothing term so absent classes are neutral.
     """
-    num_classes = logits.shape[0]
+    num_classes = logits.shape[-1]
     labels = np.asarray(labels)
-    if labels.shape != logits.shape[1:]:
-        raise ValueError(f"labels shape {labels.shape} != logits spatial {logits.shape[1:]}")
+    if labels.shape != logits.shape[:-1]:
+        raise ValueError(f"labels shape {labels.shape} != logits spatial {logits.shape[:-1]}")
     if labels.size and (labels.min() < 0 or labels.max() >= num_classes):
         raise ValueError(
             f"label ids must lie in [0, {num_classes}), got range "
             f"[{int(labels.min())}, {int(labels.max())}]"
         )
 
-    voxels = int(np.prod(logits.shape[1:]))
-    flat = logits.reshape((num_classes, voxels)).permute((1, 0))  # (V, K)
+    voxels = labels.size
+    flat = logits.reshape((voxels, num_classes))
     onehot = np.zeros((voxels, num_classes))
     onehot[np.arange(voxels), labels.reshape(-1).astype(np.int64)] = 1.0
     onehot_t = Tensor(onehot)

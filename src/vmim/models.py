@@ -4,6 +4,11 @@ Forward passes operate on one volume at a time (training averages losses
 over a batch). Parameter sets are flat name -> Tensor maps; the encoder
 parameter names are shared by every method so pretrained weights drop
 straight into the segmentation model.
+
+Activations are channel-last throughout: tokens are (N, dim) rows, the
+reconstruction heads predict (N, token_dim) tokens, and the segmentation
+decoder works on (D, H, W, C) grids and returns (D, H, W, num_classes)
+logits. Only the input ``Volume.data`` is (C, D, H, W).
 """
 
 from __future__ import annotations
@@ -15,7 +20,7 @@ import numpy as np
 
 from .autodiff import Tensor, apply
 from .losses import ReconLossConfig, masked_recon_loss, ntxent
-from .patches import Mask, PatchGrid, TokenBatch, patchify, positional_table
+from .patches import Mask, TokenBatch, patchify, positional_table
 from .rng import np_generator
 from .volume import Volume
 
@@ -289,13 +294,6 @@ def encode(cfg: ViTConfig, params: Params, tokens, positions) -> Tensor:
     return _ln(h, params, "enc_norm")
 
 
-def _unpatchify_tensor(tokens: Tensor, grid: PatchGrid) -> Tensor:
-    c, p = grid.channels, grid.token_patch
-    gd, gh, gw = grid.grid
-    blocks = tokens.reshape((gd, gh, gw, c, p, p, p))
-    return blocks.permute((3, 0, 4, 1, 5, 2, 6)).reshape((c, gd * p, gh * p, gw * p))
-
-
 def _scatter(rows: Tensor, indices: np.ndarray, total: int) -> Tensor:
     return apply("scatter_rows", (rows,), {"indices": indices, "total": total})
 
@@ -330,7 +328,7 @@ def mae_forward(
     """Autoencoder pass: encoder sees visible tokens only, the decoder sees
     the full sequence with a shared learnable token at masked slots.
 
-    Returns (reconstructed volume tensor, masked reconstruction loss).
+    Returns (predicted tokens (N, token_dim), masked reconstruction loss).
     """
     batch = _patchify_masked(cfg, volume, mask)
     if mask.num_masked == mask.total_tokens:
@@ -350,7 +348,7 @@ def mae_forward(
     pred = _linear(decoded, params, "dec_head")
 
     loss = masked_recon_loss(pred, batch.tokens, mask, recon_cfg)
-    return _unpatchify_tensor(pred, grid), loss
+    return pred, loss
 
 
 def simmim_forward(
@@ -362,6 +360,8 @@ def simmim_forward(
 ) -> tuple[Tensor, Tensor]:
     """Full-sequence pass with mask-token substitution in embedding space
     and a single linear projection back to voxels.
+
+    Returns (predicted tokens (N, token_dim), masked reconstruction loss).
     """
     batch = _patchify_masked(cfg, volume, mask)
     grid = batch.grid
@@ -377,7 +377,7 @@ def simmim_forward(
     pred = _linear(h, params, "head")
 
     loss = masked_recon_loss(pred, batch.tokens, mask, recon_cfg)
-    return _unpatchify_tensor(pred, grid), loss
+    return pred, loss
 
 
 def _pooled_embedding(cfg: ViTConfig, params: Params, volume: Volume) -> Tensor:
@@ -407,21 +407,6 @@ def simclr_forward(
     return ntxent(normalized, temperature)
 
 
-def _pointwise_conv(x: Tensor, params: Params, prefix: str) -> Tensor:
-    channels = x.shape[0]
-    spatial = x.shape[1:]
-    voxels = int(np.prod(spatial))
-    flat = x.reshape((channels, voxels)).permute((1, 0))
-    out = _linear(flat, params, prefix)
-    out_channels = params[f"{prefix}.w"].shape[1]
-    return out.permute((1, 0)).reshape((out_channels,) + tuple(spatial))
-
-
-def _tokens_to_volume(tokens: Tensor, grid: PatchGrid, dim: int) -> Tensor:
-    gd, gh, gw = grid.grid
-    return tokens.reshape((gd, gh, gw, dim)).permute((3, 0, 1, 2))
-
-
 def tap_depths(depth: int) -> list[int]:
     """1-indexed block depths feeding the segmentation decoder."""
     if depth < 1:
@@ -434,7 +419,9 @@ def unetr_segment(cfg: SegConfig, params: Params, volume: Volume) -> Tensor:
 
     Taps at evenly spaced block depths are upsampled back to voxel
     resolution with stride-2 transposed convolutions and merged via skip
-    connections; returns (num_classes, D, H, W) logits.
+    connections. Decoder activations are channel-last (D, H, W, C), so
+    every pointwise convolution is one linear; returns (D, H, W,
+    num_classes) logits.
     """
     vit = cfg.vit
     batch = patchify(volume, vit.token_patch)
@@ -457,22 +444,23 @@ def unetr_segment(cfg: SegConfig, params: Params, volume: Volume) -> Tensor:
     # patch embedding.
     ordered = [tapped[d] for d in taps]  # shallow -> deep
     stages = int(math.log2(vit.token_patch))
-    x = apply("gelu", (_pointwise_conv(_tokens_to_volume(ordered[-1], grid, vit.embed_dim), params, "seg.in"),))
+    tap_shape = grid.grid + (vit.embed_dim,)
+    x = apply("gelu", (_linear(ordered[-1].reshape(tap_shape), params, "seg.in"),))
     for s in range(1, stages + 1):
         x = apply("conv_transpose3", (x, params[f"seg.up{s}.w"]), {"stride": 2})
         parts = [x]
         tap_index = 4 - s
         if tap_index >= 1:
             source = min(tap_index, len(ordered)) - 1
-            skip = _tokens_to_volume(ordered[source], grid, vit.embed_dim)
-            skip = apply("gelu", (_pointwise_conv(skip, params, f"seg.skip{s}.proj"),))
+            skip = ordered[source].reshape(tap_shape)
+            skip = apply("gelu", (_linear(skip, params, f"seg.skip{s}.proj"),))
             for j in range(s):
                 skip = apply(
                     "conv_transpose3", (skip, params[f"seg.skip{s}.up{j}.w"]), {"stride": 2}
                 )
             parts.append(skip)
         if s == stages:
-            parts.append(Tensor(volume.data))
-        x = apply("concat", tuple(parts), {"axis": 0})
-        x = apply("gelu", (_pointwise_conv(x, params, f"seg.fuse{s}"),))
-    return _pointwise_conv(x, params, "seg.head")
+            parts.append(Tensor(np.moveaxis(volume.data, 0, -1)))
+        x = apply("concat", tuple(parts), {"axis": -1})
+        x = apply("gelu", (_linear(x, params, f"seg.fuse{s}"),))
+    return _linear(x, params, "seg.head")

@@ -130,6 +130,8 @@ def load_volume(path: str) -> Volume:
         raise VolumeIOError(f"{header_path}: unsupported dtype {dtype!r}, expected f32le")
     if len(shape) != 4:
         raise VolumeIOError(f"{header_path}: shape must have 4 entries, got {shape}")
+    if min(shape) < 1:
+        raise VolumeIOError(f"{header_path}: extents must be >= 1, got {shape}")
     expected = int(np.prod(shape)) * 4
     actual = os.path.getsize(path)
     if actual != expected:
@@ -163,6 +165,8 @@ def load_labels(path: str) -> LabelVolume:
         raise VolumeIOError(f"garbled header {header_path}: {exc}") from exc
     if dtype != "u16le":
         raise VolumeIOError(f"{header_path}: unsupported dtype {dtype!r}, expected u16le")
+    if min(shape, default=0) < 1:
+        raise VolumeIOError(f"{header_path}: extents must be >= 1, got {shape}")
     expected = int(np.prod(shape)) * 2
     actual = os.path.getsize(path)
     if actual != expected:

@@ -53,8 +53,33 @@ def probe_aux(rng):
         "cat_w": Tensor(rng.normal(size=(8, 5))),
         "g_w": Tensor(rng.normal(size=(4, 5))),
         "sc_w": Tensor(rng.normal(size=(7, 5))),
-        "cv_x": Tensor(rng.normal(size=(2, 2, 2, 2))),
-        "cv_w": Tensor(rng.normal(size=(3, 4, 4, 4))),
+        "cv_x": Tensor(rng.normal(size=(2, 2, 2, 2))),  # (D, H, W, C)
+        "cv_w": Tensor(rng.normal(size=(4, 4, 4, 3))),  # (sD, sH, sW, K)
+    }
+
+
+# Probes of the channel-last input operand: the weight-side probe of
+# conv_transpose3 above never differentiates its input, and linear's runs
+# on 2-D rows. kind -> (probe, input shape).
+INPUT_PROBES = {
+    "conv_transpose3": (
+        lambda t, aux: (
+            apply("conv_transpose3", (t, aux["cv_k"]), {"stride": 2}) * aux["cv_w"]
+        ).sum(),
+        (2, 2, 2, 2),
+    ),
+    "linear": (
+        lambda t, aux: (apply("linear", (t, aux["w"], aux["bias"])) * aux["lin_w"]).sum(),
+        (2, 3, 2, 5),
+    ),
+}
+
+
+def input_probe_aux(rng):
+    return {
+        **probe_aux(rng),
+        "cv_k": Tensor(rng.normal(size=(2, 3, 2, 2, 2))),
+        "lin_w": Tensor(rng.normal(size=(2, 3, 2, 2))),
     }
 
 

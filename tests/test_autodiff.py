@@ -83,10 +83,10 @@ class TestForward:
 
     def test_conv_transpose_matches_brute_force(self):
         rng = np.random.default_rng(5)
-        x = rng.normal(size=(2, 2, 3, 2))
+        x = rng.normal(size=(2, 3, 2, 2))
         w = rng.normal(size=(2, 3, 2, 2, 2))
         out = apply("conv_transpose3", (Tensor(x), Tensor(w)), {"stride": 2}).data
-        brute = np.zeros((3, 4, 6, 4))
+        brute = np.zeros((4, 6, 4, 3))
         for c in range(2):
             for k in range(3):
                 for d in range(2):
@@ -95,8 +95,8 @@ class TestForward:
                             for i in range(2):
                                 for j in range(2):
                                     for l in range(2):
-                                        brute[k, 2 * d + i, 2 * h + j, 2 * wd + l] += (
-                                            x[c, d, h, wd] * w[c, k, i, j, l]
+                                        brute[2 * d + i, 2 * h + j, 2 * wd + l, k] += (
+                                            x[d, h, wd, c] * w[c, k, i, j, l]
                                         )
         assert np.allclose(out, brute, atol=1e-14)
 
@@ -182,7 +182,7 @@ class TestBackward:
                 assert abs(numeric - analytic[i, j]) < 1e-5
 
 
-from helpers import DIFFERENTIABLE_PROBES, probe_aux, probe_input
+from helpers import DIFFERENTIABLE_PROBES, INPUT_PROBES, input_probe_aux, probe_aux, probe_input
 
 
 class TestFiniteDifference:
@@ -194,6 +194,17 @@ class TestFiniteDifference:
             rng = np.random.default_rng(1000 + trial)
             aux = probe_aux(rng)
             x = probe_input(kind, rng)
+            worst = max(worst, finite_diff_check(lambda t: probe(t, aux), x, h=1e-5))
+        assert worst < 1e-4, f"{kind}: max relative error {worst}"
+
+    @pytest.mark.parametrize("kind", sorted(INPUT_PROBES))
+    def test_channel_last_input_passes_gradient_check(self, kind):
+        probe, shape = INPUT_PROBES[kind]
+        worst = 0.0
+        for trial in range(20):
+            rng = np.random.default_rng(1000 + trial)
+            aux = input_probe_aux(rng)
+            x = rng.normal(size=shape)
             worst = max(worst, finite_diff_check(lambda t: probe(t, aux), x, h=1e-5))
         assert worst < 1e-4, f"{kind}: max relative error {worst}"
 

@@ -166,6 +166,12 @@ class TestDispatch:
                          re.MULTILINE)
         assert [w for w in caught if issubclass(w.category, RuntimeWarning)] == []
 
+    def test_non_finite_float_config_exit_1_names_key(self, synth_dir, tmp_path, capsys):
+        code = run(["pretrain", "--method", "simmim", "--data", synth_dir,
+                    "--out", str(tmp_path / "out"), "--set", "train.base_lr=nan"])
+        assert code == 1
+        assert "error: train.base_lr must be finite" in capsys.readouterr().err
+
     def test_eval_on_corrupt_checkpoint_exit_1(self, synth_dir, tmp_path, capsys):
         path = tmp_path / "corrupt.vmim"
         path.write_bytes(b"VMIM1\n" + struct.pack("<Q", 10**12) + b"{}")

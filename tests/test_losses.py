@@ -177,9 +177,9 @@ class TestDiceCE:
 
     def test_perfect_prediction_limit(self):
         labels = np.random.default_rng(6).integers(0, 3, size=(4, 4, 4))
-        onehot = np.zeros((3, 4, 4, 4))
+        onehot = np.zeros((4, 4, 4, 3))
         for c in range(3):
-            onehot[c][labels == c] = 1.0
+            onehot[..., c][labels == c] = 1.0
         previous = None
         for margin in (2.0, 8.0, 32.0):
             loss = dice_ce_loss(Tensor(onehot * margin), labels).item()
@@ -192,7 +192,7 @@ class TestDiceCE:
         rng = np.random.default_rng(7)
         labels = rng.integers(0, 3, size=(2, 2, 2))
         err = finite_diff_check(
-            lambda t: dice_ce_loss(t, labels), rng.normal(size=(3, 2, 2, 2))
+            lambda t: dice_ce_loss(t, labels), rng.normal(size=(2, 2, 2, 3))
         )
         assert err < 1e-4
 

@@ -104,8 +104,8 @@ class TestMAE:
         v = small_volume()
         mask = mask_for(v)
         params = init_mae_params(CFG, DEC, seed=0)
-        recon, loss = mae_forward(CFG, DEC, params, v, mask)
-        assert recon.shape == v.data.shape
+        pred, loss = mae_forward(CFG, DEC, params, v, mask)
+        assert pred.shape == (mask.total_tokens, CFG.token_dim())
         assert loss.shape == ()
 
     def test_encoder_never_sees_masked_voxels(self):
@@ -127,9 +127,8 @@ class TestMAE:
         v = small_volume(seed=6)
         mask = mask_for(v, seed=3)
         params = init_mae_params(CFG, DEC, seed=2)
-        recon, _ = mae_forward(CFG, DEC, params, v, mask)
-        pred_tokens = patchify(Volume(recon.data), CFG.token_patch).tokens
-        assert masked_recon_loss(Tensor(pred_tokens), pred_tokens, mask).item() == 0.0
+        pred, _ = mae_forward(CFG, DEC, params, v, mask)
+        assert masked_recon_loss(pred, pred.data, mask).item() == 0.0
 
     def test_empty_mask_rejected(self):
         v = small_volume()
@@ -150,8 +149,8 @@ class TestSimMIM:
         v = Volume(np.random.default_rng(1).uniform(size=(1, 32, 32, 32)))
         grid = PatchGrid.for_volume(v, 16)
         mask = sample_mask(grid, MaskingConfig(16, 0.5), Rng(0))
-        recon, _ = simmim_forward(cfg, params, v, mask)
-        assert recon.shape == v.data.shape
+        pred, _ = simmim_forward(cfg, params, v, mask)
+        assert pred.shape == (grid.num_tokens, 4096)
 
     def test_encoder_blind_to_masked_content(self):
         v = small_volume(seed=7)
@@ -176,16 +175,14 @@ class TestSimMIM:
         v = small_volume(seed=8)
         mask = mask_for(v, ratio=1.0)
         params = init_simmim_params(CFG, seed=4)
-        recon, _ = simmim_forward(CFG, params, v, mask)
-        tokens = patchify(Volume(recon.data), CFG.token_patch).tokens
+        tokens = simmim_forward(CFG, params, v, mask)[0].data
         assert np.abs(tokens - tokens[0]).max() < 1e-9
 
     def test_full_mask_rows_differ_only_via_positions(self):
         v = small_volume(seed=8)
         mask = mask_for(v, ratio=1.0)
         params = init_simmim_params(CFG, seed=4)
-        recon, _ = simmim_forward(CFG, params, v, mask)
-        tokens = patchify(Volume(recon.data), CFG.token_patch).tokens
+        tokens = simmim_forward(CFG, params, v, mask)[0].data
         assert np.abs(tokens - tokens[0]).max() > 1e-9
 
 
@@ -218,13 +215,13 @@ class TestUNETR:
         for edge in (16, 24):
             v = small_volume(seed=edge, edge=edge)
             logits = unetr_segment(seg, params, v)
-            assert logits.shape == (3, edge, edge, edge)
+            assert logits.shape == (edge, edge, edge, 3)
 
     def test_fourteen_class_head(self):
         seg = SegConfig(CFG, num_classes=14, width=8)
         params = init_seg_params(seg, seed=0)
         logits = unetr_segment(seg, params, small_volume())
-        assert logits.shape[0] == 14
+        assert logits.shape[-1] == 14
 
     def test_tap_depths(self):
         assert tap_depths(4) == [1, 2, 3, 4]
@@ -241,7 +238,17 @@ class TestUNETR:
         params8 = init_seg_params(seg8, seed=0)
         assert params8["seg.fuse3.w"].shape[0] == 4 + 4 + 1
         v = Volume(np.random.default_rng(0).uniform(size=(1, 32, 32, 32)))
-        assert unetr_segment(seg, params, v).shape == (2, 32, 32, 32)
+        assert unetr_segment(seg, params, v).shape == (32, 32, 32, 2)
+
+    def test_decoder_records_no_layout_permutes(self):
+        # Attention permutes q, k, v, k^T and the merged heads: 5 per block.
+        # The channel-last decoder and the loss's input need none.
+        seg = SegConfig(CFG, num_classes=3, width=8)
+        params = init_seg_params(seg, seed=0)
+        with Graph() as g:
+            g.watch_all(params.values())
+            unetr_segment(seg, params, small_volume())
+        assert [n.kind for n in g.nodes].count("permute") == 5 * CFG.depth
 
     def test_gradients_reach_every_parameter(self):
         seg = SegConfig(CFG, num_classes=3, width=8)

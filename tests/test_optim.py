@@ -1,6 +1,7 @@
 """AdamW update rule and the warmup-cosine schedule."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -153,3 +154,11 @@ class TestClip:
             clip_grad_norm(grads, 1.0)
         with pytest.raises(NonFiniteError, match="'c'"):
             clip_grad_norm({"a": grads["a"], "c": grads["c"]}, 1.0)
+
+    def test_finite_gradients_whose_squares_overflow_are_scaled(self):
+        grads = {"a": np.array([1e200]), "b": np.array([3.0])}
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            out = clip_grad_norm(grads, 1.0)
+        assert out["a"][0] == pytest.approx(1.0, rel=1e-12)
+        assert out["b"][0] == pytest.approx(3e-200, rel=1e-12)

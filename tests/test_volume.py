@@ -77,6 +77,23 @@ class TestIO:
         with pytest.raises(VolumeIOError, match="finite"):
             load_volume(path)
 
+    def test_negative_volume_extents_name_header(self, tmp_path):
+        # 1 * -2 * -2 * 4 = 16 voxels matches the 64-byte payload.
+        path = str(tmp_path / "v.vol")
+        np.zeros(16, dtype="<f4").tofile(path)
+        with open(str(tmp_path / "v.volh"), "w") as fh:
+            fh.write("shape = 1 -2 -2 4\nspacing = 1 1 1\nmodality = SYNTH\ndtype = f32le\n")
+        with pytest.raises(VolumeIOError, match=r"v\.volh.*extents"):
+            load_volume(path)
+
+    def test_negative_label_extents_name_header(self, tmp_path):
+        path = str(tmp_path / "l.lab")
+        np.zeros(8, dtype="<u2").tofile(path)
+        with open(str(tmp_path / "l.labh"), "w") as fh:
+            fh.write("shape = -1 -2 4\nnum_classes = 3\ndtype = u16le\n")
+        with pytest.raises(VolumeIOError, match=r"l\.labh.*extents"):
+            load_labels(path)
+
     def test_label_round_trip(self, tmp_path):
         labels = LabelVolume(np.random.default_rng(1).integers(0, 3, size=(8, 8, 8)), 3)
         path = str(tmp_path / "l.lab")
