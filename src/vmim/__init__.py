@@ -38,9 +38,6 @@ from .volume import (
     LabelVolume,
     Volume,
     load_volume,
-    normalize_ct,
-    normalize_zscore,
-    resample,
     save_volume,
     synth_generate,
 )

@@ -158,7 +158,12 @@ def _coerce(key: str, value: Any) -> Any:
         value = parse_scalar(value)
     if isinstance(default, bool):
         return bool(value)
-    if isinstance(default, int) and not isinstance(value, bool):
+    if isinstance(default, (int, float)) and (
+        isinstance(value, bool) or not isinstance(value, (int, float))
+    ):
+        kind = "an integer" if isinstance(default, int) else "a number"
+        raise ConfigError(f"{key} expects {kind}, got {value!r}")
+    if isinstance(default, int):
         if isinstance(value, float) and not value.is_integer():
             raise ConfigError(f"{key} expects an integer, got {value}")
         return int(value)
@@ -170,13 +175,25 @@ def _coerce(key: str, value: Any) -> Any:
 
 
 def load_config_file(path: str) -> dict[str, Any]:
-    """Config from a 'key = value' text file, or from a run manifest (.json)."""
-    if path.endswith(".json"):
-        with open(path, "r", encoding="utf-8") as fh:
-            manifest = json.load(fh)
-        raw = manifest.get("config", manifest)
-    else:
-        raw = read_kv(path)
+    """Config from a 'key = value' text file, or from a run manifest (.json).
+
+    A file that is not UTF-8, not valid JSON, or whose config is not a JSON
+    object raises ConfigError naming the path.
+    """
+    try:
+        if path.endswith(".json"):
+            with open(path, "r", encoding="utf-8") as fh:
+                raw = json.load(fh)
+            if isinstance(raw, dict):
+                raw = raw.get("config", raw)
+        else:
+            raw = read_kv(path)
+    except UnicodeDecodeError as exc:
+        raise ConfigError(f"{path}: not UTF-8 text ({exc})") from None
+    except json.JSONDecodeError as exc:
+        raise ConfigError(f"{path}: invalid JSON ({exc})") from None
+    if not isinstance(raw, dict):
+        raise ConfigError(f"{path}: config must be a JSON object, got {type(raw).__name__}")
     return {key: _coerce(key, value) for key, value in raw.items()}
 
 

@@ -81,7 +81,6 @@ def dice_over_dataset(
     predict: Callable[[Volume], np.ndarray],
     dataset: list[tuple[Volume, LabelVolume]],
     num_classes: int,
-    class_names: dict[int, str] | None = None,
 ) -> DiceReport:
     """Per-foreground-class Dice of a predictor, averaged over volumes."""
     if not dataset:
@@ -96,14 +95,13 @@ def dice_over_dataset(
         predicted = predict(volume)
         for c in sums:
             sums[c] += dice(labels, predicted, c)
-    return DiceReport({c: s / len(dataset) for c, s in sums.items()}, class_names)
+    return DiceReport({c: s / len(dataset) for c, s in sums.items()})
 
 
 def evaluate(
     checkpoint_path: str,
     dataset: list[tuple[Volume, LabelVolume]],
     swi_cfg: SlidingWindowConfig,
-    class_names: dict[int, str] | None = None,
 ) -> DiceReport:
     """Sliding-window segmentation of every volume, Dice per foreground class.
 
@@ -118,7 +116,6 @@ def evaluate(
         lambda v: predict_labels(seg_cfg, params, v, swi_cfg),
         dataset,
         seg_cfg.num_classes,
-        class_names,
     )
 
 

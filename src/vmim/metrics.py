@@ -26,22 +26,16 @@ def dice(truth: LabelVolume | np.ndarray, pred: LabelVolume | np.ndarray, class_
 @dataclass(frozen=True)
 class DiceReport:
     per_class: dict[int, float]
-    class_names: dict[int, str] | None = None
 
     @property
     def average(self) -> float:
         values = list(self.per_class.values())
         return float(sum(values) / len(values)) if values else 0.0
 
-    def name_for(self, class_id: int) -> str:
-        if self.class_names and class_id in self.class_names:
-            return self.class_names[class_id]
-        return f"class_{class_id}"
-
     def to_text(self) -> str:
         lines = ["class\tdice"]
         for class_id in sorted(self.per_class):
-            lines.append(f"{self.name_for(class_id)}\t{self.per_class[class_id]!r}")
+            lines.append(f"class_{class_id}\t{self.per_class[class_id]!r}")
         lines.append(f"average\t{self.average!r}")
         return "\n".join(lines) + "\n"
 
@@ -49,12 +43,3 @@ class DiceReport:
         with open(path, "w", encoding="utf-8") as fh:
             fh.write(self.to_text())
 
-
-def dice_report(
-    truth: LabelVolume,
-    pred: LabelVolume | np.ndarray,
-    class_names: dict[int, str] | None = None,
-) -> DiceReport:
-    """Per-foreground-class Dice for one volume (class 0 is background)."""
-    scores = {c: dice(truth, pred, c) for c in range(1, truth.num_classes)}
-    return DiceReport(scores, class_names)

@@ -54,9 +54,9 @@ class ViTConfig:
 
 @dataclass(frozen=True)
 class MAEDecoderConfig:
-    decoder_dim: int = 512
-    decoder_depth: int = 8
-    decoder_heads: int = 16
+    decoder_dim: int
+    decoder_depth: int
+    decoder_heads: int
 
     def __post_init__(self):
         if self.decoder_dim % self.decoder_heads:
@@ -87,12 +87,6 @@ class SegConfig:
             raise ValueError(
                 f"segmentation decoder needs a power-of-two token patch, got {p}"
             )
-
-
-# ViT3D-B from the standard recipe; the desk-scale default that keeps the
-# test suite in CPU minutes is config.DEFAULTS.
-def vit3d_base(token_patch: int = 16, channels: int = 1) -> ViTConfig:
-    return ViTConfig(768, 12, 12, token_patch, channels=channels)
 
 
 # ---------------------------------------------------------------------------
@@ -221,10 +215,6 @@ ENCODER_PREFIXES = ("patch_embed.", "enc.", "enc_norm.")
 
 def encoder_param_names(params: Params) -> list[str]:
     return [n for n in params if n.startswith(ENCODER_PREFIXES)]
-
-
-def param_count(params: Params) -> int:
-    return sum(t.size for t in params.values())
 
 
 # ---------------------------------------------------------------------------

@@ -93,8 +93,9 @@ def clip_grad_norm(grads: dict[str, np.ndarray | Tensor], max_norm: float) -> di
     A non-finite gradient raises NonFiniteError naming the first such
     parameter, searched for only when the global norm is not finite:
     scaling by that norm would zero the finite gradients (inf) or poison
-    all of them (NaN). Finite gradients whose squares overflow get their
-    norm recomputed on values scaled by the largest magnitude.
+    all of them (NaN). Finite gradients whose squares overflow are clipped
+    on values scaled by the largest magnitude, so neither their norm nor
+    the clip factor has to be a float.
     """
     arrays = {
         name: (g.data if isinstance(g, Tensor) else np.asarray(g)) for name, g in grads.items()
@@ -103,14 +104,18 @@ def clip_grad_norm(grads: dict[str, np.ndarray | Tensor], max_norm: float) -> di
         return arrays
     with np.errstate(over="ignore"):
         total = math.sqrt(sum(float((a * a).sum()) for a in arrays.values()))
-    if not math.isfinite(total):
-        for name, a in arrays.items():
-            if not np.isfinite(a).all():
-                raise NonFiniteError(f"non-finite gradient for parameter {name!r}")
-        peak = max(float(np.abs(a).max(initial=0.0)) for a in arrays.values())
-        scaled = (a / peak for a in arrays.values())
-        total = peak * math.sqrt(sum(float((u * u).sum()) for u in scaled))
-    if total <= max_norm:
+    if math.isfinite(total):
+        if total <= max_norm:
+            return arrays
+        factor = max_norm / total
+        return {name: a * factor for name, a in arrays.items()}
+    for name, a in arrays.items():
+        if not np.isfinite(a).all():
+            raise NonFiniteError(f"non-finite gradient for parameter {name!r}")
+    peak = max(float(np.abs(a).max(initial=0.0)) for a in arrays.values())
+    scaled = {name: a / peak for name, a in arrays.items()}
+    root = math.sqrt(sum(float((u * u).sum()) for u in scaled.values()))
+    if peak * root <= max_norm:  # the product is inf when the norm is past the float range
         return arrays
-    factor = max_norm / total
-    return {name: a * factor for name, a in arrays.items()}
+    factor = max_norm / root
+    return {name: u * factor for name, u in scaled.items()}

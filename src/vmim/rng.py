@@ -8,8 +8,6 @@ with numpy's PCG64, seeded from the same derivation scheme.
 
 from __future__ import annotations
 
-import math
-
 import numpy as np
 
 _MASK64 = (1 << 64) - 1
@@ -39,7 +37,6 @@ class Rng:
 
     def __init__(self, seed: int):
         self._state = seed & _MASK64
-        self._cached_gauss: float | None = None
 
     @classmethod
     def derive(cls, *parts: int | str) -> "Rng":
@@ -64,18 +61,6 @@ class Rng:
         if n <= 0:
             raise ValueError(f"randbelow requires n >= 1, got {n}")
         return (self.u64() * n) >> 64
-
-    def normal(self) -> float:
-        """Standard normal via Box-Muller (pairs are cached)."""
-        if self._cached_gauss is not None:
-            z = self._cached_gauss
-            self._cached_gauss = None
-            return z
-        u1 = max(self.uniform(), 2.0**-53)
-        u2 = self.uniform()
-        r = math.sqrt(-2.0 * math.log(u1))
-        self._cached_gauss = r * math.sin(2.0 * math.pi * u2)
-        return r * math.cos(2.0 * math.pi * u2)
 
     def sample_without_replacement(self, n: int, k: int) -> list[int]:
         """k distinct integers from [0, n) by partial Fisher-Yates.

@@ -1,4 +1,4 @@
-"""3-D volumes: file I/O, intensity normalization, resampling, synthesis.
+"""3-D volumes: file I/O and synthesis.
 
 On disk a volume is a raw little-endian float32 payload (``.vol``) next to
 a key/value sidecar header (``.volh``); label maps use ``.lab``/``.labh``
@@ -15,9 +15,6 @@ import numpy as np
 from .rng import Rng, np_generator
 
 MODALITIES = ("CT", "MRI", "SYNTH")
-
-CT_WINDOW_LO = -175.0
-CT_WINDOW_HI = 200.0
 
 
 class VolumeIOError(ValueError):
@@ -173,99 +170,6 @@ def load_labels(path: str) -> LabelVolume:
         raise VolumeIOError(f"{path}: payload is {actual} bytes, header implies {expected}")
     raw = np.fromfile(path, dtype="<u2").reshape(shape)
     return LabelVolume(raw, num_classes)
-
-
-# ---------------------------------------------------------------------------
-# Intensity normalization
-# ---------------------------------------------------------------------------
-
-def normalize_ct(volume: Volume, lo: float = CT_WINDOW_LO, hi: float = CT_WINDOW_HI) -> Volume:
-    """Clamp the HU window [lo, hi] and rescale it to [0, 1]."""
-    if lo >= hi:
-        raise ValueError(f"window requires lo < hi, got [{lo}, {hi}]")
-    data = np.clip((volume.data - lo) / (hi - lo), 0.0, 1.0)
-    return Volume(data, volume.spacing, volume.modality)
-
-
-def normalize_zscore(volume: Volume) -> Volume:
-    """Per-channel (x - mean) / std; near-constant channels become zeros."""
-    data = volume.data.copy()
-    for c in range(data.shape[0]):
-        channel = data[c]
-        std = channel.std()
-        if std < 1e-8:
-            data[c] = 0.0
-        else:
-            data[c] = (channel - channel.mean()) / std
-    return Volume(data, volume.spacing, volume.modality)
-
-
-# ---------------------------------------------------------------------------
-# Resampling
-# ---------------------------------------------------------------------------
-
-def _target_extents(extents, spacing, target_spacing):
-    return tuple(
-        max(1, int(round(n * s / t)))
-        for n, s, t in zip(extents, spacing, target_spacing)
-    )
-
-
-def _sample_positions(n_out: int, n_in: int, scale: float) -> np.ndarray:
-    # Voxel centers: output center (i + 0.5) * target maps to input index space.
-    pos = (np.arange(n_out) + 0.5) * scale - 0.5
-    return np.clip(pos, 0.0, n_in - 1.0)
-
-
-def resample(volume: Volume, target_spacing: tuple[float, float, float]) -> Volume:
-    """Trilinear resampling to the requested voxel spacing."""
-    target_spacing = tuple(float(s) for s in target_spacing)
-    if min(target_spacing) <= 0:
-        raise ValueError(f"target spacing must be positive, got {target_spacing}")
-    if target_spacing == volume.spacing:
-        return Volume(volume.data.copy(), volume.spacing, volume.modality)
-
-    extents = volume.extents
-    out_extents = _target_extents(extents, volume.spacing, target_spacing)
-    scales = [t / s for s, t in zip(volume.spacing, target_spacing)]
-    positions = [
-        _sample_positions(out_extents[a], extents[a], scales[a]) for a in range(3)
-    ]
-    lows = [np.floor(p).astype(np.int64) for p in positions]
-    highs = [np.minimum(low + 1, n - 1) for low, n in zip(lows, extents)]
-    fracs = [p - low for p, low in zip(positions, lows)]
-
-    data = volume.data
-    out = np.zeros((volume.channels,) + out_extents)
-    for bd, wd in ((lows[0], 1 - fracs[0]), (highs[0], fracs[0])):
-        for bh, wh in ((lows[1], 1 - fracs[1]), (highs[1], fracs[1])):
-            for bw, ww in ((lows[2], 1 - fracs[2]), (highs[2], fracs[2])):
-                corner = data[:, bd[:, None, None], bh[None, :, None], bw[None, None, :]]
-                weight = wd[:, None, None] * wh[None, :, None] * ww[None, None, :]
-                out += corner * weight[None]
-    return Volume(out, target_spacing, volume.modality)
-
-
-def resample_labels(
-    labels: LabelVolume,
-    spacing: tuple[float, float, float],
-    target_spacing: tuple[float, float, float],
-) -> LabelVolume:
-    """Nearest-neighbor resampling for class ids."""
-    target_spacing = tuple(float(s) for s in target_spacing)
-    if min(target_spacing) <= 0:
-        raise ValueError(f"target spacing must be positive, got {target_spacing}")
-    if target_spacing == tuple(float(s) for s in spacing):
-        return LabelVolume(labels.data.copy(), labels.num_classes)
-    extents = labels.data.shape
-    out_extents = _target_extents(extents, spacing, target_spacing)
-    scales = [t / s for s, t in zip(spacing, target_spacing)]
-    idx = [
-        np.rint(_sample_positions(out_extents[a], extents[a], scales[a])).astype(np.int64)
-        for a in range(3)
-    ]
-    out = labels.data[idx[0][:, None, None], idx[1][None, :, None], idx[2][None, None, :]]
-    return LabelVolume(out, labels.num_classes)
 
 
 # ---------------------------------------------------------------------------

@@ -172,6 +172,36 @@ class TestDispatch:
         assert code == 1
         assert "error: train.base_lr must be finite" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("assignment, message", [
+        ("train.base_lr=abc", "train.base_lr expects a number, got 'abc'"),
+        ("model.depth=abc", "model.depth expects an integer, got 'abc'"),
+        ("train.batch_size=true", "train.batch_size expects an integer, got True"),
+    ], ids=["float-key", "int-key", "bool-for-int"])
+    def test_non_numeric_config_exit_1_names_key(
+        self, synth_dir, tmp_path, capsys, assignment, message
+    ):
+        code = run(["pretrain", "--method", "simmim", "--data", synth_dir,
+                    "--out", str(tmp_path / "out"), "--set", assignment])
+        assert code == 1
+        assert f"error: {message}\n" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("name, payload", [
+        ("list.json", b"[1, 2]"),
+        ("config_list.json", b'{"config": ["train.base_lr"]}'),
+        ("truncated.json", b'{"config": {'),
+        ("latin1.cfg", "train.base_lr = 1e-3  # café\n".encode("latin-1")),
+    ], ids=["top-level-list", "config-list", "bad-json", "not-utf8"])
+    def test_malformed_config_file_exit_1_names_path(
+        self, synth_dir, tmp_path, capsys, name, payload
+    ):
+        path = tmp_path / name
+        path.write_bytes(payload)
+        code = run(["pretrain", "--method", "simmim", "--data", synth_dir,
+                    "--out", str(tmp_path / "out"), "--config", str(path)])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {path}: ") and "Traceback" not in err
+
     def test_eval_on_corrupt_checkpoint_exit_1(self, synth_dir, tmp_path, capsys):
         path = tmp_path / "corrupt.vmim"
         path.write_bytes(b"VMIM1\n" + struct.pack("<Q", 10**12) + b"{}")

@@ -9,9 +9,8 @@ from hypothesis import strategies as st
 
 from vmim.autodiff import Graph, Tensor, backward, finite_diff_check
 from vmim.losses import ReconLossConfig, dice_ce_loss, masked_recon_loss, ntxent
-from vmim.metrics import DiceReport, dice, dice_report
+from vmim.metrics import DiceReport, dice
 from vmim.patches import Mask
-from vmim.volume import LabelVolume
 
 
 def make_mask(ids, total):
@@ -161,11 +160,11 @@ class TestDice:
         assert abs(report.average - (0.25 + 0.5 + 1.0) / 3) < 1e-12
 
     def test_report_round_trip_text(self, tmp_path):
-        labels = LabelVolume(np.array([[[0, 1], [2, 0]]], dtype=np.uint16), 3)
-        report = dice_report(labels, labels.data, {1: "spleen", 2: "liver"})
-        assert report.per_class == {1: 1.0, 2: 1.0}
-        text = report.to_text()
-        assert "spleen" in text and text.endswith("average\t1.0\n")
+        report = DiceReport({2: 0.5, 1: 1.0})
+        assert report.to_text() == "class\tdice\nclass_1\t1.0\nclass_2\t0.5\naverage\t0.75\n"
+        path = tmp_path / "report.txt"
+        report.save(str(path))
+        assert path.read_bytes() == report.to_text().encode("utf-8")
 
 
 class TestDiceCE:

@@ -20,12 +20,10 @@ from vmim.models import (
     init_simclr_params,
     init_simmim_params,
     mae_forward,
-    param_count,
     simclr_forward,
     simmim_forward,
     tap_depths,
     unetr_segment,
-    vit3d_base,
 )
 from vmim.patches import Mask, MaskingConfig, PatchGrid, patchify, positional_table, sample_mask
 from vmim.rng import Rng
@@ -273,13 +271,6 @@ class TestUNETR:
 
 
 class TestParameters:
-    def test_param_count_is_config_pure_and_reported(self, capsys):
-        a = param_count(init_mae_params(CFG, DEC, seed=0))
-        b = param_count(init_mae_params(CFG, DEC, seed=999))
-        assert a == b
-        print(f"mae tiny parameter count: {a}")
-        assert a > 0
-
     def test_init_bitwise_reproducible(self):
         a = init_mae_params(CFG, DEC, seed=7)
         b = init_mae_params(CFG, DEC, seed=7)
@@ -287,13 +278,8 @@ class TestParameters:
         for name in a:
             assert a[name].data.tobytes() == b[name].data.tobytes()
         c = init_mae_params(CFG, DEC, seed=8)
+        assert {n: p.shape for n, p in c.items()} == {n: p.shape for n, p in a.items()}
         assert any(a[n].data.tobytes() != c[n].data.tobytes() for n in a)
-
-    def test_vit3d_base_constructible(self):
-        cfg = vit3d_base()
-        assert (cfg.embed_dim, cfg.depth, cfg.num_heads) == (768, 12, 12)
-        dec = MAEDecoderConfig()
-        assert (dec.decoder_dim, dec.decoder_depth) == (512, 8)
 
     def test_invalid_configs_rejected(self):
         with pytest.raises(ValueError, match="divisible"):

@@ -162,3 +162,10 @@ class TestClip:
             out = clip_grad_norm(grads, 1.0)
         assert out["a"][0] == pytest.approx(1.0, rel=1e-12)
         assert out["b"][0] == pytest.approx(3e-200, rel=1e-12)
+        # the true norm, 1.5e308 * sqrt(2), is past the float range
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            out = clip_grad_norm({"a": np.array([1.5e308, 1.5e308])}, 1.0)
+        assert out["a"] == pytest.approx([math.sqrt(0.5)] * 2, rel=1e-12)
+        huge = {"a": np.array([1e200])}
+        assert clip_grad_norm(huge, 1e300)["a"] is huge["a"]

@@ -1,4 +1,4 @@
-"""Volume I/O, normalization, resampling, and the synthetic generator."""
+"""Volume I/O and the synthetic generator."""
 
 import os
 
@@ -11,10 +11,6 @@ from vmim.volume import (
     VolumeIOError,
     load_labels,
     load_volume,
-    normalize_ct,
-    normalize_zscore,
-    resample,
-    resample_labels,
     save_labels,
     save_volume,
     synth_generate,
@@ -101,86 +97,6 @@ class TestIO:
         loaded = load_labels(path)
         assert np.array_equal(loaded.data, labels.data)
         assert loaded.num_classes == 3
-
-
-class TestNormalizeCT:
-    def test_window_endpoints(self):
-        v = Volume(np.array([-175.0, 200.0]).reshape(1, 1, 1, 2), modality="CT")
-        out = normalize_ct(v)
-        assert np.array_equal(out.data.ravel(), [0.0, 1.0])
-
-    def test_clamps_below_window(self):
-        v = Volume(np.full((1, 1, 1, 1), -500.0), modality="CT")
-        assert normalize_ct(v).data.item() == 0.0
-
-    def test_midpoint(self):
-        v = Volume(np.full((1, 1, 1, 1), 12.5), modality="CT")
-        assert normalize_ct(v).data.item() == pytest.approx((12.5 + 175) / 375, abs=1e-15)
-
-    def test_range_always_unit_interval(self):
-        rng = np.random.default_rng(2)
-        for _ in range(20):
-            v = Volume(rng.normal(scale=500.0, size=(1, 4, 4, 4)), modality="CT")
-            out = normalize_ct(v).data
-            assert out.min() >= 0.0 and out.max() <= 1.0
-
-    def test_bad_window(self):
-        with pytest.raises(ValueError, match="lo < hi"):
-            normalize_ct(Volume(np.zeros((1, 1, 1, 1))), lo=10, hi=10)
-
-
-class TestNormalizeZscore:
-    def test_constant_channel_becomes_zeros(self):
-        v = Volume(np.full((2, 4, 4, 4), 7.0))
-        out = normalize_zscore(v)
-        assert np.array_equal(out.data, np.zeros_like(out.data))
-
-    def test_hand_case(self):
-        v = Volume(np.array([1.0, 2.0, 3.0, 4.0]).reshape(1, 1, 1, 4))
-        out = normalize_zscore(v).data.ravel()
-        expected = np.array([-1.3416, -0.4472, 0.4472, 1.3416])
-        assert np.abs(out - expected).max() < 1e-4
-
-    def test_moments_and_idempotence(self):
-        rng = np.random.default_rng(3)
-        v = Volume(rng.normal(3.0, 5.0, size=(2, 6, 6, 6)))
-        once = normalize_zscore(v)
-        for c in range(2):
-            assert abs(once.data[c].mean()) < 1e-9
-            assert abs(once.data[c].std() - 1.0) < 1e-9
-        twice = normalize_zscore(once)
-        assert np.abs(twice.data - once.data).max() < 1e-9
-
-
-class TestResample:
-    def test_identity_spacing_is_bitwise(self):
-        rng = np.random.default_rng(4)
-        v = rand_volume(rng, (1, 12, 10, 8), spacing=(1.5, 1.5, 2.0))
-        out = resample(v, (1.5, 1.5, 2.0))
-        assert np.array_equal(out.data, v.data)
-
-    def test_ramp_stays_on_ramp_when_spacing_doubles(self):
-        ramp = np.broadcast_to(np.arange(32.0)[:, None, None], (32, 16, 16)).copy()
-        v = Volume(ramp[None], (1.0, 1.0, 1.0))
-        out = resample(v, (2.0, 1.0, 1.0))
-        positions = (np.arange(out.data.shape[1]) + 0.5) * 2.0 - 0.5
-        assert np.abs(out.data[0, :, 0, 0] - positions).max() < 1e-9
-
-    def test_extent_arithmetic_for_downsampling(self):
-        v = Volume(np.zeros((1, 96, 96, 96)), (1.0, 1.0, 1.0))
-        out = resample(v, (1.5, 1.5, 2.0))
-        assert out.data.shape == (1, 64, 64, 48)
-
-    def test_label_resampling_emits_only_input_ids(self):
-        rng = np.random.default_rng(5)
-        labels = LabelVolume(rng.choice([0, 2, 5], size=(10, 10, 10)).astype(np.uint16), 6)
-        out = resample_labels(labels, (1.0, 1.0, 1.0), (1.7, 0.6, 1.3))
-        assert set(np.unique(out.data)) <= set(np.unique(labels.data))
-
-    def test_label_identity(self):
-        labels = LabelVolume(np.random.default_rng(6).integers(0, 3, (8, 8, 8)), 3)
-        out = resample_labels(labels, (2.0, 2.0, 2.0), (2.0, 2.0, 2.0))
-        assert np.array_equal(out.data, labels.data)
 
 
 class TestSynth:
