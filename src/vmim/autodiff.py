@@ -452,14 +452,22 @@ def _vjp_layernorm(ctx, g):
 
 def _fwd_gelu(arrays, attrs):
     (a,) = arrays
-    return 0.5 * a * (1.0 + erf(a * _INV_SQRT2)), a
+    # The CDF is kept for the VJP, which then needs only exp for the pdf.
+    cdf = 0.5 * (1.0 + erf(a * _INV_SQRT2))
+    return a * cdf, (a, cdf)
 
 
 def _vjp_gelu(ctx, g):
-    a = ctx
-    cdf = 0.5 * (1.0 + erf(a * _INV_SQRT2))
-    pdf = np.exp(-0.5 * a * a) * _INV_SQRT_2PI
-    return (g * (cdf + a * pdf),)
+    # g * (cdf + a * pdf) in one buffer; pdf = exp(-a^2 / 2) / sqrt(2 pi).
+    a, cdf = ctx
+    out = a * a
+    out *= -0.5
+    np.exp(out, out=out)
+    out *= _INV_SQRT_2PI
+    out *= a
+    out += cdf
+    out *= g
+    return (out,)
 
 
 # -- reductions --
@@ -496,46 +504,6 @@ def _vjp_reduce(ctx, g):
         for ax in sorted(axis):
             g = np.expand_dims(g, ax)
     return (np.broadcast_to(g * factor, shape).copy(),)
-
-
-# -- transposed convolution (kernel == stride, non-overlapping upsampling) --
-
-def _fwd_conv_transpose3(arrays, attrs):
-    x, w = arrays
-    s = int(attrs["stride"])
-    if x.ndim != 4:
-        raise _shape_error("conv_transpose3", f"input must be (D,H,W,C), got {x.shape}")
-    if w.ndim != 5 or w.shape[0] != x.shape[-1] or w.shape[2:] != (s, s, s):
-        raise _shape_error(
-            "conv_transpose3",
-            f"weight must be ({x.shape[-1]},Cout,{s},{s},{s}), got {w.shape}",
-        )
-    # Each input voxel expands into one s^3 block: a (V,C) x (C,s^3*K)
-    # matmul followed by a block interleave that keeps K innermost.
-    d, h, wd, c = x.shape
-    k = w.shape[1]
-    out2 = x.reshape(-1, c) @ w.transpose(0, 2, 3, 4, 1).reshape(c, -1)
-    out = (
-        out2.reshape(d, h, wd, s, s, s, k)
-        .transpose(0, 3, 1, 4, 2, 5, 6)
-        .reshape(d * s, h * s, wd * s, k)
-    )
-    return out, (x, w, s)
-
-
-def _vjp_conv_transpose3(ctx, g):
-    x, w, s = ctx
-    d, h, wd, c = x.shape
-    k = w.shape[1]
-    g2 = (
-        g.reshape(d, s, h, s, wd, s, k)
-        .transpose(0, 2, 4, 1, 3, 5, 6)
-        .reshape(d * h * wd, s**3 * k)
-    )
-    w2 = w.transpose(0, 2, 3, 4, 1).reshape(c, -1)
-    gx = (g2 @ w2.T).reshape(x.shape)
-    gw = (x.reshape(-1, c).T @ g2).reshape(c, s, s, s, k).transpose(0, 4, 1, 2, 3)
-    return (gx, gw)
 
 
 # -- pointwise transcendentals for the losses --
@@ -597,7 +565,6 @@ _register("layernorm", _fwd_layernorm, _vjp_layernorm)
 _register("gelu", _fwd_gelu, _vjp_gelu)
 _register("sum", _fwd_sum, _vjp_reduce)
 _register("mean", _fwd_mean, _vjp_reduce)
-_register("conv_transpose3", _fwd_conv_transpose3, _vjp_conv_transpose3)
 _register("abs", _fwd_abs, _vjp_abs)
 _register("exp", _fwd_exp, _vjp_exp)
 _register("log", _fwd_log, _vjp_log)

@@ -25,6 +25,9 @@ class CheckpointError(ValueError):
 
 
 def save_checkpoint(path: str, params: dict[str, Tensor], config: dict) -> None:
+    """Write atomically: a temporary file in the same directory replaces
+    ``path`` only once it is complete, so a failed write leaves the previous
+    checkpoint intact."""
     names = sorted(params)
     index = []
     offset = 0
@@ -38,12 +41,19 @@ def save_checkpoint(path: str, params: dict[str, Tensor], config: dict) -> None:
         sort_keys=True,
         separators=(",", ":"),
     ).encode("utf-8")
-    with open(path, "wb") as fh:
-        fh.write(MAGIC)
-        fh.write(struct.pack("<Q", len(header)))
-        fh.write(header)
-        for name in names:
-            fh.write(params[name].data.astype("<f8").tobytes())
+    tmp = f"{path}.tmp"
+    try:
+        with open(tmp, "wb") as fh:
+            fh.write(MAGIC)
+            fh.write(struct.pack("<Q", len(header)))
+            fh.write(header)
+            for name in names:
+                fh.write(params[name].data.astype("<f8").tobytes())
+        os.replace(tmp, path)
+    except BaseException:
+        if os.path.exists(tmp):
+            os.remove(tmp)
+        raise
 
 
 def load_checkpoint(path: str) -> tuple[dict[str, Tensor], dict]:

@@ -204,7 +204,25 @@ def _cmd_eval(args) -> int:
     return 0
 
 
+def _comma_list(flag: str, text: str, kind: type) -> list:
+    """The entries of a comma-separated flag value, each parsed by ``kind``;
+    a bad entry or an empty list raises ConfigError naming the flag."""
+    noun = "integers" if kind is int else "numbers"
+    values = []
+    for entry in text.split(","):
+        if not entry:
+            continue
+        try:
+            values.append(kind(entry))
+        except ValueError:
+            raise ConfigError(f"{flag} expects comma-separated {noun}, got {entry!r}") from None
+    if not values:
+        raise ConfigError(f"{flag} needs at least one value, got {text!r}")
+    return values
+
+
 def _cmd_reconstruct(args) -> int:
+    depths = _comma_list("--depths", args.depths, int)
     cfg = derived(
         resolve_config(
             args.config,
@@ -213,7 +231,6 @@ def _cmd_reconstruct(args) -> int:
         )
     )
     volume = load_volume(args.volume)
-    depths = [int(d) for d in args.depths.split(",") if d]
     _write_manifest(
         args.out, "reconstruct", cfg, args.seed, [],
         inputs={"volume": args.volume, "depths": depths, "checkpoint": args.checkpoint},
@@ -225,9 +242,9 @@ def _cmd_reconstruct(args) -> int:
 
 
 def _cmd_ablate(args) -> int:
+    patches = _comma_list("--patch-sizes", args.patch_sizes, int)
+    ratios = _comma_list("--ratios", args.ratios, float)
     cfg = derived(resolve_config(args.config, {}, args.set))
-    patches = [int(p) for p in args.patch_sizes.split(",") if p]
-    ratios = [float(r) for r in args.ratios.split(",") if r]
     table_path = os.path.join(args.out, "ablation.tsv")
     _write_manifest(
         args.out, "ablate", cfg, args.seed, [table_path],

@@ -7,7 +7,7 @@ straight into the segmentation model.
 
 Activations are channel-last throughout: tokens are (N, dim) rows, the
 reconstruction heads predict (N, token_dim) tokens, and the segmentation
-decoder works on (D, H, W, C) grids and returns (D, H, W, num_classes)
+decoder works on (T, m, C) token blocks and returns (D, H, W, num_classes)
 logits. Only the input ``Volume.data`` is (C, D, H, W).
 """
 
@@ -20,7 +20,7 @@ import numpy as np
 
 from .autodiff import Tensor, apply
 from .losses import ReconLossConfig, masked_recon_loss, ntxent
-from .patches import Mask, TokenBatch, patchify, positional_table
+from .patches import Mask, PatchGrid, TokenBatch, patchify, positional_table
 from .rng import np_generator
 from .volume import Volume
 
@@ -404,53 +404,132 @@ def tap_depths(depth: int) -> list[int]:
     return sorted({max(1, math.ceil(depth * k / 4)) for k in range(1, 5)})
 
 
+def _encoder_taps(vit: ViTConfig, params: Params, volume: Volume) -> tuple[PatchGrid, list[Tensor]]:
+    """The (T, E) token rows at each of ``tap_depths``, shallow to deep;
+    the deepest is layer-normed."""
+    batch = patchify(volume, vit.token_patch)
+    taps = tap_depths(vit.depth)
+    h = _linear(Tensor(batch.tokens), params, "patch_embed")
+    h = h + Tensor(positional_table(batch.grid, vit.embed_dim))
+    tapped = []
+    for i in range(vit.depth):
+        h = _block(h, params, f"enc.{i}", vit.num_heads)
+        if (i + 1) in taps:
+            tapped.append(h)
+    tapped[-1] = _ln(tapped[-1], params, "enc_norm")
+    return batch.grid, tapped
+
+
+def _voxel_axes(levels: int) -> list[int]:
+    """Permutation of a (gd, gh, gw, [d, h, w] * levels, C) block array into
+    (gd, d..., gh, h..., gw, w..., C) voxel order, coarsest bit first."""
+    axes = []
+    for axis in range(3):
+        axes += [axis] + [3 + 3 * level + axis for level in range(levels)]
+    return axes + [3 + 3 * levels]
+
+
+def _voxel_blocks(volume: Volume, grid: PatchGrid) -> np.ndarray:
+    """(C, D, H, W) voxels as (T, p^3, C) token blocks (off the tape)."""
+    levels = int(math.log2(grid.token_patch))
+    split = []
+    for n in grid.grid:
+        split += [n] + [2] * levels
+    blocks = np.moveaxis(volume.data, 0, -1).reshape(split + [grid.channels])
+    blocks = blocks.transpose(np.argsort(_voxel_axes(levels)))
+    return blocks.reshape(grid.num_tokens, grid.token_patch**3, grid.channels)
+
+
+def _blocks_to_voxels(x: Tensor, grid: PatchGrid) -> Tensor:
+    """(T, p^3, K) token blocks as (D, H, W, K) voxels: one tape permute."""
+    p = grid.token_patch
+    levels = int(math.log2(p))
+    k = x.shape[-1]
+    split = x.reshape(grid.grid + (2, 2, 2) * levels + (k,))
+    voxels = split.permute(_voxel_axes(levels))
+    return voxels.reshape(tuple(n * p for n in grid.grid) + (k,))
+
+
+def _octant_rows(params: Params, prefix: str) -> Tensor:
+    """A (C, K, 2, 2, 2) transposed-conv weight as (8C, K) rows, octant minor."""
+    w = params[f"{prefix}.w"]
+    c, k = w.shape[:2]
+    return w.permute((0, 2, 3, 4, 1)).reshape((8 * c, k))
+
+
+def _upsample(x: Tensor, params: Params, prefix: str) -> Tensor:
+    """Kernel-2, stride-2 transposed conv of (T, m, C) blocks to (T, 8m, K).
+
+    The new octant becomes the finest sub-voxel digit, so this is one GEMM
+    and a free reshape: no interleave.
+    """
+    t, m, c = x.shape
+    rows = _octant_rows(params, prefix)
+    k = rows.shape[1]
+    y = x.reshape((t * m, c)) @ rows.reshape((c, 8 * k))
+    return y.reshape((t, 8 * m, k))
+
+
+def _fold(params: Params, prefix: str, fuse_rows: Tensor) -> Tensor:
+    """The upsampling ``prefix`` followed by ``fuse_rows`` as one (C, 8f) map."""
+    rows = _octant_rows(params, prefix)
+    return (rows @ fuse_rows).reshape((rows.shape[0] // 8, 8 * fuse_rows.shape[1]))
+
+
+def _rows(w: Tensor, start: int, stop: int) -> Tensor:
+    return apply("gather_rows", (w,), {"indices": np.arange(start, stop)})
+
+
 def unetr_segment(cfg: SegConfig, params: Params, volume: Volume) -> Tensor:
     """Full-sequence encoder plus a U-shaped transposed-convolution decoder.
 
     Taps at evenly spaced block depths are upsampled back to voxel
     resolution with stride-2 transposed convolutions and merged via skip
-    connections. Decoder activations are channel-last (D, H, W, C), so
-    every pointwise convolution is one linear; returns (D, H, W,
-    num_classes) logits.
+    connections. The decoder runs on (T, m, C) token blocks: T tokens in
+    raster order, m = 8^level sub-voxels per token, coarsest octant first.
+    Each stage's last upsamplings are linear maps feeding the linear fuse,
+    so they are folded into the fuse weight and one GEMM at the coarse
+    level gives the fuse pre-activation. Returns (D, H, W, num_classes)
+    logits.
     """
     vit = cfg.vit
-    batch = patchify(volume, vit.token_patch)
-    grid = batch.grid
-    taps = tap_depths(vit.depth)
-
-    pos = positional_table(grid, vit.embed_dim)
-    h = _linear(Tensor(batch.tokens), params, "patch_embed")
-    h = h + Tensor(pos)
-    tapped: dict[int, Tensor] = {}
-    for i in range(vit.depth):
-        h = _block(h, params, f"enc.{i}", vit.num_heads)
-        if (i + 1) in taps:
-            tapped[i + 1] = h
-    tapped[taps[-1]] = _ln(tapped[taps[-1]], params, "enc_norm")
+    grid, ordered = _encoder_taps(vit, params, volume)
 
     # Deepest tap enters at grid resolution; shallower taps join one
     # upsampling stage at a time; the raw volume always joins at full
     # resolution so voxel detail does not have to squeeze through the
     # patch embedding.
-    ordered = [tapped[d] for d in taps]  # shallow -> deep
     stages = int(math.log2(vit.token_patch))
-    tap_shape = grid.grid + (vit.embed_dim,)
+    f = cfg.width
+    t = grid.num_tokens
+    tap_shape = (t, 1, vit.embed_dim)
     x = apply("gelu", (_linear(ordered[-1].reshape(tap_shape), params, "seg.in"),))
     for s in range(1, stages + 1):
-        x = apply("conv_transpose3", (x, params[f"seg.up{s}.w"]), {"stride": 2})
+        fuse_w = params[f"seg.fuse{s}.w"]
         parts = [x]
+        weights = [_fold(params, f"seg.up{s}", _rows(fuse_w, 0, f))]
         tap_index = 4 - s
         if tap_index >= 1:
             source = min(tap_index, len(ordered)) - 1
             skip = ordered[source].reshape(tap_shape)
             skip = apply("gelu", (_linear(skip, params, f"seg.skip{s}.proj"),))
-            for j in range(s):
-                skip = apply(
-                    "conv_transpose3", (skip, params[f"seg.skip{s}.up{j}.w"]), {"stride": 2}
-                )
+            for j in range(s - 1):
+                skip = _upsample(skip, params, f"seg.skip{s}.up{j}")
             parts.append(skip)
+            weights.append(_fold(params, f"seg.skip{s}.up{s - 1}", _rows(fuse_w, f, 2 * f)))
+        m = x.shape[1]
         if s == stages:
-            parts.append(Tensor(np.moveaxis(volume.data, 0, -1)))
-        x = apply("concat", tuple(parts), {"axis": -1})
-        x = apply("gelu", (_linear(x, params, f"seg.fuse{s}"),))
-    return _linear(x, params, "seg.head")
+            # Raw voxels join as the 8 children of each coarse row, through a
+            # block-diagonal copy of the fuse's raw-voxel rows.
+            c = vit.channels
+            raw = _voxel_blocks(volume, grid).reshape(t, m, 8 * c)
+            parts.append(Tensor(raw))
+            raw_rows = _rows(fuse_w, fuse_w.shape[0] - c, fuse_w.shape[0])
+            eye = Tensor(np.eye(8).reshape(8, 1, 8, 1))
+            block = (eye * raw_rows.reshape((1, c, 1, f))).reshape((8 * c, 8 * f))
+            weights.append(block)
+        coarse = apply("concat", tuple(parts), {"axis": -1})
+        pre = coarse.reshape((t * m, coarse.shape[-1])) @ apply("concat", tuple(weights))
+        x = apply("gelu", (pre.reshape((t, 8 * m, f)) + params[f"seg.fuse{s}.b"],))
+    logits = _linear(x, params, "seg.head")
+    return _blocks_to_voxels(logits, grid)

@@ -1,6 +1,10 @@
-"""Shared probe functions for gradient checks across test modules."""
+"""Shared probe functions for gradient checks, and numpy references of model
+parts, across test modules."""
+
+import math
 
 import numpy as np
+from scipy.special import erf
 
 from vmim.autodiff import Tensor, apply
 
@@ -30,9 +34,6 @@ DIFFERENTIABLE_PROBES = {
     "gelu": lambda t, aux: apply("gelu", (t,)).sum(),
     "sum": lambda t, aux: (t.sum(axis=1) * aux["v4"]).sum(),
     "mean": lambda t, aux: (t.mean(axis=0) * aux["v5"]).sum(),
-    "conv_transpose3": lambda t, aux: (
-        apply("conv_transpose3", (aux["cv_x"], t), {"stride": 2}) * aux["cv_w"]
-    ).sum(),
     "abs": lambda t, aux: apply("abs", (t,)).sum(),
     "exp": lambda t, aux: apply("exp", (t,)).sum(),
     "log": lambda t, aux: apply("log", (apply("exp", (t,)),)).sum(),
@@ -53,21 +54,12 @@ def probe_aux(rng):
         "cat_w": Tensor(rng.normal(size=(8, 5))),
         "g_w": Tensor(rng.normal(size=(4, 5))),
         "sc_w": Tensor(rng.normal(size=(7, 5))),
-        "cv_x": Tensor(rng.normal(size=(2, 2, 2, 2))),  # (D, H, W, C)
-        "cv_w": Tensor(rng.normal(size=(4, 4, 4, 3))),  # (sD, sH, sW, K)
     }
 
 
-# Probes of the channel-last input operand: the weight-side probe of
-# conv_transpose3 above never differentiates its input, and linear's runs
-# on 2-D rows. kind -> (probe, input shape).
+# Probes of a channel-last input operand: linear's probe above runs on 2-D
+# rows. kind -> (probe, input shape).
 INPUT_PROBES = {
-    "conv_transpose3": (
-        lambda t, aux: (
-            apply("conv_transpose3", (t, aux["cv_k"]), {"stride": 2}) * aux["cv_w"]
-        ).sum(),
-        (2, 2, 2, 2),
-    ),
     "linear": (
         lambda t, aux: (apply("linear", (t, aux["w"], aux["bias"])) * aux["lin_w"]).sum(),
         (2, 3, 2, 5),
@@ -78,17 +70,60 @@ INPUT_PROBES = {
 def input_probe_aux(rng):
     return {
         **probe_aux(rng),
-        "cv_k": Tensor(rng.normal(size=(2, 3, 2, 2, 2))),
         "lin_w": Tensor(rng.normal(size=(2, 3, 2, 2))),
     }
 
 
 def probe_input(kind, rng):
-    if kind == "conv_transpose3":
-        return rng.normal(size=(2, 3, 2, 2, 2))
     x = rng.uniform(-2.0, 2.0, size=(4, 5))
     if kind == "abs":
         x = x + np.sign(x) * 0.1
     if kind == "scatter_rows":
         x = rng.uniform(-2.0, 2.0, size=(5, 5))
     return x
+
+
+def conv_transpose_reference(x, w):
+    """Kernel-2, stride-2 transposed conv of (D, H, W, C) voxels to
+    (2D, 2H, 2W, K): each kernel offset writes its own strided sub-grid."""
+    d, h, wd, _ = x.shape
+    out = np.zeros((2 * d, 2 * h, 2 * wd, w.shape[1]))
+    for i in range(2):
+        for j in range(2):
+            for l in range(2):
+                out[i::2, j::2, l::2] = x @ w[:, :, i, j, l]
+    return out
+
+
+def unetr_decoder_reference(cfg, params, volume, taps):
+    """Numpy UNETR decoder on interleaved (D, H, W, C) voxels: per stage a
+    transposed conv of the running features and of the skip, a channel
+    concat with the raw voxels at the last stage, and the fuse.
+
+    ``taps`` are the encoder's (T, E) tap rows, shallow to deep. Returns
+    (D, H, W, num_classes) logits.
+    """
+    w = {name: t.data for name, t in params.items()}
+
+    def gelu(a):
+        return 0.5 * a * (1.0 + erf(a / math.sqrt(2.0)))
+
+    def pointwise(a, prefix):
+        return a @ w[f"{prefix}.w"] + w[f"{prefix}.b"]
+
+    p = cfg.vit.token_patch
+    tap_shape = tuple(n // p for n in volume.data.shape[1:]) + (-1,)
+    stages = int(math.log2(p))
+    x = gelu(pointwise(taps[-1].reshape(tap_shape), "seg.in"))
+    for s in range(1, stages + 1):
+        parts = [conv_transpose_reference(x, w[f"seg.up{s}.w"])]
+        if 4 - s >= 1:
+            skip = taps[min(4 - s, len(taps)) - 1].reshape(tap_shape)
+            skip = gelu(pointwise(skip, f"seg.skip{s}.proj"))
+            for j in range(s):
+                skip = conv_transpose_reference(skip, w[f"seg.skip{s}.up{j}.w"])
+            parts.append(skip)
+        if s == stages:
+            parts.append(np.moveaxis(volume.data, 0, -1))
+        x = gelu(pointwise(np.concatenate(parts, axis=-1), f"seg.fuse{s}"))
+    return pointwise(x, "seg.head")

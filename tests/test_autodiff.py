@@ -81,25 +81,6 @@ class TestForward:
         with pytest.raises(ShapeMismatchError, match="add"):
             Tensor(np.zeros((2, 3))) + Tensor(np.zeros((4,)))
 
-    def test_conv_transpose_matches_brute_force(self):
-        rng = np.random.default_rng(5)
-        x = rng.normal(size=(2, 3, 2, 2))
-        w = rng.normal(size=(2, 3, 2, 2, 2))
-        out = apply("conv_transpose3", (Tensor(x), Tensor(w)), {"stride": 2}).data
-        brute = np.zeros((4, 6, 4, 3))
-        for c in range(2):
-            for k in range(3):
-                for d in range(2):
-                    for h in range(3):
-                        for wd in range(2):
-                            for i in range(2):
-                                for j in range(2):
-                                    for l in range(2):
-                                        brute[2 * d + i, 2 * h + j, 2 * wd + l, k] += (
-                                            x[d, h, wd, c] * w[c, k, i, j, l]
-                                        )
-        assert np.allclose(out, brute, atol=1e-14)
-
     def test_gather_scatter_round_trip(self):
         rng = np.random.default_rng(6)
         x = rng.normal(size=(7, 3))

@@ -185,6 +185,28 @@ class TestDispatch:
         assert code == 1
         assert f"error: {message}\n" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("command, message", [
+        (["reconstruct", "--depths", "0,x"], "--depths expects comma-separated integers, got 'x'"),
+        (["reconstruct", "--depths", ","], "--depths needs at least one value, got ','"),
+        (["ablate", "--patch-sizes", "8,1.5", "--ratios", "0.5"],
+         "--patch-sizes expects comma-separated integers, got '1.5'"),
+        (["ablate", "--patch-sizes", "8", "--ratios", "0.5,abc"],
+         "--ratios expects comma-separated numbers, got 'abc'"),
+        (["ablate", "--patch-sizes", "", "--ratios", "0.5"],
+         "--patch-sizes needs at least one value, got ''"),
+    ], ids=["depths-entry", "depths-empty", "patch-sizes-entry", "ratios-entry",
+            "patch-sizes-empty"])
+    def test_bad_comma_list_exit_1_names_flag(self, tmp_path, capsys, command, message):
+        paths = {
+            "reconstruct": ["--checkpoint", "none.vmim", "--volume", "none.vol"],
+            "ablate": ["--data", "d", "--labeled-data", "l", "--val-data", "v"],
+        }[command[0]]
+        code = run(command + paths + ["--out", str(tmp_path / "out")])
+        err = capsys.readouterr().err
+        assert code == 1
+        assert err == f"error: {message}\n"
+        assert not (tmp_path / "out").exists()
+
     @pytest.mark.parametrize("name, payload", [
         ("list.json", b"[1, 2]"),
         ("config_list.json", b'{"config": ["train.base_lr"]}'),

@@ -6,10 +6,12 @@ import struct
 import numpy as np
 import pytest
 
-from vmim.autodiff import Graph, Tensor, apply, backward
+from helpers import conv_transpose_reference, unetr_decoder_reference
+from vmim.autodiff import Graph, Tensor, apply, backward, finite_diff_check
 from vmim.checkpoint import load_checkpoint, save_checkpoint
 from vmim.losses import masked_recon_loss
 from vmim.models import (
+    _encoder_taps,
     MAEDecoderConfig,
     SegConfig,
     SimCLRConfig,
@@ -240,13 +242,72 @@ class TestUNETR:
 
     def test_decoder_records_no_layout_permutes(self):
         # Attention permutes q, k, v, k^T and the merged heads: 5 per block.
-        # The channel-last decoder and the loss's input need none.
+        # The block-layout decoder permutes activations once, to return the
+        # logits as voxels; its other permutes flatten upsampling weights.
         seg = SegConfig(CFG, num_classes=3, width=8)
         params = init_seg_params(seg, seed=0)
         with Graph() as g:
             g.watch_all(params.values())
             unetr_segment(seg, params, small_volume())
-        assert [n.kind for n in g.nodes].count("permute") == 5 * CFG.depth
+        leaves = {p.node_id for p in params.values()}
+        permutes = [n for n in g.nodes if n.kind == "permute"]
+        on_weights = [n for n in permutes if n.input_ids[0] in leaves]
+        ups = [n for n in params if ".up" in n]
+        assert len(on_weights) == len(ups)
+        assert len(permutes) == 5 * CFG.depth + 1 + len(on_weights)
+
+    @pytest.mark.parametrize(
+        "patch,channels,shape",
+        [(8, 1, (16, 16, 16)), (8, 2, (16, 16, 16)), (16, 1, (32, 32, 32)),
+         (16, 2, (32, 32, 32)), (8, 1, (16, 24, 32))],
+        ids=["p8-c1", "p8-c2", "p16-c1", "p16-c2", "p8-c1-16x24x32"],
+    )
+    def test_matches_interleaved_reference(self, patch, channels, shape):
+        seg = SegConfig(ViTConfig(32, 4, 4, patch, channels=channels), num_classes=3, width=4)
+        params = init_seg_params(seg, seed=patch + channels)
+        v = Volume(np.random.default_rng(len(shape) + channels).uniform(size=(channels,) + shape))
+        _, taps = _encoder_taps(seg.vit, params, v)
+        expected = unetr_decoder_reference(seg, params, v, [t.data for t in taps])
+        logits = unetr_segment(seg, params, v).data
+        assert logits.shape == expected.shape
+        assert np.abs(logits - expected).max() <= 1e-12 * np.abs(expected).max()
+
+    def test_conv_transpose_reference_matches_brute_force(self):
+        rng = np.random.default_rng(5)
+        x = rng.normal(size=(2, 3, 2, 2))
+        w = rng.normal(size=(2, 3, 2, 2, 2))
+        brute = np.zeros((4, 6, 4, 3))
+        for c in range(2):
+            for k in range(3):
+                for d in range(2):
+                    for h in range(3):
+                        for wd in range(2):
+                            for i in range(2):
+                                for j in range(2):
+                                    for l in range(2):
+                                        brute[2 * d + i, 2 * h + j, 2 * wd + l, k] += (
+                                            x[d, h, wd, c] * w[c, k, i, j, l]
+                                        )
+        assert np.allclose(conv_transpose_reference(x, w), brute, atol=1e-14)
+
+    @pytest.mark.parametrize(
+        "name",
+        ["seg.up1.w", "seg.up3.w", "seg.skip1.up0.w", "seg.skip3.up0.w", "seg.skip3.up2.w",
+         "seg.fuse1.w", "seg.fuse3.w"],
+    )
+    def test_folded_weights_pass_gradient_check(self, name):
+        # The last upsamplings fold into the fuse weight on the tape; the
+        # gradient must still reach each factor. seg.skip3.up0 is an
+        # intermediate (unfolded) skip upsampling.
+        seg = SegConfig(CFG, num_classes=3, width=4)
+        params = init_seg_params(seg, seed=4)
+        v = small_volume(seed=5)
+        weights = Tensor(np.random.default_rng(6).normal(size=(16, 16, 16, 3)))
+
+        def f(t):
+            return (unetr_segment(seg, {**params, name: t}, v) * weights).sum()
+
+        assert finite_diff_check(f, params[name].data, h=1e-5) < 1e-6
 
     def test_gradients_reach_every_parameter(self):
         seg = SegConfig(CFG, num_classes=3, width=8)
@@ -308,6 +369,24 @@ class TestCheckpoint:
         for name in params:
             assert np.array_equal(loaded[name].data, params[name].data)
             assert loaded[name].requires_grad
+
+    def test_failed_write_keeps_previous_checkpoint(self, tmp_path):
+        path = tmp_path / "c.vmim"
+        save_checkpoint(str(path), init_simmim_params(CFG, seed=0), {"step": 1})
+        before = path.read_bytes()
+
+        class FailingPayload(np.ndarray):
+            def astype(self, *args, **kwargs):
+                raise OSError("disk full")
+
+        # Sorted last, so every other tensor is written before the failure.
+        last = Tensor(np.zeros(3))
+        last.data = np.zeros(3).view(FailingPayload)
+        params = {**init_simmim_params(CFG, seed=1), "zz": last}
+        with pytest.raises(OSError, match="disk full"):
+            save_checkpoint(str(path), params, {"step": 2})
+        assert path.read_bytes() == before
+        assert [p.name for p in tmp_path.iterdir()] == ["c.vmim"]
 
     @pytest.mark.parametrize("corrupt", ["huge_header_length", "not_utf8", "not_json",
                                          "offset_past_payload", "shape_past_payload"])
