@@ -506,7 +506,7 @@ def _vjp_reduce(ctx, g):
     return (np.broadcast_to(g * factor, shape).copy(),)
 
 
-# -- pointwise transcendentals for the losses --
+# -- loss kernels --
 
 def _fwd_abs(arrays, attrs):
     (a,) = arrays
@@ -517,23 +517,95 @@ def _vjp_abs(ctx, g):
     return (g * ctx,)
 
 
-def _fwd_exp(arrays, attrs):
+def _fwd_log_softmax(arrays, attrs):
+    # Over the last axis, with the row max as a constant shift.
     (a,) = arrays
-    out = np.exp(a)
-    return out, out
+    shifted = a - a.max(axis=-1, keepdims=True)
+    e = np.exp(shifted)
+    s = e.sum(axis=-1, keepdims=True)
+    return shifted - np.log(s), (e, s)
 
 
-def _vjp_exp(ctx, g):
-    return (g * ctx,)
+def _vjp_log_softmax(ctx, g):
+    # g - softmax * sum(g), rounded as e * (sum(g) / s): seeded SimCLR runs
+    # reproduce the outputs of earlier versions bitwise only in this order.
+    e, s = ctx
+    return (g - e * (g.sum(axis=-1, keepdims=True) / s),)
 
 
-def _fwd_log(arrays, attrs):
-    (a,) = arrays
-    return np.log(a), a
+def _dice_ce_attrs(z, attrs):
+    labels = np.asarray(attrs["labels"])
+    num_classes = z.shape[-1]
+    if labels.shape != z.shape[:-1]:
+        raise ValueError(f"labels shape {labels.shape} != logits spatial {z.shape[:-1]}")
+    if not np.issubdtype(labels.dtype, np.integer):
+        raise ValueError(f"labels must have an integer dtype, got {labels.dtype}")
+    if labels.size == 0:
+        raise ValueError("labels must hold at least one voxel, got 0")
+    if labels.min() < 0 or labels.max() >= num_classes:
+        raise ValueError(
+            f"label ids must lie in [0, {num_classes}), got range "
+            f"[{int(labels.min())}, {int(labels.max())}]"
+        )
+    weight_dice = attrs["weight_dice"]
+    if not 0.0 <= weight_dice <= 1.0:
+        raise ValueError(f"weight_dice must lie in [0, 1], got {weight_dice}")
+    smooth = attrs["smooth"]
+    if not 0.0 < smooth < np.inf:
+        raise ValueError(f"smooth must be positive and finite, got {smooth}")
+    return labels.reshape(-1).astype(np.intp), float(weight_dice), float(smooth)
 
 
-def _vjp_log(ctx, g):
-    return (g / ctx,)
+def _fwd_dice_ce(arrays, attrs):
+    # w * (1 - mean_k soft Dice_k) + (1 - w) * mean_v CE on (..., K) logits.
+    # Class-major: the logits are transposed once to (K, V), so the max, the
+    # sum of exps and the per-class Dice sums run over contiguous length-V
+    # rows and never reduce along the short class axis. Each voxel's own
+    # class is read through the flat index label * V + voxel; no one-hot.
+    (z,) = arrays
+    labels, w, smooth = _dice_ce_attrs(z, attrs)
+    k = z.shape[-1]
+    v = labels.size
+    x = z.reshape(v, k).T.copy()
+    top = x[0].copy()
+    for row in x[1:]:
+        np.maximum(top, row, out=top)
+    x -= top
+    own = labels * v + np.arange(v)
+    picked = x.ravel()[own]
+    np.exp(x, out=x)
+    total = x[0].copy()
+    for row in x[1:]:
+        total += row
+    ce = (np.log(total) - picked).mean()
+    x /= total
+    inter = np.bincount(labels, weights=x.ravel()[own], minlength=k)
+    den = x.sum(axis=1) + np.bincount(labels, minlength=k) + smooth
+    dice = (2.0 * inter + smooth) / den
+    loss = w * (1.0 - dice.mean()) + (1.0 - w) * ce
+    # dLoss/dp[k, v] = a[k] + b[k] * y[k, v]; the CE term adds (1 - w)(p - y)/V.
+    coef = w / k
+    a = coef * (2.0 * inter + smooth) / (den * den)
+    b = -2.0 * coef / den
+    return np.asarray(loss), (x, labels, a, b, (1.0 - w) / v, z.shape)
+
+
+def _vjp_dice_ce(ctx, g):
+    # p * (gp - sum_k gp * p) + (1 - w)(p - y)/V, scaled by g, with
+    # gp = a + b * y: rows hold a + ce_scale - c, and each voxel's own class
+    # gets b * p_own - ce_scale on top.
+    p, labels, a, b, ce_scale, shape = ctx
+    v = labels.size
+    own = labels * v + np.arange(v)
+    own_term = b[labels] * p.ravel()[own]
+    c = own_term.copy()
+    for a_k, row in zip(a, p):
+        c += a_k * row
+    out = (a + ce_scale)[:, None] - c
+    out *= p
+    out.ravel()[own] += own_term - ce_scale
+    out *= g
+    return (out.T.reshape(shape),)
 
 
 def _fwd_rownorm(arrays, attrs):
@@ -566,8 +638,8 @@ _register("gelu", _fwd_gelu, _vjp_gelu)
 _register("sum", _fwd_sum, _vjp_reduce)
 _register("mean", _fwd_mean, _vjp_reduce)
 _register("abs", _fwd_abs, _vjp_abs)
-_register("exp", _fwd_exp, _vjp_exp)
-_register("log", _fwd_log, _vjp_log)
+_register("log_softmax", _fwd_log_softmax, _vjp_log_softmax)
+_register("dice_ce", _fwd_dice_ce, _vjp_dice_ce)
 _register("rownorm", _fwd_rownorm, _vjp_rownorm)
 
 

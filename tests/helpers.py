@@ -35,8 +35,12 @@ DIFFERENTIABLE_PROBES = {
     "sum": lambda t, aux: (t.sum(axis=1) * aux["v4"]).sum(),
     "mean": lambda t, aux: (t.mean(axis=0) * aux["v5"]).sum(),
     "abs": lambda t, aux: apply("abs", (t,)).sum(),
-    "exp": lambda t, aux: apply("exp", (t,)).sum(),
-    "log": lambda t, aux: apply("log", (apply("exp", (t,)),)).sum(),
+    "log_softmax": lambda t, aux: (apply("log_softmax", (t,)) * aux["b"]).sum(),
+    # Four voxels of five classes: class 2 is absent from the labels. The
+    # scale gives the op an upstream gradient other than 1.
+    "dice_ce": lambda t, aux: apply(
+        "dice_ce", (t,), {"labels": np.array([4, 0, 1, 3]), "weight_dice": 0.5, "smooth": 1e-5}
+    ).scale(1.7),
     "rownorm": lambda t, aux: (apply("rownorm", (t,)) * aux["b"]).sum(),
 }
 
@@ -127,3 +131,34 @@ def unetr_decoder_reference(cfg, params, volume, taps):
             parts.append(np.moveaxis(volume.data, 0, -1))
         x = gelu(pointwise(np.concatenate(parts, axis=-1), f"seg.fuse{s}"))
     return pointwise(x, "seg.head")
+
+
+def dice_ce_reference(logits, labels, weight_dice=0.5, smooth=1e-5):
+    """Numpy copy of the composite Dice+CE graph the fused op replaced:
+    a shifted log-softmax through exp, sum and log, a second softmax, one-hot
+    products and the reciprocal as exp(-log(t)), differentiated node by node
+    in reverse. Returns (loss, gradient with respect to the logits)."""
+    k = logits.shape[-1]
+    z = logits.reshape(-1, k)
+    v = z.shape[0]
+    onehot = np.zeros((v, k))
+    onehot[np.arange(v), labels.reshape(-1)] = 1.0
+
+    shifted = z - z.max(axis=-1, keepdims=True)
+    e = np.exp(shifted)
+    s = e.sum(axis=-1, keepdims=True)
+    log_probs = shifted - np.log(s)
+    ce = -(log_probs * onehot).sum(axis=-1).mean()
+    probs = np.exp(shifted) / s
+    num = 2.0 * (probs * onehot).sum(axis=0) + smooth
+    den = probs.sum(axis=0) + onehot.sum(axis=0) + smooth
+    recip = np.exp(-np.log(den))
+    loss = (1.0 - (num * recip).mean()) * weight_dice + ce * (1.0 - weight_dice)
+
+    g_dice = np.full(k, -weight_dice / k)
+    g_den = -(g_dice * num) * recip / den
+    g_probs = 2.0 * (g_dice * recip) * onehot + g_den
+    g_z = probs * (g_probs - (g_probs * probs).sum(axis=-1, keepdims=True))
+    g_log_probs = onehot * (-(1.0 - weight_dice) / v)
+    g_z += g_log_probs - e * (g_log_probs.sum(axis=-1, keepdims=True) / s)
+    return loss, g_z.reshape(logits.shape)

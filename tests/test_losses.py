@@ -7,10 +7,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from vmim.autodiff import Graph, Tensor, backward, finite_diff_check
+from vmim.autodiff import Graph, Tensor, backward, finite_diff_check, op_kinds
 from vmim.losses import ReconLossConfig, dice_ce_loss, masked_recon_loss, ntxent
 from vmim.metrics import DiceReport, dice
 from vmim.patches import Mask
+
+from helpers import dice_ce_reference
 
 
 def make_mask(ids, total):
@@ -198,6 +200,74 @@ class TestDiceCE:
     def test_invalid_label_rejected(self):
         with pytest.raises(ValueError, match="label ids"):
             dice_ce_loss(Tensor(np.zeros((2, 2, 2, 2))), np.full((2, 2, 2), 5))
+
+    @pytest.mark.parametrize(
+        "labels, weight_dice, smooth, match",
+        [
+            (np.full((2, 2, 2), 1.5), 0.5, 1e-5, "labels must have an integer dtype"),
+            (np.full((2, 2, 2), np.nan), 0.5, 1e-5, "labels must have an integer dtype"),
+            (np.zeros((2, 2, 2), dtype=int), 1.5, 1e-5, "weight_dice"),
+            (np.zeros((2, 2, 2), dtype=int), -1.0, 1e-5, "weight_dice"),
+            (np.zeros((2, 2, 2), dtype=int), 0.5, 0.0, "smooth"),
+            (np.zeros((2, 2, 2), dtype=int), 0.5, -1.0, "smooth"),
+            (np.zeros((0, 2, 2), dtype=int), 0.5, 1e-5, "at least one voxel"),
+        ],
+        ids=[
+            "float-labels", "nan-labels", "weight-above-1", "weight-below-0",
+            "zero-smooth", "negative-smooth", "no-voxels",
+        ],
+    )
+    def test_bad_input_names_argument(self, labels, weight_dice, smooth, match):
+        logits = Tensor(np.zeros(labels.shape + (2,)))
+        with pytest.raises(ValueError, match=match):
+            dice_ce_loss(logits, labels, weight_dice=weight_dice, smooth=smooth)
+
+    @pytest.mark.parametrize(
+        "shape, classes, weight_dice, absent",
+        [
+            ((4, 4, 4), 3, 0.5, None),
+            ((4, 4, 4), 3, 0.0, 1),
+            ((4, 4, 4), 3, 1.0, 1),
+            ((3, 5, 6), 2, 0.5, None),
+            ((6, 6, 6), 14, 0.5, 7),
+        ],
+        ids=["k3-w0.5", "k3-w0-absent", "k3-w1-absent", "k2-3x5x6", "k14-absent"],
+    )
+    def test_matches_composite_reference(self, shape, classes, weight_dice, absent):
+        rng = np.random.default_rng(12)
+        logits = rng.normal(size=shape + (classes,)) * 4.0
+        labels = rng.integers(0, classes, size=shape).astype(np.uint16)
+        if absent is not None:
+            labels[labels == absent] = 0
+        want, want_grad = dice_ce_reference(logits, labels, weight_dice)
+        with Graph() as g:
+            t = Tensor(logits, requires_grad=True)
+            g.watch(t)
+            loss = dice_ce_loss(t, labels, weight_dice=weight_dice)
+        grad = backward(g, loss)[t.node_id].data
+        assert abs(loss.item() - want) <= 1e-12 * abs(want)
+        assert np.abs(grad - want_grad).max() <= 1e-12 * np.abs(want_grad).max()
+
+    @pytest.mark.parametrize("weight_dice", [0.0, 1.0])
+    def test_gradient_matches_finite_differences_at_either_end(self, weight_dice):
+        rng = np.random.default_rng(13)
+        labels = rng.integers(0, 4, size=(2, 3, 2))
+        labels[labels == 2] = 0
+        err = finite_diff_check(
+            lambda t: dice_ce_loss(t, labels, weight_dice=weight_dice),
+            rng.normal(size=(2, 3, 2, 4)),
+            max_probes=None,
+        )
+        assert err < 1e-6
+
+    def test_one_tape_node_per_call(self):
+        rng = np.random.default_rng(14)
+        with Graph() as g:
+            t = Tensor(rng.normal(size=(3, 4, 5, 3)), requires_grad=True)
+            g.watch(t)
+            dice_ce_loss(t, rng.integers(0, 3, size=(3, 4, 5)))
+        assert [node.kind for node in g.nodes if not node.is_leaf] == ["dice_ce"]
+        assert not {"exp", "log"} & set(op_kinds())
 
 
 def ntxent_brute(embeddings, tau):
