@@ -9,6 +9,13 @@ and safe to share across threads; a Graph belongs to one training step.
 
 Outside a ``with Graph():`` block every operation is a pure forward
 computation with no recording overhead, which is what inference uses.
+
+Besides elementwise, layout and reduction primitives, the registry holds
+fused kernels for the chains the models run most: ``attention`` (multi-head
+scaled dot-product attention), ``linear_gelu`` (a dense layer and GELU),
+``dice_ce`` and ``log_softmax``. Each is one tape node with a closed-form
+VJP. ``gelu`` and ``linear_gelu`` share one GELU kernel, so a ``linear``
+followed by ``gelu`` is bitwise equal to ``linear_gelu``.
 """
 
 from __future__ import annotations
@@ -310,12 +317,16 @@ def _vjp_matmul(ctx, g):
     return (_unbroadcast(ga, a.shape), _unbroadcast(gb, b.shape))
 
 
+def _check_linear(kind, x, w, b):
+    if w.ndim != 2 or x.shape[-1] != w.shape[0]:
+        raise _shape_error(kind, f"input {x.shape} incompatible with weight {w.shape}")
+    if b.shape != (w.shape[1],):
+        raise _shape_error(kind, f"bias {b.shape} incompatible with weight {w.shape}")
+
+
 def _fwd_linear(arrays, attrs):
     x, w, b = arrays
-    if w.ndim != 2 or x.shape[-1] != w.shape[0]:
-        raise _shape_error("linear", f"input {x.shape} incompatible with weight {w.shape}")
-    if b.shape != (w.shape[1],):
-        raise _shape_error("linear", f"bias {b.shape} incompatible with weight {w.shape}")
+    _check_linear("linear", x, w, b)
     # One GEMM over every leading axis; x @ w on a >2-D x would run one
     # small GEMM per row of the leading axes.
     out = x.reshape(-1, x.shape[-1]) @ w + b
@@ -413,23 +424,7 @@ def _vjp_scatter_rows(ctx, g):
     return (g[ctx],)
 
 
-# -- normalization / nonlinearity --
-
-def _fwd_softmax(arrays, attrs):
-    (a,) = arrays
-    axis = attrs.get("axis", -1)
-    if not -a.ndim <= axis < a.ndim:
-        raise _shape_error("softmax", f"axis {axis} invalid for shape {a.shape}")
-    shifted = a - a.max(axis=axis, keepdims=True)
-    e = np.exp(shifted)
-    out = e / e.sum(axis=axis, keepdims=True)
-    return out, (out, axis)
-
-
-def _vjp_softmax(ctx, g):
-    y, axis = ctx
-    return (y * (g - (g * y).sum(axis=axis, keepdims=True)),)
-
+# -- normalization --
 
 def _fwd_layernorm(arrays, attrs):
     (a,) = arrays
@@ -450,24 +445,125 @@ def _vjp_layernorm(ctx, g):
     return (inv * (g - gm - y * gym),)
 
 
+# -- fused model kernels --
+
+def _fwd_attention(arrays, attrs):
+    # Multi-head scaled dot-product attention of (N, dim) projections.
+    # Heads are contiguous (H, N, d) copies (keys as (H, d, N)); the score
+    # scale, max shift, exp and normalisation then run in place on one
+    # (H, N, N) buffer, which the VJP reuses as the softmax output.
+    q, k, v = arrays
+    heads = attrs["num_heads"]
+    if q.ndim != 2 or k.shape != q.shape or v.shape != q.shape:
+        raise _shape_error(
+            "attention", f"q, k, v must be equal (N, dim), got {q.shape}, {k.shape}, {v.shape}"
+        )
+    n, dim = q.shape
+    if heads < 1 or dim % heads:
+        raise _shape_error("attention", f"dim {dim} does not split into {heads} heads")
+    d = dim // heads
+    qh = q.reshape(n, heads, d).transpose(1, 0, 2).copy()
+    kt = k.reshape(n, heads, d).transpose(1, 2, 0).copy()
+    vh = v.reshape(n, heads, d).transpose(1, 0, 2).copy()
+    scale = 1.0 / np.sqrt(d)
+    w = np.matmul(qh, kt)
+    w *= scale
+    w -= w.max(axis=-1, keepdims=True)
+    np.exp(w, out=w)
+    w /= w.sum(axis=-1, keepdims=True)
+    out = np.matmul(w, vh).transpose(1, 0, 2).reshape(n, dim)
+    return out, (qh, kt, vh, w, scale)
+
+
+def _vjp_attention(ctx, g):
+    # Each matmul sees the operand layouts of the unfused graph (swapaxes
+    # views, and g as (H, N, d) through a transpose), so gradients match it
+    # bitwise.
+    qh, kt, vh, w, scale = ctx
+    heads, n, d = qh.shape
+    gm = g.reshape(n, heads, d).transpose(1, 0, 2)
+    gv = np.matmul(np.swapaxes(w, -1, -2), gm)
+    gs = np.matmul(gm, np.swapaxes(vh, -1, -2))
+    gs -= (gs * w).sum(axis=-1, keepdims=True)
+    gs *= w
+    gs *= scale
+    gq = np.matmul(gs, np.swapaxes(kt, -1, -2))
+    gk = np.matmul(np.swapaxes(qh, -1, -2), gs)
+    merge = (n, heads * d)
+    return (
+        gq.transpose(1, 0, 2).reshape(merge),
+        gk.transpose(2, 0, 1).reshape(merge),
+        gv.transpose(1, 0, 2).reshape(merge),
+    )
+
+
+# Elements per block of the GELU chains: each block's passes run while it
+# is still in cache, and the VJP's pdf temporary stays one block.
+_GELU_BLOCK = 16384
+
+
+def _blocks(size: int):
+    return (slice(i, i + _GELU_BLOCK) for i in range(0, size, _GELU_BLOCK))
+
+
+def _gelu(a):
+    # gelu(a) = a * cdf(a), cdf(a) = (1 + erf(a/sqrt 2))/2. The CDF is kept
+    # for the VJP, which then needs only exp for the pdf. scipy's erf is odd
+    # bitwise (erf(-x) is -erf(x)); on |x| it skips a sign branch that
+    # mixed-sign input mispredicts about half the time.
+    cdf, out = np.empty_like(a), np.empty_like(a)
+    flat_a, flat_cdf, flat_out = a.reshape(-1), cdf.reshape(-1), out.reshape(-1)
+    for block in _blocks(flat_a.size):
+        c = flat_cdf[block]
+        np.multiply(flat_a[block], _INV_SQRT2, out=c)
+        np.abs(c, out=c)
+        erf(c, out=c)
+        np.copysign(c, flat_a[block], out=c)
+        c += 1.0
+        c *= 0.5
+        np.multiply(flat_a[block], c, out=flat_out[block])
+    return out, cdf
+
+
+def _gelu_grad(a, cdf, g):
+    # g * (cdf + a * pdf) with pdf = exp(-a^2 / 2) / sqrt(2 pi). A node's VJP
+    # runs once, so the gradient overwrites the CDF in place.
+    flat_a, flat_g, ga = a.reshape(-1), g.reshape(-1), cdf.reshape(-1)
+    for block in _blocks(ga.size):
+        p = flat_a[block] * flat_a[block]
+        p *= -0.5
+        np.exp(p, out=p)
+        p *= _INV_SQRT_2PI
+        p *= flat_a[block]
+        ga[block] += p
+        ga[block] *= flat_g[block]
+    return cdf
+
+
 def _fwd_gelu(arrays, attrs):
     (a,) = arrays
-    # The CDF is kept for the VJP, which then needs only exp for the pdf.
-    cdf = 0.5 * (1.0 + erf(a * _INV_SQRT2))
-    return a * cdf, (a, cdf)
+    out, cdf = _gelu(a)
+    return out, (a, cdf)
 
 
 def _vjp_gelu(ctx, g):
-    # g * (cdf + a * pdf) in one buffer; pdf = exp(-a^2 / 2) / sqrt(2 pi).
     a, cdf = ctx
-    out = a * a
-    out *= -0.5
-    np.exp(out, out=out)
-    out *= _INV_SQRT_2PI
-    out *= a
-    out += cdf
-    out *= g
-    return (out,)
+    return (_gelu_grad(a, cdf, g),)
+
+
+def _fwd_linear_gelu(arrays, attrs):
+    # gelu(x @ w + b): one GEMM, the bias added in place, then the GELU chain.
+    x, w, b = arrays
+    _check_linear("linear_gelu", x, w, b)
+    a = x.reshape(-1, x.shape[-1]) @ w
+    a += b
+    out, cdf = _gelu(a)
+    return out.reshape(x.shape[:-1] + (w.shape[1],)), (x, w, a, cdf)
+
+
+def _vjp_linear_gelu(ctx, g):
+    x, w, a, cdf = ctx
+    return _vjp_linear((x, w), _gelu_grad(a, cdf, g.reshape(a.shape)))
 
 
 # -- reductions --
@@ -632,9 +728,10 @@ _register("permute", _fwd_permute, _vjp_permute)
 _register("concat", _fwd_concat, _vjp_concat)
 _register("gather_rows", _fwd_gather_rows, _vjp_gather_rows)
 _register("scatter_rows", _fwd_scatter_rows, _vjp_scatter_rows)
-_register("softmax", _fwd_softmax, _vjp_softmax)
 _register("layernorm", _fwd_layernorm, _vjp_layernorm)
+_register("attention", _fwd_attention, _vjp_attention)
 _register("gelu", _fwd_gelu, _vjp_gelu)
+_register("linear_gelu", _fwd_linear_gelu, _vjp_linear_gelu)
 _register("sum", _fwd_sum, _vjp_reduce)
 _register("mean", _fwd_mean, _vjp_reduce)
 _register("abs", _fwd_abs, _vjp_abs)

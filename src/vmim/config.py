@@ -76,13 +76,14 @@ class TrainConfig:
 
     def __post_init__(self):
         if self.base_lr <= 0:
-            raise ValueError(f"base_lr must be positive, got {self.base_lr}")
+            raise ValueError(f"train.base_lr must be positive, got {self.base_lr}")
         if not 0 <= self.warmup_epochs <= self.total_epochs:
             raise ValueError(
-                f"need 0 <= warmup ({self.warmup_epochs}) <= total ({self.total_epochs})"
+                f"need 0 <= train.warmup_epochs ({self.warmup_epochs}) <= "
+                f"train.total_epochs ({self.total_epochs})"
             )
         if self.batch_size < 1:
-            raise ValueError(f"batch_size must be >= 1, got {self.batch_size}")
+            raise ValueError(f"train.batch_size must be >= 1, got {self.batch_size}")
 
     @property
     def adamw(self) -> AdamWConfig:

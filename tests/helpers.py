@@ -27,11 +27,17 @@ DIFFERENTIABLE_PROBES = {
         apply("scatter_rows", (t,), {"indices": np.array([5, 2, 0, 3, 1]), "total": 7})
         * aux["sc_w"]
     ).sum(),
-    "softmax": lambda t, aux: (apply("softmax", (t,), {"axis": -1}) * aux["b"]).sum(),
     "layernorm": lambda t, aux: (
         apply("layernorm", (t,), {"eps": 1e-6}) * aux["b"]
     ).sum(),
+    # The input is q, k and v at once; INPUT_PROBES check each operand alone.
+    "attention": lambda t, aux: (
+        apply("attention", (t, t, t), {"num_heads": 1}) * aux["b"]
+    ).sum(),
     "gelu": lambda t, aux: apply("gelu", (t,)).sum(),
+    "linear_gelu": lambda t, aux: (
+        apply("linear_gelu", (t, aux["w"], aux["bias"])) * aux["lg_w"]
+    ).sum(),
     "sum": lambda t, aux: (t.sum(axis=1) * aux["v4"]).sum(),
     "mean": lambda t, aux: (t.mean(axis=0) * aux["v5"]).sum(),
     "abs": lambda t, aux: apply("abs", (t,)).sum(),
@@ -58,16 +64,39 @@ def probe_aux(rng):
         "cat_w": Tensor(rng.normal(size=(8, 5))),
         "g_w": Tensor(rng.normal(size=(4, 5))),
         "sc_w": Tensor(rng.normal(size=(7, 5))),
+        "lg_w": Tensor(rng.normal(size=(4, 2))),
     }
 
 
-# Probes of a channel-last input operand: linear's probe above runs on 2-D
-# rows. kind -> (probe, input shape).
+def _attention_probe(operand):
+    def probe(t, aux):
+        qkv = [aux["q"], aux["k"], aux["v"]]
+        qkv["qkv".index(operand)] = t
+        return (apply("attention", tuple(qkv), {"num_heads": 2}) * aux["att_w"]).sum()
+
+    return probe
+
+
+def _linear_gelu_probe(operand):
+    def probe(t, aux):
+        xwb = [aux["lg_x"], aux["w"], aux["bias"]]
+        xwb["xwb".index(operand)] = t
+        return (apply("linear_gelu", tuple(xwb)) * aux["lin_w"]).sum()
+
+    return probe
+
+
+# Probes of one operand at a time, or of a channel-last input: the probes
+# above differentiate only their (4, 5) input. name -> (probe, input shape).
 INPUT_PROBES = {
     "linear": (
         lambda t, aux: (apply("linear", (t, aux["w"], aux["bias"])) * aux["lin_w"]).sum(),
         (2, 3, 2, 5),
     ),
+    **{f"attention.{o}": (_attention_probe(o), (6, 4)) for o in "qkv"},
+    "linear_gelu.x": (_linear_gelu_probe("x"), (2, 3, 2, 5)),
+    "linear_gelu.w": (_linear_gelu_probe("w"), (5, 2)),
+    "linear_gelu.b": (_linear_gelu_probe("b"), (2,)),
 }
 
 
@@ -75,6 +104,8 @@ def input_probe_aux(rng):
     return {
         **probe_aux(rng),
         "lin_w": Tensor(rng.normal(size=(2, 3, 2, 2))),
+        "lg_x": Tensor(rng.normal(size=(2, 3, 2, 5))),
+        **{name: Tensor(rng.normal(size=(6, 4))) for name in ("q", "k", "v", "att_w")},
     }
 
 
@@ -85,6 +116,51 @@ def probe_input(kind, rng):
     if kind == "scatter_rows":
         x = rng.uniform(-2.0, 2.0, size=(5, 5))
     return x
+
+
+def attention_reference(q, k, v, num_heads, g):
+    """Numpy copy of the unfused attention graph the ``attention`` op
+    replaced: reshape and permute copies of the heads and of k^T, matmul,
+    scale, softmax, matmul and the merge, differentiated node by node in
+    reverse for the upstream gradient ``g``. Returns (out, (gq, gk, gv))."""
+    n, dim = q.shape
+    d = dim // num_heads
+
+    def heads(a):
+        return a.reshape(n, num_heads, d).transpose(1, 0, 2).copy()
+
+    qh, kh, vh = heads(q), heads(k), heads(v)
+    kt = kh.transpose(0, 2, 1).copy()
+    scale = 1.0 / math.sqrt(d)
+    scores = np.matmul(qh, kt) * scale
+    e = np.exp(scores - scores.max(axis=-1, keepdims=True))
+    weights = e / e.sum(axis=-1, keepdims=True)
+    out = np.matmul(weights, vh).transpose(1, 0, 2).copy().reshape(n, dim)
+
+    g_mixed = g.reshape(n, num_heads, d).transpose(1, 0, 2)
+    g_weights = np.matmul(g_mixed, np.swapaxes(vh, -1, -2))
+    g_vh = np.matmul(np.swapaxes(weights, -1, -2), g_mixed)
+    g_scores = weights * (g_weights - (g_weights * weights).sum(axis=-1, keepdims=True))
+    g_scores = g_scores * scale
+    g_qh = np.matmul(g_scores, np.swapaxes(kt, -1, -2))
+    g_kt = np.matmul(np.swapaxes(qh, -1, -2), g_scores)
+    g_kh = np.transpose(g_kt, (0, 2, 1))
+    merge = [np.transpose(a, (1, 0, 2)).reshape(n, dim) for a in (g_qh, g_kh, g_vh)]
+    return out, tuple(merge)
+
+
+def linear_gelu_reference(x, w, b, g):
+    """Numpy copy of the unfused ``gelu(linear(x, w, b))`` graph the
+    ``linear_gelu`` op replaced, differentiated in reverse for the upstream
+    gradient ``g``. Returns (out, (gx, gw, gb))."""
+    x2 = x.reshape(-1, x.shape[-1])
+    a = x2 @ w + b
+    cdf = 0.5 * (1.0 + erf(a * (1.0 / np.sqrt(2.0))))
+    out = (a * cdf).reshape(x.shape[:-1] + (w.shape[1],))
+
+    pdf = np.exp((a * a) * -0.5) * (1.0 / np.sqrt(2.0 * np.pi))
+    ga = (pdf * a + cdf) * g.reshape(a.shape)
+    return out, ((ga @ w.T).reshape(x.shape), x2.T @ ga, ga.sum(axis=0))
 
 
 def conv_transpose_reference(x, w):

@@ -2,7 +2,17 @@
 
 import numpy as np
 import pytest
+from scipy.special import erf
 
+from helpers import (
+    DIFFERENTIABLE_PROBES,
+    INPUT_PROBES,
+    attention_reference,
+    input_probe_aux,
+    linear_gelu_reference,
+    probe_aux,
+    probe_input,
+)
 from vmim.autodiff import (
     Graph,
     GraphError,
@@ -36,17 +46,89 @@ class TestForward:
         out = (Tensor(np.eye(3)) @ Tensor(a)).data
         assert np.array_equal(out, a)
 
-    def test_softmax_symmetry(self):
-        out = apply("softmax", (Tensor([1.0, 1.0, 1.0, 1.0]),), {"axis": -1})
-        assert np.array_equal(out.data, [0.25, 0.25, 0.25, 0.25])
-
-    def test_softmax_rows_sum_to_one_and_shift_invariant(self):
+    def test_attention_with_equal_scores_averages_values(self):
         rng = np.random.default_rng(3)
-        x = rng.normal(size=(5, 7)) * 10
-        y = apply("softmax", (Tensor(x),), {"axis": -1}).data
-        assert np.abs(y.sum(axis=-1) - 1.0).max() <= 1e-12
-        shifted = apply("softmax", (Tensor(x + 123.456),), {"axis": -1}).data
-        assert np.abs(y - shifted).max() <= 1e-12
+        k, v = rng.normal(size=(2, 5, 6))
+        out = apply("attention", (Tensor(np.zeros((5, 6))), Tensor(k), Tensor(v)), {"num_heads": 2})
+        assert np.abs(out.data - v.mean(axis=0)).max() <= 1e-12
+
+    def test_attention_weights_sum_to_one_and_are_shift_invariant(self):
+        # Adding one vector to every key shifts each query's scores by a
+        # constant, which the softmax cancels.
+        rng = np.random.default_rng(3)
+        q, k, v = rng.normal(size=(3, 5, 8)) * 3
+        heads = {"num_heads": 4}
+        ones = apply("attention", (Tensor(q), Tensor(k), Tensor(np.ones((5, 8)))), heads).data
+        assert np.abs(ones - 1.0).max() <= 1e-12
+        y = apply("attention", (Tensor(q), Tensor(k), Tensor(v)), heads).data
+        shifted = apply("attention", (Tensor(q), Tensor(k + rng.normal(size=8)), Tensor(v)), heads)
+        assert np.abs(y - shifted.data).max() <= 1e-12
+
+    @pytest.mark.parametrize("num_heads", [1, 4])
+    def test_attention_matches_unfused_graph_bitwise(self, num_heads):
+        rng = np.random.default_rng(num_heads)
+        q, k, v = rng.normal(size=(3, 7, 12))
+        g = rng.normal(size=(7, 12))
+        out, grads = attention_reference(q, k, v, num_heads, g)
+        with Graph() as graph:
+            qkv = [Tensor(a, requires_grad=True) for a in (q, k, v)]
+            graph.watch_all(qkv)
+            y = apply("attention", tuple(qkv), {"num_heads": num_heads})
+            loss = (y * Tensor(g)).sum()
+        got = backward(graph, loss)
+        assert y.data.tobytes() == out.tobytes()
+        for t, expected in zip(qkv, grads):
+            assert got[t.node_id].data.tobytes() == expected.tobytes()
+
+    @pytest.mark.parametrize("fused", [True, False], ids=["linear_gelu", "linear-then-gelu"])
+    @pytest.mark.parametrize("shape", [(3, 4, 5), (3000, 5)], ids=["channel-last", "two-blocks"])
+    def test_linear_gelu_matches_unfused_graph_bitwise(self, shape, fused):
+        rng = np.random.default_rng(len(shape))
+        x = rng.normal(size=shape) * 2
+        w, b = rng.normal(size=(5, 7)), rng.normal(size=7)
+        g = rng.normal(size=shape[:-1] + (7,))
+        out, grads = linear_gelu_reference(x, w, b, g)
+        with Graph() as graph:
+            xwb = [Tensor(a, requires_grad=True) for a in (x, w, b)]
+            graph.watch_all(xwb)
+            if fused:
+                y = apply("linear_gelu", tuple(xwb))
+            else:
+                y = apply("gelu", (apply("linear", tuple(xwb)),))
+            loss = (y * Tensor(g)).sum()
+        got = backward(graph, loss)
+        assert y.data.tobytes() == out.tobytes()
+        for t, expected in zip(xwb, grads):
+            assert got[t.node_id].data.tobytes() == expected.tobytes()
+
+    def test_scipy_erf_is_odd_bitwise(self):
+        # linear_gelu takes erf of |x| and copies the sign back, which equals
+        # erf(x) only because scipy evaluates erf(-x) as -erf(x).
+        spread = np.array([0.1, 1.0, 4.0, 40.0]).repeat(25_000)
+        x = np.random.default_rng(5).normal(size=spread.size) * spread
+        x = np.concatenate([x, [0.0, 1.0, np.nextafter(1.0, 2.0), np.inf]])
+        assert erf(-x).tobytes() == (-erf(x)).tobytes()
+
+    def test_linear_gelu_hand_values(self):
+        # gelu(1) = Phi(1); gelu(0) = 0; gelu(a) = a for large a, 0 for very negative a.
+        y = apply("linear_gelu", (Tensor(np.eye(3)), Tensor(np.eye(3)), Tensor([0.0, 40.0, -40.0])))
+        assert abs(y.data[0, 0] - 0.8413447460685429) <= 1e-15
+        assert np.array_equal(y.data[1:, 0], [0.0, 0.0])
+        assert np.array_equal(y.data[:, 1], [40.0, 41.0, 40.0])
+        assert np.array_equal(y.data[:, 2], [-0.0, -0.0, -0.0])
+
+    def test_fused_ops_reject_bad_shapes(self):
+        x = Tensor(np.zeros((4, 6)))
+        with pytest.raises(ShapeMismatchError, match="attention.*heads"):
+            apply("attention", (x, x, x), {"num_heads": 4})
+        with pytest.raises(ShapeMismatchError, match=r"attention.*\(4, 6\).*\(3, 6\)"):
+            apply("attention", (x, Tensor(np.zeros((3, 6))), x), {"num_heads": 2})
+        with pytest.raises(ShapeMismatchError, match="attention"):
+            apply("attention", (Tensor(np.zeros((2, 4, 6))),) * 3, {"num_heads": 2})
+        with pytest.raises(ShapeMismatchError, match=r"linear_gelu.*\(4, 6\).*\(5, 2\)"):
+            apply("linear_gelu", (x, Tensor(np.zeros((5, 2))), Tensor(np.zeros(2))))
+        with pytest.raises(ShapeMismatchError, match="linear_gelu.*bias"):
+            apply("linear_gelu", (x, Tensor(np.zeros((6, 2))), Tensor(np.zeros(3))))
 
     def test_reshape_round_trip_is_identity(self):
         rng = np.random.default_rng(0)
@@ -62,7 +144,8 @@ class TestForward:
         with Graph() as g:
             g.watch(a)
             g.watch(b)
-            loss = (apply("gelu", (a * b + a,)) - b).sum()
+            h = apply("linear_gelu", (a * b + a, b.permute((1, 0)), Tensor(np.ones(3))))
+            loss = (apply("attention", (a, b, h @ b), {"num_heads": 2}) - b).sum()
         backward(g, loss)
         assert (a.data.tobytes(), b.data.tobytes()) == before
 
@@ -165,9 +248,6 @@ class TestBackward:
                 assert abs(numeric - analytic[i, j]) < 1e-5
 
 
-from helpers import DIFFERENTIABLE_PROBES, INPUT_PROBES, input_probe_aux, probe_aux, probe_input
-
-
 class TestFiniteDifference:
     @pytest.mark.parametrize("kind", sorted(DIFFERENTIABLE_PROBES))
     def test_each_op_passes_gradient_check(self, kind):
@@ -210,9 +290,9 @@ class TestDeterminism:
             w = Tensor(w0, requires_grad=True)
             g.watch(x)
             g.watch(w)
-            h = apply("gelu", (x @ w,))
+            h = apply("linear_gelu", (x, w, Tensor(x0[0])))
             h = apply("layernorm", (h,), {"eps": 1e-6})
-            loss = (apply("softmax", (h,), {"axis": -1}) * Tensor(x0)).mean()
+            loss = (apply("attention", (h, x, h), {"num_heads": 4}) * Tensor(x0)).mean()
         grads = backward(g, loss)
         return loss.data.tobytes(), grads[x.node_id].data.tobytes(), grads[w.node_id].data.tobytes()
 

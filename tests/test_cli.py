@@ -185,6 +185,17 @@ class TestDispatch:
         assert code == 1
         assert f"error: {message}\n" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("flags, message", [
+        (["--epochs", "1"], "need 0 <= train.warmup_epochs (3) <= train.total_epochs (1)"),
+        (["--set", "train.base_lr=-1"], "train.base_lr must be positive, got -1.0"),
+        (["--set", "train.batch_size=0"], "train.batch_size must be >= 1, got 0"),
+    ], ids=["warmup-past-total", "base-lr", "batch-size"])
+    def test_bad_train_config_exit_1_names_keys(self, synth_dir, tmp_path, capsys, flags, message):
+        code = run(["pretrain", "--method", "mae", "--data", synth_dir,
+                    "--out", str(tmp_path / "out")] + flags)
+        assert code == 1
+        assert f"error: {message}\n" in capsys.readouterr().err
+
     @pytest.mark.parametrize("command, message", [
         (["reconstruct", "--depths", "0,x"], "--depths expects comma-separated integers, got 'x'"),
         (["reconstruct", "--depths", ","], "--depths needs at least one value, got ','"),

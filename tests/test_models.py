@@ -11,6 +11,7 @@ from vmim.autodiff import Graph, Tensor, apply, backward, finite_diff_check
 from vmim.checkpoint import load_checkpoint, save_checkpoint
 from vmim.losses import masked_recon_loss
 from vmim.models import (
+    _block,
     _encoder_taps,
     MAEDecoderConfig,
     SegConfig,
@@ -48,6 +49,18 @@ def mask_for(volume, ratio=0.75, masked_patch=None, seed=0):
 
 
 class TestEncode:
+    def test_block_records_one_fused_attention_and_mlp(self):
+        params = init_simmim_params(CFG, seed=0)
+        x = Tensor(np.random.default_rng(2).normal(size=(9, CFG.embed_dim)), requires_grad=True)
+        with Graph() as g:
+            g.watch_all([x, *params.values()])
+            _block(x, params, "enc.0", CFG.num_heads)
+        kinds = [n.kind for n in g.nodes if not n.is_leaf]
+        ln = ["layernorm", "mul", "add"]
+        attention = ["linear", "linear", "linear", "attention", "linear"]  # q, k, v, proj
+        mlp = ["linear_gelu", "linear"]
+        assert kinds == ln + attention + ["add"] + ln + mlp + ["add"]
+
     def test_depth_zero_is_layernormed_embedding(self):
         cfg = ViTConfig(64, 0, 4, 8)
         params = init_simmim_params(cfg, seed=0)
@@ -241,9 +254,9 @@ class TestUNETR:
         assert unetr_segment(seg, params, v).shape == (32, 32, 32, 2)
 
     def test_decoder_records_no_layout_permutes(self):
-        # Attention permutes q, k, v, k^T and the merged heads: 5 per block.
-        # The block-layout decoder permutes activations once, to return the
-        # logits as voxels; its other permutes flatten upsampling weights.
+        # Attention is one node with no permutes. The block-layout decoder
+        # permutes activations once, to return the logits as voxels; its
+        # other permutes flatten upsampling weights.
         seg = SegConfig(CFG, num_classes=3, width=8)
         params = init_seg_params(seg, seed=0)
         with Graph() as g:
@@ -254,7 +267,7 @@ class TestUNETR:
         on_weights = [n for n in permutes if n.input_ids[0] in leaves]
         ups = [n for n in params if ".up" in n]
         assert len(on_weights) == len(ups)
-        assert len(permutes) == 5 * CFG.depth + 1 + len(on_weights)
+        assert len(permutes) == 1 + len(on_weights)
 
     @pytest.mark.parametrize(
         "patch,channels,shape",
