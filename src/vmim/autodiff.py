@@ -7,8 +7,12 @@ row-major order, so identical graphs on identical inputs are bitwise
 reproducible. Tensors are immutable (their buffers are marked read-only)
 and safe to share across threads; a Graph belongs to one training step.
 
-Outside a ``with Graph():`` block every operation is a pure forward
-computation with no recording overhead, which is what inference uses.
+A node is recorded only when a Graph is active and some operand requires
+grad, and :func:`apply` decides this before the kernel runs. Everything
+else, which is all of inference, runs unrecorded: the op keeps no VJP
+context, and an op that registers an unrecorded forward (``gelu``,
+``linear_gelu``) works in place on buffers it allocated itself, never on an
+operand. Both modes give bitwise-equal outputs.
 
 Besides elementwise, layout and reduction primitives, the registry holds
 fused kernels for the chains the models run most: ``attention`` (multi-head
@@ -213,19 +217,32 @@ class Graph:
 # ---------------------------------------------------------------------------
 
 class _Op:
-    __slots__ = ("kind", "forward", "vjp")
+    __slots__ = ("kind", "forward", "vjp", "run")
 
-    def __init__(self, kind, forward, vjp):
+    def __init__(self, kind, forward, vjp, run):
         self.kind = kind
         self.forward = forward
         self.vjp = vjp
+        self.run = run
 
 
 _REGISTRY: dict[str, _Op] = {}
 
 
-def _register(kind: str, forward: Callable, vjp: Callable) -> None:
-    _REGISTRY[kind] = _Op(kind, forward, vjp)
+def _register(kind: str, forward: Callable, vjp: Callable, run: Callable | None = None) -> None:
+    """Register an op kind.
+
+    forward(arrays, attrs) returns (output, VJP context) for a recorded node.
+    run(arrays, attrs), when given, returns the output alone for a node that
+    will not be recorded; it keeps no context and may overwrite buffers it
+    allocates itself, never an operand. Its output must equal forward's
+    bitwise. Without run, the unrecorded path calls forward and drops the
+    context.
+    """
+    if run is None:
+        def run(arrays, attrs):
+            return forward(arrays, attrs)[0]
+    _REGISTRY[kind] = _Op(kind, forward, vjp, run)
 
 
 def _shape_error(kind: str, detail: str) -> ShapeMismatchError:
@@ -506,23 +523,29 @@ def _blocks(size: int):
     return (slice(i, i + _GELU_BLOCK) for i in range(0, size, _GELU_BLOCK))
 
 
-def _gelu(a):
-    # gelu(a) = a * cdf(a), cdf(a) = (1 + erf(a/sqrt 2))/2. The CDF is kept
-    # for the VJP, which then needs only exp for the pdf. scipy's erf is odd
-    # bitwise (erf(-x) is -erf(x)); on |x| it skips a sign branch that
-    # mixed-sign input mispredicts about half the time.
-    cdf, out = np.empty_like(a), np.empty_like(a)
-    flat_a, flat_cdf, flat_out = a.reshape(-1), cdf.reshape(-1), out.reshape(-1)
+def _gelu(a, out, cdf=None):
+    # Writes gelu(a) = a * cdf(a), cdf(a) = (1 + erf(a/sqrt 2))/2, into out,
+    # which may be a itself: each block reads a before it writes out. A
+    # recorded node passes a full-size cdf, kept for the VJP, which then
+    # needs only exp for the pdf; an unrecorded one works in a single
+    # block-sized buffer. scipy's erf is odd bitwise (erf(-x) is -erf(x));
+    # on |x| it skips a sign branch that mixed-sign input mispredicts about
+    # half the time.
+    flat_a, flat_out = a.reshape(-1), out.reshape(-1)
+    if cdf is None:
+        scratch = np.empty(min(flat_a.size, _GELU_BLOCK))
+    else:
+        flat_cdf = cdf.reshape(-1)
     for block in _blocks(flat_a.size):
-        c = flat_cdf[block]
-        np.multiply(flat_a[block], _INV_SQRT2, out=c)
+        x = flat_a[block]
+        c = scratch[: x.size] if cdf is None else flat_cdf[block]
+        np.multiply(x, _INV_SQRT2, out=c)
         np.abs(c, out=c)
         erf(c, out=c)
-        np.copysign(c, flat_a[block], out=c)
+        np.copysign(c, x, out=c)
         c += 1.0
         c *= 0.5
-        np.multiply(flat_a[block], c, out=flat_out[block])
-    return out, cdf
+        np.multiply(x, c, out=flat_out[block])
 
 
 def _gelu_grad(a, cdf, g):
@@ -542,8 +565,16 @@ def _gelu_grad(a, cdf, g):
 
 def _fwd_gelu(arrays, attrs):
     (a,) = arrays
-    out, cdf = _gelu(a)
+    cdf, out = np.empty_like(a), np.empty_like(a)
+    _gelu(a, out, cdf)
     return out, (a, cdf)
+
+
+def _run_gelu(arrays, attrs):
+    (a,) = arrays
+    out = np.empty_like(a)
+    _gelu(a, out)
+    return out
 
 
 def _vjp_gelu(ctx, g):
@@ -551,14 +582,28 @@ def _vjp_gelu(ctx, g):
     return (_gelu_grad(a, cdf, g),)
 
 
-def _fwd_linear_gelu(arrays, attrs):
-    # gelu(x @ w + b): one GEMM, the bias added in place, then the GELU chain.
-    x, w, b = arrays
+def _linear_preact(x, w, b):
+    # x @ w + b for linear_gelu: one GEMM, the bias added in place.
     _check_linear("linear_gelu", x, w, b)
     a = x.reshape(-1, x.shape[-1]) @ w
     a += b
-    out, cdf = _gelu(a)
+    return a
+
+
+def _fwd_linear_gelu(arrays, attrs):
+    x, w, b = arrays
+    a = _linear_preact(x, w, b)
+    cdf, out = np.empty_like(a), np.empty_like(a)
+    _gelu(a, out, cdf)
     return out.reshape(x.shape[:-1] + (w.shape[1],)), (x, w, a, cdf)
+
+
+def _run_linear_gelu(arrays, attrs):
+    # The pre-activation is this call's own GEMM output, so GELU overwrites it.
+    x, w, b = arrays
+    a = _linear_preact(x, w, b)
+    _gelu(a, a)
+    return a.reshape(x.shape[:-1] + (w.shape[1],))
 
 
 def _vjp_linear_gelu(ctx, g):
@@ -730,8 +775,8 @@ _register("gather_rows", _fwd_gather_rows, _vjp_gather_rows)
 _register("scatter_rows", _fwd_scatter_rows, _vjp_scatter_rows)
 _register("layernorm", _fwd_layernorm, _vjp_layernorm)
 _register("attention", _fwd_attention, _vjp_attention)
-_register("gelu", _fwd_gelu, _vjp_gelu)
-_register("linear_gelu", _fwd_linear_gelu, _vjp_linear_gelu)
+_register("gelu", _fwd_gelu, _vjp_gelu, _run_gelu)
+_register("linear_gelu", _fwd_linear_gelu, _vjp_linear_gelu, _run_linear_gelu)
 _register("sum", _fwd_sum, _vjp_reduce)
 _register("mean", _fwd_mean, _vjp_reduce)
 _register("abs", _fwd_abs, _vjp_abs)
@@ -747,26 +792,31 @@ def op_kinds() -> tuple[str, ...]:
 def apply(kind: str, operands: Sequence[Tensor], attrs: dict | None = None) -> Tensor:
     """Run one registered operation, recording it when a graph is active.
 
-    Operands are never mutated. A node is recorded only if some operand
-    requires grad and a Graph context is open; otherwise this is a plain
-    numpy computation.
+    Whether the node will be recorded is decided before the kernel runs: a
+    Graph context is open and some operand requires grad. A recorded node
+    keeps its VJP context on the tape. An unrecorded one runs the op's
+    unrecorded forward, which keeps no context and may work in place on
+    buffers the kernel allocated itself; its output is bitwise equal to the
+    recorded one. Operands are never mutated in either mode.
     """
     op = _REGISTRY.get(kind)
     if op is None:
         raise UnknownOpError(f"unknown op kind {kind!r}")
     arrays = [t.data for t in operands]
-    out_arr, ctx = op.forward(arrays, attrs or {})
+    attrs = attrs or {}
     requires = any(t.requires_grad for t in operands)
-    out = Tensor._wrap(out_arr, requires)
-    graph = _active_graph()
-    if requires and graph is not None:
-        input_ids = []
-        for t in operands:
-            if t.requires_grad:
-                input_ids.append(graph._ensure_leaf(t) if t._tape is not graph else t.node_id)
-            else:
-                input_ids.append(None)
-        graph._record(kind, input_ids, ctx, out)
+    graph = _active_graph() if requires else None
+    if graph is None:
+        return Tensor._wrap(op.run(arrays, attrs), requires)
+    out_arr, ctx = op.forward(arrays, attrs)
+    out = Tensor._wrap(out_arr, True)
+    input_ids = []
+    for t in operands:
+        if t.requires_grad:
+            input_ids.append(graph._ensure_leaf(t) if t._tape is not graph else t.node_id)
+        else:
+            input_ids.append(None)
+    graph._record(kind, input_ids, ctx, out)
     return out
 
 
@@ -818,12 +868,15 @@ def finite_diff_check(
 ) -> float:
     """Max relative error between analytic and central-difference gradients.
 
-    Probes every coordinate when the input is small, otherwise a seeded
-    sample of max_probes coordinates. The relative error per coordinate is
-    |analytic - numeric| / max(1, |analytic|).
+    Probes every coordinate when max_probes is None or at least the input
+    size, otherwise a seeded sample of max_probes coordinates; max_probes
+    below 1 raises ValueError, since zero probes would check nothing. The
+    relative error per coordinate is |analytic - numeric| / max(1, |analytic|).
     """
     if not 0.0 < h <= 1e-2:
         raise ValueError(f"step h must lie in (0, 1e-2], got {h}")
+    if max_probes is not None and max_probes < 1:
+        raise ValueError(f"max_probes must be at least 1 or None, got {max_probes}")
     base = np.array(x.data if isinstance(x, Tensor) else x, dtype=np.float64)
 
     with Graph() as graph:

@@ -1,9 +1,12 @@
 """Tensor engine: forward kernels, gradients, tape semantics."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from scipy.special import erf
 
+import helpers
 from helpers import (
     DIFFERENTIABLE_PROBES,
     INPUT_PROBES,
@@ -13,7 +16,9 @@ from helpers import (
     probe_aux,
     probe_input,
 )
+from vmim import autodiff
 from vmim.autodiff import (
+    _GELU_BLOCK,
     Graph,
     GraphError,
     ShapeMismatchError,
@@ -278,6 +283,114 @@ class TestFiniteDifference:
     def test_rejects_bad_step(self):
         with pytest.raises(ValueError, match="step"):
             finite_diff_check(lambda t: t.sum(), np.ones(3), h=0.5)
+
+    @pytest.mark.parametrize("max_probes", [0, -3])
+    def test_rejects_fewer_than_one_probe(self, max_probes):
+        # Zero probes would pass without checking anything.
+        with pytest.raises(ValueError, match="max_probes"):
+            finite_diff_check(lambda t: t.sum(), np.ones(3), max_probes=max_probes)
+
+    @pytest.mark.parametrize("max_probes, probes", [(None, 50), (1, 1), (32, 32), (64, 50)])
+    def test_probe_count(self, max_probes, probes):
+        # f runs once for the analytic gradient and twice per probe.
+        calls = []
+
+        def f(t):
+            calls.append(1)
+            return t.sum()
+
+        finite_diff_check(f, np.zeros(50), max_probes=max_probes)
+        assert len(calls) == 1 + 2 * probes
+
+
+def _op_calls(kind, monkeypatch):
+    """(operand arrays, attrs) of every ``kind`` call that the kind's
+    gradient-check probe makes, run unrecorded on seeded operands."""
+    calls = []
+    real_apply = autodiff.apply
+
+    def spy(k, operands, attrs=None):
+        if k == kind:
+            calls.append(([t.data for t in operands], attrs))
+        return real_apply(k, operands, attrs)
+
+    monkeypatch.setattr(autodiff, "apply", spy)
+    monkeypatch.setattr(helpers, "apply", spy)
+    rng = np.random.default_rng(7)
+    aux = probe_aux(rng)
+    DIFFERENTIABLE_PROBES[kind](Tensor(probe_input(kind, rng)), aux)
+    monkeypatch.undo()
+    return calls
+
+
+def _three_modes(kind, arrays, attrs=None):
+    """Outputs of one op unrecorded (operands require grad, no graph),
+    recorded, and under a graph with no grad-requiring operand. Checks
+    which nodes each graph records and that no operand changed or became
+    writable."""
+    outs = []
+    for mode in ("unrecorded", "recorded", "no-grad graph"):
+        operands = [Tensor(a, requires_grad=mode != "no-grad graph") for a in arrays]
+        if mode == "unrecorded":
+            out = apply(kind, operands, attrs)
+        else:
+            with Graph() as graph:
+                out = apply(kind, operands, attrs)
+            recorded = [node.kind for node in graph.nodes if not node.is_leaf]
+            assert recorded == ([kind] if mode == "recorded" else []), mode
+        for t, a in zip(operands, arrays):
+            assert t.data.tobytes() == np.asarray(a, dtype=np.float64).tobytes(), mode
+            assert not t.data.flags.writeable, mode
+        assert not out.data.flags.writeable, mode
+        outs.append(out.data)
+    return outs
+
+
+class TestUnrecordedForward:
+    @pytest.mark.parametrize("kind", sorted(DIFFERENTIABLE_PROBES))
+    def test_every_op_is_bitwise_equal_in_all_modes(self, kind, monkeypatch):
+        calls = _op_calls(kind, monkeypatch)
+        assert calls, f"the {kind} probe never calls {kind}"
+        for arrays, attrs in calls:
+            unrecorded, recorded, no_grad = _three_modes(kind, arrays, attrs)
+            assert unrecorded.shape == recorded.shape == no_grad.shape
+            assert unrecorded.tobytes() == recorded.tobytes() == no_grad.tobytes()
+
+    @pytest.mark.parametrize("size", [1, _GELU_BLOCK, 3 * _GELU_BLOCK + 7])
+    @pytest.mark.parametrize("kind", ["gelu", "linear_gelu"])
+    def test_gelu_ops_are_bitwise_equal_across_blocks(self, kind, size):
+        rng = np.random.default_rng(size)
+        if kind == "gelu":
+            arrays = [rng.normal(size=size) * 3.0]
+            pre = arrays[0]
+        else:
+            arrays = [rng.normal(size=(size, 3)), rng.normal(size=(3, 1)) * 2.0, rng.normal(size=1)]
+            pre = arrays[0] @ arrays[1] + arrays[2]
+        if size > 1:
+            # Mixed signs on both sides of erf's |x| = sqrt(2) branch.
+            assert (pre > np.sqrt(2.0)).any() and (pre < -np.sqrt(2.0)).any()
+            assert (np.abs(pre) < np.sqrt(2.0)).any()
+        outs = _three_modes(kind, arrays)
+        assert outs[0].size == size
+        assert outs[0].tobytes() == outs[1].tobytes() == outs[2].tobytes()
+
+    @pytest.mark.parametrize("kind", ["gelu", "linear_gelu"])
+    def test_unrecorded_gelu_ops_allocate_little_beyond_the_output(self, kind):
+        # 1M-element output: a recorded node also holds a full-size CDF (and
+        # linear_gelu its pre-activation); an unrecorded one only a block.
+        rng = np.random.default_rng(0)
+        if kind == "gelu":
+            operands = (Tensor(rng.normal(size=(8192, 128))),)
+        else:
+            operands = tuple(Tensor(rng.normal(size=s)) for s in ((8192, 32), (32, 128), (128,)))
+        tracemalloc.start()
+        try:
+            out = apply(kind, operands)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert out.size == 1 << 20
+        assert peak <= 1.1 * out.data.nbytes, f"peak {peak / out.data.nbytes:.2f}x the output"
 
 
 class TestDeterminism:

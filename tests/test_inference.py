@@ -5,16 +5,18 @@ import os
 import numpy as np
 import pytest
 
+from vmim.autodiff import Graph
 from vmim.inference import (
     SlidingWindowConfig,
     _window_starts,
     dice_over_dataset,
     evaluate,
     reconstruct_dump,
+    seg_model_fn,
     sliding_window_infer,
     write_pgm,
 )
-from vmim.models import SegConfig, ViTConfig
+from vmim.models import SegConfig, ViTConfig, init_seg_params, unetr_segment
 from vmim.patches import MaskingConfig, PatchGrid, sample_mask
 from vmim.rng import Rng
 from vmim.train import TrainConfig, finetune, pretrain
@@ -110,6 +112,20 @@ class TestEvaluationProtocol:
         dataset = synth_generate(6, 1, 16, 3)
         with pytest.raises(ValueError, match="classes"):
             dice_over_dataset(lambda v: v.data[0].astype(np.uint16), dataset, 5)
+
+    def test_unrecorded_window_logits_equal_recorded_bitwise(self):
+        # The window model runs every op unrecorded; under a graph with the
+        # parameters watched, the same ops record a tape and keep contexts.
+        seg = SegConfig(ViTConfig(32, 2, 4, 4), num_classes=3, width=8)
+        params = init_seg_params(seg, seed=3)
+        window = np.random.default_rng(3).normal(size=(1, 16, 16, 16))
+        unrecorded = seg_model_fn(seg, params)(window)
+        with Graph() as graph:
+            graph.watch_all(params.values())
+            recorded = unetr_segment(seg, params, Volume(window))
+        assert len(graph.nodes) > len(params)
+        assert unrecorded.shape == (3, 16, 16, 16)
+        assert unrecorded.tobytes() == np.moveaxis(recorded.data, -1, 0).tobytes()
 
     def test_evaluate_from_trained_checkpoint(self, tmp_path):
         vit = ViTConfig(32, 2, 4, 8)
