@@ -11,15 +11,18 @@ A node is recorded only when a Graph is active and some operand requires
 grad, and :func:`apply` decides this before the kernel runs. Everything
 else, which is all of inference, runs unrecorded: the op keeps no VJP
 context, and an op that registers an unrecorded forward (``gelu``,
-``linear_gelu``) works in place on buffers it allocated itself, never on an
-operand. Both modes give bitwise-equal outputs.
+``linear_gelu``, ``mlp``) works in place on buffers it allocated itself,
+never on an operand. Both modes give bitwise-equal outputs.
 
 Besides elementwise, layout and reduction primitives, the registry holds
 fused kernels for the chains the models run most: ``attention`` (multi-head
 scaled dot-product attention), ``linear_gelu`` (a dense layer and GELU),
-``dice_ce`` and ``log_softmax``. Each is one tape node with a closed-form
-VJP. ``gelu`` and ``linear_gelu`` share one GELU kernel, so a ``linear``
-followed by ``gelu`` is bitwise equal to ``linear_gelu``.
+``mlp`` (dense, GELU, dense), ``dice_ce`` and ``log_softmax``. Each is one
+tape node with a closed-form VJP. ``gelu``, ``linear_gelu`` and ``mlp``
+share one GELU kernel, so a ``linear`` followed by ``gelu`` is bitwise
+equal to ``linear_gelu``. ``mlp`` works in cache-sized row blocks and never
+writes its GELU output in full; a call that fits in one block is bitwise
+equal to ``linear_gelu`` followed by ``linear``.
 """
 
 from __future__ import annotations
@@ -341,12 +344,19 @@ def _check_linear(kind, x, w, b):
         raise _shape_error(kind, f"bias {b.shape} incompatible with weight {w.shape}")
 
 
+def _affine(kind, x, w, b):
+    # x @ w + b as (rows, out): one GEMM over every leading axis (x @ w on a
+    # >2-D x would run one small GEMM per row of the leading axes), the bias
+    # added in place.
+    _check_linear(kind, x, w, b)
+    out = x.reshape(-1, x.shape[-1]) @ w
+    out += b
+    return out
+
+
 def _fwd_linear(arrays, attrs):
     x, w, b = arrays
-    _check_linear("linear", x, w, b)
-    # One GEMM over every leading axis; x @ w on a >2-D x would run one
-    # small GEMM per row of the leading axes.
-    out = x.reshape(-1, x.shape[-1]) @ w + b
+    out = _affine("linear", x, w, b)
     return out.reshape(x.shape[:-1] + (w.shape[1],)), (x, w)
 
 
@@ -449,10 +459,19 @@ def _fwd_layernorm(arrays, attrs):
     if eps <= 0:
         raise _shape_error("layernorm", f"eps must be positive, got {eps}")
     mu = a.mean(axis=-1, keepdims=True)
-    var = ((a - mu) ** 2).mean(axis=-1, keepdims=True)
+    d = a - mu
+    # Each row's variance reduces its own contiguous squares, so squaring a
+    # block of rows at a time gives the whole-array values with a
+    # block-sized temporary; d is the one full-size array, scaled in place.
+    var = np.empty_like(mu)
+    width = a.shape[-1]
+    rows, var_rows = d.reshape(mu.size, width), var.reshape(mu.size, 1)
+    for block in _row_blocks(rows.shape[0], width, _GELU_BLOCK):
+        sq = rows[block] * rows[block]
+        var_rows[block] = sq.mean(axis=-1, keepdims=True)
     inv = 1.0 / np.sqrt(var + eps)
-    y = (a - mu) * inv
-    return y, (y, inv)
+    d *= inv
+    return d, (d, inv)
 
 
 def _vjp_layernorm(ctx, g):
@@ -514,13 +533,24 @@ def _vjp_attention(ctx, g):
     )
 
 
-# Elements per block of the GELU chains: each block's passes run while it
-# is still in cache, and the VJP's pdf temporary stays one block.
+# Elements per block of the GELU chains and of layernorm's squares: each
+# block's passes run while it is still in cache, and temporaries such as
+# the GELU VJP's pdf stay one block.
 _GELU_BLOCK = 16384
 
 
 def _blocks(size: int):
     return (slice(i, i + _GELU_BLOCK) for i in range(0, size, _GELU_BLOCK))
+
+
+def _rows_per_block(width: int, block: int) -> int:
+    return max(1, block // max(width, 1))
+
+
+def _row_blocks(rows: int, width: int, block: int):
+    # Slices of whole rows of about ``block`` elements each, at least one row.
+    step = _rows_per_block(width, block)
+    return (slice(i, min(i + step, rows)) for i in range(0, rows, step))
 
 
 def _gelu(a, out, cdf=None):
@@ -582,17 +612,9 @@ def _vjp_gelu(ctx, g):
     return (_gelu_grad(a, cdf, g),)
 
 
-def _linear_preact(x, w, b):
-    # x @ w + b for linear_gelu: one GEMM, the bias added in place.
-    _check_linear("linear_gelu", x, w, b)
-    a = x.reshape(-1, x.shape[-1]) @ w
-    a += b
-    return a
-
-
 def _fwd_linear_gelu(arrays, attrs):
     x, w, b = arrays
-    a = _linear_preact(x, w, b)
+    a = _affine("linear_gelu", x, w, b)
     cdf, out = np.empty_like(a), np.empty_like(a)
     _gelu(a, out, cdf)
     return out.reshape(x.shape[:-1] + (w.shape[1],)), (x, w, a, cdf)
@@ -601,7 +623,7 @@ def _fwd_linear_gelu(arrays, attrs):
 def _run_linear_gelu(arrays, attrs):
     # The pre-activation is this call's own GEMM output, so GELU overwrites it.
     x, w, b = arrays
-    a = _linear_preact(x, w, b)
+    a = _affine("linear_gelu", x, w, b)
     _gelu(a, a)
     return a.reshape(x.shape[:-1] + (w.shape[1],))
 
@@ -609,6 +631,95 @@ def _run_linear_gelu(arrays, attrs):
 def _vjp_linear_gelu(ctx, g):
     x, w, a, cdf = ctx
     return _vjp_linear((x, w), _gelu_grad(a, cdf, g.reshape(a.shape)))
+
+
+# Hidden elements per row block of mlp (512 KB): a block's pre-activation,
+# CDF and GELU output stay in cache from the first GEMM to the second. The
+# transformer MLPs of the default model fit in one block.
+_MLP_BLOCK = 65536
+
+
+def _check_mlp(x, w1, b1, w2, b2):
+    _check_linear("mlp", x, w1, b1)
+    hidden = w1.shape[1]
+    if w2.ndim != 2 or not (0 < w2.shape[0] <= hidden and hidden % w2.shape[0] == 0):
+        raise _shape_error(
+            "mlp",
+            f"hidden width {hidden} of weight {w1.shape} is not a multiple of the rows "
+            f"of weight {w2.shape}",
+        )
+    if b2.shape != (w2.shape[1],):
+        raise _shape_error("mlp", f"bias {b2.shape} incompatible with weight {w2.shape}")
+
+
+def _mlp_blocks(x2, w1, w2):
+    # (x rows, output rows) of each row block: each x row gives H/h output rows.
+    per_row = w1.shape[1] // w2.shape[0]
+    for rows in _row_blocks(x2.shape[0], w1.shape[1], _MLP_BLOCK):
+        yield rows, slice(rows.start * per_row, rows.stop * per_row)
+
+
+def _mlp(arrays, record):
+    # gelu(x @ w1 + b1).reshape(-1, h) @ w2 + b2 with w2 of shape (h, K), one
+    # row block at a time. A recorded node keeps the full pre-activation and
+    # CDF for the VJP and writes each block's GELU output to one block-sized
+    # buffer; an unrecorded one keeps nothing full-size and runs GELU in
+    # place over a block-sized pre-activation. The second GEMM is row-major,
+    # the same call as linear's, so a one-block call rounds as linear_gelu
+    # then linear on any BLAS. Split into blocks it differs from the
+    # whole-array product by about 1e-16 relative; the class-major
+    # w2.T @ act.T, bitwise equal to it on some BLAS builds, was no faster.
+    x, w1, b1, w2, b2 = arrays
+    _check_mlp(x, w1, b1, w2, b2)
+    x2 = x.reshape(-1, x.shape[-1])
+    n, hidden = x2.shape[0], w1.shape[1]
+    h, k = w2.shape
+    out = np.empty((n * hidden // h, k))
+    if record:
+        a, cdf = np.empty((n, hidden)), np.empty((n, hidden))
+    scratch = np.empty((min(n, _rows_per_block(hidden, _MLP_BLOCK)), hidden))
+    for rows, cols in _mlp_blocks(x2, w1, w2):
+        act = scratch[: rows.stop - rows.start]
+        pre = a[rows] if record else act
+        np.matmul(x2[rows], w1, out=pre)
+        pre += b1
+        _gelu(pre, act, cdf[rows] if record else None)
+        np.matmul(act.reshape(-1, h), w2, out=out[cols])
+        out[cols] += b2
+    return out, ((x, w1, w2, a, cdf) if record else None)
+
+
+def _fwd_mlp(arrays, attrs):
+    return _mlp(arrays, record=True)
+
+
+def _run_mlp(arrays, attrs):
+    return _mlp(arrays, record=False)[0]
+
+
+def _vjp_mlp(ctx, g):
+    # Per row block: the GELU output recomputed as a * cdf (bitwise what
+    # _gelu wrote), the second layer's gradients, the GELU gradient in place
+    # over the CDF, then the first layer's. The first block assigns each
+    # weight gradient, so a one-block call rounds as linear_gelu then linear.
+    x, w1, w2, a, cdf = ctx
+    x2 = x.reshape(-1, x.shape[-1])
+    h = w2.shape[0]
+    gx = np.empty_like(x2)
+    grads = [None] * 4
+    for rows, cols in _mlp_blocks(x2, w1, w2):
+        pre, g_out = a[rows], g[cols]
+        act = (pre * cdf[rows]).reshape(-1, h)
+        g_act = (g_out @ w2.T).reshape(pre.shape)
+        g_pre = _gelu_grad(pre, cdf[rows], g_act)
+        np.matmul(g_pre, w1.T, out=gx[rows])
+        parts = (x2[rows].T @ g_pre, g_pre.sum(axis=0), act.T @ g_out, g_out.sum(axis=0))
+        for i, part in enumerate(parts):
+            if grads[i] is None:
+                grads[i] = part
+            else:
+                grads[i] += part
+    return (gx.reshape(x.shape), *grads)
 
 
 # -- reductions --
@@ -777,6 +888,7 @@ _register("layernorm", _fwd_layernorm, _vjp_layernorm)
 _register("attention", _fwd_attention, _vjp_attention)
 _register("gelu", _fwd_gelu, _vjp_gelu, _run_gelu)
 _register("linear_gelu", _fwd_linear_gelu, _vjp_linear_gelu, _run_linear_gelu)
+_register("mlp", _fwd_mlp, _vjp_mlp, _run_mlp)
 _register("sum", _fwd_sum, _vjp_reduce)
 _register("mean", _fwd_mean, _vjp_reduce)
 _register("abs", _fwd_abs, _vjp_abs)

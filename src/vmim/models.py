@@ -246,13 +246,16 @@ def _linear_gelu(x: Tensor, params: Params, prefix: str) -> Tensor:
     return apply("linear_gelu", (x, params[f"{prefix}.w"], params[f"{prefix}.b"]))
 
 
-def _mlp(x: Tensor, params: Params, prefix: str) -> Tensor:
-    return _linear(_linear_gelu(x, params, f"{prefix}.mlp1"), params, f"{prefix}.mlp2")
+def _mlp(x: Tensor, params: Params, first: str, second: str) -> Tensor:
+    """Dense, GELU, dense as one fused ``mlp`` node."""
+    w1, b1 = params[f"{first}.w"], params[f"{first}.b"]
+    w2, b2 = params[f"{second}.w"], params[f"{second}.b"]
+    return apply("mlp", (x, w1, b1, w2, b2))
 
 
 def _block(x: Tensor, params: Params, prefix: str, num_heads: int) -> Tensor:
     x = x + _attention(_ln(x, params, f"{prefix}.ln1"), params, prefix, num_heads)
-    return x + _mlp(_ln(x, params, f"{prefix}.ln2"), params, prefix)
+    return x + _mlp(_ln(x, params, f"{prefix}.ln2"), params, f"{prefix}.mlp1", f"{prefix}.mlp2")
 
 
 def _run_blocks(x: Tensor, params: Params, stem: str, depth: int, num_heads: int) -> Tensor:
@@ -386,7 +389,7 @@ def simclr_forward(
         raise ValueError("contrastive loss needs batch size >= 2 for negatives")
     pooled = [_pooled_embedding(cfg, params, v) for v in view1 + view2]
     stacked = apply("concat", tuple(pooled), {"axis": 0})  # (2B, E)
-    projected = _linear(_linear_gelu(stacked, params, "proj1"), params, "proj2")
+    projected = _mlp(stacked, params, "proj1", "proj2")
     normalized = apply("rownorm", (projected,))
     return ntxent(normalized, temperature)
 
@@ -483,8 +486,10 @@ def unetr_segment(cfg: SegConfig, params: Params, volume: Volume) -> Tensor:
     raster order, m = 8^level sub-voxels per token, coarsest octant first.
     Each stage's last upsamplings are linear maps feeding the linear fuse,
     so they are folded into the fuse weight and one GEMM at the coarse
-    level gives the fuse pre-activation. Returns (D, H, W, num_classes)
-    logits.
+    level gives the fuse pre-activation. The last fuse and the head are one
+    ``mlp`` node: each coarse row's 8f GELU outputs are its 8 children's
+    features, so the full-resolution features are never stored whole.
+    Returns (D, H, W, num_classes) logits.
     """
     vit = cfg.vit
     grid, ordered = _encoder_taps(vit, params, volume)
@@ -528,10 +533,10 @@ def unetr_segment(cfg: SegConfig, params: Params, volume: Volume) -> Tensor:
         coarse = apply("concat", tuple(parts), {"axis": -1})
         # The fuse bias, tiled over the 8 octants of each coarse row.
         bias = apply("concat", (params[f"seg.fuse{s}.b"],) * 8)
-        fused = apply(
-            "linear_gelu",
-            (coarse.reshape((t * m, coarse.shape[-1])), apply("concat", tuple(weights)), bias),
-        )
-        x = fused.reshape((t, 8 * m, f))
-    logits = _linear(x, params, "seg.head")
-    return _blocks_to_voxels(logits, grid)
+        fuse = (coarse.reshape((t * m, coarse.shape[-1])), apply("concat", tuple(weights)), bias)
+        if s == stages:
+            head = (params["seg.head.w"], params["seg.head.b"])
+            return _blocks_to_voxels(apply("mlp", fuse + head), grid)
+        x = apply("linear_gelu", fuse).reshape((t, 8 * m, f))
+    # A token patch of 1 has no upsampling stage to fuse the head into.
+    return _blocks_to_voxels(_linear(x, params, "seg.head"), grid)

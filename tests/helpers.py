@@ -38,6 +38,10 @@ DIFFERENTIABLE_PROBES = {
     "linear_gelu": lambda t, aux: (
         apply("linear_gelu", (t, aux["w"], aux["bias"])) * aux["lg_w"]
     ).sum(),
+    # The hidden width 6 splits into 3 rows of h = 2 per input row.
+    "mlp": lambda t, aux: (
+        apply("mlp", (t, aux["w1"], aux["b1"], aux["w2"], aux["b2"])) * aux["mlp_w"]
+    ).sum(),
     "sum": lambda t, aux: (t.sum(axis=1) * aux["v4"]).sum(),
     "mean": lambda t, aux: (t.mean(axis=0) * aux["v5"]).sum(),
     "abs": lambda t, aux: apply("abs", (t,)).sum(),
@@ -65,7 +69,16 @@ def probe_aux(rng):
         "g_w": Tensor(rng.normal(size=(4, 5))),
         "sc_w": Tensor(rng.normal(size=(7, 5))),
         "lg_w": Tensor(rng.normal(size=(4, 2))),
+        **_side_normals(rng, w1=(5, 6), b1=(6,), w2=(2, 3), b2=(3,), mlp_w=(12, 3)),
     }
+
+
+def _side_normals(rng, **shapes):
+    # Drawn from a jumped-ahead copy of rng's stream, so rng itself draws
+    # nothing and every other probe's inputs stay as they were before these
+    # entries existed.
+    side = np.random.Generator(rng.bit_generator.jumped())
+    return {name: Tensor(side.normal(size=shape)) for name, shape in shapes.items()}
 
 
 def _attention_probe(operand):
@@ -86,6 +99,18 @@ def _linear_gelu_probe(operand):
     return probe
 
 
+_MLP_OPERANDS = ("x", "w1", "b1", "w2", "b2")
+
+
+def _mlp_probe(operand):
+    def probe(t, aux):
+        args = [aux["mlp_x"], aux["w1"], aux["b1"], aux["w2"], aux["b2"]]
+        args[_MLP_OPERANDS.index(operand)] = t
+        return (apply("mlp", tuple(args)) * aux["mlp_x_w"]).sum()
+
+    return probe
+
+
 # Probes of one operand at a time, or of a channel-last input: the probes
 # above differentiate only their (4, 5) input. name -> (probe, input shape).
 INPUT_PROBES = {
@@ -97,6 +122,10 @@ INPUT_PROBES = {
     "linear_gelu.x": (_linear_gelu_probe("x"), (2, 3, 2, 5)),
     "linear_gelu.w": (_linear_gelu_probe("w"), (5, 2)),
     "linear_gelu.b": (_linear_gelu_probe("b"), (2,)),
+    **{
+        f"mlp.{o}": (_mlp_probe(o), shape)
+        for o, shape in zip(_MLP_OPERANDS, [(2, 3, 2, 5), (5, 6), (6,), (2, 3), (3,)])
+    },
 }
 
 
@@ -106,6 +135,7 @@ def input_probe_aux(rng):
         "lin_w": Tensor(rng.normal(size=(2, 3, 2, 2))),
         "lg_x": Tensor(rng.normal(size=(2, 3, 2, 5))),
         **{name: Tensor(rng.normal(size=(6, 4))) for name in ("q", "k", "v", "att_w")},
+        **_side_normals(rng, mlp_x=(2, 3, 2, 5), mlp_x_w=(36, 3)),
     }
 
 
@@ -161,6 +191,17 @@ def linear_gelu_reference(x, w, b, g):
     pdf = np.exp((a * a) * -0.5) * (1.0 / np.sqrt(2.0 * np.pi))
     ga = (pdf * a + cdf) * g.reshape(a.shape)
     return out, ((ga @ w.T).reshape(x.shape), x2.T @ ga, ga.sum(axis=0))
+
+
+def mlp_reference(x, w1, b1, w2, b2, g):
+    """Numpy copy of ``linear(gelu(linear(x, w1, b1)).reshape(-1, h), w2, b2)``
+    with w2 of shape (h, K), as whole arrays, differentiated in reverse for
+    the upstream gradient ``g``. Returns (out, (gx, gw1, gb1, gw2, gb2))."""
+    h = w2.shape[0]
+    g_act = (g @ w2.T).reshape(-1, w1.shape[1])
+    act, first = linear_gelu_reference(x, w1, b1, g_act)
+    act = act.reshape(-1, h)
+    return act @ w2 + b2, first + (act.T @ g, g.sum(axis=0))
 
 
 def conv_transpose_reference(x, w):

@@ -13,6 +13,7 @@ from helpers import (
     attention_reference,
     input_probe_aux,
     linear_gelu_reference,
+    mlp_reference,
     probe_aux,
     probe_input,
 )
@@ -134,6 +135,73 @@ class TestForward:
             apply("linear_gelu", (x, Tensor(np.zeros((5, 2))), Tensor(np.zeros(2))))
         with pytest.raises(ShapeMismatchError, match="linear_gelu.*bias"):
             apply("linear_gelu", (x, Tensor(np.zeros((6, 2))), Tensor(np.zeros(3))))
+
+    @pytest.mark.parametrize(
+        "n, c, hidden, h, k", [(9, 16, 64, 64, 16), (27, 5, 16, 2, 3)], ids=["dense", "split-rows"]
+    )
+    def test_single_block_mlp_matches_linear_gelu_then_linear_bitwise(self, n, c, hidden, h, k):
+        assert n * hidden <= autodiff._MLP_BLOCK
+        rng = np.random.default_rng(n)
+        arrays = [rng.normal(size=s) for s in ((n, c), (c, hidden), (hidden,), (h, k), (k,))]
+        g = Tensor(rng.normal(size=(n * hidden // h, k)))
+
+        def value_and_grads(fused):
+            with Graph() as graph:
+                ts = [Tensor(a, requires_grad=True) for a in arrays]
+                graph.watch_all(ts)
+                if fused:
+                    y = apply("mlp", tuple(ts))
+                else:
+                    act = apply("linear_gelu", tuple(ts[:3])).reshape((n * hidden // h, h))
+                    y = apply("linear", (act, ts[3], ts[4]))
+                loss = (y * g).sum()
+            grads = backward(graph, loss)
+            return [y.data.tobytes()] + [grads[t.node_id].data.tobytes() for t in ts]
+
+        assert value_and_grads(True) == value_and_grads(False)
+
+    def test_ragged_multi_block_mlp_matches_reference(self):
+        # Three full row blocks and 7 rows; each row's 128 hidden units are
+        # read as 8 rows of h = 16, as in the segmenter's last stage.
+        hidden, h, k = 128, 16, 3
+        n = 3 * (autodiff._MLP_BLOCK // hidden) + 7
+        rng = np.random.default_rng(10)
+        arrays = [rng.normal(size=s) for s in ((n, 6), (6, hidden), (hidden,), (h, k), (k,))]
+        g = rng.normal(size=(8 * n, k))
+        out, expected = mlp_reference(*arrays, g)
+        with Graph() as graph:
+            ts = [Tensor(a, requires_grad=True) for a in arrays]
+            graph.watch_all(ts)
+            y = apply("mlp", tuple(ts))
+            loss = (y * Tensor(g)).sum()
+        grads = backward(graph, loss)
+        assert y.shape == out.shape
+        for got, ref in zip([y.data] + [grads[t.node_id].data for t in ts], (out,) + expected):
+            assert np.abs(got - ref).max() <= 1e-12 * np.abs(ref).max()
+
+    @pytest.mark.parametrize(
+        "bad, pattern",
+        [
+            ({"w1": (5, 8)}, r"mlp.*\(4, 6\).*\(5, 8\)"),
+            ({"b1": (7,)}, r"mlp.*bias \(7,\).*\(6, 8\)"),
+            ({"w2": (3, 3)}, r"mlp.*\(6, 8\).*multiple.*\(3, 3\)"),
+            ({"b2": (4,)}, r"mlp.*bias \(4,\).*\(4, 3\)"),
+        ],
+        ids=["x-w1", "b1", "hidden-not-a-multiple", "b2"],
+    )
+    def test_mlp_rejects_bad_shapes(self, bad, pattern):
+        shapes = {"x": (4, 6), "w1": (6, 8), "b1": (8,), "w2": (4, 3), "b2": (3,), **bad}
+        with pytest.raises(ShapeMismatchError, match=pattern):
+            apply("mlp", tuple(Tensor(np.zeros(s)) for s in shapes.values()))
+
+    @pytest.mark.parametrize("shape", [(4096, 64), (3, 5, 7), (2, 3 * _GELU_BLOCK + 1)])
+    def test_layernorm_matches_two_pass_formula_bitwise(self, shape):
+        a = np.random.default_rng(len(shape)).normal(size=shape) * 3.0 + 1.0
+        mu = a.mean(axis=-1, keepdims=True)
+        var = ((a - mu) ** 2).mean(axis=-1, keepdims=True)
+        expected = (a - mu) * (1.0 / np.sqrt(var + 1e-6))
+        out = apply("layernorm", (Tensor(a),), {"eps": 1e-6})
+        assert out.data.tobytes() == expected.tobytes()
 
     def test_reshape_round_trip_is_identity(self):
         rng = np.random.default_rng(0)
@@ -346,6 +414,17 @@ def _three_modes(kind, arrays, attrs=None):
     return outs
 
 
+def _traced_peak(f):
+    """f's result and the peak bytes it allocated, under tracemalloc."""
+    tracemalloc.start()
+    try:
+        out = f()
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    return out, peak
+
+
 class TestUnrecordedForward:
     @pytest.mark.parametrize("kind", sorted(DIFFERENTIABLE_PROBES))
     def test_every_op_is_bitwise_equal_in_all_modes(self, kind, monkeypatch):
@@ -383,14 +462,37 @@ class TestUnrecordedForward:
             operands = (Tensor(rng.normal(size=(8192, 128))),)
         else:
             operands = tuple(Tensor(rng.normal(size=s)) for s in ((8192, 32), (32, 128), (128,)))
-        tracemalloc.start()
-        try:
-            out = apply(kind, operands)
-            _, peak = tracemalloc.get_traced_memory()
-        finally:
-            tracemalloc.stop()
+        out, peak = _traced_peak(lambda: apply(kind, operands))
         assert out.size == 1 << 20
         assert peak <= 1.1 * out.data.nbytes, f"peak {peak / out.data.nbytes:.2f}x the output"
+
+    def test_mlp_is_bitwise_equal_across_blocks(self):
+        # A ragged multi-block call, unrecorded, recorded and under a
+        # graph with no grad operand.
+        hidden = 64
+        n = 2 * (autodiff._MLP_BLOCK // hidden) + 5
+        rng = np.random.default_rng(4)
+        arrays = [rng.normal(size=s) for s in ((n, 3), (3, hidden), (hidden,), (8, 2), (2,))]
+        outs = _three_modes("mlp", arrays)
+        assert outs[0].shape == (8 * n, 2)
+        assert outs[0].tobytes() == outs[1].tobytes() == outs[2].tobytes()
+
+    @pytest.mark.parametrize(
+        "kind, shapes, bound",
+        [
+            # The segmenter's last fuse and head on a 48^3 crop: 13824 coarse
+            # rows, 128 hidden units read as 8 voxels of 16 features, 3 classes.
+            ("mlp", ((13824, 40), (40, 128), (128,), (16, 3), (3,)), 1.6),
+            ("linear", ((110592, 16), (16, 3), (3,)), 1.1),
+            ("layernorm", ((4096, 64),), 1.2),
+        ],
+    )
+    def test_unrecorded_op_allocates_little_beyond_the_output(self, kind, shapes, bound):
+        rng = np.random.default_rng(0)
+        operands = tuple(Tensor(rng.normal(size=s)) for s in shapes)
+        attrs = {"eps": 1e-6} if kind == "layernorm" else None
+        out, peak = _traced_peak(lambda: apply(kind, operands, attrs))
+        assert peak <= bound * out.data.nbytes, f"peak {peak / out.data.nbytes:.2f}x the output"
 
 
 class TestDeterminism:

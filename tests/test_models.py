@@ -58,8 +58,7 @@ class TestEncode:
         kinds = [n.kind for n in g.nodes if not n.is_leaf]
         ln = ["layernorm", "mul", "add"]
         attention = ["linear", "linear", "linear", "attention", "linear"]  # q, k, v, proj
-        mlp = ["linear_gelu", "linear"]
-        assert kinds == ln + attention + ["add"] + ln + mlp + ["add"]
+        assert kinds == ln + attention + ["add"] + ln + ["mlp", "add"]
 
     def test_depth_zero_is_layernormed_embedding(self):
         cfg = ViTConfig(64, 0, 4, 8)
@@ -268,6 +267,19 @@ class TestUNETR:
         ups = [n for n in params if ".up" in n]
         assert len(on_weights) == len(ups)
         assert len(permutes) == 1 + len(on_weights)
+
+    def test_last_fuse_and_head_are_one_mlp_node(self):
+        seg = SegConfig(CFG, num_classes=3, width=8)
+        params = init_seg_params(seg, seed=0)
+        with Graph() as g:
+            g.watch_all(params.values())
+            unetr_segment(seg, params, small_volume())
+        mlps = [n for n in g.nodes if n.kind == "mlp"]
+        head = {params["seg.head.w"].node_id, params["seg.head.b"].node_id}
+        assert len(mlps) == CFG.depth + 1
+        assert [n for n in mlps if head <= set(n.input_ids)] == [mlps[-1]]
+        assert mlps[-1].shape == (16**3, 3)
+        assert not [n for n in g.nodes if n.kind == "linear" and head & set(n.input_ids)]
 
     @pytest.mark.parametrize(
         "patch,channels,shape",
