@@ -10,19 +10,17 @@ and safe to share across threads; a Graph belongs to one training step.
 A node is recorded only when a Graph is active and some operand requires
 grad, and :func:`apply` decides this before the kernel runs. Everything
 else, which is all of inference, runs unrecorded: the op keeps no VJP
-context, and an op that registers an unrecorded forward (``gelu``,
-``linear_gelu``, ``mlp``) works in place on buffers it allocated itself,
-never on an operand. Both modes give bitwise-equal outputs.
+context, and an op that registers an unrecorded forward (``gelu``, ``mlp``)
+works in place on buffers it allocated itself, never on an operand. Both
+modes give bitwise-equal outputs.
 
 Besides elementwise, layout and reduction primitives, the registry holds
 fused kernels for the chains the models run most: ``attention`` (multi-head
-scaled dot-product attention), ``linear_gelu`` (a dense layer and GELU),
-``mlp`` (dense, GELU, dense), ``dice_ce`` and ``log_softmax``. Each is one
-tape node with a closed-form VJP. ``gelu``, ``linear_gelu`` and ``mlp``
-share one GELU kernel, so a ``linear`` followed by ``gelu`` is bitwise
-equal to ``linear_gelu``. ``mlp`` works in cache-sized row blocks and never
-writes its GELU output in full; a call that fits in one block is bitwise
-equal to ``linear_gelu`` followed by ``linear``.
+scaled dot-product attention), ``mlp`` (dense, GELU, dense), ``dice_ce``
+and ``log_softmax``. Each is one tape node with a closed-form VJP. ``gelu``
+and ``mlp`` share one GELU kernel; ``mlp`` works in cache-sized row blocks
+and never writes its GELU output in full, and a call that fits in one block
+is bitwise equal to ``linear``, ``gelu`` and ``linear``.
 """
 
 from __future__ import annotations
@@ -133,7 +131,7 @@ class Tensor:
         return apply("matmul", (self, other))
 
     def scale(self, factor: float) -> "Tensor":
-        return apply("scale", (self,), {"factor": float(factor)})
+        return apply("mul", (self, Tensor(float(factor))))
 
     def reshape(self, shape: Sequence[int]) -> "Tensor":
         return apply("reshape", (self,), {"shape": tuple(shape)})
@@ -239,8 +237,8 @@ def _register(kind: str, forward: Callable, vjp: Callable, run: Callable | None 
     run(arrays, attrs), when given, returns the output alone for a node that
     will not be recorded; it keeps no context and may overwrite buffers it
     allocates itself, never an operand. Its output must equal forward's
-    bitwise. Without run, the unrecorded path calls forward and drops the
-    context.
+    bitwise; ``gelu`` and ``mlp`` register one. Without run, the unrecorded
+    path calls forward and drops the context.
     """
     if run is None:
         def run(arrays, attrs):
@@ -306,15 +304,6 @@ def _vjp_mul(ctx, g):
     return (_unbroadcast(g * b, a.shape), _unbroadcast(g * a, b.shape))
 
 
-def _fwd_scale(arrays, attrs):
-    (a,) = arrays
-    return a * attrs["factor"], attrs["factor"]
-
-
-def _vjp_scale(ctx, g):
-    return (g * ctx,)
-
-
 # -- matmul / linear --
 
 def _fwd_matmul(arrays, attrs):
@@ -344,19 +333,14 @@ def _check_linear(kind, x, w, b):
         raise _shape_error(kind, f"bias {b.shape} incompatible with weight {w.shape}")
 
 
-def _affine(kind, x, w, b):
+def _fwd_linear(arrays, attrs):
     # x @ w + b as (rows, out): one GEMM over every leading axis (x @ w on a
     # >2-D x would run one small GEMM per row of the leading axes), the bias
     # added in place.
-    _check_linear(kind, x, w, b)
+    x, w, b = arrays
+    _check_linear("linear", x, w, b)
     out = x.reshape(-1, x.shape[-1]) @ w
     out += b
-    return out
-
-
-def _fwd_linear(arrays, attrs):
-    x, w, b = arrays
-    out = _affine("linear", x, w, b)
     return out.reshape(x.shape[:-1] + (w.shape[1],)), (x, w)
 
 
@@ -539,10 +523,6 @@ def _vjp_attention(ctx, g):
 _GELU_BLOCK = 16384
 
 
-def _blocks(size: int):
-    return (slice(i, i + _GELU_BLOCK) for i in range(0, size, _GELU_BLOCK))
-
-
 def _rows_per_block(width: int, block: int) -> int:
     return max(1, block // max(width, 1))
 
@@ -555,18 +535,18 @@ def _row_blocks(rows: int, width: int, block: int):
 
 def _gelu(a, out, cdf=None):
     # Writes gelu(a) = a * cdf(a), cdf(a) = (1 + erf(a/sqrt 2))/2, into out,
-    # which may be a itself: each block reads a before it writes out. A
-    # recorded node passes a full-size cdf, kept for the VJP, which then
-    # needs only exp for the pdf; an unrecorded one works in a single
-    # block-sized buffer. scipy's erf is odd bitwise (erf(-x) is -erf(x));
-    # on |x| it skips a sign branch that mixed-sign input mispredicts about
-    # half the time.
+    # which may be a itself, as in mlp's unrecorded blocks: each block reads
+    # a before it writes out. A recorded node passes a full-size cdf, kept
+    # for the VJP, which then needs only exp for the pdf; an unrecorded one
+    # works in a single block-sized buffer. scipy's erf is odd bitwise
+    # (erf(-x) is -erf(x)); on |x| it skips a sign branch that mixed-sign
+    # input mispredicts about half the time.
     flat_a, flat_out = a.reshape(-1), out.reshape(-1)
     if cdf is None:
         scratch = np.empty(min(flat_a.size, _GELU_BLOCK))
     else:
         flat_cdf = cdf.reshape(-1)
-    for block in _blocks(flat_a.size):
+    for block in _row_blocks(flat_a.size, 1, _GELU_BLOCK):
         x = flat_a[block]
         c = scratch[: x.size] if cdf is None else flat_cdf[block]
         np.multiply(x, _INV_SQRT2, out=c)
@@ -582,7 +562,7 @@ def _gelu_grad(a, cdf, g):
     # g * (cdf + a * pdf) with pdf = exp(-a^2 / 2) / sqrt(2 pi). A node's VJP
     # runs once, so the gradient overwrites the CDF in place.
     flat_a, flat_g, ga = a.reshape(-1), g.reshape(-1), cdf.reshape(-1)
-    for block in _blocks(ga.size):
+    for block in _row_blocks(ga.size, 1, _GELU_BLOCK):
         p = flat_a[block] * flat_a[block]
         p *= -0.5
         np.exp(p, out=p)
@@ -610,27 +590,6 @@ def _run_gelu(arrays, attrs):
 def _vjp_gelu(ctx, g):
     a, cdf = ctx
     return (_gelu_grad(a, cdf, g),)
-
-
-def _fwd_linear_gelu(arrays, attrs):
-    x, w, b = arrays
-    a = _affine("linear_gelu", x, w, b)
-    cdf, out = np.empty_like(a), np.empty_like(a)
-    _gelu(a, out, cdf)
-    return out.reshape(x.shape[:-1] + (w.shape[1],)), (x, w, a, cdf)
-
-
-def _run_linear_gelu(arrays, attrs):
-    # The pre-activation is this call's own GEMM output, so GELU overwrites it.
-    x, w, b = arrays
-    a = _affine("linear_gelu", x, w, b)
-    _gelu(a, a)
-    return a.reshape(x.shape[:-1] + (w.shape[1],))
-
-
-def _vjp_linear_gelu(ctx, g):
-    x, w, a, cdf = ctx
-    return _vjp_linear((x, w), _gelu_grad(a, cdf, g.reshape(a.shape)))
 
 
 # Hidden elements per row block of mlp (512 KB): a block's pre-activation,
@@ -665,8 +624,8 @@ def _mlp(arrays, record):
     # CDF for the VJP and writes each block's GELU output to one block-sized
     # buffer; an unrecorded one keeps nothing full-size and runs GELU in
     # place over a block-sized pre-activation. The second GEMM is row-major,
-    # the same call as linear's, so a one-block call rounds as linear_gelu
-    # then linear on any BLAS. Split into blocks it differs from the
+    # the same call as linear's, so a one-block call rounds as linear, gelu
+    # and linear on any BLAS. Split into blocks it differs from the
     # whole-array product by about 1e-16 relative; the class-major
     # w2.T @ act.T, bitwise equal to it on some BLAS builds, was no faster.
     x, w1, b1, w2, b2 = arrays
@@ -701,7 +660,7 @@ def _vjp_mlp(ctx, g):
     # Per row block: the GELU output recomputed as a * cdf (bitwise what
     # _gelu wrote), the second layer's gradients, the GELU gradient in place
     # over the CDF, then the first layer's. The first block assigns each
-    # weight gradient, so a one-block call rounds as linear_gelu then linear.
+    # weight gradient, so a one-block call rounds as linear, gelu and linear.
     x, w1, w2, a, cdf = ctx
     x2 = x.reshape(-1, x.shape[-1])
     h = w2.shape[0]
@@ -876,7 +835,6 @@ def _vjp_rownorm(ctx, g):
 _register("add", _fwd_add, _vjp_add)
 _register("sub", _fwd_sub, _vjp_sub)
 _register("mul", _fwd_mul, _vjp_mul)
-_register("scale", _fwd_scale, _vjp_scale)
 _register("matmul", _fwd_matmul, _vjp_matmul)
 _register("linear", _fwd_linear, _vjp_linear)
 _register("reshape", _fwd_reshape, _vjp_reshape)
@@ -887,7 +845,6 @@ _register("scatter_rows", _fwd_scatter_rows, _vjp_scatter_rows)
 _register("layernorm", _fwd_layernorm, _vjp_layernorm)
 _register("attention", _fwd_attention, _vjp_attention)
 _register("gelu", _fwd_gelu, _vjp_gelu, _run_gelu)
-_register("linear_gelu", _fwd_linear_gelu, _vjp_linear_gelu, _run_linear_gelu)
 _register("mlp", _fwd_mlp, _vjp_mlp, _run_mlp)
 _register("sum", _fwd_sum, _vjp_reduce)
 _register("mean", _fwd_mean, _vjp_reduce)

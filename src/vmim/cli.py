@@ -115,19 +115,15 @@ def _pretrain_once(method, cfg, seed, data_dir, out_dir):
     )
 
 
+def _config(args) -> dict:
+    """The resolved config of a run: defaults, --config, the value flags
+    (each parsed into its dotted config key as dest), then --set."""
+    flags = {key: value for key, value in vars(args).items() if "." in key}
+    return derived(resolve_config(args.config, flags, args.set))
+
+
 def _cmd_pretrain(args) -> int:
-    cfg = derived(
-        resolve_config(
-            args.config,
-            {
-                "mask.ratio": args.mask_ratio,
-                "mask.patch": args.masked_patch,
-                "train.total_epochs": args.epochs,
-                "train.window": args.window,
-            },
-            args.set,
-        )
-    )
+    cfg = _config(args)
     _write_manifest(
         args.out, "pretrain", cfg, args.seed,
         [os.path.join(args.out, "checkpoint.vmim"), os.path.join(args.out, "trace.tsv")],
@@ -164,18 +160,7 @@ def _finetune_once(cfg, seed, checkpoint, data_dir, val_dir, out_dir):
 
 
 def _cmd_finetune(args) -> int:
-    cfg = derived(
-        resolve_config(
-            args.config,
-            {
-                "train.total_epochs": args.epochs,
-                "train.window": args.window,
-                "train.labeled_ratio": args.labeled_ratio,
-                "seg.num_classes": args.classes,
-            },
-            args.set,
-        )
-    )
+    cfg = _config(args)
     _write_manifest(
         args.out, "finetune", cfg, args.seed,
         [os.path.join(args.out, "checkpoint.vmim"), os.path.join(args.out, "trace.tsv")],
@@ -190,7 +175,7 @@ def _cmd_finetune(args) -> int:
 
 
 def _cmd_eval(args) -> int:
-    cfg = derived(resolve_config(args.config, {"swi.window": args.window}, args.set))
+    cfg = _config(args)
     dataset = _load_labeled(args.data)
     report_path = os.path.join(args.out, "dice_report.txt")
     _write_manifest(
@@ -223,13 +208,7 @@ def _comma_list(flag: str, text: str, kind: type) -> list:
 
 def _cmd_reconstruct(args) -> int:
     depths = _comma_list("--depths", args.depths, int)
-    cfg = derived(
-        resolve_config(
-            args.config,
-            {"mask.ratio": args.mask_ratio, "mask.patch": args.masked_patch},
-            args.set,
-        )
-    )
+    cfg = _config(args)
     volume = load_volume(args.volume)
     _write_manifest(
         args.out, "reconstruct", cfg, args.seed, [],
@@ -244,7 +223,7 @@ def _cmd_reconstruct(args) -> int:
 def _cmd_ablate(args) -> int:
     patches = _comma_list("--patch-sizes", args.patch_sizes, int)
     ratios = _comma_list("--ratios", args.ratios, float)
-    cfg = derived(resolve_config(args.config, {}, args.set))
+    cfg = _config(args)
     table_path = os.path.join(args.out, "ablation.tsv")
     _write_manifest(
         args.out, "ablate", cfg, args.seed, [table_path],
@@ -316,10 +295,10 @@ def build_parser() -> argparse.ArgumentParser:
     pre.add_argument("--method", choices=("mae", "simmim", "simclr"), required=True)
     pre.add_argument("--data", required=True, help="directory of .vol files")
     pre.add_argument("--out", required=True)
-    pre.add_argument("--mask-ratio", type=float)
-    pre.add_argument("--masked-patch", type=int)
-    pre.add_argument("--epochs", type=int)
-    pre.add_argument("--window", type=int)
+    pre.add_argument("--mask-ratio", type=float, dest="mask.ratio")
+    pre.add_argument("--masked-patch", type=int, dest="mask.patch")
+    pre.add_argument("--epochs", type=int, dest="train.total_epochs")
+    pre.add_argument("--window", type=int, dest="train.window")
     _add_common(pre)
     pre.set_defaults(func=_cmd_pretrain)
 
@@ -328,10 +307,10 @@ def build_parser() -> argparse.ArgumentParser:
     fine.add_argument("--data", required=True, help="directory of labeled .vol/.lab pairs")
     fine.add_argument("--val-data", help="validation directory of labeled pairs")
     fine.add_argument("--out", required=True)
-    fine.add_argument("--labeled-ratio", type=float)
-    fine.add_argument("--classes", type=int)
-    fine.add_argument("--epochs", type=int)
-    fine.add_argument("--window", type=int)
+    fine.add_argument("--labeled-ratio", type=float, dest="train.labeled_ratio")
+    fine.add_argument("--classes", type=int, dest="seg.num_classes")
+    fine.add_argument("--epochs", type=int, dest="train.total_epochs")
+    fine.add_argument("--window", type=int, dest="train.window")
     _add_common(fine)
     fine.set_defaults(func=_cmd_finetune)
 
@@ -339,7 +318,7 @@ def build_parser() -> argparse.ArgumentParser:
     ev.add_argument("--checkpoint", required=True)
     ev.add_argument("--data", required=True)
     ev.add_argument("--out", required=True)
-    ev.add_argument("--window", type=int)
+    ev.add_argument("--window", type=int, dest="swi.window")
     _add_common(ev)
     ev.set_defaults(func=_cmd_eval)
 
@@ -348,8 +327,8 @@ def build_parser() -> argparse.ArgumentParser:
     rec.add_argument("--volume", required=True)
     rec.add_argument("--depths", required=True, help="comma-separated depth indices")
     rec.add_argument("--out", required=True)
-    rec.add_argument("--mask-ratio", type=float)
-    rec.add_argument("--masked-patch", type=int)
+    rec.add_argument("--mask-ratio", type=float, dest="mask.ratio")
+    rec.add_argument("--masked-patch", type=int, dest="mask.patch")
     _add_common(rec)
     rec.set_defaults(func=_cmd_reconstruct)
 

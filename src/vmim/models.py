@@ -243,7 +243,7 @@ def _attention(x: Tensor, params: Params, prefix: str, num_heads: int) -> Tensor
 
 
 def _linear_gelu(x: Tensor, params: Params, prefix: str) -> Tensor:
-    return apply("linear_gelu", (x, params[f"{prefix}.w"], params[f"{prefix}.b"]))
+    return apply("gelu", (_linear(x, params, prefix),))
 
 
 def _mlp(x: Tensor, params: Params, first: str, second: str) -> Tensor:
@@ -488,7 +488,9 @@ def unetr_segment(cfg: SegConfig, params: Params, volume: Volume) -> Tensor:
     so they are folded into the fuse weight and one GEMM at the coarse
     level gives the fuse pre-activation. The last fuse and the head are one
     ``mlp`` node: each coarse row's 8f GELU outputs are its 8 children's
-    features, so the full-resolution features are never stored whole.
+    features, so the full-resolution features are never stored whole. The
+    other dense layers (``seg.in``, the skip projections and the earlier
+    fuses) are each a ``linear`` node followed by a ``gelu`` node.
     Returns (D, H, W, num_classes) logits.
     """
     vit = cfg.vit
@@ -502,10 +504,7 @@ def unetr_segment(cfg: SegConfig, params: Params, volume: Volume) -> Tensor:
     f = cfg.width
     t = grid.num_tokens
     tap_shape = (t, 1, vit.embed_dim)
-    # seg.in is a token-level linear and gelu (the same bits as linear_gelu),
-    # kept apart because the benchmark's smoke test counts gelu calls in a
-    # fine-tune run (ROADMAP, Fix first).
-    x = apply("gelu", (_linear(ordered[-1].reshape(tap_shape), params, "seg.in"),))
+    x = _linear_gelu(ordered[-1].reshape(tap_shape), params, "seg.in")
     for s in range(1, stages + 1):
         fuse_w = params[f"seg.fuse{s}.w"]
         parts = [x]
@@ -537,6 +536,6 @@ def unetr_segment(cfg: SegConfig, params: Params, volume: Volume) -> Tensor:
         if s == stages:
             head = (params["seg.head.w"], params["seg.head.b"])
             return _blocks_to_voxels(apply("mlp", fuse + head), grid)
-        x = apply("linear_gelu", fuse).reshape((t, 8 * m, f))
+        x = apply("gelu", (apply("linear", fuse),)).reshape((t, 8 * m, f))
     # A token patch of 1 has no upsampling stage to fuse the head into.
     return _blocks_to_voxels(_linear(x, params, "seg.head"), grid)

@@ -12,7 +12,6 @@ DIFFERENTIABLE_PROBES = {
     "add": lambda t, aux: (t + aux["b"]).sum(),
     "sub": lambda t, aux: (t - aux["b"]).sum(),
     "mul": lambda t, aux: (t * aux["b"]).sum(),
-    "scale": lambda t, aux: t.scale(1.7).sum(),
     "matmul": lambda t, aux: (t @ aux["m"]).sum(),
     "linear": lambda t, aux: apply("linear", (t, aux["w"], aux["bias"])).sum(),
     "reshape": lambda t, aux: (t.reshape((20,)) * aux["v20"]).sum(),
@@ -35,9 +34,6 @@ DIFFERENTIABLE_PROBES = {
         apply("attention", (t, t, t), {"num_heads": 1}) * aux["b"]
     ).sum(),
     "gelu": lambda t, aux: apply("gelu", (t,)).sum(),
-    "linear_gelu": lambda t, aux: (
-        apply("linear_gelu", (t, aux["w"], aux["bias"])) * aux["lg_w"]
-    ).sum(),
     # The hidden width 6 splits into 3 rows of h = 2 per input row.
     "mlp": lambda t, aux: (
         apply("mlp", (t, aux["w1"], aux["b1"], aux["w2"], aux["b2"])) * aux["mlp_w"]
@@ -68,7 +64,6 @@ def probe_aux(rng):
         "cat_w": Tensor(rng.normal(size=(8, 5))),
         "g_w": Tensor(rng.normal(size=(4, 5))),
         "sc_w": Tensor(rng.normal(size=(7, 5))),
-        "lg_w": Tensor(rng.normal(size=(4, 2))),
         **_side_normals(rng, w1=(5, 6), b1=(6,), w2=(2, 3), b2=(3,), mlp_w=(12, 3)),
     }
 
@@ -86,15 +81,6 @@ def _attention_probe(operand):
         qkv = [aux["q"], aux["k"], aux["v"]]
         qkv["qkv".index(operand)] = t
         return (apply("attention", tuple(qkv), {"num_heads": 2}) * aux["att_w"]).sum()
-
-    return probe
-
-
-def _linear_gelu_probe(operand):
-    def probe(t, aux):
-        xwb = [aux["lg_x"], aux["w"], aux["bias"]]
-        xwb["xwb".index(operand)] = t
-        return (apply("linear_gelu", tuple(xwb)) * aux["lin_w"]).sum()
 
     return probe
 
@@ -119,9 +105,6 @@ INPUT_PROBES = {
         (2, 3, 2, 5),
     ),
     **{f"attention.{o}": (_attention_probe(o), (6, 4)) for o in "qkv"},
-    "linear_gelu.x": (_linear_gelu_probe("x"), (2, 3, 2, 5)),
-    "linear_gelu.w": (_linear_gelu_probe("w"), (5, 2)),
-    "linear_gelu.b": (_linear_gelu_probe("b"), (2,)),
     **{
         f"mlp.{o}": (_mlp_probe(o), shape)
         for o, shape in zip(_MLP_OPERANDS, [(2, 3, 2, 5), (5, 6), (6,), (2, 3), (3,)])
@@ -133,7 +116,6 @@ def input_probe_aux(rng):
     return {
         **probe_aux(rng),
         "lin_w": Tensor(rng.normal(size=(2, 3, 2, 2))),
-        "lg_x": Tensor(rng.normal(size=(2, 3, 2, 5))),
         **{name: Tensor(rng.normal(size=(6, 4))) for name in ("q", "k", "v", "att_w")},
         **_side_normals(rng, mlp_x=(2, 3, 2, 5), mlp_x_w=(36, 3)),
     }
@@ -180,9 +162,8 @@ def attention_reference(q, k, v, num_heads, g):
 
 
 def linear_gelu_reference(x, w, b, g):
-    """Numpy copy of the unfused ``gelu(linear(x, w, b))`` graph the
-    ``linear_gelu`` op replaced, differentiated in reverse for the upstream
-    gradient ``g``. Returns (out, (gx, gw, gb))."""
+    """Numpy copy of the ``gelu(linear(x, w, b))`` graph, differentiated in
+    reverse for the upstream gradient ``g``. Returns (out, (gx, gw, gb))."""
     x2 = x.reshape(-1, x.shape[-1])
     a = x2 @ w + b
     cdf = 0.5 * (1.0 + erf(a * (1.0 / np.sqrt(2.0))))

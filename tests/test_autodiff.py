@@ -86,9 +86,8 @@ class TestForward:
         for t, expected in zip(qkv, grads):
             assert got[t.node_id].data.tobytes() == expected.tobytes()
 
-    @pytest.mark.parametrize("fused", [True, False], ids=["linear_gelu", "linear-then-gelu"])
     @pytest.mark.parametrize("shape", [(3, 4, 5), (3000, 5)], ids=["channel-last", "two-blocks"])
-    def test_linear_gelu_matches_unfused_graph_bitwise(self, shape, fused):
+    def test_linear_gelu_matches_unfused_graph_bitwise(self, shape):
         rng = np.random.default_rng(len(shape))
         x = rng.normal(size=shape) * 2
         w, b = rng.normal(size=(5, 7)), rng.normal(size=7)
@@ -97,10 +96,7 @@ class TestForward:
         with Graph() as graph:
             xwb = [Tensor(a, requires_grad=True) for a in (x, w, b)]
             graph.watch_all(xwb)
-            if fused:
-                y = apply("linear_gelu", tuple(xwb))
-            else:
-                y = apply("gelu", (apply("linear", tuple(xwb)),))
+            y = apply("gelu", (apply("linear", tuple(xwb)),))
             loss = (y * Tensor(g)).sum()
         got = backward(graph, loss)
         assert y.data.tobytes() == out.tobytes()
@@ -108,7 +104,7 @@ class TestForward:
             assert got[t.node_id].data.tobytes() == expected.tobytes()
 
     def test_scipy_erf_is_odd_bitwise(self):
-        # linear_gelu takes erf of |x| and copies the sign back, which equals
+        # gelu takes erf of |x| and copies the sign back, which equals
         # erf(x) only because scipy evaluates erf(-x) as -erf(x).
         spread = np.array([0.1, 1.0, 4.0, 40.0]).repeat(25_000)
         x = np.random.default_rng(5).normal(size=spread.size) * spread
@@ -117,7 +113,8 @@ class TestForward:
 
     def test_linear_gelu_hand_values(self):
         # gelu(1) = Phi(1); gelu(0) = 0; gelu(a) = a for large a, 0 for very negative a.
-        y = apply("linear_gelu", (Tensor(np.eye(3)), Tensor(np.eye(3)), Tensor([0.0, 40.0, -40.0])))
+        xwb = (Tensor(np.eye(3)), Tensor(np.eye(3)), Tensor([0.0, 40.0, -40.0]))
+        y = apply("gelu", (apply("linear", xwb),))
         assert abs(y.data[0, 0] - 0.8413447460685429) <= 1e-15
         assert np.array_equal(y.data[1:, 0], [0.0, 0.0])
         assert np.array_equal(y.data[:, 1], [40.0, 41.0, 40.0])
@@ -131,10 +128,10 @@ class TestForward:
             apply("attention", (x, Tensor(np.zeros((3, 6))), x), {"num_heads": 2})
         with pytest.raises(ShapeMismatchError, match="attention"):
             apply("attention", (Tensor(np.zeros((2, 4, 6))),) * 3, {"num_heads": 2})
-        with pytest.raises(ShapeMismatchError, match=r"linear_gelu.*\(4, 6\).*\(5, 2\)"):
-            apply("linear_gelu", (x, Tensor(np.zeros((5, 2))), Tensor(np.zeros(2))))
-        with pytest.raises(ShapeMismatchError, match="linear_gelu.*bias"):
-            apply("linear_gelu", (x, Tensor(np.zeros((6, 2))), Tensor(np.zeros(3))))
+        with pytest.raises(ShapeMismatchError, match=r"linear.*\(4, 6\).*\(5, 2\)"):
+            apply("linear", (x, Tensor(np.zeros((5, 2))), Tensor(np.zeros(2))))
+        with pytest.raises(ShapeMismatchError, match="linear.*bias"):
+            apply("linear", (x, Tensor(np.zeros((6, 2))), Tensor(np.zeros(3))))
 
     @pytest.mark.parametrize(
         "n, c, hidden, h, k", [(9, 16, 64, 64, 16), (27, 5, 16, 2, 3)], ids=["dense", "split-rows"]
@@ -152,7 +149,8 @@ class TestForward:
                 if fused:
                     y = apply("mlp", tuple(ts))
                 else:
-                    act = apply("linear_gelu", tuple(ts[:3])).reshape((n * hidden // h, h))
+                    act = apply("gelu", (apply("linear", tuple(ts[:3])),))
+                    act = act.reshape((n * hidden // h, h))
                     y = apply("linear", (act, ts[3], ts[4]))
                 loss = (y * g).sum()
             grads = backward(graph, loss)
@@ -217,7 +215,8 @@ class TestForward:
         with Graph() as g:
             g.watch(a)
             g.watch(b)
-            h = apply("linear_gelu", (a * b + a, b.permute((1, 0)), Tensor(np.ones(3))))
+            xwb = (a * b + a, b.permute((1, 0)), Tensor(np.ones(3)))
+            h = apply("gelu", (apply("linear", xwb),))
             loss = (apply("attention", (a, b, h @ b), {"num_heads": 2}) - b).sum()
         backward(g, loss)
         assert (a.data.tobytes(), b.data.tobytes()) == before
@@ -297,6 +296,25 @@ class TestBackward:
         backward(g, loss)
         with pytest.raises(GraphError, match="consumed"):
             backward(g, loss)
+
+    def test_scale_is_one_mul_node(self):
+        rng = np.random.default_rng(8)
+        a, g = rng.normal(size=(2, 4, 5))
+
+        def value_and_grad(f):
+            with Graph() as graph:
+                t = Tensor(a, requires_grad=True)
+                graph.watch(t)
+                y = f(t)
+                loss = (y * Tensor(g)).sum()
+            kinds = [node.kind for node in graph.nodes if not node.is_leaf]
+            return kinds, y.data.tobytes(), backward(graph, loss)[t.node_id].data.tobytes()
+
+        kinds, value, grad = value_and_grad(lambda t: t.scale(1.7))
+        assert kinds == ["mul", "mul", "sum"]
+        assert (value, grad) == value_and_grad(lambda t: t * Tensor(1.7))[1:]
+        assert (value, grad) == ((a * 1.7).tobytes(), (g * 1.7).tobytes())
+        assert finite_diff_check(lambda t: (t.scale(1.7) * Tensor(g)).sum(), a) < 1e-8
 
     def test_gradient_against_independent_numeric_oracle(self):
         # Independent of finite_diff_check: plain one-sided loop here.
@@ -436,33 +454,23 @@ class TestUnrecordedForward:
             assert unrecorded.tobytes() == recorded.tobytes() == no_grad.tobytes()
 
     @pytest.mark.parametrize("size", [1, _GELU_BLOCK, 3 * _GELU_BLOCK + 7])
-    @pytest.mark.parametrize("kind", ["gelu", "linear_gelu"])
+    @pytest.mark.parametrize("kind", ["gelu"])
     def test_gelu_ops_are_bitwise_equal_across_blocks(self, kind, size):
         rng = np.random.default_rng(size)
-        if kind == "gelu":
-            arrays = [rng.normal(size=size) * 3.0]
-            pre = arrays[0]
-        else:
-            arrays = [rng.normal(size=(size, 3)), rng.normal(size=(3, 1)) * 2.0, rng.normal(size=1)]
-            pre = arrays[0] @ arrays[1] + arrays[2]
+        a = rng.normal(size=size) * 3.0
         if size > 1:
             # Mixed signs on both sides of erf's |x| = sqrt(2) branch.
-            assert (pre > np.sqrt(2.0)).any() and (pre < -np.sqrt(2.0)).any()
-            assert (np.abs(pre) < np.sqrt(2.0)).any()
-        outs = _three_modes(kind, arrays)
+            assert (a > np.sqrt(2.0)).any() and (a < -np.sqrt(2.0)).any()
+            assert (np.abs(a) < np.sqrt(2.0)).any()
+        outs = _three_modes(kind, [a])
         assert outs[0].size == size
         assert outs[0].tobytes() == outs[1].tobytes() == outs[2].tobytes()
 
-    @pytest.mark.parametrize("kind", ["gelu", "linear_gelu"])
-    def test_unrecorded_gelu_ops_allocate_little_beyond_the_output(self, kind):
-        # 1M-element output: a recorded node also holds a full-size CDF (and
-        # linear_gelu its pre-activation); an unrecorded one only a block.
-        rng = np.random.default_rng(0)
-        if kind == "gelu":
-            operands = (Tensor(rng.normal(size=(8192, 128))),)
-        else:
-            operands = tuple(Tensor(rng.normal(size=s)) for s in ((8192, 32), (32, 128), (128,)))
-        out, peak = _traced_peak(lambda: apply(kind, operands))
+    def test_unrecorded_gelu_ops_allocate_little_beyond_the_output(self):
+        # 1M-element output: a recorded node also holds a full-size CDF; an
+        # unrecorded one only a block.
+        operands = (Tensor(np.random.default_rng(0).normal(size=(8192, 128))),)
+        out, peak = _traced_peak(lambda: apply("gelu", operands))
         assert out.size == 1 << 20
         assert peak <= 1.1 * out.data.nbytes, f"peak {peak / out.data.nbytes:.2f}x the output"
 
@@ -505,7 +513,7 @@ class TestDeterminism:
             w = Tensor(w0, requires_grad=True)
             g.watch(x)
             g.watch(w)
-            h = apply("linear_gelu", (x, w, Tensor(x0[0])))
+            h = apply("gelu", (apply("linear", (x, w, Tensor(x0[0]))),))
             h = apply("layernorm", (h,), {"eps": 1e-6})
             loss = (apply("attention", (h, x, h), {"num_heads": 4}) * Tensor(x0)).mean()
         grads = backward(g, loss)

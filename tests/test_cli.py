@@ -189,7 +189,10 @@ class TestDispatch:
         (["--epochs", "1"], "need 0 <= train.warmup_epochs (3) <= train.total_epochs (1)"),
         (["--set", "train.base_lr=-1"], "train.base_lr must be positive, got -1.0"),
         (["--set", "train.batch_size=0"], "train.batch_size must be >= 1, got 0"),
-    ], ids=["warmup-past-total", "base-lr", "batch-size"])
+        (["--epochs", "0", "--set", "train.warmup_epochs=0"],
+         "train.total_epochs must be >= 1, got 0"),
+        (["--window", "0"], "train.window must be >= 1, got 0"),
+    ], ids=["warmup-past-total", "base-lr", "batch-size", "zero-epochs", "zero-window"])
     def test_bad_train_config_exit_1_names_keys(self, synth_dir, tmp_path, capsys, flags, message):
         code = run(["pretrain", "--method", "mae", "--data", synth_dir,
                     "--out", str(tmp_path / "out")] + flags)
@@ -242,6 +245,42 @@ class TestDispatch:
                     "--out", str(tmp_path / "ev")])
         assert code == 1
         assert "header length" in capsys.readouterr().err
+
+
+    @pytest.mark.parametrize("command, flag, value, key", [
+        ("pretrain", "--epochs", "7", "train.total_epochs"),
+        ("pretrain", "--window", "32", "train.window"),
+        ("pretrain", "--mask-ratio", "0.5", "mask.ratio"),
+        ("pretrain", "--masked-patch", "16", "mask.patch"),
+        ("finetune", "--epochs", "7", "train.total_epochs"),
+        ("finetune", "--window", "32", "train.window"),
+        ("finetune", "--labeled-ratio", "0.5", "train.labeled_ratio"),
+        ("finetune", "--classes", "4", "seg.num_classes"),
+        ("eval", "--window", "32", "swi.window"),
+        ("reconstruct", "--mask-ratio", "0.5", "mask.ratio"),
+        ("reconstruct", "--masked-patch", "16", "mask.patch"),
+    ])
+    def test_value_flag_lands_on_its_key_in_the_manifest(
+        self, synth_dir, tmp_path, command, flag, value, key
+    ):
+        # The manifest is written before any work starts, so the run may
+        # then fail on its missing checkpoint or data.
+        missing = str(tmp_path / "missing")
+        inputs = {
+            "pretrain": ["--method", "mae", "--data", missing],
+            "finetune": ["--data", missing],
+            "eval": ["--checkpoint", missing, "--data", synth_dir],
+            "reconstruct": ["--checkpoint", missing, "--depths", "0",
+                            "--volume", os.path.join(synth_dir, "sample0000.vol")],
+        }[command]
+        out = str(tmp_path / "out")
+        run([command, *inputs, "--out", out, flag, value])
+        config = json.load(open(os.path.join(out, "manifest.json")))["config"]
+        expected = float(value) if "." in value else int(value)
+        assert expected != DEFAULTS[key]
+        assert config[key] == expected
+        if key == "swi.window":
+            assert config["train.window"] == DEFAULTS["train.window"]
 
 
 class TestPretrainCLI:
