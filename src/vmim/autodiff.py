@@ -18,9 +18,10 @@ Besides elementwise, layout and reduction primitives, the registry holds
 fused kernels for the chains the models run most: ``attention`` (multi-head
 scaled dot-product attention), ``mlp`` (dense, GELU, dense), ``dice_ce``
 and ``log_softmax``. Each is one tape node with a closed-form VJP. ``gelu``
-and ``mlp`` share one GELU kernel; ``mlp`` works in cache-sized row blocks
-and never writes its GELU output in full, and a call that fits in one block
-is bitwise equal to ``linear``, ``gelu`` and ``linear``.
+and ``mlp`` share one GELU kernel; ``mlp`` works in cache-sized row blocks,
+never writes its GELU output in full and keeps no pre-activation for its
+VJP, and a call that fits in one block is bitwise equal to ``linear``,
+``gelu`` and ``linear``.
 """
 
 from __future__ import annotations
@@ -618,15 +619,29 @@ def _mlp_blocks(x2, w1, w2):
         yield rows, slice(rows.start * per_row, rows.stop * per_row)
 
 
+def _mlp_buffer(x2, w1):
+    # Room for the hidden units of the largest row block _mlp_blocks yields.
+    return np.empty((min(x2.shape[0], _rows_per_block(w1.shape[1], _MLP_BLOCK)), w1.shape[1]))
+
+
+def _mlp_pre(x2, w1, b1, rows, out):
+    # One row block's pre-activation x @ w1 + b1, written into out. The
+    # forward and the VJP both call this, so the VJP's recomputed block is
+    # bitwise the forward's.
+    np.matmul(x2[rows], w1, out=out)
+    out += b1
+
+
 def _mlp(arrays, record):
     # gelu(x @ w1 + b1).reshape(-1, h) @ w2 + b2 with w2 of shape (h, K), one
-    # row block at a time. A recorded node keeps the full pre-activation and
-    # CDF for the VJP and writes each block's GELU output to one block-sized
-    # buffer; an unrecorded one keeps nothing full-size and runs GELU in
-    # place over a block-sized pre-activation. The second GEMM is row-major,
-    # the same call as linear's, so a one-block call rounds as linear, gelu
-    # and linear on any BLAS. Split into blocks it differs from the
-    # whole-array product by about 1e-16 relative; the class-major
+    # row block at a time. Each block's pre-activation goes to a block-sized
+    # buffer. A recorded node keeps only the full CDF for the VJP, which
+    # recomputes the pre-activation from x, and writes the GELU output to a
+    # second block-sized buffer; an unrecorded one keeps nothing full-size
+    # and runs GELU in place over the pre-activation. The second GEMM is
+    # row-major, the same call as linear's, so a one-block call rounds as
+    # linear, gelu and linear on any BLAS. Split into blocks it differs from
+    # the whole-array product by about 1e-16 relative; the class-major
     # w2.T @ act.T, bitwise equal to it on some BLAS builds, was no faster.
     x, w1, b1, w2, b2 = arrays
     _check_mlp(x, w1, b1, w2, b2)
@@ -634,18 +649,17 @@ def _mlp(arrays, record):
     n, hidden = x2.shape[0], w1.shape[1]
     h, k = w2.shape
     out = np.empty((n * hidden // h, k))
-    if record:
-        a, cdf = np.empty((n, hidden)), np.empty((n, hidden))
-    scratch = np.empty((min(n, _rows_per_block(hidden, _MLP_BLOCK)), hidden))
+    cdf = np.empty((n, hidden)) if record else None
+    pre_buf = _mlp_buffer(x2, w1)
+    act_buf = _mlp_buffer(x2, w1) if record else pre_buf
     for rows, cols in _mlp_blocks(x2, w1, w2):
-        act = scratch[: rows.stop - rows.start]
-        pre = a[rows] if record else act
-        np.matmul(x2[rows], w1, out=pre)
-        pre += b1
+        size = rows.stop - rows.start
+        pre, act = pre_buf[:size], act_buf[:size]
+        _mlp_pre(x2, w1, b1, rows, pre)
         _gelu(pre, act, cdf[rows] if record else None)
         np.matmul(act.reshape(-1, h), w2, out=out[cols])
         out[cols] += b2
-    return out, ((x, w1, w2, a, cdf) if record else None)
+    return out, ((x, w1, b1, w2, cdf) if record else None)
 
 
 def _fwd_mlp(arrays, attrs):
@@ -657,17 +671,20 @@ def _run_mlp(arrays, attrs):
 
 
 def _vjp_mlp(ctx, g):
-    # Per row block: the GELU output recomputed as a * cdf (bitwise what
+    # Per row block: the pre-activation recomputed into a block-sized buffer
+    # by the forward's own call, the GELU output as pre * cdf (bitwise what
     # _gelu wrote), the second layer's gradients, the GELU gradient in place
     # over the CDF, then the first layer's. The first block assigns each
     # weight gradient, so a one-block call rounds as linear, gelu and linear.
-    x, w1, w2, a, cdf = ctx
+    x, w1, b1, w2, cdf = ctx
     x2 = x.reshape(-1, x.shape[-1])
     h = w2.shape[0]
     gx = np.empty_like(x2)
+    pre_buf = _mlp_buffer(x2, w1)
     grads = [None] * 4
     for rows, cols in _mlp_blocks(x2, w1, w2):
-        pre, g_out = a[rows], g[cols]
+        pre, g_out = pre_buf[: rows.stop - rows.start], g[cols]
+        _mlp_pre(x2, w1, b1, rows, pre)
         act = (pre * cdf[rows]).reshape(-1, h)
         g_act = (g_out @ w2.T).reshape(pre.shape)
         g_pre = _gelu_grad(pre, cdf[rows], g_act)
@@ -893,8 +910,9 @@ def backward(graph: Graph, loss: Tensor) -> dict[int, Tensor]:
     """Reverse pass over the tape; returns gradients for every leaf.
 
     The gradient map is keyed by leaf node id. Leaves the loss never
-    touched get zero tensors of their own shape. The tape is freed
-    afterwards and cannot be reused.
+    touched get zero tensors of their own shape. Each node's VJP context is
+    released as soon as its VJP has run, so the tape shrinks as the pass
+    goes; the whole tape is freed afterwards and cannot be reused.
     """
     if graph._consumed:
         raise GraphError("graph was already consumed by backward()")
@@ -918,6 +936,7 @@ def backward(graph: Graph, loss: Tensor) -> dict[int, Tensor]:
         if grad is None:
             continue
         contribs = _REGISTRY[node.kind].vjp(node.ctx, grad)
+        node.ctx = None
         for input_id, contrib in zip(node.input_ids, contribs):
             if input_id is None or contrib is None:
                 continue

@@ -15,7 +15,7 @@ import sys
 
 from . import __version__
 from .checkpoint import load_checkpoint
-from .config import ConfigError, build, derived, resolve_config
+from .config import DERIVED, ConfigError, build, derived, resolve_config
 from .inference import evaluate, reconstruct_dump
 from .patches import MaskingConfig
 from .rng import derive_seed
@@ -119,6 +119,10 @@ def _config(args) -> dict:
     """The resolved config of a run: defaults, --config, the value flags
     (each parsed into its dotted config key as dest), then --set."""
     flags = {key: value for key, value in vars(args).items() if "." in key}
+    for key, value in flags.items():
+        # derived() would silently replace an explicit 0 by the derived value.
+        if key in DERIVED and value is not None and value < 1:
+            raise ConfigError(f"{key} must be >= 1, got {value}")
     return derived(resolve_config(args.config, flags, args.set))
 
 

@@ -107,9 +107,9 @@ class SlidingWindowConfig:
 
     def __post_init__(self):
         if self.window < 1:
-            raise ValueError(f"window must be >= 1, got {self.window}")
+            raise ValueError(f"swi.window must be >= 1, got {self.window}")
         if not 0.0 <= self.overlap < 1.0:
-            raise ValueError(f"overlap must lie in [0, 1), got {self.overlap}")
+            raise ValueError(f"swi.overlap must lie in [0, 1), got {self.overlap}")
 
     @property
     def stride(self) -> int:
@@ -222,17 +222,22 @@ def resolve_config(
     return config
 
 
+# The keys whose 0 default is a placeholder, each with the rule that
+# derived() resolves it by.
+DERIVED = {
+    "mask.patch": lambda c: c["model.token_patch"],
+    "simclr.hidden": lambda c: c["model.embed_dim"],
+    "simclr.dim": lambda c: min(128, c["model.embed_dim"]),
+    "swi.window": lambda c: c["train.window"],
+}
+
+
 def derived(config: dict[str, Any]) -> dict[str, Any]:
     """Resolve the 'derived' zero-placeholders into concrete values."""
     out = dict(config)
-    if not out["mask.patch"]:
-        out["mask.patch"] = out["model.token_patch"]
-    if not out["simclr.hidden"]:
-        out["simclr.hidden"] = out["model.embed_dim"]
-    if not out["simclr.dim"]:
-        out["simclr.dim"] = min(128, out["model.embed_dim"])
-    if not out["swi.window"]:
-        out["swi.window"] = out["train.window"]
+    for key, rule in DERIVED.items():
+        if not out[key]:
+            out[key] = rule(out)
     return out
 
 

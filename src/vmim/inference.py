@@ -23,6 +23,13 @@ def _window_starts(extent: int, window: int, stride: int) -> list[int]:
     return starts
 
 
+def _coverage(extent: int, window: int, starts: list[int]) -> np.ndarray:
+    counts = np.zeros(extent)
+    for s in starts:
+        counts[s : s + window] += 1.0
+    return counts
+
+
 def sliding_window_infer(
     model: Callable[[np.ndarray], np.ndarray],
     volume: Volume,
@@ -33,7 +40,11 @@ def sliding_window_infer(
     model maps a (C, w, w, w) array to (K, w, w, w) logits. Volumes smaller
     than the window are zero-padded for the model and cropped back. Sums
     are accumulated first and divided once, so the result is independent
-    of window visit order.
+    of window visit order. The windows are every combination of per-axis
+    starts, so a voxel's window count is the product of three per-axis
+    counts (small integers, exact in float64); the sums are divided by it
+    in place, one depth slice at a time, and no full-size count or output
+    array is made beside the sums.
     """
     data = volume.data
     extents = data.shape[1:]
@@ -45,7 +56,6 @@ def sliding_window_infer(
 
     starts = [_window_starts(n, w, cfg.stride) for n in padded_extents]
     accum = None
-    counts = np.zeros(padded_extents)
     for sd in starts[0]:
         for sh in starts[1]:
             for sw in starts[2]:
@@ -54,10 +64,12 @@ def sliding_window_infer(
                 if accum is None:
                     accum = np.zeros((logits.shape[0],) + padded_extents)
                 accum[:, sd : sd + w, sh : sh + w, sw : sw + w] += logits
-                counts[sd : sd + w, sh : sh + w, sw : sw + w] += 1.0
-    assert counts.min() >= 1.0
-    out = accum / counts[None]
-    return out[:, : extents[0], : extents[1], : extents[2]]
+    depth, rows, cols = (_coverage(n, w, s) for n, s in zip(padded_extents, starts))
+    plane = np.multiply.outer(rows, cols)
+    assert depth.min() >= 1.0 and plane.min() >= 1.0
+    for d, count in enumerate(depth):
+        accum[:, d] /= count * plane
+    return accum[:, : extents[0], : extents[1], : extents[2]]
 
 
 def seg_model_fn(seg_cfg: SegConfig, params: dict) -> Callable[[np.ndarray], np.ndarray]:
@@ -74,7 +86,12 @@ def predict_labels(
     swi_cfg: SlidingWindowConfig,
 ) -> np.ndarray:
     logits = sliding_window_infer(seg_model_fn(seg_cfg, params), volume, swi_cfg)
-    return np.argmax(logits, axis=0).astype(np.uint16)
+    # np.argmax over the class axis copies its operand to class-last order
+    # first; one depth slice at a time, that copy is a slice, not a volume.
+    labels = np.empty(logits.shape[1:], dtype=np.uint16)
+    for d in range(labels.shape[0]):
+        labels[d] = np.argmax(logits[:, d], axis=0)
+    return labels
 
 
 def dice_over_dataset(

@@ -2,6 +2,7 @@
 parts, across test modules."""
 
 import math
+import tracemalloc
 
 import numpy as np
 from scipy.special import erf
@@ -128,6 +129,36 @@ def probe_input(kind, rng):
     if kind == "scatter_rows":
         x = rng.uniform(-2.0, 2.0, size=(5, 5))
     return x
+
+
+def traced_peak(f):
+    """f's result and the peak bytes it allocated, under tracemalloc."""
+    tracemalloc.start()
+    try:
+        out = f()
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    return out, peak
+
+
+def retained_bytes(graph):
+    """Bytes of the distinct arrays that the nodes of ``graph`` hold as VJP
+    context. A view counts once, as the whole array that owns its memory."""
+    owners = {}
+
+    def visit(item):
+        if isinstance(item, np.ndarray):
+            while isinstance(item.base, np.ndarray):
+                item = item.base
+            owners[id(item)] = item.nbytes
+        elif isinstance(item, (tuple, list)):
+            for part in item:
+                visit(part)
+
+    for node in graph.nodes:
+        visit(node.ctx)
+    return sum(owners.values())
 
 
 def attention_reference(q, k, v, num_heads, g):

@@ -1,7 +1,5 @@
 """Tensor engine: forward kernels, gradients, tape semantics."""
 
-import tracemalloc
-
 import numpy as np
 import pytest
 from scipy.special import erf
@@ -16,6 +14,7 @@ from helpers import (
     mlp_reference,
     probe_aux,
     probe_input,
+    traced_peak,
 )
 from vmim import autodiff
 from vmim.autodiff import (
@@ -30,6 +29,9 @@ from vmim.autodiff import (
     finite_diff_check,
     op_kinds,
 )
+from vmim.losses import dice_ce_loss
+from vmim.models import SegConfig, ViTConfig, init_seg_params, unetr_segment
+from vmim.volume import Volume
 
 
 def grad_of(f, x):
@@ -316,6 +318,31 @@ class TestBackward:
         assert (value, grad) == ((a * 1.7).tobytes(), (g * 1.7).tobytes())
         assert finite_diff_check(lambda t: (t.scale(1.7) * Tensor(g)).sum(), a) < 1e-8
 
+    def test_each_context_is_released_after_its_vjp(self, monkeypatch):
+        # A small segmenter and its loss: when each VJP starts, every node
+        # whose VJP already ran has dropped its context, and no other has.
+        seg = SegConfig(ViTConfig(32, 2, 4, 4), num_classes=3, width=8)
+        params = init_seg_params(seg, seed=0)
+        rng = np.random.default_rng(0)
+        window = Volume(rng.normal(size=(1, 16, 16, 16)))
+        held = []
+
+        def counting(vjp):
+            def wrapped(ctx, g):
+                held.append(sum(node.ctx is not None for node in graph.nodes))
+                return vjp(ctx, g)
+
+            return wrapped
+
+        for op in autodiff._REGISTRY.values():
+            monkeypatch.setattr(op, "vjp", counting(op.vjp))
+        with Graph() as graph:
+            graph.watch_all(params.values())
+            loss = dice_ce_loss(unetr_segment(seg, params, window), rng.integers(0, 3, (16,) * 3))
+        recorded = sum(not node.is_leaf for node in graph.nodes)
+        backward(graph, loss)
+        assert held == list(range(recorded, 0, -1))
+
     def test_gradient_against_independent_numeric_oracle(self):
         # Independent of finite_diff_check: plain one-sided loop here.
         rng = np.random.default_rng(11)
@@ -432,17 +459,6 @@ def _three_modes(kind, arrays, attrs=None):
     return outs
 
 
-def _traced_peak(f):
-    """f's result and the peak bytes it allocated, under tracemalloc."""
-    tracemalloc.start()
-    try:
-        out = f()
-        _, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
-    return out, peak
-
-
 class TestUnrecordedForward:
     @pytest.mark.parametrize("kind", sorted(DIFFERENTIABLE_PROBES))
     def test_every_op_is_bitwise_equal_in_all_modes(self, kind, monkeypatch):
@@ -470,7 +486,7 @@ class TestUnrecordedForward:
         # 1M-element output: a recorded node also holds a full-size CDF; an
         # unrecorded one only a block.
         operands = (Tensor(np.random.default_rng(0).normal(size=(8192, 128))),)
-        out, peak = _traced_peak(lambda: apply("gelu", operands))
+        out, peak = traced_peak(lambda: apply("gelu", operands))
         assert out.size == 1 << 20
         assert peak <= 1.1 * out.data.nbytes, f"peak {peak / out.data.nbytes:.2f}x the output"
 
@@ -499,7 +515,7 @@ class TestUnrecordedForward:
         rng = np.random.default_rng(0)
         operands = tuple(Tensor(rng.normal(size=s)) for s in shapes)
         attrs = {"eps": 1e-6} if kind == "layernorm" else None
-        out, peak = _traced_peak(lambda: apply(kind, operands, attrs))
+        out, peak = traced_peak(lambda: apply(kind, operands, attrs))
         assert peak <= bound * out.data.nbytes, f"peak {peak / out.data.nbytes:.2f}x the output"
 
 

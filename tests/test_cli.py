@@ -199,6 +199,30 @@ class TestDispatch:
         assert code == 1
         assert f"error: {message}\n" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("command, flags, message", [
+        ("eval", ["--window", "0"], "swi.window must be >= 1, got 0"),
+        ("eval", ["--window", "-5"], "swi.window must be >= 1, got -5"),
+        ("pretrain", ["--masked-patch", "0"], "mask.patch must be >= 1, got 0"),
+        ("reconstruct", ["--masked-patch", "-8"], "mask.patch must be >= 1, got -8"),
+        ("eval", ["--set", "swi.overlap=1.5"], "swi.overlap must lie in [0, 1), got 1.5"),
+    ], ids=["eval-zero-window", "eval-negative-window", "pretrain-zero-masked-patch",
+            "reconstruct-negative-masked-patch", "eval-overlap"])
+    def test_bad_derived_or_window_value_exit_1_names_key(
+        self, synth_dir, tmp_path, capsys, command, flags, message
+    ):
+        # mask.patch and swi.window default to 0, "derive from another key";
+        # an explicit flag value of 0 must not silently become that value.
+        missing = str(tmp_path / "missing")
+        inputs = {
+            "pretrain": ["--method", "mae", "--data", missing],
+            "eval": ["--checkpoint", missing, "--data", synth_dir],
+            "reconstruct": ["--checkpoint", missing, "--depths", "0",
+                            "--volume", os.path.join(synth_dir, "sample0000.vol")],
+        }[command]
+        code = run([command, *inputs, "--out", str(tmp_path / "out"), *flags])
+        assert code == 1
+        assert capsys.readouterr().err == f"error: {message}\n"
+
     @pytest.mark.parametrize("command, message", [
         (["reconstruct", "--depths", "0,x"], "--depths expects comma-separated integers, got 'x'"),
         (["reconstruct", "--depths", ","], "--depths needs at least one value, got ','"),

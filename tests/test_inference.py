@@ -5,12 +5,14 @@ import os
 import numpy as np
 import pytest
 
+from helpers import traced_peak
 from vmim.autodiff import Graph
 from vmim.inference import (
     SlidingWindowConfig,
     _window_starts,
     dice_over_dataset,
     evaluate,
+    predict_labels,
     reconstruct_dump,
     seg_model_fn,
     sliding_window_infer,
@@ -25,6 +27,34 @@ from vmim.volume import LabelVolume, Volume, synth_generate
 
 def identity_model(window):
     return window.copy()
+
+
+def window_dependent_model(window):
+    # Three classes whose values depend on the whole window, so overlapping
+    # windows disagree and the blend decides the result.
+    x = window[0]
+    return np.stack([x - x.mean(), x * x.std(), np.sin(3.0 * x) + x.max()])
+
+
+def full_count_reference(model, volume, cfg):
+    """The blend with a full-size count array, one += 1 per window and one
+    whole-array division."""
+    data = volume.data
+    extents = data.shape[1:]
+    w = cfg.window
+    data = np.pad(data, [(0, 0)] + [(0, max(0, w - n)) for n in extents])
+    starts = [_window_starts(n, w, cfg.stride) for n in data.shape[1:]]
+    accum, counts = None, np.zeros(data.shape[1:])
+    for sd in starts[0]:
+        for sh in starts[1]:
+            for sw in starts[2]:
+                cube = (slice(sd, sd + w), slice(sh, sh + w), slice(sw, sw + w))
+                logits = model(data[(slice(None),) + cube])
+                if accum is None:
+                    accum = np.zeros((logits.shape[0],) + data.shape[1:])
+                accum[(slice(None),) + cube] += logits
+                counts[cube] += 1.0
+    return (accum / counts[None])[:, : extents[0], : extents[1], : extents[2]]
 
 
 class TestTiling:
@@ -77,6 +107,31 @@ class TestTiling:
         assert out.shape == (2, 16, 16, 16)
         assert np.abs(out[0] + out[1]).max() <= 1e-12
 
+    @pytest.mark.parametrize(
+        "shape, window, overlap",
+        [((1, 24, 20, 28), 8, 0.5), ((1, 19, 23, 17), 8, 0.6), ((1, 5, 8, 6), 8, 0.5),
+         ((1, 5, 19, 8), 8, 0.25), ((1, 16, 24, 16), 8, 0.0)],
+        ids=["ragged", "ragged-0.6", "padded", "padded-ragged", "zero-overlap"],
+    )
+    def test_blend_matches_full_count_reference_bitwise(self, shape, window, overlap):
+        v = Volume(np.random.default_rng(sum(shape)).normal(size=shape))
+        cfg = SlidingWindowConfig(window, overlap)
+        out = sliding_window_infer(window_dependent_model, v, cfg)
+        expected = full_count_reference(window_dependent_model, v, cfg)
+        assert out.shape == expected.shape == (3,) + shape[1:]
+        assert out.tobytes() == expected.tobytes()
+
+    def test_blend_allocates_little_beyond_the_sums(self):
+        # Three classes on 48^3 at 125 windows: no full-size count array and
+        # no second full-size output beside the (3, 48, 48, 48) sums.
+        v = Volume(np.random.default_rng(4).normal(size=(1, 48, 48, 48)))
+        cfg = SlidingWindowConfig(16, 0.5)
+        out, peak = traced_peak(
+            lambda: sliding_window_infer(lambda w: np.repeat(w, 3, axis=0), v, cfg)
+        )
+        assert out.shape == (3, 48, 48, 48)
+        assert peak <= 1.2 * out.nbytes, f"peak {peak / out.nbytes:.2f}x the sums"
+
     def test_invalid_overlap(self):
         with pytest.raises(ValueError, match="overlap"):
             SlidingWindowConfig(8, 1.0)
@@ -112,6 +167,17 @@ class TestEvaluationProtocol:
         dataset = synth_generate(6, 1, 16, 3)
         with pytest.raises(ValueError, match="classes"):
             dice_over_dataset(lambda v: v.data[0].astype(np.uint16), dataset, 5)
+
+    def test_predicted_labels_are_the_argmax_of_the_blended_logits(self):
+        seg = SegConfig(ViTConfig(32, 2, 4, 4), num_classes=3, width=8)
+        params = init_seg_params(seg, seed=5)
+        v = Volume(np.random.default_rng(5).normal(size=(1, 12, 16, 20)))
+        cfg = SlidingWindowConfig(8, 0.5)
+        logits = sliding_window_infer(seg_model_fn(seg, params), v, cfg)
+        labels = predict_labels(seg, params, v, cfg)
+        assert labels.dtype == np.uint16
+        assert labels.tobytes() == np.argmax(logits, axis=0).astype(np.uint16).tobytes()
+        assert len(np.unique(labels)) == 3
 
     def test_unrecorded_window_logits_equal_recorded_bitwise(self):
         # The window model runs every op unrecorded; under a graph with the

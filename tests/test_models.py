@@ -6,10 +6,10 @@ import struct
 import numpy as np
 import pytest
 
-from helpers import conv_transpose_reference, unetr_decoder_reference
+from helpers import conv_transpose_reference, retained_bytes, unetr_decoder_reference
 from vmim.autodiff import Graph, Tensor, apply, backward, finite_diff_check
 from vmim.checkpoint import load_checkpoint, save_checkpoint
-from vmim.losses import masked_recon_loss
+from vmim.losses import dice_ce_loss, masked_recon_loss
 from vmim.models import (
     _block,
     _encoder_taps,
@@ -280,6 +280,26 @@ class TestUNETR:
         assert [n for n in mlps if head <= set(n.input_ids)] == [mlps[-1]]
         assert mlps[-1].shape == (16**3, 3)
         assert not [n for n in g.nodes if n.kind == "linear" and head & set(n.input_ids)]
+
+    def test_recorded_crop_keeps_only_the_cdf_of_its_tail_mlp(self):
+        # The default segmenter on one 48^3 crop with its Dice+CE loss. The
+        # tail mlp's VJP recomputes the (n, hidden) pre-activation, so its
+        # CDF is the one full-size hidden array left on the tape; a second
+        # one (13.5 MiB) would take the tape past the bound.
+        seg = SegConfig(CFG, num_classes=3, width=16)
+        params = init_seg_params(seg, seed=0)
+        rng = np.random.default_rng(0)
+        v = Volume(rng.uniform(size=(1, 48, 48, 48)))
+        labels = rng.integers(0, 3, size=(48, 48, 48))
+        with Graph() as g:
+            g.watch_all(params.values())
+            dice_ce_loss(unetr_segment(seg, params, v), labels)
+        tail = [n for n in g.nodes if n.kind == "mlp"][-1]
+        x, w1 = tail.ctx[:2]
+        assert (x.shape[0], w1.shape[1]) == (24**3, 8 * 16)
+        hidden = [a for a in tail.ctx if getattr(a, "shape", None) == (24**3, 8 * 16)]
+        assert len(hidden) == 1
+        assert retained_bytes(g) < 44 * 2**20, f"{retained_bytes(g) / 2**20:.1f} MiB"
 
     @pytest.mark.parametrize(
         "patch,channels,shape",
