@@ -3,10 +3,17 @@
 Both loops are bitwise reproducible given (seed, config, dataset): every
 random draw comes from derived splitmix streams consumed in a fixed order,
 and parameter updates are functional.
+
+Training sets a process-wide malloc policy. Every step frees its tape in
+``backward`` and the next step's forward refills it, so from the first
+training call on, glibc keeps up to 1 GiB of freed heap mapped for reuse
+instead of returning it to the kernel and faulting it back in. Peak RSS
+is unchanged.
 """
 
 from __future__ import annotations
 
+import ctypes
 import math
 import os
 from dataclasses import dataclass, field
@@ -96,6 +103,28 @@ def subset_labeled(ids: list, ratio: float, seed: int) -> list:
 # The training loop
 # ---------------------------------------------------------------------------
 
+_M_TRIM_THRESHOLD = -1  # mallopt(3) parameter numbers, from glibc's malloc.h
+_M_MMAP_THRESHOLD = -3
+
+
+def _keep_freed_heap_mapped() -> None:
+    """Serve allocations up to 32 MiB from the heap and trim it only past 1 GiB.
+
+    32 MiB is the largest mmap threshold glibc allows on 64-bit. By default
+    glibc trims the heap top once the free space there exceeds about twice
+    the largest freed mmapped chunk, a few MiB in training. Does nothing
+    where the C library has no mallopt (not glibc).
+    """
+    try:
+        mallopt = ctypes.CDLL("libc.so.6").mallopt
+    except (OSError, AttributeError):
+        return
+    mallopt.argtypes = (ctypes.c_int, ctypes.c_int)
+    mallopt.restype = ctypes.c_int
+    mallopt(_M_MMAP_THRESHOLD, 32 << 20)
+    mallopt(_M_TRIM_THRESHOLD, 1 << 30)
+
+
 def _make_batches(order: list[int], batch_size: int, min_size: int = 1) -> list[list[int]]:
     batches = [order[i : i + batch_size] for i in range(0, len(order), batch_size)]
     if len(batches) > 1 and len(batches[-1]) < min_size:
@@ -161,7 +190,13 @@ def _train(params, cfg: TrainConfig, n, min_batch, rng, batch_loss, epoch_end, o
     Numpy overflow warnings are silenced inside a step: the explicit
     finiteness checks of _step report divergence instead. Creates
     ``out_dir`` and writes trace.tsv and checkpoint.vmim there.
+
+    First sets the process-wide malloc policy (_keep_freed_heap_mapped):
+    the tape is freed and refilled every step, so from here on glibc keeps
+    up to 1 GiB of freed heap mapped instead of faulting it back in. Peak
+    RSS is unchanged.
     """
+    _keep_freed_heap_mapped()
     os.makedirs(out_dir, exist_ok=True)
     state = OptState.init(params)
     spe = len(_make_batches(list(range(n)), cfg.batch_size, min_batch))
@@ -218,6 +253,10 @@ def pretrain(
     A None head or masking config takes config.DEFAULTS, resolved against
     ``vit_cfg``. Raises NonFiniteError, naming the step, when the loss or a
     gradient turns non-finite.
+
+    Process-wide effect: from the first training call on, glibc keeps up
+    to 1 GiB of freed heap mapped, because each step's tape is freed and
+    refilled (see _train). Peak RSS is unchanged.
     """
     if method not in PRETRAIN_METHODS:
         raise ValueError(f"method must be one of {PRETRAIN_METHODS}, got {method!r}")
@@ -324,6 +363,10 @@ def finetune(
     Validation Dice is recorded every eval cadence and at the final epoch.
     Raises NonFiniteError, naming the step, when the loss or a gradient
     turns non-finite.
+
+    Process-wide effect: from the first training call on, glibc keeps up
+    to 1 GiB of freed heap mapped, because each step's tape is freed and
+    refilled (see _train). Peak RSS is unchanged.
     """
     if not train_set:
         raise ValueError("labeled training set is empty")

@@ -1,8 +1,15 @@
 """Training loops: sampling, subsetting, determinism, trace bookkeeping."""
 
+import ctypes
+import os
+import subprocess
+import sys
+import types
+
 import numpy as np
 import pytest
 
+import vmim
 from vmim.autodiff import Graph, NonFiniteError, Tensor
 from vmim.models import MAEDecoderConfig, SegConfig, ViTConfig, encoder_param_names, init_seg_params
 from vmim.optim import OptState
@@ -254,3 +261,66 @@ def test_non_finite_gradient_reports_step_and_parameter(grad_clip):
     with pytest.raises(NonFiniteError,
                        match=r"non-finite gradient for parameter 'x' at step 7"):
         _step(params, graph, loss, OptState.init(params), 1e-3, cfg, 7)
+
+
+def _libc_has_mallopt():
+    try:
+        return hasattr(ctypes.CDLL("libc.so.6"), "mallopt")
+    except OSError:
+        return False
+
+
+# A tiny pretrain, then 96 MiB of 1 MiB arrays written and freed twice. 96 MiB
+# is more than twice glibc's largest dynamic mmap threshold, so under glibc's
+# default policy the second pass maps fresh pages (about 24k minor faults).
+_HEAP_CHURN = """
+import resource, tempfile
+import numpy as np
+from vmim.models import ViTConfig
+from vmim.train import TrainConfig, pretrain
+from vmim.volume import Volume
+
+rng = np.random.default_rng(0)
+volumes = [Volume(rng.uniform(size=(1, 16, 16, 16))) for _ in range(2)]
+cfg = TrainConfig(batch_size=2, warmup_epochs=0, total_epochs=1, window=16, seed=0)
+with tempfile.TemporaryDirectory() as out:
+    pretrain("simmim", ViTConfig(16, 1, 2, 8), cfg, volumes, out)
+
+def churn():
+    before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+    blocks = [np.ones(1 << 17) for _ in range(96)]
+    del blocks
+    return resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before
+
+churn()
+print(churn())
+"""
+
+
+@pytest.mark.skipif(not _libc_has_mallopt(), reason="the C library has no mallopt")
+def test_training_keeps_the_freed_heap_mapped():
+    # A fresh interpreter, so the malloc policy is the one training set.
+    src = os.path.dirname(os.path.dirname(os.path.abspath(vmim.__file__)))
+    env = dict(os.environ, PYTHONPATH=src, OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1")
+    out = subprocess.run([sys.executable, "-c", _HEAP_CHURN], env=env, check=True,
+                         capture_output=True, text=True, timeout=300).stdout
+    assert int(out.split()[-1]) < 1000
+
+
+@pytest.mark.parametrize("missing", ["no mallopt", "no library"])
+def test_training_runs_where_libc_has_no_mallopt(missing, volumes, monkeypatch, tmp_path):
+    cfg = quick_cfg(total_epochs=1, warmup_epochs=0)
+    expected = pretrain("simmim", TINY, cfg, volumes, str(tmp_path / "libc"),
+                        mask_cfg=MaskingConfig(8, 0.75)).losses
+    opened = []
+
+    def cdll(name, *args, **kwargs):
+        opened.append(name)
+        if missing == "no library":
+            raise OSError(f"{name}: cannot open shared object file")
+        return types.SimpleNamespace()
+
+    monkeypatch.setattr(ctypes, "CDLL", cdll)
+    result = pretrain("simmim", TINY, cfg, volumes, str(tmp_path / "none"),
+                      mask_cfg=MaskingConfig(8, 0.75))
+    assert opened and result.losses == expected
