@@ -419,23 +419,6 @@ def _vjp_gather_rows(ctx, g):
     return (out,)
 
 
-def _fwd_scatter_rows(arrays, attrs):
-    (a,) = arrays
-    idx = np.asarray(attrs["indices"], dtype=np.int64)
-    total = int(attrs["total"])
-    if idx.ndim != 1 or idx.shape[0] != a.shape[0]:
-        raise _shape_error("scatter_rows", f"{a.shape[0]} rows but {idx.shape} indices")
-    if idx.size and (idx.min() < 0 or idx.max() >= total or np.unique(idx).size != idx.size):
-        raise _shape_error("scatter_rows", f"indices must be unique and within [0, {total})")
-    out = np.zeros((total,) + a.shape[1:])
-    out[idx] = a
-    return out, idx
-
-
-def _vjp_scatter_rows(ctx, g):
-    return (g[ctx],)
-
-
 # -- normalization --
 
 def _fwd_layernorm(arrays, attrs):
@@ -536,8 +519,8 @@ def _row_blocks(rows: int, width: int, block: int):
 
 def _gelu(a, out, cdf=None):
     # Writes gelu(a) = a * cdf(a), cdf(a) = (1 + erf(a/sqrt 2))/2, into out,
-    # which may be a itself, as in mlp's unrecorded blocks: each block reads
-    # a before it writes out. A recorded node passes a full-size cdf, kept
+    # which may be a itself, as in mlp's blocks: each block reads a before
+    # it writes out. A recorded node passes a full-size cdf, kept
     # for the VJP, which then needs only exp for the pdf; an unrecorded one
     # works in a single block-sized buffer. scipy's erf is odd bitwise
     # (erf(-x) is -erf(x)); on |x| it skips a sign branch that mixed-sign
@@ -635,10 +618,9 @@ def _mlp_pre(x2, w1, b1, rows, out):
 def _mlp(arrays, record):
     # gelu(x @ w1 + b1).reshape(-1, h) @ w2 + b2 with w2 of shape (h, K), one
     # row block at a time. Each block's pre-activation goes to a block-sized
-    # buffer. A recorded node keeps only the full CDF for the VJP, which
-    # recomputes the pre-activation from x, and writes the GELU output to a
-    # second block-sized buffer; an unrecorded one keeps nothing full-size
-    # and runs GELU in place over the pre-activation. The second GEMM is
+    # buffer, and GELU runs in place over it. A recorded node keeps only the
+    # full CDF for the VJP, which recomputes the pre-activation from x; an
+    # unrecorded one keeps nothing full-size. The second GEMM is
     # row-major, the same call as linear's, so a one-block call rounds as
     # linear, gelu and linear on any BLAS. Split into blocks it differs from
     # the whole-array product by about 1e-16 relative; the class-major
@@ -651,13 +633,11 @@ def _mlp(arrays, record):
     out = np.empty((n * hidden // h, k))
     cdf = np.empty((n, hidden)) if record else None
     pre_buf = _mlp_buffer(x2, w1)
-    act_buf = _mlp_buffer(x2, w1) if record else pre_buf
     for rows, cols in _mlp_blocks(x2, w1, w2):
-        size = rows.stop - rows.start
-        pre, act = pre_buf[:size], act_buf[:size]
+        pre = pre_buf[: rows.stop - rows.start]
         _mlp_pre(x2, w1, b1, rows, pre)
-        _gelu(pre, act, cdf[rows] if record else None)
-        np.matmul(act.reshape(-1, h), w2, out=out[cols])
+        _gelu(pre, pre, cdf[rows] if record else None)
+        np.matmul(pre.reshape(-1, h), w2, out=out[cols])
         out[cols] += b2
     return out, ((x, w1, b1, w2, cdf) if record else None)
 
@@ -858,7 +838,6 @@ _register("reshape", _fwd_reshape, _vjp_reshape)
 _register("permute", _fwd_permute, _vjp_permute)
 _register("concat", _fwd_concat, _vjp_concat)
 _register("gather_rows", _fwd_gather_rows, _vjp_gather_rows)
-_register("scatter_rows", _fwd_scatter_rows, _vjp_scatter_rows)
 _register("layernorm", _fwd_layernorm, _vjp_layernorm)
 _register("attention", _fwd_attention, _vjp_attention)
 _register("gelu", _fwd_gelu, _vjp_gelu, _run_gelu)
@@ -869,10 +848,6 @@ _register("abs", _fwd_abs, _vjp_abs)
 _register("log_softmax", _fwd_log_softmax, _vjp_log_softmax)
 _register("dice_ce", _fwd_dice_ce, _vjp_dice_ce)
 _register("rownorm", _fwd_rownorm, _vjp_rownorm)
-
-
-def op_kinds() -> tuple[str, ...]:
-    return tuple(_REGISTRY)
 
 
 def apply(kind: str, operands: Sequence[Tensor], attrs: dict | None = None) -> Tensor:

@@ -82,5 +82,5 @@ def load_checkpoint(path: str) -> tuple[dict[str, Tensor], dict]:
         if min(shape, default=0) < 0 or start < 0 or start + size * 8 > len(payload):
             raise CheckpointError(f"{path}: tensor {name} runs past the payload")
         raw = np.frombuffer(payload, dtype="<f8", count=size, offset=start)
-        params[name] = Tensor(raw.reshape(shape).copy(), requires_grad=True)
+        params[name] = Tensor(raw.reshape(shape), requires_grad=True)
     return params, config

@@ -27,6 +27,13 @@ from .volume import Volume
 Params = dict[str, Tensor]
 
 
+def _at_least(minimum: int, *pairs: tuple[str, int]) -> None:
+    """Raise ValueError naming the first config key whose value is below ``minimum``."""
+    for key, value in pairs:
+        if value < minimum:
+            raise ValueError(f"{key} must be >= {minimum}, got {value}")
+
+
 @dataclass(frozen=True)
 class ViTConfig:
     embed_dim: int
@@ -37,12 +44,19 @@ class ViTConfig:
     channels: int = 1
 
     def __post_init__(self):
+        _at_least(
+            1,
+            ("model.embed_dim", self.embed_dim),
+            ("model.num_heads", self.num_heads),
+            ("model.token_patch", self.token_patch),
+            ("model.mlp_ratio", self.mlp_ratio),
+            ("model.channels", self.channels),
+        )
+        _at_least(0, ("model.depth", self.depth))
         if self.embed_dim % self.num_heads:
             raise ValueError(
                 f"embed dim {self.embed_dim} not divisible by {self.num_heads} heads"
             )
-        if self.depth < 0:
-            raise ValueError(f"depth must be >= 0, got {self.depth}")
 
     @property
     def mlp_dim(self) -> int:
@@ -59,6 +73,8 @@ class MAEDecoderConfig:
     decoder_heads: int
 
     def __post_init__(self):
+        _at_least(1, ("dec.dim", self.decoder_dim), ("dec.heads", self.decoder_heads))
+        _at_least(0, ("dec.depth", self.decoder_depth))
         if self.decoder_dim % self.decoder_heads:
             raise ValueError(
                 f"decoder dim {self.decoder_dim} not divisible by "
@@ -82,6 +98,7 @@ class SegConfig:
     def __post_init__(self):
         if self.num_classes < 2:
             raise ValueError(f"need >= 2 classes, got {self.num_classes}")
+        _at_least(1, ("seg.width", self.width))
         p = self.vit.token_patch
         if p & (p - 1):
             raise ValueError(
@@ -282,10 +299,6 @@ def encode(cfg: ViTConfig, params: Params, tokens, positions) -> Tensor:
     return _ln(h, params, "enc_norm")
 
 
-def _scatter(rows: Tensor, indices: np.ndarray, total: int) -> Tensor:
-    return apply("scatter_rows", (rows,), {"indices": indices, "total": total})
-
-
 def _patchify_masked(cfg: ViTConfig, volume: Volume, mask: Mask) -> TokenBatch:
     """Tokens of a volume whose ``mask`` a reconstruction head will fill."""
     if mask.num_masked == 0:
@@ -298,11 +311,21 @@ def _patchify_masked(cfg: ViTConfig, volume: Volume, mask: Mask) -> TokenBatch:
     return batch
 
 
-def _fill_masked(rows: Tensor, visible: np.ndarray, token: Tensor, mask: Mask) -> Tensor:
-    """The full sequence: ``rows`` at the visible slots, ``token`` at each masked one."""
+def _fill_masked(rows: Tensor, sources: np.ndarray, token: Tensor, mask: Mask) -> Tensor:
+    """The full sequence: the i-th visible slot holds ``rows[sources[i]]``,
+    each masked slot ``token``.
+
+    One gather from ``rows`` stacked over one token row per masked slot. The
+    token rows are ``token`` added to zeros, so the gather writes each row's
+    gradient once and ``token``'s gradient is the add's column sum over the
+    masked slots.
+    """
     token_rows = Tensor(np.zeros((mask.num_masked, token.shape[1]))) + token
-    total = mask.total_tokens
-    return _scatter(rows, visible, total) + _scatter(token_rows, mask.masked_token_ids, total)
+    index = np.empty(mask.total_tokens, dtype=np.int64)
+    index[mask.visible_token_ids()] = sources
+    index[mask.masked_token_ids] = rows.shape[0] + np.arange(mask.num_masked)
+    stacked = apply("concat", (rows, token_rows), {"axis": 0})
+    return apply("gather_rows", (stacked,), {"indices": index})
 
 
 def mae_forward(
@@ -328,7 +351,7 @@ def mae_forward(
     latents = encode(cfg, params, batch.tokens[visible], enc_pos[visible])
 
     projected = _linear(latents, params, "dec_embed")
-    full = _fill_masked(projected, visible, params["mask_token"], mask)
+    full = _fill_masked(projected, np.arange(visible.size), params["mask_token"], mask)
     dec_pos = Tensor(positional_table(grid, dec_cfg.decoder_dim))
     full = full + dec_pos
     decoded = _run_blocks(full, params, "dec", dec_cfg.decoder_depth, dec_cfg.decoder_heads)
@@ -355,9 +378,7 @@ def simmim_forward(
     grid = batch.grid
 
     embedded = _linear(Tensor(batch.tokens), params, "patch_embed")
-    visible = mask.visible_token_ids()
-    kept = apply("gather_rows", (embedded,), {"indices": visible})
-    mixed = _fill_masked(kept, visible, params["mask_token"], mask)
+    mixed = _fill_masked(embedded, mask.visible_token_ids(), params["mask_token"], mask)
     pos = Tensor(positional_table(grid, cfg.embed_dim))
     h = mixed + pos
     h = _run_blocks(h, params, "enc", cfg.depth, cfg.num_heads)

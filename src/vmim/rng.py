@@ -43,11 +43,9 @@ class Rng:
         return cls(derive_seed(*parts))
 
     def u64(self) -> int:
+        z = _mix64(self._state)
         self._state = (self._state + 0x9E3779B97F4A7C15) & _MASK64
-        z = self._state
-        z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & _MASK64
-        z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & _MASK64
-        return z ^ (z >> 31)
+        return z
 
     def uniform(self) -> float:
         """Float in [0, 1) with 53 random bits."""

@@ -190,11 +190,6 @@ def _train(params, cfg: TrainConfig, n, min_batch, rng, batch_loss, epoch_end, o
     Numpy overflow warnings are silenced inside a step: the explicit
     finiteness checks of _step report divergence instead. Creates
     ``out_dir`` and writes trace.tsv and checkpoint.vmim there.
-
-    First sets the process-wide malloc policy (_keep_freed_heap_mapped):
-    the tape is freed and refilled every step, so from here on glibc keeps
-    up to 1 GiB of freed heap mapped instead of faulting it back in. Peak
-    RSS is unchanged.
     """
     _keep_freed_heap_mapped()
     os.makedirs(out_dir, exist_ok=True)
@@ -254,9 +249,7 @@ def pretrain(
     ``vit_cfg``. Raises NonFiniteError, naming the step, when the loss or a
     gradient turns non-finite.
 
-    Process-wide effect: from the first training call on, glibc keeps up
-    to 1 GiB of freed heap mapped, because each step's tape is freed and
-    refilled (see _train). Peak RSS is unchanged.
+    Sets the process-wide malloc policy of _keep_freed_heap_mapped.
     """
     if method not in PRETRAIN_METHODS:
         raise ValueError(f"method must be one of {PRETRAIN_METHODS}, got {method!r}")
@@ -364,9 +357,7 @@ def finetune(
     Raises NonFiniteError, naming the step, when the loss or a gradient
     turns non-finite.
 
-    Process-wide effect: from the first training call on, glibc keeps up
-    to 1 GiB of freed heap mapped, because each step's tape is freed and
-    refilled (see _train). Peak RSS is unchanged.
+    Sets the process-wide malloc policy of _keep_freed_heap_mapped.
     """
     if not train_set:
         raise ValueError("labeled training set is empty")

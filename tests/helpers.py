@@ -23,10 +23,6 @@ DIFFERENTIABLE_PROBES = {
     "gather_rows": lambda t, aux: (
         apply("gather_rows", (t,), {"indices": np.array([3, 1, 1, 0])}) * aux["g_w"]
     ).sum(),
-    "scatter_rows": lambda t, aux: (
-        apply("scatter_rows", (t,), {"indices": np.array([5, 2, 0, 3, 1]), "total": 7})
-        * aux["sc_w"]
-    ).sum(),
     "layernorm": lambda t, aux: (
         apply("layernorm", (t,), {"eps": 1e-6}) * aux["b"]
     ).sum(),
@@ -64,7 +60,6 @@ def probe_aux(rng):
         "v5": Tensor(rng.normal(size=(5,))),
         "cat_w": Tensor(rng.normal(size=(8, 5))),
         "g_w": Tensor(rng.normal(size=(4, 5))),
-        "sc_w": Tensor(rng.normal(size=(7, 5))),
         **_side_normals(rng, w1=(5, 6), b1=(6,), w2=(2, 3), b2=(3,), mlp_w=(12, 3)),
     }
 
@@ -126,8 +121,6 @@ def probe_input(kind, rng):
     x = rng.uniform(-2.0, 2.0, size=(4, 5))
     if kind == "abs":
         x = x + np.sign(x) * 0.1
-    if kind == "scatter_rows":
-        x = rng.uniform(-2.0, 2.0, size=(5, 5))
     return x
 
 

@@ -199,6 +199,30 @@ class TestDispatch:
         assert code == 1
         assert f"error: {message}\n" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("command, key, value, minimum", [
+        ("pretrain", "model.embed_dim", 0, 1),
+        ("pretrain", "model.num_heads", 0, 1),
+        ("finetune", "model.token_patch", 0, 1),
+        ("pretrain", "model.mlp_ratio", 0, 1),
+        ("pretrain", "model.channels", 0, 1),
+        ("pretrain", "model.depth", -1, 0),
+        ("pretrain", "dec.dim", 0, 1),
+        ("pretrain", "dec.heads", 0, 1),
+        ("pretrain", "dec.depth", -1, 0),
+        ("finetune", "seg.width", 0, 1),
+    ])
+    def test_bad_model_size_exit_1_names_key(
+        self, synth_dir, tmp_path, capsys, command, key, value, minimum
+    ):
+        # Unchecked, these end in a raw ZeroDivisionError or reshape error,
+        # or, for dec.depth, in a run with no decoder blocks.
+        method = ["--method", "mae"] if command == "pretrain" else []
+        code = run([command, *method, "--data", synth_dir, "--out", str(tmp_path / "out"),
+                    "--epochs", "1", "--window", "16", "--set", "train.warmup_epochs=0",
+                    "--set", f"{key}={value}"])
+        assert code == 1
+        assert capsys.readouterr().err == f"error: {key} must be >= {minimum}, got {value}\n"
+
     @pytest.mark.parametrize("command, flags, message", [
         ("eval", ["--window", "0"], "swi.window must be >= 1, got 0"),
         ("eval", ["--window", "-5"], "swi.window must be >= 1, got -5"),

@@ -13,6 +13,7 @@ from vmim.losses import dice_ce_loss, masked_recon_loss
 from vmim.models import (
     _block,
     _encoder_taps,
+    _fill_masked,
     MAEDecoderConfig,
     SegConfig,
     SimCLRConfig,
@@ -196,6 +197,36 @@ class TestSimMIM:
         params = init_simmim_params(CFG, seed=4)
         tokens = simmim_forward(CFG, params, v, mask)[0].data
         assert np.abs(tokens - tokens[0]).max() > 1e-9
+
+
+class TestFillMasked:
+    def test_rows_at_visible_slots_token_at_masked_ones(self):
+        # Visible slots 0, 2 and 4 read rows 3, 0 and 1; row 2 is never read,
+        # as SimMIM's masked embeddings are not.
+        rows = Tensor([[1.0, 2.0], [3.0, 4.0], [5.0, 6.0], [7.0, 8.0]])
+        token = Tensor([[-1.0, -2.0]])
+        full = _fill_masked(rows, np.array([3, 0, 1]), token, Mask(np.array([1, 3]), 5))
+        assert np.array_equal(
+            full.data, [[7.0, 8.0], [-1.0, -2.0], [1.0, 2.0], [-1.0, -2.0], [3.0, 4.0]]
+        )
+
+    def test_gradients_are_the_slot_gradients(self):
+        rng = np.random.default_rng(12)
+        mask = Mask(np.sort(rng.choice(64, size=48, replace=False)), 64)
+        visible = mask.visible_token_ids()
+        sources = rng.permutation(20)[: visible.size]
+        g = rng.normal(size=(64, 6))
+        rows = Tensor(rng.normal(size=(20, 6)), requires_grad=True)
+        token = Tensor(rng.normal(size=(1, 6)), requires_grad=True)
+        with Graph() as graph:
+            graph.watch_all((rows, token))
+            loss = (_fill_masked(rows, sources, token, mask) * Tensor(g)).sum()
+        grads = backward(graph, loss)
+        g_rows = np.zeros((20, 6))
+        g_rows[sources] = g[visible]
+        assert np.array_equal(grads[rows.node_id].data, g_rows)
+        g_token = g[mask.masked_token_ids].sum(axis=0, keepdims=True)
+        assert grads[token.node_id].data.tobytes() == g_token.tobytes()
 
 
 class TestSimCLR:
