@@ -77,6 +77,10 @@ class TrainConfig:
     def __post_init__(self):
         if self.base_lr <= 0:
             raise ValueError(f"train.base_lr must be positive, got {self.base_lr}")
+        if not 0 <= self.min_lr <= self.base_lr:
+            raise ValueError(
+                f"need 0 <= train.min_lr ({self.min_lr}) <= train.base_lr ({self.base_lr})"
+            )
         if self.total_epochs < 1:
             raise ValueError(f"train.total_epochs must be >= 1, got {self.total_epochs}")
         if self.window < 1:

@@ -4,11 +4,18 @@ Both loops are bitwise reproducible given (seed, config, dataset): every
 random draw comes from derived splitmix streams consumed in a fixed order,
 and parameter updates are functional.
 
-Training sets a process-wide malloc policy. Every step frees its tape in
-``backward`` and the next step's forward refills it, so from the first
+A step's loss is the mean of its loss terms: one per crop for fine-tuning,
+MAE and SimMIM, and one for the whole batch for SimCLR, whose NT-Xent loss
+couples the batch. Each term is recorded on a tape of its own and
+backpropagated before the next term's inputs are drawn, so a step holds
+one term's VJP context at a time, not the batch's. The terms' gradients
+are summed before the one clip and AdamW update.
+
+Training sets a process-wide malloc policy. Every term frees its tape in
+``backward`` and the next term's forward refills it, so from the first
 training call on, glibc keeps up to 1 GiB of freed heap mapped for reuse
 instead of returning it to the kernel and faulting it back in. Peak RSS
-is unchanged.
+is unchanged by that policy.
 """
 
 from __future__ import annotations
@@ -133,13 +140,6 @@ def _make_batches(order: list[int], batch_size: int, min_size: int = 1) -> list[
     return batches
 
 
-def _mean_loss(losses: list[Tensor]) -> Tensor:
-    total = losses[0]
-    for term in losses[1:]:
-        total = total + term
-    return total.scale(1.0 / len(losses))
-
-
 def _trace_row(step: int, lr: float, loss: float, dice_scores: dict | None = None) -> str:
     """One trace line: step, lr, loss, then optional per-class dice."""
     cells = [str(step), repr(lr), repr(loss)]
@@ -148,20 +148,62 @@ def _trace_row(step: int, lr: float, loss: float, dice_scores: dict | None = Non
     return "\t".join(cells) + "\n"
 
 
-def _step(params, graph, loss, state, lr, cfg: TrainConfig, step: int):
-    """Backward, clip and AdamW-update; returns the new (params, state).
+def _add_grads(grads: dict, params, graph, loss, step: int) -> dict:
+    """Backpropagate ``loss`` over ``graph`` and add each parameter's
+    gradient into ``grads`` (name -> array), which it returns.
 
-    A non-finite loss, or a non-finite raw gradient, raises NonFiniteError
-    naming the step (and, for a gradient, the first parameter in ``params``
-    order). Gradients are checked before clipping, because one NaN makes
-    the global norm, and so every clipped gradient, NaN.
+    A non-finite loss raises NonFiniteError naming the step, before any
+    backward.
     """
     if not np.isfinite(loss.data).all():
         raise NonFiniteError(f"non-finite loss at step {step}")
     gradmap = backward(graph, loss)
-    grads = {name: gradmap[p.node_id] for name, p in params.items()}
-    for name, g in grads.items():
-        if not np.isfinite(g.data).all():
+    for name, p in params.items():
+        g = gradmap.pop(p.node_id).data
+        held = grads.get(name)
+        grads[name] = g if held is None else held + g
+    return grads
+
+
+def _batch_grads(params, batch_ids, term_loss, coupled: bool, step: int):
+    """One step's mean loss, and the sum of its loss terms' gradients.
+
+    A term is one example of ``batch_ids``, or the whole batch when
+    ``coupled``. Each of the n terms records ``term_loss(params, ids)
+    .scale(1 / n)`` on a tape of its own, backpropagated before the next
+    term is recorded. The gradient seeds and the mean loss are bitwise
+    those of one tape of ``(l_1 + ... + l_n).scale(1 / n)``. The summed
+    gradients may differ from that tape's in rounding, since their float
+    sums are grouped by term.
+    """
+    terms = [batch_ids] if coupled else [[i] for i in batch_ids]
+    scale = 1.0 / len(terms)
+    grads: dict[str, np.ndarray] = {}
+    total = None
+    for ids in terms:
+        with Graph() as graph:
+            graph.watch_all(params.values())
+            term = term_loss(params, ids)
+            loss = term.scale(scale)
+        _add_grads(grads, params, graph, loss, step)
+        total = term.item() if total is None else total + term.item()
+    mean = total * scale
+    if not math.isfinite(mean):
+        raise NonFiniteError(f"non-finite loss at step {step}")
+    return mean, grads
+
+
+def _step(params, grads, state, lr, cfg: TrainConfig, step: int):
+    """Clip the summed gradients ``grads`` and AdamW-update; returns the new
+    (params, state).
+
+    A non-finite gradient raises NonFiniteError naming the step and the
+    first such parameter in ``params`` order, before any update. Gradients
+    are checked before clipping, because one NaN makes the global norm, and
+    so every clipped gradient, NaN.
+    """
+    for name in params:
+        if not np.isfinite(grads[name]).all():
             raise NonFiniteError(
                 f"non-finite gradient for parameter {name!r} at step {step}"
             )
@@ -180,20 +222,29 @@ class PretrainResult:
     config: dict = field(default_factory=dict)
 
 
-def _train(params, cfg: TrainConfig, n, min_batch, rng, batch_loss, epoch_end, out_dir, config):
+def _train(params, cfg: TrainConfig, n, rng, term_loss, epoch_end, out_dir, config,
+           coupled=False):
     """The one training loop behind pretrain and finetune.
 
-    Each epoch draws a permutation of the ``n`` example ids from ``rng``;
-    ``batch_loss(params, batch_ids)`` builds one step's loss on the active
-    graph. After every epoch ``epoch_end(epochs_done, steps_done, params)``
-    may return per-class Dice scores, which are traced on an extra row.
-    Numpy overflow warnings are silenced inside a step: the explicit
-    finiteness checks of _step report divergence instead. Creates
-    ``out_dir`` and writes trace.tsv and checkpoint.vmim there.
+    Each epoch draws a permutation of the ``n`` example ids from ``rng`` and
+    cuts it into batches of ``cfg.batch_size``. ``term_loss(params, ids)``
+    draws its inputs and builds one loss term on the active graph: the loss
+    of the one example in ``ids``, or, when ``coupled``, of the whole batch
+    (a coupled batch needs two examples, so a last batch of one joins the
+    one before). It should keep no reference to its inputs once it returns,
+    so that they are freed before its backward. A step records and
+    backpropagates its terms one at a time, so one term's tape is alive at
+    a time, and sums their gradients before the one clip and AdamW update.
+    After every epoch ``epoch_end(epochs_done, steps_done, params)`` may
+    return per-class Dice scores, which are traced on an extra row. Numpy
+    overflow warnings are silenced inside a step: the explicit finiteness
+    checks report divergence instead. Creates ``out_dir`` and writes
+    trace.tsv and checkpoint.vmim there.
     """
     _keep_freed_heap_mapped()
     os.makedirs(out_dir, exist_ok=True)
     state = OptState.init(params)
+    min_batch = 2 if coupled else 1
     spe = len(_make_batches(list(range(n)), cfg.batch_size, min_batch))
     total_steps = spe * cfg.total_epochs
     warmup_steps = spe * cfg.warmup_epochs
@@ -206,11 +257,9 @@ def _train(params, cfg: TrainConfig, n, min_batch, rng, batch_loss, epoch_end, o
             for batch_ids in _make_batches(order, cfg.batch_size, min_batch):
                 lr = lr_at(step, warmup_steps, total_steps, cfg.base_lr, cfg.min_lr)
                 with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-                    with Graph() as graph:
-                        graph.watch_all(params.values())
-                        loss = batch_loss(params, batch_ids)
-                    params, state = _step(params, graph, loss, state, lr, cfg, step)
-                loss_value = loss.item()
+                    loss_value, grads = _batch_grads(params, batch_ids, term_loss, coupled, step)
+                    params, state = _step(params, grads, state, lr, cfg, step)
+                del grads  # not held through the next step's forward
                 losses.append(loss_value)
                 trace.write(_trace_row(step, lr, loss_value))
                 step += 1
@@ -278,24 +327,17 @@ def pretrain(
     config = checkpoint_config(method, train_cfg, model=vit_cfg, **heads)
     rng = Rng.derive(seed, "pretrain", method)
 
-    def batch_loss(params, batch_ids):
+    def term_loss(params, ids):
         if method == "simclr":
-            views1 = [_augment_view(dataset[i], window, rng) for i in batch_ids]
-            views2 = [_augment_view(dataset[i], window, rng) for i in batch_ids]
+            views1 = [_augment_view(dataset[i], window, rng) for i in ids]
+            views2 = [_augment_view(dataset[i], window, rng) for i in ids]
             return simclr_forward(vit_cfg, params, views1, views2, simclr_cfg.temperature)
-        samples = []
-        for i in batch_ids:
-            crop, _ = crop_sampler(dataset[i], None, window, rng)
-            grid = PatchGrid.for_volume(crop, vit_cfg.token_patch)
-            samples.append((crop, sample_mask(grid, mask_cfg, rng)))
-        terms = []
-        for crop, mask in samples:
-            if method == "mae":
-                _, term = mae_forward(vit_cfg, dec_cfg, params, crop, mask, recon_cfg)
-            else:
-                _, term = simmim_forward(vit_cfg, params, crop, mask, recon_cfg)
-            terms.append(term)
-        return _mean_loss(terms)
+        (i,) = ids
+        crop, _ = crop_sampler(dataset[i], None, window, rng)
+        mask = sample_mask(PatchGrid.for_volume(crop, vit_cfg.token_patch), mask_cfg, rng)
+        if method == "mae":
+            return mae_forward(vit_cfg, dec_cfg, params, crop, mask, recon_cfg)[1]
+        return simmim_forward(vit_cfg, params, crop, mask, recon_cfg)[1]
 
     cadence = train_cfg.checkpoint_cadence()
 
@@ -304,9 +346,9 @@ def pretrain(
             path = os.path.join(out_dir, f"checkpoint_ep{epoch:04d}.vmim")
             save_checkpoint(path, params, config)
 
-    min_batch = 2 if method == "simclr" else 1
     return _train(
-        params, train_cfg, len(dataset), min_batch, rng, batch_loss, epoch_end, out_dir, config
+        params, train_cfg, len(dataset), rng, term_loss, epoch_end, out_dir, config,
+        coupled=method == "simclr",
     )
 
 
@@ -376,13 +418,10 @@ def finetune(
     active = subset_labeled(train_set, labeled_ratio, train_cfg.seed)
     rng = Rng.derive(train_cfg.seed, "finetune")
 
-    def batch_loss(params, batch_ids):
-        terms = []
-        for i in batch_ids:
-            crop, label_crop = crop_sampler(active[i][0], active[i][1], train_cfg.window, rng)
-            logits = unetr_segment(seg_cfg, params, crop)
-            terms.append(dice_ce_loss(logits, label_crop.data))
-        return _mean_loss(terms)
+    def term_loss(params, ids):
+        (i,) = ids
+        crop, label_crop = crop_sampler(active[i][0], active[i][1], train_cfg.window, rng)
+        return dice_ce_loss(unetr_segment(seg_cfg, params, crop), label_crop.data)
 
     eval_cadence = train_cfg.eval_cadence()
     dice_trace: list[tuple[int, dict[int, float], float]] = []
@@ -397,5 +436,5 @@ def finetune(
             dice_trace.append((step, scores, sum(scores.values()) / len(scores)))
             return scores
 
-    result = _train(params, train_cfg, len(active), 1, rng, batch_loss, epoch_end, out_dir, config)
+    result = _train(params, train_cfg, len(active), rng, term_loss, epoch_end, out_dir, config)
     return FinetuneResult(**vars(result), dice_trace=dice_trace)

@@ -8,6 +8,7 @@ import numpy as np
 from scipy.special import erf
 
 from vmim.autodiff import Tensor, apply
+from vmim.train import TrainConfig, finetune
 
 DIFFERENTIABLE_PROBES = {
     "add": lambda t, aux: (t + aux["b"]).sum(),
@@ -133,6 +134,14 @@ def traced_peak(f):
     finally:
         tracemalloc.stop()
     return out, peak
+
+
+def finetune_step_peak(seg_cfg, pairs, window, out_dir):
+    """Peak bytes that a from-scratch finetune() of one step, on a batch of
+    all of ``pairs``, allocates under tracemalloc."""
+    cfg = TrainConfig(batch_size=len(pairs), warmup_epochs=0, total_epochs=1, window=window)
+    _, peak = traced_peak(lambda: finetune(None, seg_cfg, cfg, pairs, [], out_dir))
+    return peak
 
 
 def retained_bytes(graph):

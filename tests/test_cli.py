@@ -139,7 +139,8 @@ class TestDispatch:
         def backward_poisoning_step_1(graph, loss):
             grads = real_backward(graph, loss)
             calls.append(None)
-            if len(calls) == 2:
+            # One backward per crop, two crops per step: call 3 is step 1's first.
+            if len(calls) == 3:
                 grads = {k: Tensor(np.full(g.shape, np.inf)) for k, g in grads.items()}
             return grads
 
@@ -188,16 +189,20 @@ class TestDispatch:
     @pytest.mark.parametrize("flags, message", [
         (["--epochs", "1"], "need 0 <= train.warmup_epochs (3) <= train.total_epochs (1)"),
         (["--set", "train.base_lr=-1"], "train.base_lr must be positive, got -1.0"),
+        (["--set", "train.min_lr=-1"], "need 0 <= train.min_lr (-1.0) <= train.base_lr (0.0003)"),
+        (["--set", "train.min_lr=1e-3"],
+         "need 0 <= train.min_lr (0.001) <= train.base_lr (0.0003)"),
         (["--set", "train.batch_size=0"], "train.batch_size must be >= 1, got 0"),
         (["--epochs", "0", "--set", "train.warmup_epochs=0"],
          "train.total_epochs must be >= 1, got 0"),
         (["--window", "0"], "train.window must be >= 1, got 0"),
-    ], ids=["warmup-past-total", "base-lr", "batch-size", "zero-epochs", "zero-window"])
+    ], ids=["warmup-past-total", "base-lr", "negative-min-lr", "min-lr-above-base-lr",
+            "batch-size", "zero-epochs", "zero-window"])
     def test_bad_train_config_exit_1_names_keys(self, synth_dir, tmp_path, capsys, flags, message):
         code = run(["pretrain", "--method", "mae", "--data", synth_dir,
                     "--out", str(tmp_path / "out")] + flags)
         assert code == 1
-        assert f"error: {message}\n" in capsys.readouterr().err
+        assert capsys.readouterr().err == f"error: {message}\n"
 
     @pytest.mark.parametrize("command, key, value, minimum", [
         ("pretrain", "model.embed_dim", 0, 1),

@@ -10,14 +10,28 @@ import numpy as np
 import pytest
 
 import vmim
-from vmim.autodiff import Graph, NonFiniteError, Tensor
-from vmim.models import MAEDecoderConfig, SegConfig, ViTConfig, encoder_param_names, init_seg_params
+from helpers import finetune_step_peak
+from vmim.autodiff import Graph, NonFiniteError, Tensor, backward
+from vmim.losses import ReconLossConfig, dice_ce_loss
+from vmim.models import (
+    MAEDecoderConfig,
+    SegConfig,
+    ViTConfig,
+    encoder_param_names,
+    init_seg_params,
+    init_simmim_params,
+    simmim_forward,
+    unetr_segment,
+)
 from vmim.optim import OptState
-from vmim.patches import MaskingConfig
+from vmim.patches import MaskingConfig, PatchGrid, sample_mask
 from vmim.rng import Rng
 from vmim.train import (
     TrainConfig,
+    _add_grads,
+    _batch_grads,
     _step,
+    _train,
     crop_sampler,
     finetune,
     load_encoder_weights,
@@ -260,7 +274,88 @@ def test_non_finite_gradient_reports_step_and_parameter(grad_clip):
     cfg = quick_cfg(grad_clip=grad_clip)
     with pytest.raises(NonFiniteError,
                        match=r"non-finite gradient for parameter 'x' at step 7"):
-        _step(params, graph, loss, OptState.init(params), 1e-3, cfg, 7)
+        _step(params, _add_grads({}, params, graph, loss, 7), OptState.init(params), 1e-3, cfg, 7)
+
+
+def _two_crop_finetune(labeled):
+    seg = SegConfig(TINY, 3, width=8)
+    rng = Rng.derive(0, "terms")
+    crops = [crop_sampler(v, l, 16, rng) for v, l in labeled[:2]]
+
+    def term_loss(params, ids):
+        (i,) = ids
+        crop, labels = crops[i]
+        return dice_ce_loss(unetr_segment(seg, params, crop), labels.data)
+
+    return init_seg_params(seg, 0), term_loss
+
+
+def _two_crop_simmim(volumes):
+    rng = Rng.derive(0, "terms")
+    samples = []
+    for v in volumes[:2]:
+        crop, _ = crop_sampler(v, None, 16, rng)
+        mask = sample_mask(PatchGrid.for_volume(crop, 8), MaskingConfig(8, 0.5), rng)
+        samples.append((crop, mask))
+
+    def term_loss(params, ids):
+        (i,) = ids
+        return simmim_forward(TINY, params, *samples[i], ReconLossConfig())[1]
+
+    return init_simmim_params(TINY, 0), term_loss
+
+
+@pytest.mark.parametrize("model", ["finetune", "simmim"])
+def test_summed_term_gradients_match_one_batched_tape(model, labeled, volumes):
+    params, term_loss = (
+        _two_crop_finetune(labeled) if model == "finetune" else _two_crop_simmim(volumes)
+    )
+    loss, grads = _batch_grads(params, [0, 1], term_loss, False, 0)
+    with Graph() as graph:
+        graph.watch_all(params.values())
+        batched = (term_loss(params, [0]) + term_loss(params, [1])).scale(0.5)
+    assert loss == batched.item()
+    reference = backward(graph, batched)
+    for name, p in params.items():
+        expected = reference[p.node_id].data
+        # The attention key bias moves every score of a query alike, which
+        # the softmax cancels: its gradient is zero up to rounding noise.
+        bound = 1e-15 if name.endswith(".k.b") else 1e-12 * np.abs(expected).max()
+        assert np.abs(grads[name] - expected).max() <= bound, name
+
+
+def test_a_step_holds_one_crops_tape(labeled, tmp_path):
+    # Each crop's tape is freed by its backward before the next crop's is
+    # recorded, so a second crop adds a gradient sum, not a second tape.
+    seg = SegConfig(TINY, 3, width=8)
+    one = finetune_step_peak(seg, labeled[:1], 24, str(tmp_path / "one"))
+    two = finetune_step_peak(seg, labeled[:2], 24, str(tmp_path / "two"))
+    assert two <= 1.15 * one
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_non_finite_second_term_reports_step_before_any_update(monkeypatch, tmp_path):
+    params = {"w": Tensor(np.ones(2), requires_grad=True)}
+    terms = []
+
+    def term_loss(params, ids):
+        terms.append(ids)
+        factor = np.inf if len(terms) == 4 else 1.0  # step 1's second term
+        return params["w"].scale(factor).sum()
+
+    updates = []
+    real_adamw_step = vmim.train.adamw_step
+
+    def counting_adamw_step(*args):
+        updates.append(None)
+        return real_adamw_step(*args)
+
+    monkeypatch.setattr(vmim.train, "adamw_step", counting_adamw_step)
+    cfg = quick_cfg(batch_size=2, total_epochs=1, warmup_epochs=0)
+    with pytest.raises(NonFiniteError, match=r"^non-finite loss at step 1$"):
+        _train(params, cfg, 4, Rng.derive(0, "terms"), term_loss, lambda *a: None,
+               str(tmp_path), {})
+    assert len(terms) == 4 and len(updates) == 1
 
 
 def _libc_has_mallopt():
