@@ -17,11 +17,13 @@ modes give bitwise-equal outputs.
 Besides elementwise, layout and reduction primitives, the registry holds
 fused kernels for the chains the models run most: ``attention`` (multi-head
 scaled dot-product attention), ``mlp`` (dense, GELU, dense), ``dice_ce``
-and ``log_softmax``. Each is one tape node with a closed-form VJP. ``gelu``
-and ``mlp`` share one GELU kernel; ``mlp`` works in cache-sized row blocks,
-never writes its GELU output in full and keeps no pre-activation for its
-VJP, and a call that fits in one block is bitwise equal to ``linear``,
-``gelu`` and ``linear``.
+and ``log_softmax``. Each is one tape node with a closed-form VJP.
+``attention`` runs one head at a time and keeps each row's softmax max and
+sum of exps, not its probabilities, which its VJP recomputes bitwise.
+``gelu`` and ``mlp`` share one GELU kernel; ``mlp`` works in cache-sized
+row blocks, never writes its GELU output in full and keeps no
+pre-activation for its VJP, and a call that fits in one block is bitwise
+equal to ``linear``, ``gelu`` and ``linear``.
 """
 
 from __future__ import annotations
@@ -451,11 +453,27 @@ def _vjp_layernorm(ctx, g):
 
 # -- fused model kernels --
 
+def _attention_probs(qh, kt, scale, top, total, h, w, fresh):
+    # Head h's softmax probabilities into the (N, N) buffer w, in place. The
+    # forward (fresh) stores each row's max and sum of exps in top[h] and
+    # total[h]; the VJP reads them back and so recomputes the forward's bits.
+    np.matmul(qh[h], kt[h], out=w)
+    w *= scale
+    if fresh:
+        w.max(axis=-1, keepdims=True, out=top[h])
+    w -= top[h]
+    np.exp(w, out=w)
+    if fresh:
+        w.sum(axis=-1, keepdims=True, out=total[h])
+    w /= total[h]
+
+
 def _fwd_attention(arrays, attrs):
-    # Multi-head scaled dot-product attention of (N, dim) projections.
-    # Heads are contiguous (H, N, d) copies (keys as (H, d, N)); the score
-    # scale, max shift, exp and normalisation then run in place on one
-    # (H, N, N) buffer, which the VJP reuses as the softmax output.
+    # Multi-head scaled dot-product attention of (N, dim) projections, one
+    # head at a time on one (N, N) buffer. Heads are contiguous (H, N, d)
+    # copies (keys as (H, d, N)), and each head's output GEMM writes into
+    # its columns of the (N, H, d) result. The VJP context keeps the row
+    # max and row sum of exps, (H, N, 1) each, not the probabilities.
     q, k, v = arrays
     heads = attrs["num_heads"]
     if q.ndim != 2 or k.shape != q.shape or v.shape != q.shape:
@@ -470,35 +488,39 @@ def _fwd_attention(arrays, attrs):
     kt = k.reshape(n, heads, d).transpose(1, 2, 0).copy()
     vh = v.reshape(n, heads, d).transpose(1, 0, 2).copy()
     scale = 1.0 / np.sqrt(d)
-    w = np.matmul(qh, kt)
-    w *= scale
-    w -= w.max(axis=-1, keepdims=True)
-    np.exp(w, out=w)
-    w /= w.sum(axis=-1, keepdims=True)
-    out = np.matmul(w, vh).transpose(1, 0, 2).reshape(n, dim)
-    return out, (qh, kt, vh, w, scale)
+    top, total = np.empty((heads, n, 1)), np.empty((heads, n, 1))
+    w = np.empty((n, n))
+    out = np.empty((n, heads, d))
+    for h in range(heads):
+        _attention_probs(qh, kt, scale, top, total, h, w, fresh=True)
+        np.matmul(w, vh[h], out=out[:, h])
+    return out.reshape(n, dim), (qh, kt, vh, top, total, scale)
 
 
 def _vjp_attention(ctx, g):
-    # Each matmul sees the operand layouts of the unfused graph (swapaxes
-    # views, and g as (H, N, d) through a transpose), so gradients match it
-    # bitwise.
-    qh, kt, vh, w, scale = ctx
+    # Head by head: recompute the probabilities, then run the unfused
+    # graph's gradient GEMMs with its operand layouts (transposed views, and
+    # g's heads as strided (N, d) views), so gradients match it bitwise. The
+    # key gradient is built as (H, d, N) and returned through a transpose,
+    # the unfused graph's layout, by which later reductions over it round.
+    qh, kt, vh, top, total, scale = ctx
     heads, n, d = qh.shape
-    gm = g.reshape(n, heads, d).transpose(1, 0, 2)
-    gv = np.matmul(np.swapaxes(w, -1, -2), gm)
-    gs = np.matmul(gm, np.swapaxes(vh, -1, -2))
-    gs -= (gs * w).sum(axis=-1, keepdims=True)
-    gs *= w
-    gs *= scale
-    gq = np.matmul(gs, np.swapaxes(kt, -1, -2))
-    gk = np.matmul(np.swapaxes(qh, -1, -2), gs)
+    gm = g.reshape(n, heads, d)
+    w, gs, prod = np.empty((n, n)), np.empty((n, n)), np.empty((n, n))
+    gq, gv = np.empty((n, heads, d)), np.empty((n, heads, d))
+    gk = np.empty((heads, d, n))
+    for h in range(heads):
+        _attention_probs(qh, kt, scale, top, total, h, w, fresh=False)
+        np.matmul(w.T, gm[:, h], out=gv[:, h])
+        np.matmul(gm[:, h], vh[h].T, out=gs)
+        np.multiply(gs, w, out=prod)
+        gs -= prod.sum(axis=-1, keepdims=True)
+        gs *= w
+        gs *= scale
+        np.matmul(gs, kt[h].T, out=gq[:, h])
+        np.matmul(qh[h].T, gs, out=gk[h])
     merge = (n, heads * d)
-    return (
-        gq.transpose(1, 0, 2).reshape(merge),
-        gk.transpose(2, 0, 1).reshape(merge),
-        gv.transpose(1, 0, 2).reshape(merge),
-    )
+    return gq.reshape(merge), gk.transpose(2, 0, 1).reshape(merge), gv.reshape(merge)
 
 
 # Elements per block of the GELU chains and of layernorm's squares: each

@@ -77,6 +77,10 @@ class TrainConfig:
     def __post_init__(self):
         if self.base_lr <= 0:
             raise ValueError(f"train.base_lr must be positive, got {self.base_lr}")
+        for key, beta in (("train.beta1", self.beta1), ("train.beta2", self.beta2)):
+            # A beta of 1 zeroes Adam's bias correction 1 - beta^t.
+            if not 0 <= beta < 1:
+                raise ValueError(f"{key} must lie in [0, 1), got {beta}")
         if not 0 <= self.min_lr <= self.base_lr:
             raise ValueError(
                 f"need 0 <= train.min_lr ({self.min_lr}) <= train.base_lr ({self.base_lr})"

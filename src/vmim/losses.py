@@ -23,7 +23,7 @@ class ReconLossConfig:
 
     def __post_init__(self):
         if self.norm not in ("l1", "l2"):
-            raise ValueError(f"norm must be 'l1' or 'l2', got {self.norm!r}")
+            raise ValueError(f"recon.norm must be 'l1' or 'l2', got {self.norm!r}")
 
 
 def masked_recon_loss(

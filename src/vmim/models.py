@@ -88,6 +88,11 @@ class SimCLRConfig:
     proj_dim: int
     temperature: float = 0.5
 
+    def __post_init__(self):
+        _at_least(1, ("simclr.hidden", self.proj_hidden), ("simclr.dim", self.proj_dim))
+        if self.temperature <= 0:
+            raise ValueError(f"simclr.temperature must be positive, got {self.temperature}")
+
 
 @dataclass(frozen=True)
 class SegConfig:
@@ -96,8 +101,7 @@ class SegConfig:
     width: int = 16
 
     def __post_init__(self):
-        if self.num_classes < 2:
-            raise ValueError(f"need >= 2 classes, got {self.num_classes}")
+        _at_least(2, ("seg.num_classes", self.num_classes))
         _at_least(1, ("seg.width", self.width))
         p = self.vit.token_patch
         if p & (p - 1):

@@ -67,9 +67,9 @@ class MaskingConfig:
 
     def __post_init__(self):
         if not 0.0 <= self.ratio <= 1.0:
-            raise ValueError(f"masking ratio must lie in [0, 1], got {self.ratio}")
+            raise ValueError(f"mask.ratio must lie in [0, 1], got {self.ratio}")
         if self.masked_patch < 1:
-            raise ValueError(f"masked patch must be >= 1, got {self.masked_patch}")
+            raise ValueError(f"mask.patch must be >= 1, got {self.masked_patch}")
 
     def cell_factor(self, token_patch: int) -> int:
         if self.masked_patch % token_patch:

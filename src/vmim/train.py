@@ -95,12 +95,12 @@ def crop_sampler(
 def subset_labeled(ids: list, ratio: float, seed: int) -> list:
     """floor(ratio * n) ids drawn without replacement; ratio 1.0 is identity."""
     if not 0 < ratio <= 1:
-        raise ValueError(f"ratio must lie in (0, 1], got {ratio}")
+        raise ValueError(f"train.labeled_ratio must lie in (0, 1], got {ratio}")
     if ratio == 1.0:
         return list(ids)
     k = int(math.floor(ratio * len(ids)))
     if k == 0:
-        raise ValueError(f"ratio {ratio} of {len(ids)} ids selects nothing")
+        raise ValueError(f"train.labeled_ratio {ratio} of {len(ids)} ids selects nothing")
     rng = Rng.derive(seed, "subset")
     picks = rng.sample_without_replacement(len(ids), k)
     return [ids[i] for i in picks]

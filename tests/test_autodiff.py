@@ -87,6 +87,37 @@ class TestForward:
         for t, expected in zip(qkv, grads):
             assert got[t.node_id].data.tobytes() == expected.tobytes()
 
+    @pytest.mark.parametrize("n", [54, 216])
+    def test_attention_gradient_layouts_match_unfused_graph_bitwise(self, n):
+        # The MAE encoder's visible tokens and the full sequence, at 4 heads.
+        # A reduction over a gradient rounds by its memory layout (linear's
+        # VJP takes the bias gradient as a column sum), which tobytes() cannot
+        # see, so each gradient's column sums are compared too. The gradients
+        # are the VJP's own outputs, as the projections' VJPs receive them:
+        # backward hands leaves C-contiguous copies.
+        rng = np.random.default_rng(n)
+        q, k, v = rng.normal(size=(3, n, 64))
+        g = rng.normal(size=(n, 64))
+        out, expected = attention_reference(q, k, v, 4, g)
+        op = autodiff._REGISTRY["attention"]
+        y, ctx = op.forward([q, k, v], {"num_heads": 4})
+        assert y.tobytes() == out.tobytes()
+        for name, got, want in zip("qkv", op.vjp(ctx, g), expected):
+            assert got.tobytes() == want.tobytes(), name
+            assert got.sum(axis=0).tobytes() == want.sum(axis=0).tobytes(), name
+
+    def test_recorded_attention_keeps_less_than_its_probabilities(self):
+        # The full sequence of the default encoder: 216 tokens, 4 heads. The
+        # VJP recomputes the (4, 216, 216) probabilities from per-row
+        # statistics, so the node must hold less than that one array.
+        rng = np.random.default_rng(0)
+        qkv = [Tensor(a, requires_grad=True) for a in rng.normal(size=(3, 216, 64))]
+        with Graph() as graph:
+            graph.watch_all(qkv)
+            apply("attention", tuple(qkv), {"num_heads": 4})
+        probabilities = np.empty((4, 216, 216)).nbytes
+        assert helpers.retained_bytes(graph) < probabilities
+
     @pytest.mark.parametrize("shape", [(3, 4, 5), (3000, 5)], ids=["channel-last", "two-blocks"])
     def test_linear_gelu_matches_unfused_graph_bitwise(self, shape):
         rng = np.random.default_rng(len(shape))

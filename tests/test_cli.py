@@ -196,8 +196,13 @@ class TestDispatch:
         (["--epochs", "0", "--set", "train.warmup_epochs=0"],
          "train.total_epochs must be >= 1, got 0"),
         (["--window", "0"], "train.window must be >= 1, got 0"),
+        # Unchecked, a beta of 1 ends in "non-finite loss at step 1".
+        (["--set", "train.beta1=1"], "train.beta1 must lie in [0, 1), got 1.0"),
+        (["--set", "train.beta2=1"], "train.beta2 must lie in [0, 1), got 1.0"),
+        (["--set", "train.beta2=-0.5"], "train.beta2 must lie in [0, 1), got -0.5"),
     ], ids=["warmup-past-total", "base-lr", "negative-min-lr", "min-lr-above-base-lr",
-            "batch-size", "zero-epochs", "zero-window"])
+            "batch-size", "zero-epochs", "zero-window", "beta1-one", "beta2-one",
+            "negative-beta2"])
     def test_bad_train_config_exit_1_names_keys(self, synth_dir, tmp_path, capsys, flags, message):
         code = run(["pretrain", "--method", "mae", "--data", synth_dir,
                     "--out", str(tmp_path / "out")] + flags)
@@ -227,6 +232,30 @@ class TestDispatch:
                     "--set", f"{key}={value}"])
         assert code == 1
         assert capsys.readouterr().err == f"error: {key} must be >= {minimum}, got {value}\n"
+
+    @pytest.mark.parametrize("command, assignment, message", [
+        ("pretrain --method simclr", "simclr.hidden=-2", "simclr.hidden must be >= 1, got -2"),
+        ("pretrain --method simclr", "simclr.dim=-1", "simclr.dim must be >= 1, got -1"),
+        ("pretrain --method simclr", "simclr.temperature=0",
+         "simclr.temperature must be positive, got 0.0"),
+        ("pretrain --method mae", "mask.ratio=1.5", "mask.ratio must lie in [0, 1], got 1.5"),
+        ("pretrain --method mae", "mask.patch=-8", "mask.patch must be >= 1, got -8"),
+        ("pretrain --method mae", "recon.norm=l3", "recon.norm must be 'l1' or 'l2', got 'l3'"),
+        ("finetune", "seg.num_classes=1", "seg.num_classes must be >= 2, got 1"),
+        ("finetune", "train.labeled_ratio=2", "train.labeled_ratio must lie in (0, 1], got 2.0"),
+    ], ids=["simclr-hidden", "simclr-dim", "simclr-temperature", "mask-ratio", "mask-patch",
+            "recon-norm", "seg-classes", "labeled-ratio"])
+    def test_bad_section_value_exit_1_names_key(
+        self, synth_dir, tmp_path, capsys, command, assignment, message
+    ):
+        # Unchecked, the simclr sizes end in numpy's "negative dimensions are
+        # not allowed".
+        code = run([*command.split(), "--data", synth_dir, "--out", str(tmp_path / "out"),
+                    "--epochs", "1", "--window", "16", "--set", "train.warmup_epochs=0",
+                    "--set", "model.embed_dim=32", "--set", "model.depth=1",
+                    "--set", assignment])
+        assert code == 1
+        assert capsys.readouterr().err == f"error: {message}\n"
 
     @pytest.mark.parametrize("command, flags, message", [
         ("eval", ["--window", "0"], "swi.window must be >= 1, got 0"),
