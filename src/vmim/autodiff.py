@@ -18,8 +18,9 @@ Besides elementwise, layout and reduction primitives, the registry holds
 fused kernels for the chains the models run most: ``attention`` (multi-head
 scaled dot-product attention), ``mlp`` (dense, GELU, dense), ``dice_ce``
 and ``log_softmax``. Each is one tape node with a closed-form VJP.
-``attention`` runs one head at a time and keeps each row's softmax max and
-sum of exps, not its probabilities, which its VJP recomputes bitwise.
+``attention`` takes the rows and the q, k and v projection parameters,
+runs one head at a time, and keeps each row's softmax max and sum of exps,
+not its heads or probabilities, which its VJP recomputes bitwise.
 ``gelu`` and ``mlp`` share one GELU kernel; ``mlp`` works in cache-sized
 row blocks, never writes its GELU output in full and keeps no
 pre-activation for its VJP, and a call that fits in one block is bitwise
@@ -468,25 +469,47 @@ def _attention_probs(qh, kt, scale, top, total, h, w, fresh):
     w /= total[h]
 
 
+def _check_attention(arrays, heads):
+    x, wq = arrays[0], arrays[1]
+    if x.ndim != 2:
+        raise _shape_error("attention", f"x must be (N, C), got {x.shape}")
+    for name, w, b in zip("qkv", arrays[1::2], arrays[2::2]):
+        if w.ndim != 2 or w.shape[0] != x.shape[1]:
+            raise _shape_error("attention", f"x {x.shape} incompatible with w{name} {w.shape}")
+        if w.shape != wq.shape:
+            raise _shape_error("attention", f"w{name} {w.shape} differs from wq {wq.shape}")
+        if b.shape != (w.shape[1],):
+            raise _shape_error(
+                "attention", f"b{name} {b.shape} incompatible with w{name} {w.shape}"
+            )
+    if heads < 1 or wq.shape[1] % heads:
+        raise _shape_error("attention", f"dim {wq.shape[1]} does not split into {heads} heads")
+
+
+def _attention_heads(x, wq, bq, wk, bk, wv, bv, heads):
+    # The q, k and v projections x @ w + b by linear's own calls, each as a
+    # contiguous copy of its heads: q and v as (H, N, d), k as (H, d, N).
+    # The forward and the VJP both call this, so the VJP's heads are
+    # bitwise the forward's, and those that linear nodes would have fed.
+    def project(w, b, axes):
+        p = x @ w
+        p += b
+        return p.reshape(x.shape[0], heads, -1).transpose(axes).copy()
+
+    return project(wq, bq, (1, 0, 2)), project(wk, bk, (1, 2, 0)), project(wv, bv, (1, 0, 2))
+
+
 def _fwd_attention(arrays, attrs):
-    # Multi-head scaled dot-product attention of (N, dim) projections, one
-    # head at a time on one (N, N) buffer. Heads are contiguous (H, N, d)
-    # copies (keys as (H, d, N)), and each head's output GEMM writes into
-    # its columns of the (N, H, d) result. The VJP context keeps the row
-    # max and row sum of exps, (H, N, 1) each, not the probabilities.
-    q, k, v = arrays
+    # Multi-head scaled dot-product self-attention of (N, C) rows x, with
+    # the q, k and v projections inside the op. The heads are freed on
+    # return; one head at a time runs on one (N, N) buffer, and its output
+    # GEMM writes into its columns of the (N, H, d) result. The VJP context
+    # keeps the operands and each row's softmax max and sum of exps, (H, N,
+    # 1) each: no projections, heads or probabilities.
     heads = attrs["num_heads"]
-    if q.ndim != 2 or k.shape != q.shape or v.shape != q.shape:
-        raise _shape_error(
-            "attention", f"q, k, v must be equal (N, dim), got {q.shape}, {k.shape}, {v.shape}"
-        )
-    n, dim = q.shape
-    if heads < 1 or dim % heads:
-        raise _shape_error("attention", f"dim {dim} does not split into {heads} heads")
-    d = dim // heads
-    qh = q.reshape(n, heads, d).transpose(1, 0, 2).copy()
-    kt = k.reshape(n, heads, d).transpose(1, 2, 0).copy()
-    vh = v.reshape(n, heads, d).transpose(1, 0, 2).copy()
+    _check_attention(arrays, heads)
+    qh, kt, vh = _attention_heads(*arrays, heads)
+    _, n, d = qh.shape
     scale = 1.0 / np.sqrt(d)
     top, total = np.empty((heads, n, 1)), np.empty((heads, n, 1))
     w = np.empty((n, n))
@@ -494,17 +517,24 @@ def _fwd_attention(arrays, attrs):
     for h in range(heads):
         _attention_probs(qh, kt, scale, top, total, h, w, fresh=True)
         np.matmul(w, vh[h], out=out[:, h])
-    return out.reshape(n, dim), (qh, kt, vh, top, total, scale)
+    return out.reshape(n, heads * d), (*arrays, top, total, scale)
 
 
 def _vjp_attention(ctx, g):
-    # Head by head: recompute the probabilities, then run the unfused
-    # graph's gradient GEMMs with its operand layouts (transposed views, and
-    # g's heads as strided (N, d) views), so gradients match it bitwise. The
-    # key gradient is built as (H, d, N) and returned through a transpose,
-    # the unfused graph's layout, by which later reductions over it round.
-    qh, kt, vh, top, total, scale = ctx
-    heads, n, d = qh.shape
+    # The heads rebuilt by the forward's calls, then head by head: recompute
+    # the probabilities and run the unfused graph's gradient GEMMs with its
+    # operand layouts (transposed views, and g's heads as strided (N, d)
+    # views). Last, the projections' gradients by linear's VJP in the order
+    # the unfused graph's backward ran them, v, k, q, with x's summed in that
+    # order. The key gradient is built as (H, d, N) and passed on through a
+    # transpose, the unfused graph's layout, by which its weight and bias
+    # reductions round. Strided views of the projections in place of the
+    # head copies would not be bitwise: gs @ k rounds differently at N = 54.
+    x, wq, bq, wk, bk, wv, bv, top, total, scale = ctx
+    heads = top.shape[0]
+    qh, kt, vh = _attention_heads(x, wq, bq, wk, bk, wv, bv, heads)
+    _, n, d = qh.shape
+    merge = (n, heads * d)
     gm = g.reshape(n, heads, d)
     w, gs, prod = np.empty((n, n)), np.empty((n, n)), np.empty((n, n))
     gq, gv = np.empty((n, heads, d)), np.empty((n, heads, d))
@@ -519,8 +549,12 @@ def _vjp_attention(ctx, g):
         gs *= scale
         np.matmul(gs, kt[h].T, out=gq[:, h])
         np.matmul(qh[h].T, gs, out=gk[h])
-    merge = (n, heads * d)
-    return gq.reshape(merge), gk.transpose(2, 0, 1).reshape(merge), gv.reshape(merge)
+    gx, gwv, gbv = _vjp_linear((x, wv), gv.reshape(merge))
+    gx_k, gwk, gbk = _vjp_linear((x, wk), gk.transpose(2, 0, 1).reshape(merge))
+    gx += gx_k
+    gx_q, gwq, gbq = _vjp_linear((x, wq), gq.reshape(merge))
+    gx += gx_q
+    return gx, gwq, gbq, gwk, gbk, gwv, gbv
 
 
 # Elements per block of the GELU chains and of layernorm's squares: each

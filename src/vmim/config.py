@@ -10,7 +10,7 @@ from dataclasses import dataclass, fields
 from typing import Any
 
 from .losses import ReconLossConfig
-from .models import MAEDecoderConfig, SegConfig, SimCLRConfig, ViTConfig
+from .models import MAEDecoderConfig, SegConfig, SimCLRConfig, ViTConfig, _at_least
 from .optim import AdamWConfig
 from .patches import MaskingConfig
 from .volume import read_kv
@@ -96,6 +96,15 @@ class TrainConfig:
             )
         if self.batch_size < 1:
             raise ValueError(f"train.batch_size must be >= 1, got {self.batch_size}")
+        # A negative decay grows the weights, a negative clip turns clipping
+        # off, and a negative cadence -n acts as n (epoch % -n == 0).
+        _at_least(
+            0,
+            ("train.weight_decay", self.weight_decay),
+            ("train.grad_clip", self.grad_clip),
+            ("train.checkpoint_every", self.checkpoint_every),
+            ("train.eval_every", self.eval_every),
+        )
 
     @property
     def adamw(self) -> AdamWConfig:

@@ -256,10 +256,11 @@ def _linear(x: Tensor, params: Params, prefix: str) -> Tensor:
 
 
 def _attention(x: Tensor, params: Params, prefix: str, num_heads: int) -> Tensor:
-    """Multi-head self-attention of (N, dim) rows: the q, k and v
-    projections, one fused ``attention`` node, and the output projection."""
-    q, k, v = (_linear(x, params, f"{prefix}.{name}") for name in ("q", "k", "v"))
-    mixed = apply("attention", (q, k, v), {"num_heads": num_heads})
+    """Multi-head self-attention of (N, dim) rows: one fused ``attention``
+    node, which takes the rows and the q, k and v projection parameters and
+    keeps no projected heads for its VJP, then the output projection."""
+    qkv = [params[f"{prefix}.{name}.{part}"] for name in ("q", "k", "v") for part in ("w", "b")]
+    mixed = apply("attention", (x, *qkv), {"num_heads": num_heads})
     return _linear(mixed, params, f"{prefix}.proj")
 
 

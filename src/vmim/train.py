@@ -295,7 +295,9 @@ def pretrain(
     """Self-supervised pretraining; emits checkpoints and a loss trace.
 
     A None head or masking config takes config.DEFAULTS, resolved against
-    ``vit_cfg``. Raises NonFiniteError, naming the step, when the loss or a
+    ``vit_cfg``. MAE and SimMIM raise ValueError, naming mask.ratio, before
+    the first step when a mask at ``train_cfg.window`` would hide no patch
+    or every patch. Raises NonFiniteError, naming the step, when the loss or a
     gradient turns non-finite.
 
     Sets the process-wide malloc policy of _keep_freed_heap_mapped.
@@ -313,6 +315,15 @@ def pretrain(
     dec_cfg = dec_cfg or build("dec", defaults)
     simclr_cfg = simclr_cfg or build("simclr", defaults)
     window, seed = train_cfg.window, train_cfg.seed
+    if method != "simclr":
+        # Every mask that sample_mask draws on a grid hides as many patches.
+        grid = PatchGrid.for_shape((vit_cfg.channels,) + (window,) * 3, vit_cfg.token_patch)
+        masked = sample_mask(grid, mask_cfg, Rng(0)).num_masked
+        if not 0 < masked < grid.num_tokens:
+            raise ValueError(
+                f"mask.ratio {mask_cfg.ratio} masks {masked} of {grid.num_tokens} patches at "
+                f"train.window {window}; need at least one masked and one visible patch"
+            )
     if method == "simclr":
         if train_cfg.batch_size < 2 or len(dataset) < 2:
             raise ValueError("contrastive pretraining needs batch size >= 2 and >= 2 volumes")

@@ -27,9 +27,9 @@ DIFFERENTIABLE_PROBES = {
     "layernorm": lambda t, aux: (
         apply("layernorm", (t,), {"eps": 1e-6}) * aux["b"]
     ).sum(),
-    # The input is q, k and v at once; INPUT_PROBES check each operand alone.
+    # The input is the rows x; INPUT_PROBES check each operand alone.
     "attention": lambda t, aux: (
-        apply("attention", (t, t, t), {"num_heads": 1}) * aux["b"]
+        apply("attention", (t, *_attention_params(aux)), {"num_heads": 1}) * aux["b"]
     ).sum(),
     "gelu": lambda t, aux: apply("gelu", (t,)).sum(),
     # The hidden width 6 splits into 3 rows of h = 2 per input row.
@@ -61,7 +61,9 @@ def probe_aux(rng):
         "v5": Tensor(rng.normal(size=(5,))),
         "cat_w": Tensor(rng.normal(size=(8, 5))),
         "g_w": Tensor(rng.normal(size=(4, 5))),
-        **_side_normals(rng, w1=(5, 6), b1=(6,), w2=(2, 3), b2=(3,), mlp_w=(12, 3)),
+        **_side_normals(
+            rng, w1=(5, 6), b1=(6,), w2=(2, 3), b2=(3,), mlp_w=(12, 3), **_attention_shapes(5)
+        ),
     }
 
 
@@ -73,11 +75,24 @@ def _side_normals(rng, **shapes):
     return {name: Tensor(side.normal(size=shape)) for name, shape in shapes.items()}
 
 
+_ATTENTION_OPERANDS = ("x", "wq", "bq", "wk", "bk", "wv", "bv")
+
+
+def _attention_shapes(dim):
+    # The q, k and v projection parameters of an attention over width dim.
+    return {f"att_{name}": (dim, dim) if name[0] == "w" else (dim,)
+            for name in _ATTENTION_OPERANDS[1:]}
+
+
+def _attention_params(aux):
+    return tuple(aux[f"att_{name}"] for name in _ATTENTION_OPERANDS[1:])
+
+
 def _attention_probe(operand):
     def probe(t, aux):
-        qkv = [aux["q"], aux["k"], aux["v"]]
-        qkv["qkv".index(operand)] = t
-        return (apply("attention", tuple(qkv), {"num_heads": 2}) * aux["att_w"]).sum()
+        args = [aux["att_x"], *_attention_params(aux)]
+        args[_ATTENTION_OPERANDS.index(operand)] = t
+        return (apply("attention", tuple(args), {"num_heads": 2}) * aux["att_w"]).sum()
 
     return probe
 
@@ -101,7 +116,10 @@ INPUT_PROBES = {
         lambda t, aux: (apply("linear", (t, aux["w"], aux["bias"])) * aux["lin_w"]).sum(),
         (2, 3, 2, 5),
     ),
-    **{f"attention.{o}": (_attention_probe(o), (6, 4)) for o in "qkv"},
+    **{
+        f"attention.{o}": (_attention_probe(o), shape)
+        for o, shape in zip(_ATTENTION_OPERANDS, [(6, 4)] + list(_attention_shapes(4).values()))
+    },
     **{
         f"mlp.{o}": (_mlp_probe(o), shape)
         for o, shape in zip(_MLP_OPERANDS, [(2, 3, 2, 5), (5, 6), (6,), (2, 3), (3,)])
@@ -113,8 +131,11 @@ def input_probe_aux(rng):
     return {
         **probe_aux(rng),
         "lin_w": Tensor(rng.normal(size=(2, 3, 2, 2))),
-        **{name: Tensor(rng.normal(size=(6, 4))) for name in ("q", "k", "v", "att_w")},
-        **_side_normals(rng, mlp_x=(2, 3, 2, 5), mlp_x_w=(36, 3)),
+        # Width 4 in two heads, in place of probe_aux's width-5 attention.
+        **{name: Tensor(rng.normal(size=(6, 4))) for name in ("att_x", "att_w")},
+        **{name: Tensor(rng.normal(size=(4, 4))) for name in ("att_wq", "att_wk", "att_wv")},
+        **_side_normals(rng, mlp_x=(2, 3, 2, 5), mlp_x_w=(36, 3), att_bq=(4,), att_bk=(4,),
+                        att_bv=(4,)),
     }
 
 
@@ -144,32 +165,44 @@ def finetune_step_peak(seg_cfg, pairs, window, out_dir):
     return peak
 
 
-def retained_bytes(graph):
-    """Bytes of the distinct arrays that the nodes of ``graph`` hold as VJP
-    context. A view counts once, as the whole array that owns its memory."""
+def context_arrays(graph):
+    """The distinct arrays that own the memory of what the nodes of
+    ``graph`` hold as VJP context: a view stands for its base."""
     owners = {}
 
     def visit(item):
         if isinstance(item, np.ndarray):
             while isinstance(item.base, np.ndarray):
                 item = item.base
-            owners[id(item)] = item.nbytes
+            owners[id(item)] = item
         elif isinstance(item, (tuple, list)):
             for part in item:
                 visit(part)
 
     for node in graph.nodes:
         visit(node.ctx)
-    return sum(owners.values())
+    return list(owners.values())
 
 
-def attention_reference(q, k, v, num_heads, g):
-    """Numpy copy of the unfused attention graph the ``attention`` op
-    replaced: reshape and permute copies of the heads and of k^T, matmul,
-    scale, softmax, matmul and the merge, differentiated node by node in
-    reverse for the upstream gradient ``g``. Returns (out, (gq, gk, gv))."""
-    n, dim = q.shape
+def retained_bytes(graph):
+    """Bytes of the arrays that the nodes of ``graph`` hold as VJP context.
+    A view counts once, as the whole array that owns its memory."""
+    return sum(a.nbytes for a in context_arrays(graph))
+
+
+def attention_reference(x, params, num_heads, g):
+    """Numpy copy of the unfused graph the ``attention`` op replaced: the
+    q, k and v projections ``x @ w + b`` of ``params = (wq, bq, wk, bk, wv,
+    bv)``, reshape and permute copies of the heads and of k^T, matmul, scale,
+    softmax, matmul and the merge, differentiated node by node in reverse for
+    the upstream gradient ``g``. As the projections' linear VJPs ran in
+    reverse tape order, x's gradient is summed v, k, q. Returns
+    (out, (gx, gwq, gbq, gwk, gbk, gwv, gbv))."""
+    n = x.shape[0]
+    dim = params[0].shape[1]
     d = dim // num_heads
+    weights_biases = list(zip(params[::2], params[1::2]))
+    q, k, v = (x @ w + b for w, b in weights_biases)
 
     def heads(a):
         return a.reshape(n, num_heads, d).transpose(1, 0, 2).copy()
@@ -190,8 +223,10 @@ def attention_reference(q, k, v, num_heads, g):
     g_qh = np.matmul(g_scores, np.swapaxes(kt, -1, -2))
     g_kt = np.matmul(np.swapaxes(qh, -1, -2), g_scores)
     g_kh = np.transpose(g_kt, (0, 2, 1))
-    merge = [np.transpose(a, (1, 0, 2)).reshape(n, dim) for a in (g_qh, g_kh, g_vh)]
-    return out, tuple(merge)
+    merged = [np.transpose(a, (1, 0, 2)).reshape(n, dim) for a in (g_qh, g_kh, g_vh)]
+    linear = [(gp @ w.T, x.T @ gp, gp.sum(axis=0)) for (w, _), gp in zip(weights_biases, merged)]
+    (gx_q, *grads_q), (gx_k, *grads_k), (gx_v, *grads_v) = linear
+    return out, ((gx_v + gx_k) + gx_q, *grads_q, *grads_k, *grads_v)
 
 
 def linear_gelu_reference(x, w, b, g):

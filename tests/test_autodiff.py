@@ -8,6 +8,7 @@ import helpers
 from helpers import (
     DIFFERENTIABLE_PROBES,
     INPUT_PROBES,
+    _attention_shapes,
     attention_reference,
     input_probe_aux,
     linear_gelu_reference,
@@ -33,6 +34,18 @@ from vmim.models import SegConfig, ViTConfig, init_seg_params, unetr_segment
 from vmim.volume import Volume
 
 
+def _attention_case(n, num_heads, dim=64):
+    """Seeded rows, q/k/v projection parameters and an upstream gradient
+    for an attention over n rows of width dim."""
+    rng = np.random.default_rng(n * 10 + num_heads)
+    x = rng.normal(size=(n, dim))
+    params = tuple(
+        rng.normal(size=s) * (dim**-0.5 if len(s) == 2 else 1.0)
+        for s in _attention_shapes(dim).values()
+    )
+    return x, params, rng.normal(size=(n, dim))
+
+
 def grad_of(f, x):
     """Analytic gradient of a scalar-valued tensor function at x."""
     with Graph() as g:
@@ -54,67 +67,78 @@ class TestForward:
         assert np.array_equal(out, a)
 
     def test_attention_with_equal_scores_averages_values(self):
+        # Zero query projections give every score 0; identity value weights
+        # make the values the rows themselves.
         rng = np.random.default_rng(3)
-        k, v = rng.normal(size=(2, 5, 6))
-        out = apply("attention", (Tensor(np.zeros((5, 6))), Tensor(k), Tensor(v)), {"num_heads": 2})
-        assert np.abs(out.data - v.mean(axis=0)).max() <= 1e-12
+        x, wk = rng.normal(size=(5, 6)), rng.normal(size=(6, 6))
+        params = (np.zeros((6, 6)), np.zeros(6), wk, rng.normal(size=6), np.eye(6), np.zeros(6))
+        out = apply("attention", tuple(Tensor(a) for a in (x, *params)), {"num_heads": 2})
+        assert np.abs(out.data - x.mean(axis=0)).max() <= 1e-12
 
     def test_attention_weights_sum_to_one_and_are_shift_invariant(self):
-        # Adding one vector to every key shifts each query's scores by a
-        # constant, which the softmax cancels.
+        # Values that are all 1 come out as 1. Adding one vector to the key
+        # bias shifts each query's scores by a constant, which the softmax
+        # cancels.
         rng = np.random.default_rng(3)
-        q, k, v = rng.normal(size=(3, 5, 8)) * 3
-        heads = {"num_heads": 4}
-        ones = apply("attention", (Tensor(q), Tensor(k), Tensor(np.ones((5, 8)))), heads).data
+        x = rng.normal(size=(5, 8))
+        wq, wk, wv = rng.normal(size=(3, 8, 8))
+        bq, bk, bv = rng.normal(size=(3, 8))
+
+        def attend(*params):
+            operands = tuple(Tensor(a) for a in (x, *params))
+            return apply("attention", operands, {"num_heads": 4}).data
+
+        ones = attend(wq, bq, wk, bk, np.zeros((8, 8)), np.ones(8))
         assert np.abs(ones - 1.0).max() <= 1e-12
-        y = apply("attention", (Tensor(q), Tensor(k), Tensor(v)), heads).data
-        shifted = apply("attention", (Tensor(q), Tensor(k + rng.normal(size=8)), Tensor(v)), heads)
-        assert np.abs(y - shifted.data).max() <= 1e-12
+        y = attend(wq, bq, wk, bk, wv, bv)
+        shifted = attend(wq, bq, wk, bk + rng.normal(size=8) * 3, wv, bv)
+        assert np.abs(y - shifted).max() <= 1e-12
 
     @pytest.mark.parametrize("num_heads", [1, 4])
     def test_attention_matches_unfused_graph_bitwise(self, num_heads):
-        rng = np.random.default_rng(num_heads)
-        q, k, v = rng.normal(size=(3, 7, 12))
-        g = rng.normal(size=(7, 12))
-        out, grads = attention_reference(q, k, v, num_heads, g)
-        with Graph() as graph:
-            qkv = [Tensor(a, requires_grad=True) for a in (q, k, v)]
-            graph.watch_all(qkv)
-            y = apply("attention", tuple(qkv), {"num_heads": num_heads})
-            loss = (y * Tensor(g)).sum()
-        got = backward(graph, loss)
-        assert y.data.tobytes() == out.tobytes()
-        for t, expected in zip(qkv, grads):
-            assert got[t.node_id].data.tobytes() == expected.tobytes()
+        # Through the tape, at 7 rows, the MAE encoder's 54 visible tokens
+        # and the full 216: the output, all seven leaf gradients and their
+        # column sums equal the unfused graph's.
+        for n in (7, 54, 216):
+            x, params, g = _attention_case(n, num_heads)
+            out, grads = attention_reference(x, params, num_heads, g)
+            with Graph() as graph:
+                operands = [Tensor(a, requires_grad=True) for a in (x, *params)]
+                graph.watch_all(operands)
+                y = apply("attention", tuple(operands), {"num_heads": num_heads})
+                loss = (y * Tensor(g)).sum()
+            got = backward(graph, loss)
+            assert y.data.tobytes() == out.tobytes(), n
+            for name, t, want in zip(helpers._ATTENTION_OPERANDS, operands, grads):
+                assert got[t.node_id].data.tobytes() == want.tobytes(), (n, name)
+                assert got[t.node_id].data.sum(axis=0).tobytes() == want.sum(axis=0).tobytes()
 
     @pytest.mark.parametrize("n", [54, 216])
     def test_attention_gradient_layouts_match_unfused_graph_bitwise(self, n):
-        # The MAE encoder's visible tokens and the full sequence, at 4 heads.
-        # A reduction over a gradient rounds by its memory layout (linear's
-        # VJP takes the bias gradient as a column sum), which tobytes() cannot
-        # see, so each gradient's column sums are compared too. The gradients
-        # are the VJP's own outputs, as the projections' VJPs receive them:
-        # backward hands leaves C-contiguous copies.
-        rng = np.random.default_rng(n)
-        q, k, v = rng.normal(size=(3, n, 64))
-        g = rng.normal(size=(n, 64))
-        out, expected = attention_reference(q, k, v, 4, g)
+        # The MAE encoder's visible tokens and the full sequence, at 1 and 4
+        # heads. A reduction over a gradient rounds by its memory layout,
+        # which tobytes() cannot see, so each gradient's column sums are
+        # compared too. The gradients are the VJP's own outputs, as later
+        # VJPs receive them: backward hands leaves C-contiguous copies.
         op = autodiff._REGISTRY["attention"]
-        y, ctx = op.forward([q, k, v], {"num_heads": 4})
-        assert y.tobytes() == out.tobytes()
-        for name, got, want in zip("qkv", op.vjp(ctx, g), expected):
-            assert got.tobytes() == want.tobytes(), name
-            assert got.sum(axis=0).tobytes() == want.sum(axis=0).tobytes(), name
+        for num_heads in (1, 4):
+            x, params, g = _attention_case(n, num_heads)
+            out, expected = attention_reference(x, params, num_heads, g)
+            y, ctx = op.forward([x, *params], {"num_heads": num_heads})
+            assert y.tobytes() == out.tobytes()
+            for name, got, want in zip(helpers._ATTENTION_OPERANDS, op.vjp(ctx, g), expected):
+                assert got.tobytes() == want.tobytes(), (num_heads, name)
+                assert got.sum(axis=0).tobytes() == want.sum(axis=0).tobytes(), (num_heads, name)
 
     def test_recorded_attention_keeps_less_than_its_probabilities(self):
         # The full sequence of the default encoder: 216 tokens, 4 heads. The
         # VJP recomputes the (4, 216, 216) probabilities from per-row
         # statistics, so the node must hold less than that one array.
-        rng = np.random.default_rng(0)
-        qkv = [Tensor(a, requires_grad=True) for a in rng.normal(size=(3, 216, 64))]
+        x, params, _ = _attention_case(216, 4)
+        operands = [Tensor(a, requires_grad=True) for a in (x, *params)]
         with Graph() as graph:
-            graph.watch_all(qkv)
-            apply("attention", tuple(qkv), {"num_heads": 4})
+            graph.watch_all(operands)
+            apply("attention", tuple(operands), {"num_heads": 4})
         probabilities = np.empty((4, 216, 216)).nbytes
         assert helpers.retained_bytes(graph) < probabilities
 
@@ -154,12 +178,9 @@ class TestForward:
 
     def test_fused_ops_reject_bad_shapes(self):
         x = Tensor(np.zeros((4, 6)))
-        with pytest.raises(ShapeMismatchError, match="attention.*heads"):
-            apply("attention", (x, x, x), {"num_heads": 4})
-        with pytest.raises(ShapeMismatchError, match=r"attention.*\(4, 6\).*\(3, 6\)"):
-            apply("attention", (x, Tensor(np.zeros((3, 6))), x), {"num_heads": 2})
-        with pytest.raises(ShapeMismatchError, match="attention"):
-            apply("attention", (Tensor(np.zeros((2, 4, 6))),) * 3, {"num_heads": 2})
+        params = (Tensor(np.zeros((6, 6))), Tensor(np.zeros(6))) * 3
+        with pytest.raises(ShapeMismatchError, match=r"attention.*x must be \(N, C\)"):
+            apply("attention", (Tensor(np.zeros((2, 4, 6))), *params), {"num_heads": 2})
         with pytest.raises(ShapeMismatchError, match=r"linear.*\(4, 6\).*\(5, 2\)"):
             apply("linear", (x, Tensor(np.zeros((5, 2))), Tensor(np.zeros(2))))
         with pytest.raises(ShapeMismatchError, match="linear.*bias"):
@@ -210,6 +231,26 @@ class TestForward:
             assert np.abs(got - ref).max() <= 1e-12 * np.abs(ref).max()
 
     @pytest.mark.parametrize(
+        "bad, heads, pattern",
+        [
+            ({"wq": (5, 6)}, 2, r"attention: x \(4, 6\) incompatible with wq \(5, 6\)"),
+            ({"wk": (5, 6)}, 2, r"attention: x \(4, 6\) incompatible with wk \(5, 6\)"),
+            ({"wv": (6, 4), "bv": (4,)}, 2, r"attention: wv \(6, 4\) differs from wq \(6, 6\)"),
+            ({"bq": (5,)}, 2, r"attention: bq \(5,\) incompatible with wq \(6, 6\)"),
+            ({"bk": (6, 1)}, 2, r"attention: bk \(6, 1\) incompatible with wk \(6, 6\)"),
+            ({"bv": (4,)}, 2, r"attention: bv \(4,\) incompatible with wv \(6, 6\)"),
+            ({}, 4, r"attention: dim 6 does not split into 4 heads"),
+        ],
+        ids=["x-wq", "x-wk", "widths", "bq", "bk", "bv", "heads"],
+    )
+    def test_attention_rejects_bad_shapes(self, bad, heads, pattern):
+        shapes = dict(zip(helpers._ATTENTION_OPERANDS, [(4, 6), *_attention_shapes(6).values()]))
+        shapes.update(bad)
+        operands = tuple(Tensor(np.zeros(s)) for s in shapes.values())
+        with pytest.raises(ShapeMismatchError, match=pattern):
+            apply("attention", operands, {"num_heads": heads})
+
+    @pytest.mark.parametrize(
         "bad, pattern",
         [
             ({"w1": (5, 8)}, r"mlp.*\(4, 6\).*\(5, 8\)"),
@@ -249,7 +290,9 @@ class TestForward:
             g.watch(b)
             xwb = (a * b + a, b.permute((1, 0)), Tensor(np.ones(3)))
             h = apply("gelu", (apply("linear", xwb),))
-            loss = (apply("attention", (a, b, h @ b), {"num_heads": 2}) - b).sum()
+            w, bias = b.permute((1, 0)) @ h @ b, a.sum(axis=0)
+            qkv = (w, bias, w, b.sum(axis=0), w, bias)
+            loss = (apply("attention", (a, *qkv), {"num_heads": 2}) - b).sum()
         backward(g, loss)
         assert (a.data.tobytes(), b.data.tobytes()) == before
 
@@ -551,7 +594,8 @@ class TestDeterminism:
             g.watch(w)
             h = apply("gelu", (apply("linear", (x, w, Tensor(x0[0]))),))
             h = apply("layernorm", (h,), {"eps": 1e-6})
-            loss = (apply("attention", (h, x, h), {"num_heads": 4}) * Tensor(x0)).mean()
+            qkv = (w, Tensor(x0[1]), w.permute((1, 0)), Tensor(x0[2]), w, Tensor(x0[3]))
+            loss = (apply("attention", (h, *qkv), {"num_heads": 4}) * Tensor(x0)).mean()
         grads = backward(g, loss)
         return loss.data.tobytes(), grads[x.node_id].data.tobytes(), grads[w.node_id].data.tobytes()
 

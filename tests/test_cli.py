@@ -200,9 +200,16 @@ class TestDispatch:
         (["--set", "train.beta1=1"], "train.beta1 must lie in [0, 1), got 1.0"),
         (["--set", "train.beta2=1"], "train.beta2 must lie in [0, 1), got 1.0"),
         (["--set", "train.beta2=-0.5"], "train.beta2 must lie in [0, 1), got -0.5"),
+        # Unchecked, a negative decay grows the weights, a negative clip
+        # turns clipping off, and a cadence of -n acts as n.
+        (["--set", "train.weight_decay=-1"], "train.weight_decay must be >= 0, got -1.0"),
+        (["--set", "train.grad_clip=-1"], "train.grad_clip must be >= 0, got -1.0"),
+        (["--set", "train.checkpoint_every=-1"], "train.checkpoint_every must be >= 0, got -1"),
+        (["--set", "train.eval_every=-1"], "train.eval_every must be >= 0, got -1"),
     ], ids=["warmup-past-total", "base-lr", "negative-min-lr", "min-lr-above-base-lr",
             "batch-size", "zero-epochs", "zero-window", "beta1-one", "beta2-one",
-            "negative-beta2"])
+            "negative-beta2", "negative-weight-decay", "negative-grad-clip",
+            "negative-checkpoint-every", "negative-eval-every"])
     def test_bad_train_config_exit_1_names_keys(self, synth_dir, tmp_path, capsys, flags, message):
         code = run(["pretrain", "--method", "mae", "--data", synth_dir,
                     "--out", str(tmp_path / "out")] + flags)
@@ -372,7 +379,34 @@ class TestPretrainCLI:
                     "--epochs", "1", "--window", "16", "--set", "train.warmup_epochs=0",
                     "--set", "model.embed_dim=32", "--set", "model.depth=1"])
         assert code == 1
-        assert "error: no visible patches to encode" in capsys.readouterr().err
+        assert capsys.readouterr().err == (
+            "error: mask.ratio 1.0 masks 8 of 8 patches at train.window 16; "
+            "need at least one masked and one visible patch\n"
+        )
+        assert not (tmp_path / "full" / "trace.tsv").exists()
+
+    @pytest.mark.parametrize("method, ratio, masked", [
+        ("mae", "0.01", 0),
+        ("simmim", "1.0", 8),
+        ("simmim", "0.1", 0),
+    ], ids=["mae-none-masked", "simmim-all-masked", "simmim-none-masked"])
+    def test_degenerate_mask_exit_1_before_the_first_step(
+        self, synth_dir, tmp_path, capsys, method, ratio, masked
+    ):
+        # At window 16 a token patch of 8 gives 8 patches. Unchecked, MAE
+        # failed only at its first step, after trace.tsv was written, and
+        # SimMIM trained with every patch masked and exited 0.
+        out = tmp_path / "out"
+        code = run(["pretrain", "--method", method, "--data", synth_dir, "--out", str(out),
+                    "--mask-ratio", ratio, "--epochs", "1", "--window", "16",
+                    "--set", "train.warmup_epochs=0", "--set", "model.embed_dim=32",
+                    "--set", "model.depth=1"])
+        assert code == 1
+        assert capsys.readouterr().err == (
+            f"error: mask.ratio {float(ratio)} masks {masked} of 8 patches at train.window 16; "
+            "need at least one masked and one visible patch\n"
+        )
+        assert not (out / "trace.tsv").exists()
 
     def test_manifest_echoes_masking_flags(self, synth_dir, tmp_path):
         out = str(tmp_path / "pre")

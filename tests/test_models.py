@@ -6,7 +6,12 @@ import struct
 import numpy as np
 import pytest
 
-from helpers import conv_transpose_reference, retained_bytes, unetr_decoder_reference
+from helpers import (
+    context_arrays,
+    conv_transpose_reference,
+    retained_bytes,
+    unetr_decoder_reference,
+)
 from vmim.autodiff import Graph, Tensor, apply, backward, finite_diff_check
 from vmim.checkpoint import load_checkpoint, save_checkpoint
 from vmim.losses import dice_ce_loss, masked_recon_loss
@@ -58,8 +63,34 @@ class TestEncode:
             _block(x, params, "enc.0", CFG.num_heads)
         kinds = [n.kind for n in g.nodes if not n.is_leaf]
         ln = ["layernorm", "mul", "add"]
-        attention = ["linear", "linear", "linear", "attention", "linear"]  # q, k, v, proj
+        attention = ["attention", "linear"]  # q, k, v projections and attention; proj
         assert kinds == ln + attention + ["add"] + ln + ["mlp", "add"]
+
+    def test_recorded_block_keeps_no_attention_heads(self):
+        # The attention VJP rebuilds its heads from the block's rows, so no
+        # (H, N, d) copy of q or v and no (H, d, N) copy of k stays on the tape.
+        n, heads = 9, CFG.num_heads
+        d = CFG.embed_dim // heads
+        params = init_simmim_params(CFG, seed=0)
+        x = Tensor(np.random.default_rng(2).normal(size=(n, CFG.embed_dim)), requires_grad=True)
+        with Graph() as g:
+            g.watch_all([x, *params.values()])
+            _block(x, params, "enc.0", heads)
+        shapes = [a.shape for a in context_arrays(g)]
+        assert (heads, n, d) not in shapes and (heads, d, n) not in shapes
+
+    def test_simclr_term_at_benchmark_sizes_keeps_under_22_mib(self):
+        # One SimCLR loss term of the benchmark: 2 crops x 2 views of 48^3 on
+        # the default model, 216 tokens a view. The bound sits below the 26.2
+        # MiB the term holds when each attention node keeps its q, k and v
+        # head copies (5.1 MiB of them).
+        params = init_simclr_params(CFG, SimCLRConfig(64, 64), seed=0)
+        rng = np.random.default_rng(0)
+        views = [Volume(rng.uniform(size=(1, 48, 48, 48))) for _ in range(4)]
+        with Graph() as g:
+            g.watch_all(params.values())
+            simclr_forward(CFG, params, views[:2], views[2:], 0.5)
+        assert retained_bytes(g) < 22 * 2**20, f"{retained_bytes(g) / 2**20:.2f} MiB"
 
     def test_depth_zero_is_layernormed_embedding(self):
         cfg = ViTConfig(64, 0, 4, 8)
