@@ -21,10 +21,12 @@ and ``log_softmax``. Each is one tape node with a closed-form VJP.
 ``attention`` takes the rows and the q, k and v projection parameters,
 runs one head at a time, and keeps each row's softmax max and sum of exps,
 not its heads or probabilities, which its VJP recomputes bitwise.
-``gelu`` and ``mlp`` share one GELU kernel; ``mlp`` works in cache-sized
-row blocks, never writes its GELU output in full and keeps no
-pre-activation for its VJP, and a call that fits in one block is bitwise
-equal to ``linear``, ``gelu`` and ``linear``.
+``gelu`` and ``mlp`` share one GELU kernel, which evaluates the normal CDF
+itself from Cody's rational approximations of erf and erfc, so numpy is the
+engine's only dependency. ``mlp`` works in cache-sized row blocks, never
+writes its GELU output in full and keeps no pre-activation for its VJP, and
+a call that fits in one block is bitwise equal to ``linear``, ``gelu`` and
+``linear``.
 """
 
 from __future__ import annotations
@@ -33,7 +35,6 @@ import threading
 from typing import Any, Callable, Iterable, Sequence
 
 import numpy as np
-from scipy.special import erf
 
 __all__ = [
     "Tensor",
@@ -573,29 +574,107 @@ def _row_blocks(rows: int, width: int, block: int):
     return (slice(i, min(i + step, rows)) for i in range(0, rows, step))
 
 
+# The normal CDF Phi(a) = (1 + erf(a / sqrt 2)) / 2 from W. J. Cody's rational
+# Chebyshev forms for erf and erfc (Math. Comp. 23, 1969), with the
+# coefficients of Cephes ndtr.c: erf(x) = x T(x^2) / U(x^2) for |x| <= 1,
+# erfc(x) = exp(-x^2) P(x) / Q(x) for 1 < x < 8. Each table lists the highest
+# power first; U and Q are monic and leave out that leading 1.
+_ERF_T = (9.60497373987051638749e0, 9.00260197203842689217e1, 2.23200534594684319226e3,
+          7.00332514112805075473e3, 5.55923013010394962768e4)
+_ERF_U = (3.35617141647503099647e1, 5.21357949780152679795e2, 4.59432382970980127987e3,
+          2.26290000613890934246e4, 4.92673942608635921086e4)
+_ERFC_P = (2.46196981473530512524e-10, 5.64189564831068821977e-1, 7.46321056442269912687e0,
+           4.86371970985681366614e1, 1.96520832956077098242e2, 5.26445194995477358631e2,
+           9.34528527171957607540e2, 1.02755188689515710272e3, 5.57535335369399327526e2)
+_ERFC_Q = (1.32281951154744992508e1, 8.67072140885989742329e1, 3.54937778887819891062e2,
+           9.75708501743205489753e2, 1.82390916687909736289e3, 2.24633760818710981792e3,
+           1.65666309194161350182e3, 5.57535340817727675546e2)
+# For |a| <= sqrt 2, Phi(a) - 1/2 = erf(a / sqrt 2) / 2 = a N(t) / D(t) in
+# t = a^2: scaling T and U to t multiplies coefficient i by a power of two,
+# which is exact, and the 1 / sqrt 2 left over goes into N.
+_CDF_N = tuple(c * 2.0**i * _INV_SQRT2 for i, c in enumerate(_ERF_T))
+_CDF_D = tuple(c * 2.0 ** (i + 1) for i, c in enumerate(_ERF_U))
+# erfc(u) / 2 for u = |a| / sqrt 2 > 1, as P(u) / (Q(u) exp(u^2)) with the
+# half in P. P / Q is evaluated at min(u, 8), the end of its range: beyond
+# it Phi(-|a|) < 1e-29, and an infinite a gives a finite ratio over inf.
+_TAIL_P = tuple(0.5 * c for c in _ERFC_P)
+_TAIL_U_MAX = 8.0
+
+
+def _polevl(x, coeffs, out):
+    # out = coeffs[0] x^n + ... + coeffs[n] by Horner's rule.
+    np.multiply(x, coeffs[0], out=out)
+    for c in coeffs[1:-1]:
+        out += c
+        out *= x
+    out += coeffs[-1]
+    return out
+
+
+def _p1evl(x, coeffs, out):
+    # The same for a leading coefficient of 1 that coeffs leaves out.
+    np.add(x, coeffs[0], out=out)
+    for c in coeffs[1:]:
+        out *= x
+        out += c
+    return out
+
+
+def _normal_cdf(a, out, t, d):
+    # Writes Phi(a) for one flat block into out; t and d are scratch of a's
+    # size, and out must not be a. Every element takes the |a| <= sqrt 2
+    # form over the whole block; the larger ones, found once, are then
+    # overwritten from the erfc form evaluated on them alone. For a < 0 that
+    # form gives Phi(a) = erfc(|a| / sqrt 2) / 2 directly, with no 1 - erf
+    # cancellation. Both forms see only a^2 or |a| and apply the sign last,
+    # so Phi(a) and Phi(-a) come from the same values. NaN stays NaN: it
+    # fails the t > 2 test and keeps the first form.
+    np.multiply(a, a, out=t)
+    _polevl(t, _CDF_N, out)
+    _p1evl(t, _CDF_D, d)
+    out /= d
+    out *= a
+    out += 0.5
+    big = np.flatnonzero(t > 2.0)
+    if big.size:
+        a_big = a[big]
+        u = np.abs(a_big)
+        u *= _INV_SQRT2
+        e = u * u
+        np.exp(e, out=e)
+        np.minimum(u, _TAIL_U_MAX, out=u)
+        h = np.empty_like(u)
+        e *= _p1evl(u, _ERFC_Q, h)
+        _polevl(u, _TAIL_P, h)
+        h /= e
+        # erfc / 2 is Phi(-|a|): Phi(a) is 1 - h for a > 0 and h for a < 0.
+        np.subtract(a_big > 0, h, out=h)
+        np.abs(h, out=h)
+        out[big] = h
+    return out
+
+
 def _gelu(a, out, cdf=None):
-    # Writes gelu(a) = a * cdf(a), cdf(a) = (1 + erf(a/sqrt 2))/2, into out,
-    # which may be a itself, as in mlp's blocks: each block reads a before
-    # it writes out. A recorded node passes a full-size cdf, kept
-    # for the VJP, which then needs only exp for the pdf; an unrecorded one
-    # works in a single block-sized buffer. scipy's erf is odd bitwise
-    # (erf(-x) is -erf(x)); on |x| it skips a sign branch that mixed-sign
-    # input mispredicts about half the time.
+    # Writes gelu(a) = a * Phi(a) into out, which may be a itself, as in
+    # mlp's blocks: each block reads a before it writes out. A recorded node
+    # passes a full-size cdf, kept for the VJP, which then needs only exp for
+    # the pdf; an unrecorded one works in a single block-sized buffer. The
+    # |a| <= sqrt 2 form overflows to inf / inf beyond |a| of about 1e61,
+    # where the erfc form replaces it, so those warnings are silenced.
     flat_a, flat_out = a.reshape(-1), out.reshape(-1)
+    size = min(flat_a.size, _GELU_BLOCK)
+    t, d = np.empty(size), np.empty(size)
     if cdf is None:
-        scratch = np.empty(min(flat_a.size, _GELU_BLOCK))
+        scratch = np.empty(size)
     else:
         flat_cdf = cdf.reshape(-1)
-    for block in _row_blocks(flat_a.size, 1, _GELU_BLOCK):
-        x = flat_a[block]
-        c = scratch[: x.size] if cdf is None else flat_cdf[block]
-        np.multiply(x, _INV_SQRT2, out=c)
-        np.abs(c, out=c)
-        erf(c, out=c)
-        np.copysign(c, x, out=c)
-        c += 1.0
-        c *= 0.5
-        np.multiply(x, c, out=flat_out[block])
+    with np.errstate(over="ignore", invalid="ignore"):
+        for block in _row_blocks(flat_a.size, 1, _GELU_BLOCK):
+            x = flat_a[block]
+            n = x.size
+            c = scratch[:n] if cdf is None else flat_cdf[block]
+            _normal_cdf(x, c, t[:n], d[:n])
+            np.multiply(x, c, out=flat_out[block])
 
 
 def _gelu_grad(a, cdf, g):

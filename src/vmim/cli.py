@@ -17,7 +17,7 @@ from . import __version__
 from .checkpoint import load_checkpoint
 from .config import DERIVED, ConfigError, build, derived, resolve_config
 from .inference import evaluate, reconstruct_dump
-from .patches import MaskingConfig
+from .patches import MaskingConfig, check_mask_at_window
 from .rng import derive_seed
 from .train import finetune, pretrain
 from .volume import (
@@ -237,10 +237,12 @@ def _cmd_ablate(args) -> int:
     )
 
     # Validate the whole grid before any training starts.
+    token_patch = build("model", cfg).token_patch
+    window = build("train", cfg, seed=args.seed).window
     cells = []
     for patch in patches:
         for ratio in ratios:
-            MaskingConfig(patch, ratio).cell_factor(cfg["model.token_patch"])
+            check_mask_at_window(MaskingConfig(patch, ratio), token_patch, window)
             cells.append((patch, ratio))
 
     rows = []

@@ -165,6 +165,22 @@ def sample_mask(grid: PatchGrid, cfg: MaskingConfig, rng: Rng) -> Mask:
     return Mask(np.sort(ids), grid.num_tokens)
 
 
+def check_mask_at_window(cfg: MaskingConfig, token_patch: int, window: int) -> None:
+    """Raise ValueError, naming mask.ratio, when a mask on a ``window``^3 crop
+    would hide no patch or every patch.
+
+    Also raises what sample_mask raises for that crop's grid.
+    """
+    # Every mask that sample_mask draws on a grid hides as many patches.
+    grid = PatchGrid.for_shape((1,) + (window,) * 3, token_patch)
+    masked = sample_mask(grid, cfg, Rng(0)).num_masked
+    if not 0 < masked < grid.num_tokens:
+        raise ValueError(
+            f"mask.ratio {cfg.ratio} masks {masked} of {grid.num_tokens} patches at "
+            f"train.window {window}; need at least one masked and one visible patch"
+        )
+
+
 def _axis_table(positions: np.ndarray, dim_axis: int) -> np.ndarray:
     half = dim_axis // 2
     omega = 1.0 / (10000.0 ** (np.arange(half) / half))

@@ -56,7 +56,7 @@ from .models import (
     unetr_segment,
 )
 from .optim import OptState, adamw_step, clip_grad_norm, lr_at
-from .patches import MaskingConfig, PatchGrid, sample_mask
+from .patches import MaskingConfig, PatchGrid, check_mask_at_window, sample_mask
 from .rng import Rng
 from .volume import LabelVolume, Volume
 
@@ -316,14 +316,7 @@ def pretrain(
     simclr_cfg = simclr_cfg or build("simclr", defaults)
     window, seed = train_cfg.window, train_cfg.seed
     if method != "simclr":
-        # Every mask that sample_mask draws on a grid hides as many patches.
-        grid = PatchGrid.for_shape((vit_cfg.channels,) + (window,) * 3, vit_cfg.token_patch)
-        masked = sample_mask(grid, mask_cfg, Rng(0)).num_masked
-        if not 0 < masked < grid.num_tokens:
-            raise ValueError(
-                f"mask.ratio {mask_cfg.ratio} masks {masked} of {grid.num_tokens} patches at "
-                f"train.window {window}; need at least one masked and one visible patch"
-            )
+        check_mask_at_window(mask_cfg, vit_cfg.token_patch, window)
     if method == "simclr":
         if train_cfg.batch_size < 2 or len(dataset) < 2:
             raise ValueError("contrastive pretraining needs batch size >= 2 and >= 2 volumes")

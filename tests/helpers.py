@@ -5,8 +5,8 @@ import math
 import tracemalloc
 
 import numpy as np
-from scipy.special import erf
 
+from vmim import autodiff
 from vmim.autodiff import Tensor, apply
 from vmim.train import TrainConfig, finetune
 
@@ -229,12 +229,22 @@ def attention_reference(x, params, num_heads, g):
     return out, ((gx_v + gx_k) + gx_q, *grads_q, *grads_k, *grads_v)
 
 
+def normal_cdf(a):
+    """The program's normal CDF, the one its GELU kernel uses, elementwise
+    over an array of any shape."""
+    flat = np.array(a, dtype=np.float64).reshape(-1)
+    out = np.empty_like(flat)
+    with np.errstate(over="ignore", invalid="ignore"):
+        autodiff._normal_cdf(flat, out, np.empty_like(flat), np.empty_like(flat))
+    return out.reshape(np.shape(a))
+
+
 def linear_gelu_reference(x, w, b, g):
     """Numpy copy of the ``gelu(linear(x, w, b))`` graph, differentiated in
     reverse for the upstream gradient ``g``. Returns (out, (gx, gw, gb))."""
     x2 = x.reshape(-1, x.shape[-1])
     a = x2 @ w + b
-    cdf = 0.5 * (1.0 + erf(a * (1.0 / np.sqrt(2.0))))
+    cdf = normal_cdf(a)
     out = (a * cdf).reshape(x.shape[:-1] + (w.shape[1],))
 
     pdf = np.exp((a * a) * -0.5) * (1.0 / np.sqrt(2.0 * np.pi))
@@ -276,7 +286,7 @@ def unetr_decoder_reference(cfg, params, volume, taps):
     w = {name: t.data for name, t in params.items()}
 
     def gelu(a):
-        return 0.5 * a * (1.0 + erf(a / math.sqrt(2.0)))
+        return a * normal_cdf(a)
 
     def pointwise(a, prefix):
         return a @ w[f"{prefix}.w"] + w[f"{prefix}.b"]

@@ -2,7 +2,7 @@
 
 import numpy as np
 import pytest
-from scipy.special import erf
+from scipy.special import erf, erfc
 
 import helpers
 from helpers import (
@@ -159,13 +159,67 @@ class TestForward:
         for t, expected in zip(xwb, grads):
             assert got[t.node_id].data.tobytes() == expected.tobytes()
 
-    def test_scipy_erf_is_odd_bitwise(self):
-        # gelu takes erf of |x| and copies the sign back, which equals
-        # erf(x) only because scipy evaluates erf(-x) as -erf(x).
+    def test_gelu_of_negative_x_takes_the_abs_x_path_bitwise(self):
+        # Phi(-x) comes from |x|: beyond sqrt 2 the erfc form gives
+        # Phi(-|x|), and Phi(|x|) is 1 minus those bits; within, the odd form
+        # x N(x^2) / D(x^2) changes only its sign before 1/2 is added, so the
+        # two sides sum to 1 up to that one rounding.
         spread = np.array([0.1, 1.0, 4.0, 40.0]).repeat(25_000)
-        x = np.random.default_rng(5).normal(size=spread.size) * spread
-        x = np.concatenate([x, [0.0, 1.0, np.nextafter(1.0, 2.0), np.inf]])
-        assert erf(-x).tobytes() == (-erf(x)).tobytes()
+        x = np.abs(np.random.default_rng(5).normal(size=spread.size) * spread)
+        root2 = np.sqrt(2.0)
+        x = np.concatenate([x, [0.0, 1.0, root2, np.nextafter(root2, 2.0), 1e300, np.inf]])
+        pos, neg = (apply("gelu", (Tensor(v),)).data for v in (x, -x))
+        cdf_pos, cdf_neg = helpers.normal_cdf(x), helpers.normal_cdf(-x)
+        with np.errstate(over="ignore", invalid="ignore"):
+            assert pos.tobytes() == (x * cdf_pos).tobytes()
+            assert neg.tobytes() == (-x * cdf_neg).tobytes()
+            tail = x * x > 2.0
+        assert tail.any() and (~tail).any()
+        assert cdf_pos[tail].tobytes() == (1.0 - cdf_neg[tail]).tobytes()
+        assert np.abs((cdf_pos[~tail] - 0.5) + (cdf_neg[~tail] - 0.5)).max() <= 2.0**-53
+
+    def test_normal_cdf_matches_scipy(self):
+        # Phi(a) = erfc(-a / sqrt 2) / 2 from scipy, whose erf the GELU kernel
+        # used before. Within 5e-16 everywhere; relative to scipy in the lower
+        # tail down to -8 sqrt 2, the end of the erfc form's range, where an
+        # ulp of a moves exp(-a^2 / 2) by about a^2 ulps. Below, Phi < 1e-29.
+        root2 = np.sqrt(2.0)
+        branch = [root2, np.nextafter(root2, 0.0), np.nextafter(root2, 2.0)]
+        u = np.concatenate([
+            np.linspace(0.0, 6.0, 600_001),
+            np.abs(np.random.default_rng(8).normal(size=200_000)) * 2.0,
+            [1e-300, 1.0, np.nextafter(1.0, 2.0), 5.9, 6.0],
+        ])
+        a = np.concatenate([u * root2, branch])
+        a = np.concatenate([a, -a])
+        cdf, expected = helpers.normal_cdf(a), 0.5 * erfc(-a / root2)
+        assert np.abs(cdf - expected).max() <= 5e-16
+        lower = (a < -root2) & (a >= -8.0 * root2)
+        rel = np.abs(cdf - expected)[lower] / expected[lower]
+        assert (rel <= 5e-16 * (1.0 + a[lower] ** 2)).all()
+        deep = cdf[a < -8.0 * root2]
+        assert deep.size and (deep >= 0.0).all() and (deep <= 1e-29).all()
+        # For a >= sqrt 2, erf(a / sqrt 2) = 2 Phi(a) - 1 exactly: within
+        # 2e-15 of scipy's erf on [1, 6] and exactly 1.0 from 6 on.
+        upper = a >= root2
+        implied = 2.0 * cdf[upper] - 1.0
+        reference = erf(a[upper] / root2)
+        assert (np.abs(implied - reference) <= 2e-15 * reference).all()
+        assert (implied[a[upper] >= 6.0 * root2] == 1.0).all()
+
+    def test_normal_cdf_special_values(self):
+        root2 = np.sqrt(2.0)
+        a = np.array([0.0, -0.0, 1e-300, -1e-300, 6.0 * root2, 8.0 * root2, 27.0 * root2,
+                      1e300, np.inf, -8.0 * root2, -27.0 * root2, -1e300, -np.inf, np.nan])
+        cdf = helpers.normal_cdf(a)
+        assert np.array_equal(cdf[:4], [0.5] * 4)
+        assert np.array_equal(cdf[4:9], [1.0] * 5)
+        assert 0.0 < cdf[9] <= 1e-29
+        assert np.array_equal(cdf[10:13], [0.0] * 3)
+        assert np.isnan(cdf[13])
+        # gelu(inf) = inf and gelu(-inf) = -inf * 0, as with scipy's erf.
+        y = apply("gelu", (Tensor([np.inf, -np.inf, np.nan]),)).data
+        assert y[0] == np.inf and np.isnan(y[1]) and np.isnan(y[2])
 
     def test_linear_gelu_hand_values(self):
         # gelu(1) = Phi(1); gelu(0) = 0; gelu(a) = a for large a, 0 for very negative a.
@@ -538,7 +592,7 @@ class TestUnrecordedForward:
         rng = np.random.default_rng(size)
         a = rng.normal(size=size) * 3.0
         if size > 1:
-            # Mixed signs on both sides of erf's |x| = sqrt(2) branch.
+            # Mixed signs on both sides of the normal CDF's |a| = sqrt(2) branch.
             assert (a > np.sqrt(2.0)).any() and (a < -np.sqrt(2.0)).any()
             assert (np.abs(a) < np.sqrt(2.0)).any()
         outs = _three_modes(kind, [a])

@@ -4,11 +4,14 @@ import json
 import os
 import re
 import struct
+import subprocess
+import sys
 import warnings
 
 import numpy as np
 import pytest
 
+import vmim
 import vmim.train
 from vmim.autodiff import Tensor
 from vmim.cli import build_parser, run
@@ -468,6 +471,27 @@ class TestAblateCLI:
             == open(os.path.join(out_b, "ablation.tsv")).read()
         )
 
+    def test_degenerate_mask_cell_aborts_before_training(self, synth_dir, tmp_path, capsys):
+        # At window 16 a token patch of 8 gives 8 patches, and ratio 0.01
+        # masks none. The grid check used to cover only the patch sizes, so
+        # the 0.75 cell was pretrained and fine-tuned before pretrain
+        # rejected the 0.01 one.
+        out = str(tmp_path / "degenerate")
+        code = run([
+            "ablate", "--method", "mae", "--data", synth_dir,
+            "--labeled-data", synth_dir, "--val-data", synth_dir,
+            "--patch-sizes", "8", "--ratios", "0.75,0.01", "--out", out,
+            "--set", "train.window=16", "--set", "train.total_epochs=1",
+            "--set", "train.warmup_epochs=0", "--set", "model.embed_dim=32",
+            "--set", "model.depth=1", "--set", "seg.width=4",
+        ])
+        assert code == 1
+        assert capsys.readouterr().err == (
+            "error: mask.ratio 0.01 masks 0 of 8 patches at train.window 16; "
+            "need at least one masked and one visible patch\n"
+        )
+        assert not any(p.startswith("cell_") for p in os.listdir(out))
+
     def test_invalid_cell_aborts_before_training(self, synth_dir, tmp_path, capsys):
         out = str(tmp_path / "bad")
         code = run([
@@ -478,3 +502,48 @@ class TestAblateCLI:
         assert code == 1
         assert "multiple" in capsys.readouterr().err
         assert not any(p.startswith("cell_") for p in os.listdir(out))
+
+
+# Runs the CLI with every scipy import made to fail, after checking that it does.
+_WITHOUT_SCIPY = """
+import sys
+
+
+class NoScipy:
+    def find_spec(self, name, path=None, target=None):
+        if name.split(".")[0] == "scipy":
+            raise ImportError(f"no module named {name!r}")
+
+
+sys.meta_path.insert(0, NoScipy())
+try:
+    import scipy.special  # noqa: F401
+except ImportError:
+    pass
+else:
+    sys.exit("scipy still imports")
+from vmim.cli import run
+
+sys.exit(run(sys.argv[1:]))
+"""
+
+
+def test_pipeline_runs_without_scipy(tmp_path):
+    src = os.path.dirname(os.path.dirname(os.path.abspath(vmim.__file__)))
+    env = dict(os.environ, PYTHONPATH=src, OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1")
+    data, pre, fine, ev = (str(tmp_path / name) for name in ("data", "pre", "fine", "eval"))
+    tiny = ["--window", "16", "--epochs", "1", "--set", "train.warmup_epochs=0",
+            "--set", "model.embed_dim=32", "--set", "model.depth=1", "--set", "seg.width=4"]
+    steps = [
+        ["synth", "--seed", "3", "--count", "4", "--shape", "16", "--classes", "3", "--out", data],
+        ["pretrain", "--method", "mae", "--data", data, "--out", pre, *tiny],
+        ["finetune", "--checkpoint", os.path.join(pre, "checkpoint.vmim"), "--data", data,
+         "--out", fine, *tiny],
+        ["eval", "--checkpoint", os.path.join(fine, "checkpoint.vmim"), "--data", data,
+         "--out", ev],
+    ]
+    for argv in steps:
+        done = subprocess.run([sys.executable, "-c", _WITHOUT_SCIPY, *argv], env=env,
+                              capture_output=True, text=True, timeout=300)
+        assert done.returncode == 0, (argv[0], done.stderr)
+    assert os.path.exists(os.path.join(ev, "dice_report.txt"))
