@@ -15,7 +15,7 @@ import sys
 
 from . import __version__
 from .checkpoint import load_checkpoint
-from .config import DERIVED, ConfigError, build, derived, resolve_config
+from .config import DERIVED, ConfigError, build, derived, load_config_file, resolve_config
 from .inference import evaluate, reconstruct_dump
 from .patches import MaskingConfig, check_mask_at_window
 from .rng import derive_seed
@@ -115,15 +115,41 @@ def _pretrain_once(method, cfg, seed, data_dir, out_dir):
     )
 
 
-def _config(args) -> dict:
+# The sections of a checkpoint's config echo that describe its model.
+_MODEL_SECTIONS = ("model", "seg", "dec", "recon", "simclr")
+
+
+def _check_echo(echo: dict, cfg: dict, keys) -> None:
+    """Raise ValueError naming the first of ``keys`` that a checkpoint's
+    config ``echo`` holds with a value other than ``cfg``'s."""
+    for key in keys:
+        if key in echo and echo[key] != cfg[key]:
+            raise ValueError(f"checkpoint {key}={echo[key]} conflicts with config {cfg[key]}")
+
+
+def _config(args, checkpoint: str | None = None) -> dict:
     """The resolved config of a run: defaults, --config, the value flags
-    (each parsed into its dotted config key as dest), then --set."""
+    (each parsed into its dotted config key as dest), then --set.
+
+    The model keys of a ``checkpoint``'s config echo replace those values;
+    one that --config, a flag or --set gives otherwise raises ValueError.
+    """
     flags = {key: value for key, value in vars(args).items() if "." in key}
     for key, value in flags.items():
         # derived() would silently replace an explicit 0 by the derived value.
         if key in DERIVED and value is not None and value < 1:
             raise ConfigError(f"{key} must be >= 1, got {value}")
-    return derived(resolve_config(args.config, flags, args.set))
+    cfg = resolve_config(args.config, flags, args.set)
+    # A missing checkpoint fails once the manifest is written, as missing data does.
+    if checkpoint and os.path.exists(checkpoint):
+        echo = load_checkpoint(checkpoint)[1]
+        model = {k: v for k, v in echo.items() if k.partition(".")[0] in _MODEL_SECTIONS}
+        given = {key for key, value in flags.items() if value is not None}
+        given.update(assignment.partition("=")[0].strip() for assignment in args.set)
+        given.update(load_config_file(args.config) if args.config else ())
+        _check_echo(model, cfg, sorted(given))
+        cfg.update(model)
+    return derived(cfg)
 
 
 def _cmd_pretrain(args) -> int:
@@ -146,11 +172,8 @@ def _finetune_once(cfg, seed, checkpoint, data_dir, val_dir, out_dir):
     checkpoint_params = None
     if checkpoint:
         checkpoint_params, ck_cfg = load_checkpoint(checkpoint)
-        for key in ("model.embed_dim", "model.depth", "model.num_heads", "model.token_patch"):
-            if int(ck_cfg.get(key, cfg[key])) != cfg[key]:
-                raise ValueError(
-                    f"checkpoint {key}={ck_cfg.get(key)} conflicts with config {cfg[key]}"
-                )
+        _check_echo(ck_cfg, cfg, ("model.embed_dim", "model.depth", "model.num_heads",
+                                  "model.token_patch"))
     return finetune(
         checkpoint_params,
         seg_cfg,
@@ -179,7 +202,7 @@ def _cmd_finetune(args) -> int:
 
 
 def _cmd_eval(args) -> int:
-    cfg = _config(args)
+    cfg = _config(args, args.checkpoint)
     dataset = _load_labeled(args.data)
     report_path = os.path.join(args.out, "dice_report.txt")
     _write_manifest(
@@ -212,7 +235,7 @@ def _comma_list(flag: str, text: str, kind: type) -> list:
 
 def _cmd_reconstruct(args) -> int:
     depths = _comma_list("--depths", args.depths, int)
-    cfg = _config(args)
+    cfg = _config(args, args.checkpoint)
     volume = load_volume(args.volume)
     _write_manifest(
         args.out, "reconstruct", cfg, args.seed, [],

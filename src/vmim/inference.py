@@ -8,10 +8,10 @@ from typing import Callable
 import numpy as np
 
 from .checkpoint import load_checkpoint
-from .config import SlidingWindowConfig, build
+from .config import MaskingConfig, SegConfig, SlidingWindowConfig, build
 from .metrics import DiceReport, dice
-from .models import SegConfig, mae_forward, simmim_forward, unetr_segment
-from .patches import MaskingConfig, PatchGrid, sample_mask, unpatchify
+from .models import mae_forward, simmim_forward, unetr_segment
+from .patches import PatchGrid, sample_mask, unpatchify
 from .rng import Rng
 from .volume import LabelVolume, Volume
 

@@ -4,26 +4,16 @@ Inputs are channel-last: reconstruction predictions are (N, token_dim)
 token rows and segmentation logits are (D, H, W, num_classes).
 Dice+CE and NT-Xent's log-softmax are single fused ops of the autodiff
 registry (``dice_ce`` and ``log_softmax``), each with a closed-form
-gradient.
+gradient. ReconLossConfig lives with the key schema in ``config``.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .autodiff import Tensor, apply
+from .config import ReconLossConfig
 from .patches import Mask
-
-
-@dataclass(frozen=True)
-class ReconLossConfig:
-    norm: str = "l1"  # "l1" or "l2", per-masked-voxel mean either way
-
-    def __post_init__(self):
-        if self.norm not in ("l1", "l2"):
-            raise ValueError(f"recon.norm must be 'l1' or 'l2', got {self.norm!r}")
 
 
 def masked_recon_loss(

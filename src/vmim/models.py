@@ -9,105 +9,25 @@ Activations are channel-last throughout: tokens are (N, dim) rows, the
 reconstruction heads predict (N, token_dim) tokens, and the segmentation
 decoder works on (T, m, C) token blocks and returns (D, H, W, num_classes)
 logits. Only the input ``Volume.data`` is (C, D, H, W).
+
+The config dataclasses (ViTConfig, MAEDecoderConfig, SimCLRConfig,
+SegConfig) live with the key schema in ``config`` and are re-exported here.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
 from .autodiff import Tensor, apply
-from .losses import ReconLossConfig, masked_recon_loss, ntxent
+from .config import MAEDecoderConfig, ReconLossConfig, SegConfig, SimCLRConfig, ViTConfig
+from .losses import masked_recon_loss, ntxent
 from .patches import Mask, PatchGrid, TokenBatch, patchify, positional_table
 from .rng import np_generator
 from .volume import Volume
 
 Params = dict[str, Tensor]
-
-
-def _at_least(minimum: int, *pairs: tuple[str, int]) -> None:
-    """Raise ValueError naming the first config key whose value is below ``minimum``."""
-    for key, value in pairs:
-        if value < minimum:
-            raise ValueError(f"{key} must be >= {minimum}, got {value}")
-
-
-@dataclass(frozen=True)
-class ViTConfig:
-    embed_dim: int
-    depth: int
-    num_heads: int
-    token_patch: int
-    mlp_ratio: int = 4
-    channels: int = 1
-
-    def __post_init__(self):
-        _at_least(
-            1,
-            ("model.embed_dim", self.embed_dim),
-            ("model.num_heads", self.num_heads),
-            ("model.token_patch", self.token_patch),
-            ("model.mlp_ratio", self.mlp_ratio),
-            ("model.channels", self.channels),
-        )
-        _at_least(0, ("model.depth", self.depth))
-        if self.embed_dim % self.num_heads:
-            raise ValueError(
-                f"embed dim {self.embed_dim} not divisible by {self.num_heads} heads"
-            )
-
-    @property
-    def mlp_dim(self) -> int:
-        return self.embed_dim * self.mlp_ratio
-
-    def token_dim(self) -> int:
-        return self.channels * self.token_patch**3
-
-
-@dataclass(frozen=True)
-class MAEDecoderConfig:
-    decoder_dim: int
-    decoder_depth: int
-    decoder_heads: int
-
-    def __post_init__(self):
-        _at_least(1, ("dec.dim", self.decoder_dim), ("dec.heads", self.decoder_heads))
-        _at_least(0, ("dec.depth", self.decoder_depth))
-        if self.decoder_dim % self.decoder_heads:
-            raise ValueError(
-                f"decoder dim {self.decoder_dim} not divisible by "
-                f"{self.decoder_heads} heads"
-            )
-
-
-@dataclass(frozen=True)
-class SimCLRConfig:
-    proj_hidden: int
-    proj_dim: int
-    temperature: float = 0.5
-
-    def __post_init__(self):
-        _at_least(1, ("simclr.hidden", self.proj_hidden), ("simclr.dim", self.proj_dim))
-        if self.temperature <= 0:
-            raise ValueError(f"simclr.temperature must be positive, got {self.temperature}")
-
-
-@dataclass(frozen=True)
-class SegConfig:
-    vit: ViTConfig
-    num_classes: int
-    width: int = 16
-
-    def __post_init__(self):
-        _at_least(2, ("seg.num_classes", self.num_classes))
-        _at_least(1, ("seg.width", self.width))
-        p = self.vit.token_patch
-        if p & (p - 1):
-            raise ValueError(
-                f"segmentation decoder needs a power-of-two token patch, got {p}"
-            )
 
 
 # ---------------------------------------------------------------------------
@@ -172,14 +92,14 @@ def _init_encoder(init: _Init, cfg: ViTConfig) -> None:
 def init_mae_params(cfg: ViTConfig, dec_cfg: MAEDecoderConfig, seed: int) -> Params:
     init = _Init(seed, "mae")
     _init_encoder(init, cfg)
-    init.weight("dec_embed.w", (cfg.embed_dim, dec_cfg.decoder_dim))
-    init.zeros("dec_embed.b", (dec_cfg.decoder_dim,))
-    init.weight("mask_token", (1, dec_cfg.decoder_dim))
-    for i in range(dec_cfg.decoder_depth):
-        init.block(f"dec.{i}", dec_cfg.decoder_dim, dec_cfg.decoder_dim * 4)
-    init.ones("dec_norm.g", (dec_cfg.decoder_dim,))
-    init.zeros("dec_norm.b", (dec_cfg.decoder_dim,))
-    init.weight("dec_head.w", (dec_cfg.decoder_dim, cfg.token_dim()))
+    init.weight("dec_embed.w", (cfg.embed_dim, dec_cfg.dim))
+    init.zeros("dec_embed.b", (dec_cfg.dim,))
+    init.weight("mask_token", (1, dec_cfg.dim))
+    for i in range(dec_cfg.depth):
+        init.block(f"dec.{i}", dec_cfg.dim, dec_cfg.dim * 4)
+    init.ones("dec_norm.g", (dec_cfg.dim,))
+    init.zeros("dec_norm.b", (dec_cfg.dim,))
+    init.weight("dec_head.w", (dec_cfg.dim, cfg.token_dim()))
     init.zeros("dec_head.b", (cfg.token_dim(),))
     return init.params
 
@@ -196,10 +116,10 @@ def init_simmim_params(cfg: ViTConfig, seed: int) -> Params:
 def init_simclr_params(cfg: ViTConfig, proj: SimCLRConfig, seed: int) -> Params:
     init = _Init(seed, "simclr")
     _init_encoder(init, cfg)
-    init.weight("proj1.w", (cfg.embed_dim, proj.proj_hidden))
-    init.zeros("proj1.b", (proj.proj_hidden,))
-    init.weight("proj2.w", (proj.proj_hidden, proj.proj_dim))
-    init.zeros("proj2.b", (proj.proj_dim,))
+    init.weight("proj1.w", (cfg.embed_dim, proj.hidden))
+    init.zeros("proj1.b", (proj.hidden,))
+    init.weight("proj2.w", (proj.hidden, proj.dim))
+    init.zeros("proj2.b", (proj.dim,))
     return init.params
 
 
@@ -209,8 +129,6 @@ def init_seg_params(cfg: SegConfig, seed: int) -> Params:
     vit = cfg.vit
     f = cfg.width
     stages = int(math.log2(vit.token_patch))
-    if vit.depth < 1:
-        raise ValueError("segmentation decoder needs depth >= 1 for its taps")
     init.conv_weight("seg.in.w", (vit.embed_dim, f), vit.embed_dim)
     init.zeros("seg.in.b", (f,))
     for s in range(1, stages + 1):
@@ -357,9 +275,9 @@ def mae_forward(
 
     projected = _linear(latents, params, "dec_embed")
     full = _fill_masked(projected, np.arange(visible.size), params["mask_token"], mask)
-    dec_pos = Tensor(positional_table(grid, dec_cfg.decoder_dim))
+    dec_pos = Tensor(positional_table(grid, dec_cfg.dim))
     full = full + dec_pos
-    decoded = _run_blocks(full, params, "dec", dec_cfg.decoder_depth, dec_cfg.decoder_heads)
+    decoded = _run_blocks(full, params, "dec", dec_cfg.depth, dec_cfg.heads)
     decoded = _ln(decoded, params, "dec_norm")
     pred = _linear(decoded, params, "dec_head")
 
@@ -421,9 +339,8 @@ def simclr_forward(
 
 
 def tap_depths(depth: int) -> list[int]:
-    """1-indexed block depths feeding the segmentation decoder."""
-    if depth < 1:
-        raise ValueError("need depth >= 1 to tap features")
+    """1-indexed block depths feeding the segmentation decoder (SegConfig
+    needs model.depth >= 1)."""
     return sorted({max(1, math.ceil(depth * k / 4)) for k in range(1, 5)})
 
 

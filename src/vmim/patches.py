@@ -3,6 +3,7 @@
 Tokens are non-overlapping p^3 voxel blocks in row-major (depth, height,
 width) grid order. Masking units are q^3 voxel super-cells where q is an
 integer multiple of p, so one drawn cell hides (q/p)^3 tokens.
+MaskingConfig lives with the key schema in ``config``.
 """
 
 from __future__ import annotations
@@ -11,6 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .config import MaskingConfig, check_window
 from .rng import Rng
 from .volume import Volume
 
@@ -58,26 +60,6 @@ class PatchGrid:
 class TokenBatch:
     tokens: np.ndarray  # (N, token_dim)
     grid: PatchGrid
-
-
-@dataclass(frozen=True)
-class MaskingConfig:
-    masked_patch: int
-    ratio: float
-
-    def __post_init__(self):
-        if not 0.0 <= self.ratio <= 1.0:
-            raise ValueError(f"mask.ratio must lie in [0, 1], got {self.ratio}")
-        if self.masked_patch < 1:
-            raise ValueError(f"mask.patch must be >= 1, got {self.masked_patch}")
-
-    def cell_factor(self, token_patch: int) -> int:
-        if self.masked_patch % token_patch:
-            raise ValueError(
-                f"masked patch {self.masked_patch} is not a multiple of "
-                f"token patch {token_patch}"
-            )
-        return self.masked_patch // token_patch
 
 
 @dataclass(frozen=True)
@@ -169,8 +151,11 @@ def check_mask_at_window(cfg: MaskingConfig, token_patch: int, window: int) -> N
     """Raise ValueError, naming mask.ratio, when a mask on a ``window``^3 crop
     would hide no patch or every patch.
 
-    Also raises what sample_mask raises for that crop's grid.
+    Also raises what check_window and sample_mask raise for that crop.
     """
+    check_window(window, token_patch)
+    if window % cfg.patch:
+        raise ValueError(f"train.window {window} is not divisible by mask.patch {cfg.patch}")
     # Every mask that sample_mask draws on a grid hides as many patches.
     grid = PatchGrid.for_shape((1,) + (window,) * 3, token_patch)
     masked = sample_mask(grid, cfg, Rng(0)).num_masked

@@ -31,20 +31,24 @@ from .autodiff import Graph, NonFiniteError, Tensor, backward
 from .checkpoint import save_checkpoint
 from .config import (
     DEFAULTS,
+    MAEDecoderConfig,
+    MaskingConfig,
+    ReconLossConfig,
+    SegConfig,
+    SimCLRConfig,
     SlidingWindowConfig,
     TrainConfig,
+    ViTConfig,
     build,
+    check,
+    check_window,
     checkpoint_config,
     derived,
     flatten,
 )
 from .inference import dice_over_dataset, predict_labels
-from .losses import ReconLossConfig, dice_ce_loss
+from .losses import dice_ce_loss
 from .models import (
-    MAEDecoderConfig,
-    SegConfig,
-    SimCLRConfig,
-    ViTConfig,
     encoder_param_names,
     init_mae_params,
     init_seg_params,
@@ -56,7 +60,7 @@ from .models import (
     unetr_segment,
 )
 from .optim import OptState, adamw_step, clip_grad_norm, lr_at
-from .patches import MaskingConfig, PatchGrid, check_mask_at_window, sample_mask
+from .patches import PatchGrid, check_mask_at_window, sample_mask
 from .rng import Rng
 from .volume import LabelVolume, Volume
 
@@ -94,8 +98,7 @@ def crop_sampler(
 
 def subset_labeled(ids: list, ratio: float, seed: int) -> list:
     """floor(ratio * n) ids drawn without replacement; ratio 1.0 is identity."""
-    if not 0 < ratio <= 1:
-        raise ValueError(f"train.labeled_ratio must lie in (0, 1], got {ratio}")
+    check("train.labeled_ratio", ratio)
     if ratio == 1.0:
         return list(ids)
     k = int(math.floor(ratio * len(ids)))
@@ -306,10 +309,7 @@ def pretrain(
         raise ValueError(f"method must be one of {PRETRAIN_METHODS}, got {method!r}")
     if not dataset:
         raise ValueError("dataset is empty")
-    if train_cfg.window % vit_cfg.token_patch:
-        raise ValueError(
-            f"window {train_cfg.window} not divisible by token patch {vit_cfg.token_patch}"
-        )
+    check_window(train_cfg.window, vit_cfg.token_patch)
     defaults = derived({**DEFAULTS, **flatten("model", vit_cfg)})
     mask_cfg = mask_cfg or build("mask", defaults)
     dec_cfg = dec_cfg or build("dec", defaults)
@@ -408,10 +408,7 @@ def finetune(
     if not train_set:
         raise ValueError("labeled training set is empty")
     vit = seg_cfg.vit
-    if train_cfg.window % vit.token_patch:
-        raise ValueError(
-            f"window {train_cfg.window} not divisible by token patch {vit.token_patch}"
-        )
+    check_window(train_cfg.window, vit.token_patch)
     swi_cfg = swi_cfg or build("swi", DEFAULTS, window=train_cfg.window)
 
     params = init_seg_params(seg_cfg, train_cfg.seed)

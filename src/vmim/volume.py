@@ -7,6 +7,7 @@ with a uint16 payload. In memory everything is float64.
 
 from __future__ import annotations
 
+import math
 import os
 from dataclasses import dataclass
 
@@ -100,75 +101,65 @@ def _header_path(path: str) -> str:
     return base + {".vol": ".volh", ".lab": ".labh"}.get(ext, ext + "h")
 
 
-def save_volume(path: str, volume: Volume) -> None:
-    header = {
-        "shape": " ".join(str(n) for n in volume.data.shape),
-        "spacing": " ".join(repr(s) for s in volume.spacing),
-        "modality": volume.modality,
-        "dtype": "f32le",
-    }
-    write_kv(_header_path(path), header)
-    volume.data.astype("<f4").tofile(path)
+# The payload dtype behind each header "dtype" value.
+_PAYLOAD = {"f32le": "<f4", "u16le": "<u2"}
 
 
-def load_volume(path: str) -> Volume:
+def _save(path: str, data: np.ndarray, dtype: str, **header: str) -> None:
+    shape = " ".join(str(n) for n in data.shape)
+    write_kv(_header_path(path), {"shape": shape, **header, "dtype": dtype})
+    data.astype(_PAYLOAD[dtype]).tofile(path)
+
+
+def _load(path: str, dtype: str, ndim: int, parse):
+    """The payload of ``path`` shaped by its header, and ``parse(header)``.
+
+    A missing or garbled header, another dtype or number of axes, an extent
+    below 1 or a payload of another size raises VolumeIOError.
+    """
     header_path = _header_path(path)
     if not os.path.exists(header_path):
         raise VolumeIOError(f"missing header {header_path}")
     header = read_kv(header_path)
     try:
         shape = tuple(int(x) for x in header["shape"].split())
-        spacing = tuple(float(x) for x in header["spacing"].split())
-        modality = header["modality"]
-        dtype = header["dtype"]
+        parsed = parse(header)
+        found = header["dtype"]
     except (KeyError, ValueError) as exc:
         raise VolumeIOError(f"garbled header {header_path}: {exc}") from exc
-    if dtype != "f32le":
-        raise VolumeIOError(f"{header_path}: unsupported dtype {dtype!r}, expected f32le")
-    if len(shape) != 4:
-        raise VolumeIOError(f"{header_path}: shape must have 4 entries, got {shape}")
+    if found != dtype:
+        raise VolumeIOError(f"{header_path}: unsupported dtype {found!r}, expected {dtype}")
+    if len(shape) != ndim:
+        raise VolumeIOError(f"{header_path}: shape must have {ndim} entries, got {shape}")
     if min(shape) < 1:
         raise VolumeIOError(f"{header_path}: extents must be >= 1, got {shape}")
-    expected = int(np.prod(shape)) * 4
+    expected = math.prod(shape) * np.dtype(_PAYLOAD[dtype]).itemsize
     actual = os.path.getsize(path)
     if actual != expected:
         raise VolumeIOError(f"{path}: payload is {actual} bytes, header implies {expected}")
-    raw = np.fromfile(path, dtype="<f4").reshape(shape)
+    return np.fromfile(path, dtype=_PAYLOAD[dtype]).reshape(shape), parsed
+
+
+def save_volume(path: str, volume: Volume) -> None:
+    spacing = " ".join(repr(s) for s in volume.spacing)
+    _save(path, volume.data, "f32le", spacing=spacing, modality=volume.modality)
+
+
+def load_volume(path: str) -> Volume:
+    raw, (spacing, modality) = _load(
+        path, "f32le", 4, lambda h: (tuple(float(x) for x in h["spacing"].split()), h["modality"])
+    )
     if not np.isfinite(raw).all():
         raise VolumeIOError(f"{path}: payload contains non-finite voxels")
     return Volume(raw.astype(np.float64), spacing, modality)
 
 
 def save_labels(path: str, labels: LabelVolume) -> None:
-    header = {
-        "shape": " ".join(str(n) for n in labels.data.shape),
-        "num_classes": str(labels.num_classes),
-        "dtype": "u16le",
-    }
-    write_kv(_header_path(path), header)
-    labels.data.astype("<u2").tofile(path)
+    _save(path, labels.data, "u16le", num_classes=str(labels.num_classes))
 
 
 def load_labels(path: str) -> LabelVolume:
-    header_path = _header_path(path)
-    if not os.path.exists(header_path):
-        raise VolumeIOError(f"missing header {header_path}")
-    header = read_kv(header_path)
-    try:
-        shape = tuple(int(x) for x in header["shape"].split())
-        num_classes = int(header["num_classes"])
-        dtype = header["dtype"]
-    except (KeyError, ValueError) as exc:
-        raise VolumeIOError(f"garbled header {header_path}: {exc}") from exc
-    if dtype != "u16le":
-        raise VolumeIOError(f"{header_path}: unsupported dtype {dtype!r}, expected u16le")
-    if min(shape, default=0) < 1:
-        raise VolumeIOError(f"{header_path}: extents must be >= 1, got {shape}")
-    expected = int(np.prod(shape)) * 2
-    actual = os.path.getsize(path)
-    if actual != expected:
-        raise VolumeIOError(f"{path}: payload is {actual} bytes, header implies {expected}")
-    raw = np.fromfile(path, dtype="<u2").reshape(shape)
+    raw, num_classes = _load(path, "u16le", 3, lambda h: int(h["num_classes"]))
     return LabelVolume(raw, num_classes)
 
 

@@ -25,6 +25,7 @@ from vmim.config import (
     flatten,
     resolve_config,
 )
+from vmim.inference import SlidingWindowConfig, evaluate
 from vmim.models import ViTConfig
 from vmim.volume import load_labels, load_volume
 
@@ -76,9 +77,9 @@ class TestConfig:
     def test_renamed_keys_reach_their_fields(self):
         cfg = derived(resolve_config(None, {}, ["dec.dim=48", "simclr.hidden=24",
                                                "mask.patch=16"]))
-        assert build("dec", cfg).decoder_dim == 48
-        assert build("simclr", cfg).proj_hidden == 24
-        assert build("mask", cfg).masked_patch == 16
+        assert build("dec", cfg).dim == 48
+        assert build("simclr", cfg).hidden == 24
+        assert build("mask", cfg).patch == 16
 
     def test_missing_required_key_rejected(self):
         with pytest.raises(ConfigError, match="incomplete 'model' config"):
@@ -291,6 +292,39 @@ class TestDispatch:
         assert code == 1
         assert capsys.readouterr().err == f"error: {message}\n"
 
+    @pytest.mark.parametrize("command, assignment, message", [
+        ("pretrain --method mae", "train.window=20",
+         "train.window 20 is not divisible by model.token_patch 8"),
+        ("finetune", "train.window=20", "train.window 20 is not divisible by model.token_patch 8"),
+        ("ablate --patch-sizes 8 --ratios 0.5", "train.window=20",
+         "train.window 20 is not divisible by model.token_patch 8"),
+        ("pretrain --method mae", "model.embed_dim=30",
+         "model.embed_dim 30 is not divisible by model.num_heads 4"),
+        ("pretrain --method mae", "dec.dim=30", "dec.dim 30 is not divisible by dec.heads 4"),
+        ("pretrain --method mae", "mask.patch=12",
+         "mask.patch 12 is not a multiple of model.token_patch 8"),
+        ("pretrain --method mae", "mask.patch=32",
+         "train.window 48 is not divisible by mask.patch 32"),
+        ("finetune", "model.token_patch=6",
+         "model.token_patch must be a power-of-two for the segmentation decoder, got 6"),
+        ("finetune", "model.depth=0",
+         "model.depth must be >= 1 for the segmentation decoder's taps, got 0"),
+    ], ids=["pretrain-window", "finetune-window", "ablate-window", "embed-heads", "dec-heads",
+            "mask-patch", "window-mask-patch", "seg-token-patch", "seg-depth"])
+    def test_cross_field_error_exit_1_names_its_keys(
+        self, synth_dir, tmp_path, capsys, command, assignment, message
+    ):
+        # The window errors used to read "window 20 not divisible by token
+        # patch 8" (pretrain, finetune), "extent 20 on axis 0 is not
+        # divisible by patch size 8" (ablate) and "token grid extent 6 on
+        # axis 0 is not divisible by masked/token patch ratio 4".
+        labeled = ["--labeled-data", synth_dir, "--val-data", synth_dir]
+        code = run([*command.split(), *(labeled if command.startswith("ablate") else []),
+                    "--data", synth_dir, "--out", str(tmp_path / "out"),
+                    "--set", assignment])
+        assert code == 1
+        assert capsys.readouterr().err == f"error: {message}\n"
+
     @pytest.mark.parametrize("command, message", [
         (["reconstruct", "--depths", "0,x"], "--depths expects comma-separated integers, got 'x'"),
         (["reconstruct", "--depths", ","], "--depths needs at least one value, got ','"),
@@ -440,6 +474,74 @@ class TestPretrainCLI:
         bytes_a = open(os.path.join(out_a, "checkpoint.vmim"), "rb").read()
         bytes_b = open(os.path.join(out_b, "checkpoint.vmim"), "rb").read()
         assert bytes_a == bytes_b
+
+
+@pytest.fixture(scope="module")
+def small_checkpoints(synth_dir, tmp_path_factory):
+    """(mae, seg) checkpoints of a non-default model: 32-dim, one block,
+    a 16-dim one-block MAE decoder and a 4-wide segmentation decoder."""
+    root = tmp_path_factory.mktemp("small")
+    tiny = ["--data", synth_dir, "--epochs", "1", "--window", "16",
+            "--set", "train.warmup_epochs=0", "--set", "model.embed_dim=32",
+            "--set", "model.depth=1"]
+    assert run(["pretrain", "--method", "mae", "--out", str(root / "pre"), *tiny,
+                "--set", "dec.dim=16", "--set", "dec.depth=1"]) == 0
+    assert run(["finetune", "--out", str(root / "fine"), *tiny, "--set", "seg.width=4"]) == 0
+    return str(root / "pre" / "checkpoint.vmim"), str(root / "fine" / "checkpoint.vmim")
+
+
+class TestCheckpointModelKeys:
+    """eval and reconstruct build their model from the checkpoint's config
+    echo, and reject a model key given with another value."""
+
+    def test_eval_takes_model_keys_from_the_checkpoint(self, synth_dir, small_checkpoints,
+                                                        tmp_path):
+        seg = small_checkpoints[1]
+        plain, explicit, rerun = (str(tmp_path / n) for n in ("plain", "explicit", "rerun"))
+        common = ["eval", "--checkpoint", seg, "--data", synth_dir]
+        assert run([*common, "--out", plain]) == 0
+        assert run([*common, "--out", explicit, "--set", "model.embed_dim=32",
+                    "--set", "seg.width=4", "--set", "seg.num_classes=3"]) == 0
+        assert run([*common, "--out", rerun,
+                    "--config", os.path.join(plain, "manifest.json")]) == 0
+        config = json.load(open(os.path.join(plain, "manifest.json")))["config"]
+        assert (config["model.embed_dim"], config["model.depth"], config["seg.width"]) == (32, 1, 4)
+        dataset = [(load_volume(os.path.join(synth_dir, f"sample{i:04d}.vol")),
+                    load_labels(os.path.join(synth_dir, f"sample{i:04d}.lab"))) for i in range(4)]
+        direct = tmp_path / "direct.txt"
+        evaluate(seg, dataset, SlidingWindowConfig(48, 0.5)).save(str(direct))
+        for out in (plain, explicit, rerun):
+            assert open(os.path.join(out, "dice_report.txt")).read() == direct.read_text()
+
+    @pytest.mark.parametrize("flags, message", [
+        (["--set", "seg.num_classes=5"], "checkpoint seg.num_classes=3 conflicts with config 5"),
+        (["--set", "model.embed_dim=64"], "checkpoint model.embed_dim=32 conflicts with config 64"),
+        (["--config", "width.cfg"], "checkpoint seg.width=4 conflicts with config 8"),
+    ], ids=["set-classes", "set-default-embed-dim", "config-file-width"])
+    def test_eval_conflicting_model_key_exit_1(self, synth_dir, small_checkpoints, tmp_path,
+                                               capsys, flags, message):
+        # Unchecked, eval exited 0 with the checkpoint's model and wrote the
+        # ignored value into its manifest.
+        (tmp_path / "width.cfg").write_text("seg.width = 8\n")
+        flags = [str(tmp_path / f) if f.endswith(".cfg") else f for f in flags]
+        out = tmp_path / "out"
+        code = run(["eval", "--checkpoint", small_checkpoints[1], "--data", synth_dir,
+                    "--out", str(out), *flags])
+        assert code == 1
+        assert capsys.readouterr().err == f"error: {message}\n"
+        assert not out.exists()
+
+    def test_reconstruct_takes_model_keys_from_the_checkpoint(self, synth_dir, small_checkpoints,
+                                                              tmp_path, capsys):
+        common = ["reconstruct", "--checkpoint", small_checkpoints[0], "--depths", "3",
+                  "--volume", os.path.join(synth_dir, "sample0000.vol")]
+        out = str(tmp_path / "rec")
+        assert run([*common, "--out", out]) == 0
+        config = json.load(open(os.path.join(out, "manifest.json")))["config"]
+        assert (config["model.embed_dim"], config["dec.dim"], config["dec.depth"]) == (32, 16, 1)
+        code = run([*common, "--out", str(tmp_path / "bad"), "--set", "dec.dim=48"])
+        assert code == 1
+        assert capsys.readouterr().err == "error: checkpoint dec.dim=16 conflicts with config 48\n"
 
 
 class TestAblateCLI:

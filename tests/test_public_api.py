@@ -51,3 +51,28 @@ def test_import_loads_no_scipy():
     out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
                          capture_output=True, text=True, timeout=120).stdout
     assert out.strip() == "[]"
+
+
+def test_config_dataclasses_keep_their_old_paths_and_positional_order():
+    # The section dataclasses live in vmim.config; the modules that held
+    # them before re-export them, and their fields keep their order.
+    import vmim.config as config
+    from vmim import inference, losses, models, patches, train
+
+    for module, names in [
+        (models, ("ViTConfig", "MAEDecoderConfig", "SimCLRConfig", "SegConfig")),
+        (patches, ("MaskingConfig",)),
+        (losses, ("ReconLossConfig",)),
+        (inference, ("SlidingWindowConfig",)),
+        (train, ("TrainConfig",)),
+    ]:
+        for name in names:
+            assert getattr(module, name) is getattr(vmim, name) is getattr(config, name)
+    vit = vmim.ViTConfig(64, 4, 4, 8, 4, 1)
+    assert vit == vmim.ViTConfig(embed_dim=64, depth=4, num_heads=4, token_patch=8)
+    assert vmim.MAEDecoderConfig(32, 2, 4) == vmim.MAEDecoderConfig(dim=32, depth=2, heads=4)
+    assert vmim.SimCLRConfig(64, 32, 0.5) == vmim.SimCLRConfig(hidden=64, dim=32)
+    assert vmim.MaskingConfig(16, 0.75) == vmim.MaskingConfig(patch=16, ratio=0.75)
+    assert vmim.SegConfig(vit, 3, 16) == vmim.SegConfig(vit=vit, num_classes=3)
+    assert vmim.SlidingWindowConfig(48, 0.5) == vmim.SlidingWindowConfig(window=48)
+    assert vmim.ReconLossConfig("l1") == vmim.ReconLossConfig()
