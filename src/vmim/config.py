@@ -4,6 +4,9 @@ section dataclasses behind the keys, file loading and overrides.
 Key ``<section>.<name>`` is field ``name`` of ``SECTIONS[section]``. Building
 a section checks its keyed fields against their bounds, then its cross-field
 rules; other modules import the dataclasses from here.
+
+A command's config (resolve_config) is, each source over the one before:
+defaults <- a checkpoint's config echo <- config file <- flags <- --set.
 """
 
 from __future__ import annotations
@@ -309,24 +312,40 @@ def load_config_file(path: str) -> dict[str, Any]:
     return {key: _coerce(key, value) for key, value in raw.items()}
 
 
+def check_echo(echo: dict[str, Any], config: dict[str, Any]) -> None:
+    """Raise ValueError naming the first key of ``config``, in sorted order,
+    that a checkpoint's config ``echo`` holds with another value."""
+    for key in sorted(config):
+        if key in echo and echo[key] != config[key]:
+            raise ValueError(f"checkpoint {key}={echo[key]} conflicts with config {config[key]}")
+
+
 def resolve_config(
     file_path: str | None = None,
     overrides: dict[str, Any] | None = None,
     assignments: list[str] | None = None,
+    echo: dict[str, Any] | None = None,
 ) -> dict[str, Any]:
-    """defaults <- config file <- explicit flags <- --set key=value pairs."""
-    config = dict(DEFAULTS)
-    if file_path:
-        config.update(load_config_file(file_path))
+    """A command's config: defaults <- a checkpoint's config ``echo`` <-
+    config file <- explicit flags (None is not given) <- --set key=value pairs.
+
+    Each key the file, a flag or --set gives is check()ed, and one that
+    ``echo`` holds with another value raises ValueError. Then derived() fills
+    the placeholders that no source gave: a given one is >= 1 once checked.
+    """
+    given = load_config_file(file_path) if file_path else {}
     for key, value in (overrides or {}).items():
         if value is not None:
-            config[key] = _coerce(key, value)
+            given[key] = _coerce(key, value)
     for assignment in assignments or []:
         if "=" not in assignment:
             raise ConfigError(f"--set expects key=value, got {assignment!r}")
         key, _, value = assignment.partition("=")
-        config[key.strip()] = _coerce(key.strip(), value)
-    return config
+        given[key.strip()] = _coerce(key.strip(), value)
+    for key, value in given.items():
+        check(key, value)
+    check_echo(echo or {}, given)
+    return derived({**DEFAULTS, **(echo or {}), **given})
 
 
 # The keys whose 0 default is a placeholder, each with the rule that

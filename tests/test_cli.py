@@ -219,6 +219,10 @@ class TestDispatch:
                     "--out", str(tmp_path / "out")] + flags)
         assert code == 1
         assert capsys.readouterr().err == f"error: {message}\n"
+        # A key's own bound is checked before the manifest; the cross-field
+        # rules ("need ...") run when the section is built, after it.
+        if not message.startswith("need"):
+            assert not (tmp_path / "out" / "manifest.json").exists()
 
     @pytest.mark.parametrize("command, key, value, minimum", [
         ("pretrain", "model.embed_dim", 0, 1),
@@ -243,6 +247,7 @@ class TestDispatch:
                     "--set", f"{key}={value}"])
         assert code == 1
         assert capsys.readouterr().err == f"error: {key} must be >= {minimum}, got {value}\n"
+        assert not (tmp_path / "out" / "manifest.json").exists()
 
     @pytest.mark.parametrize("command, assignment, message", [
         ("pretrain --method simclr", "simclr.hidden=-2", "simclr.hidden must be >= 1, got -2"),
@@ -291,6 +296,29 @@ class TestDispatch:
         code = run([command, *inputs, "--out", str(tmp_path / "out"), *flags])
         assert code == 1
         assert capsys.readouterr().err == f"error: {message}\n"
+
+    @pytest.mark.parametrize("source", ["set", "config"])
+    @pytest.mark.parametrize("command, key", [
+        ("pretrain --method mae", "mask.patch"),
+        ("pretrain --method simclr", "simclr.hidden"),
+        ("pretrain --method simclr", "simclr.dim"),
+        ("eval", "swi.window"),
+    ], ids=["mask-patch", "simclr-hidden", "simclr-dim", "swi-window"])
+    def test_zero_placeholder_key_exit_1_before_the_manifest(
+        self, synth_dir, tmp_path, capsys, command, key, source
+    ):
+        # These keys default to a 0 that is derived from another key. A 0
+        # from --set or a config file used to be derived too, and the run
+        # exited 0.
+        config = tmp_path / "zero.cfg"
+        config.write_text(f"{key} = 0\n")
+        flags = ["--set", f"{key}=0"] if source == "set" else ["--config", str(config)]
+        inputs = ["--checkpoint", str(tmp_path / "missing")] if command == "eval" else []
+        out = tmp_path / "out"
+        code = run([*command.split(), *inputs, "--data", synth_dir, "--out", str(out), *flags])
+        assert code == 1
+        assert capsys.readouterr().err == f"error: {key} must be >= 1, got 0\n"
+        assert not (out / "manifest.json").exists()
 
     @pytest.mark.parametrize("command, assignment, message", [
         ("pretrain --method mae", "train.window=20",
@@ -506,10 +534,12 @@ class TestCheckpointModelKeys:
                     "--config", os.path.join(plain, "manifest.json")]) == 0
         config = json.load(open(os.path.join(plain, "manifest.json")))["config"]
         assert (config["model.embed_dim"], config["model.depth"], config["seg.width"]) == (32, 1, 4)
+        # The windows tile at the checkpoint's training window, not the default 48.
+        assert (config["train.window"], config["swi.window"]) == (16, 16)
         dataset = [(load_volume(os.path.join(synth_dir, f"sample{i:04d}.vol")),
                     load_labels(os.path.join(synth_dir, f"sample{i:04d}.lab"))) for i in range(4)]
         direct = tmp_path / "direct.txt"
-        evaluate(seg, dataset, SlidingWindowConfig(48, 0.5)).save(str(direct))
+        evaluate(seg, dataset, SlidingWindowConfig(16, 0.5)).save(str(direct))
         for out in (plain, explicit, rerun):
             assert open(os.path.join(out, "dice_report.txt")).read() == direct.read_text()
 
@@ -517,7 +547,8 @@ class TestCheckpointModelKeys:
         (["--set", "seg.num_classes=5"], "checkpoint seg.num_classes=3 conflicts with config 5"),
         (["--set", "model.embed_dim=64"], "checkpoint model.embed_dim=32 conflicts with config 64"),
         (["--config", "width.cfg"], "checkpoint seg.width=4 conflicts with config 8"),
-    ], ids=["set-classes", "set-default-embed-dim", "config-file-width"])
+        (["--set", "train.window=32"], "checkpoint train.window=16 conflicts with config 32"),
+    ], ids=["set-classes", "set-default-embed-dim", "config-file-width", "set-window"])
     def test_eval_conflicting_model_key_exit_1(self, synth_dir, small_checkpoints, tmp_path,
                                                capsys, flags, message):
         # Unchecked, eval exited 0 with the checkpoint's model and wrote the
@@ -542,6 +573,20 @@ class TestCheckpointModelKeys:
         code = run([*common, "--out", str(tmp_path / "bad"), "--set", "dec.dim=48"])
         assert code == 1
         assert capsys.readouterr().err == "error: checkpoint dec.dim=16 conflicts with config 48\n"
+
+    def test_finetune_conflicting_model_key_exit_1_names_it(self, synth_dir, small_checkpoints,
+                                                            tmp_path, capsys):
+        # Only four model keys were compared, so this failed while loading
+        # the encoder: "encoder parameter 'enc.0.mlp1.w' has shape (32, 128)
+        # in checkpoint, expected (32, 64)".
+        code = run(["finetune", "--checkpoint", small_checkpoints[0], "--data", synth_dir,
+                    "--out", str(tmp_path / "out"), "--epochs", "1", "--window", "16",
+                    "--set", "train.warmup_epochs=0", "--set", "model.embed_dim=32",
+                    "--set", "model.depth=1", "--set", "model.mlp_ratio=2"])
+        assert code == 1
+        assert capsys.readouterr().err == (
+            "error: checkpoint model.mlp_ratio=4 conflicts with config 2\n"
+        )
 
 
 class TestAblateCLI:
