@@ -19,8 +19,8 @@ fused kernels for the chains the models run most: ``attention`` (multi-head
 scaled dot-product attention), ``mlp`` (dense, GELU, dense), ``dice_ce``
 and ``log_softmax``. Each is one tape node with a closed-form VJP.
 ``attention`` takes the rows and the q, k and v projection parameters,
-runs one head at a time, and keeps each row's softmax max and sum of exps,
-not its heads or probabilities, which its VJP recomputes bitwise.
+runs its heads in cache-sized groups and keeps each row's log-sum-exp and
+its output, not its heads or probabilities, which its VJP recomputes.
 ``gelu`` and ``mlp`` share one GELU kernel, which evaluates the normal CDF
 itself from Cody's rational approximations of erf and erfc, so numpy is the
 engine's only dependency. ``mlp`` works in cache-sized row blocks, never
@@ -438,7 +438,7 @@ def _fwd_layernorm(arrays, attrs):
     var = np.empty_like(mu)
     width = a.shape[-1]
     rows, var_rows = d.reshape(mu.size, width), var.reshape(mu.size, 1)
-    for block in _row_blocks(rows.shape[0], width, _GELU_BLOCK):
+    for block in _row_blocks(rows.shape[0], width, _BLOCK):
         sq = rows[block] * rows[block]
         var_rows[block] = sq.mean(axis=-1, keepdims=True)
     inv = 1.0 / np.sqrt(var + eps)
@@ -454,21 +454,6 @@ def _vjp_layernorm(ctx, g):
 
 
 # -- fused model kernels --
-
-def _attention_probs(qh, kt, scale, top, total, h, w, fresh):
-    # Head h's softmax probabilities into the (N, N) buffer w, in place. The
-    # forward (fresh) stores each row's max and sum of exps in top[h] and
-    # total[h]; the VJP reads them back and so recomputes the forward's bits.
-    np.matmul(qh[h], kt[h], out=w)
-    w *= scale
-    if fresh:
-        w.max(axis=-1, keepdims=True, out=top[h])
-    w -= top[h]
-    np.exp(w, out=w)
-    if fresh:
-        w.sum(axis=-1, keepdims=True, out=total[h])
-    w /= total[h]
-
 
 def _check_attention(arrays, heads):
     x, wq = arrays[0], arrays[1]
@@ -487,81 +472,110 @@ def _check_attention(arrays, heads):
         raise _shape_error("attention", f"dim {wq.shape[1]} does not split into {heads} heads")
 
 
-def _attention_heads(x, wq, bq, wk, bk, wv, bv, heads):
-    # The q, k and v projections x @ w + b by linear's own calls, each as a
-    # contiguous copy of its heads: q and v as (H, N, d), k as (H, d, N).
-    # The forward and the VJP both call this, so the VJP's heads are
-    # bitwise the forward's, and those that linear nodes would have fed.
-    def project(w, b, axes):
+def _attention_heads(x, wq, bq, wk, bk, wv, bv, heads, spare):
+    # The q, k and v projections x @ w + b by linear's own calls, copied out
+    # by heads with ``spare`` extra columns or rows: q~ = q / sqrt(d) as (H,
+    # N, d + spare) and k transposed as (H, d + spare, N). The forward (no
+    # spare) takes v as (H, N, d) for P v; the VJP (one spare) multiplies
+    # only by v^T and takes it as (H, d + 1, N). The spare rows of k and v
+    # are ones, and the VJP writes -L into q~'s spare column.
+    n, d = x.shape[0], wq.shape[1] // heads
+
+    def project(w, b, scale, transposed):
         p = x @ w
         p += b
-        return p.reshape(x.shape[0], heads, -1).transpose(axes).copy()
+        if transposed:
+            t = np.empty((heads, d + spare, n))
+            t[:, d:] = 1.0
+            dst, axes = t[:, :d], (1, 2, 0)
+        else:
+            t = np.empty((heads, n, d + spare))
+            dst, axes = t[..., :d], (1, 0, 2)
+        np.multiply(p.reshape(n, heads, d).transpose(axes), scale, out=dst)
+        return t
 
-    return project(wq, bq, (1, 0, 2)), project(wk, bk, (1, 2, 0)), project(wv, bv, (1, 0, 2))
+    q = project(wq, bq, 1.0 / np.sqrt(d), False)
+    return q, project(wk, bk, 1.0, True), project(wv, bv, 1.0, spare > 0)
+
+
+def _head_groups(heads, n):
+    # Slices of heads whose (N, N) scores together fill at most one block, at
+    # least one head each, and the largest group's size.
+    return _row_blocks(heads, n * n, _BLOCK), min(heads, _rows_per_block(n * n, _BLOCK))
 
 
 def _fwd_attention(arrays, attrs):
     # Multi-head scaled dot-product self-attention of (N, C) rows x, with
-    # the q, k and v projections inside the op. The heads are freed on
-    # return; one head at a time runs on one (N, N) buffer, and its output
-    # GEMM writes into its columns of the (N, H, d) result. The VJP context
-    # keeps the operands and each row's softmax max and sum of exps, (H, N,
-    # 1) each: no projections, heads or probabilities.
+    # the q, k and v projections inside the op, after FlashAttention-2 (Dao,
+    # arXiv 2307.08691). Per group of heads: S = q~ k^T, its row max m, S -=
+    # m, exp, the row sums l and O = P v, then O /= l over (N, d), not P over
+    # (N, N). The context keeps the operands, each row's log-sum-exp L = m +
+    # log l as (H, N, 1), and the output, which the next linear node holds
+    # anyway: no heads or probabilities.
     heads = attrs["num_heads"]
     _check_attention(arrays, heads)
-    qh, kt, vh = _attention_heads(*arrays, heads)
-    _, n, d = qh.shape
-    scale = 1.0 / np.sqrt(d)
-    top, total = np.empty((heads, n, 1)), np.empty((heads, n, 1))
-    w = np.empty((n, n))
+    q, k, v = _attention_heads(*arrays, heads, spare=0)
+    n, d = q.shape[1:]
+    lse = np.empty((heads, n, 1))
     out = np.empty((n, heads, d))
-    for h in range(heads):
-        _attention_probs(qh, kt, scale, top, total, h, w, fresh=True)
-        np.matmul(w, vh[h], out=out[:, h])
-    return out.reshape(n, heads * d), (*arrays, top, total, scale)
+    groups, size = _head_groups(heads, n)
+    buf = np.empty((size, n, n))
+    for hs in groups:
+        s, o = buf[: hs.stop - hs.start], out[:, hs].transpose(1, 0, 2)
+        np.matmul(q[hs], k[hs], out=s)
+        s.max(axis=-1, keepdims=True, out=lse[hs])
+        s -= lse[hs]
+        np.exp(s, out=s)
+        total = s.sum(axis=-1, keepdims=True)
+        np.matmul(s, v[hs], out=o)
+        o /= total
+        lse[hs] += np.log(total)
+    y = out.reshape(n, heads * d)
+    return y, (*arrays, lse, y)
 
 
 def _vjp_attention(ctx, g):
-    # The heads rebuilt by the forward's calls, then head by head: recompute
-    # the probabilities and run the unfused graph's gradient GEMMs with its
-    # operand layouts (transposed views, and g's heads as strided (N, d)
-    # views). Last, the projections' gradients by linear's VJP in the order
-    # the unfused graph's backward ran them, v, k, q, with x's summed in that
-    # order. The key gradient is built as (H, d, N) and passed on through a
-    # transpose, the unfused graph's layout, by which its weight and bias
-    # reductions round. Strided views of the projections in place of the
-    # head copies would not be bitwise: gs @ k rounds differently at N = 54.
-    x, wq, bq, wk, bk, wv, bv, top, total, scale = ctx
-    heads = top.shape[0]
-    qh, kt, vh = _attention_heads(x, wq, bq, wk, bk, wv, bv, heads)
-    _, n, d = qh.shape
+    # The heads rebuilt by the forward's call, with -L in q~'s spare column,
+    # so that P = exp([q~ | -L] @ [k^T ; 1]) <= 1 takes one GEMM and one
+    # pass. The softmax term D = rowsum(dO * O) comes from the (N, d) output,
+    # and -D rides in the same way: [dO | -D] @ [v^T ; 1] = dP - D, so dS = P
+    # * (dP - D) is one multiply. Then dv = P^T dO, dq = dS k / sqrt(d) and
+    # dk = dS^T q~, and the projections' gradients by linear's VJP, with x's
+    # summed v, k, q.
+    x, wq, bq, wk, bk, wv, bv, lse, y = ctx
+    heads = lse.shape[0]
+    q, k, v = _attention_heads(x, wq, bq, wk, bk, wv, bv, heads, spare=1)
+    n, d = q.shape[1], q.shape[2] - 1
+    np.negative(lse[..., 0], out=q[..., d])
+    go = np.empty((heads, n, d + 1))
+    go[..., :d] = g.reshape(n, heads, d).transpose(1, 0, 2)
+    np.negative((g * y).reshape(n, heads, d).sum(axis=-1).T, out=go[..., d])
+    gq, gk, gv = (np.empty((n, heads, d)) for _ in range(3))
+    groups, size = _head_groups(heads, n)
+    p, ds = np.empty((size, n, n)), np.empty((size, n, n))
+    for hs in groups:
+        pg, dsg = p[: hs.stop - hs.start], ds[: hs.stop - hs.start]
+        np.matmul(q[hs], k[hs], out=pg)
+        np.exp(pg, out=pg)
+        np.matmul(pg.transpose(0, 2, 1), go[hs, :, :d], out=gv[:, hs].transpose(1, 0, 2))
+        np.matmul(go[hs], v[hs], out=dsg)
+        dsg *= pg
+        np.matmul(dsg, k[hs, :d].transpose(0, 2, 1), out=gq[:, hs].transpose(1, 0, 2))
+        np.matmul(dsg.transpose(0, 2, 1), q[hs, :, :d], out=gk[:, hs].transpose(1, 0, 2))
+    gq *= 1.0 / np.sqrt(d)
     merge = (n, heads * d)
-    gm = g.reshape(n, heads, d)
-    w, gs, prod = np.empty((n, n)), np.empty((n, n)), np.empty((n, n))
-    gq, gv = np.empty((n, heads, d)), np.empty((n, heads, d))
-    gk = np.empty((heads, d, n))
-    for h in range(heads):
-        _attention_probs(qh, kt, scale, top, total, h, w, fresh=False)
-        np.matmul(w.T, gm[:, h], out=gv[:, h])
-        np.matmul(gm[:, h], vh[h].T, out=gs)
-        np.multiply(gs, w, out=prod)
-        gs -= prod.sum(axis=-1, keepdims=True)
-        gs *= w
-        gs *= scale
-        np.matmul(gs, kt[h].T, out=gq[:, h])
-        np.matmul(qh[h].T, gs, out=gk[h])
     gx, gwv, gbv = _vjp_linear((x, wv), gv.reshape(merge))
-    gx_k, gwk, gbk = _vjp_linear((x, wk), gk.transpose(2, 0, 1).reshape(merge))
+    gx_k, gwk, gbk = _vjp_linear((x, wk), gk.reshape(merge))
     gx += gx_k
     gx_q, gwq, gbq = _vjp_linear((x, wq), gq.reshape(merge))
     gx += gx_q
     return gx, gwq, gbq, gwk, gbk, gwv, gbv
 
 
-# Elements per block of the GELU chains and of layernorm's squares: each
-# block's passes run while it is still in cache, and temporaries such as
-# the GELU VJP's pdf stay one block.
-_GELU_BLOCK = 16384
+# Elements per block of the GELU chains, of layernorm's squares and of an
+# attention head group's scores: each block's passes run while it is still
+# in cache, and temporaries such as the GELU VJP's pdf stay one block.
+_BLOCK = 16384
 
 
 def _rows_per_block(width: int, block: int) -> int:
@@ -662,14 +676,14 @@ def _gelu(a, out, cdf=None):
     # |a| <= sqrt 2 form overflows to inf / inf beyond |a| of about 1e61,
     # where the erfc form replaces it, so those warnings are silenced.
     flat_a, flat_out = a.reshape(-1), out.reshape(-1)
-    size = min(flat_a.size, _GELU_BLOCK)
+    size = min(flat_a.size, _BLOCK)
     t, d = np.empty(size), np.empty(size)
     if cdf is None:
         scratch = np.empty(size)
     else:
         flat_cdf = cdf.reshape(-1)
     with np.errstate(over="ignore", invalid="ignore"):
-        for block in _row_blocks(flat_a.size, 1, _GELU_BLOCK):
+        for block in _row_blocks(flat_a.size, 1, _BLOCK):
             x = flat_a[block]
             n = x.size
             c = scratch[:n] if cdf is None else flat_cdf[block]
@@ -681,7 +695,7 @@ def _gelu_grad(a, cdf, g):
     # g * (cdf + a * pdf) with pdf = exp(-a^2 / 2) / sqrt(2 pi). A node's VJP
     # runs once, so the gradient overwrites the CDF in place.
     flat_a, flat_g, ga = a.reshape(-1), g.reshape(-1), cdf.reshape(-1)
-    for block in _row_blocks(ga.size, 1, _GELU_BLOCK):
+    for block in _row_blocks(ga.size, 1, _BLOCK):
         p = flat_a[block] * flat_a[block]
         p *= -0.5
         np.exp(p, out=p)

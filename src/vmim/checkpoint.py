@@ -56,26 +56,40 @@ def save_checkpoint(path: str, params: dict[str, Tensor], config: dict) -> None:
         raise
 
 
-def load_checkpoint(path: str) -> tuple[dict[str, Tensor], dict]:
-    """Named tensors and config echo; a corrupt file raises CheckpointError."""
-    with open(path, "rb") as fh:
-        magic = fh.read(len(MAGIC))
-        if magic != MAGIC:
-            raise CheckpointError(f"{path}: bad magic {magic!r}, expected {MAGIC!r}")
-        header_len = int.from_bytes(fh.read(8), "little")
-        if header_len > os.fstat(fh.fileno()).st_size - fh.tell():
-            raise CheckpointError(f"{path}: header length {header_len} exceeds the file")
-        try:
-            header = json.loads(fh.read(header_len).decode("utf-8"))
-        except ValueError as exc:  # not UTF-8, or not JSON
-            raise CheckpointError(f"{path}: malformed header: {exc}") from None
-        payload = fh.read()
+def _read_header(fh, path: str) -> tuple[dict, list[tuple[str, tuple[int, ...], int]]]:
+    """The config echo and the tensor index (name, shape, payload offset)
+    from the header of the open file ``fh``, which is left at the payload."""
+    magic = fh.read(len(MAGIC))
+    if magic != MAGIC:
+        raise CheckpointError(f"{path}: bad magic {magic!r}, expected {MAGIC!r}")
+    header_len = int.from_bytes(fh.read(8), "little")
+    if header_len > os.fstat(fh.fileno()).st_size - fh.tell():
+        raise CheckpointError(f"{path}: header length {header_len} exceeds the file")
+    try:
+        header = json.loads(fh.read(header_len).decode("utf-8"))
+    except ValueError as exc:  # not UTF-8, or not JSON
+        raise CheckpointError(f"{path}: malformed header: {exc}") from None
     try:
         config = header["config"]
         index = [(e["name"], tuple(int(n) for n in e["shape"]), int(e["offset"]))
                  for e in header["tensors"]]
     except (KeyError, TypeError, ValueError) as exc:
         raise CheckpointError(f"{path}: malformed tensor index: {exc!r}") from None
+    return config, index
+
+
+def load_checkpoint_config(path: str) -> dict:
+    """The config echo alone, from the header: the payload is not read. A
+    corrupt header raises CheckpointError."""
+    with open(path, "rb") as fh:
+        return _read_header(fh, path)[0]
+
+
+def load_checkpoint(path: str) -> tuple[dict[str, Tensor], dict]:
+    """Named tensors and config echo; a corrupt file raises CheckpointError."""
+    with open(path, "rb") as fh:
+        config, index = _read_header(fh, path)
+        payload = fh.read()
     params: dict[str, Tensor] = {}
     for name, shape, start in index:
         size = math.prod(shape)

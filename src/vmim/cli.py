@@ -14,7 +14,7 @@ import os
 import sys
 
 from . import __version__
-from .checkpoint import load_checkpoint
+from .checkpoint import load_checkpoint, load_checkpoint_config
 from .config import ConfigError, build, check_echo, resolve_config
 from .inference import evaluate, reconstruct_dump
 from .patches import MaskingConfig, check_mask_at_window
@@ -122,14 +122,15 @@ _MODEL_SECTIONS = ("model", "seg", "dec", "recon", "simclr")
 def _config(args, checkpoint: str | None = None) -> dict:
     """The resolved config of a run (config.resolve_config): --config, the
     value flags (each parsed into its dotted config key as dest) and --set,
-    over the model keys and train.window of a ``checkpoint``'s config echo."""
+    over the model keys and train.window of a ``checkpoint``'s config echo,
+    which is read from its header alone."""
     flags = {key: value for key, value in vars(args).items() if "." in key}
     echo = {}
     # A missing checkpoint fails once the manifest is written, as missing data does.
     if checkpoint and os.path.exists(checkpoint):
-        echo = {key: value for key, value in load_checkpoint(checkpoint)[1].items()
+        echo = {key: value for key, value in load_checkpoint_config(checkpoint).items()
                 if key == "train.window" or key.partition(".")[0] in _MODEL_SECTIONS}
-    return resolve_config(args.config, flags, args.set, echo)
+    return resolve_config(args.config, flags, args.set, echo, command=args.subcommand)
 
 
 def _cmd_pretrain(args) -> int:

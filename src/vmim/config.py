@@ -320,18 +320,35 @@ def check_echo(echo: dict[str, Any], config: dict[str, Any]) -> None:
             raise ValueError(f"checkpoint {key}={echo[key]} conflicts with config {config[key]}")
 
 
+# The sections each CLI command builds its config from. A --set of a key
+# outside them would have no effect, so resolve_config rejects it unless
+# the checkpoint's config echo holds it. A config file may hold any key: one
+# file can serve every command of a pipeline.
+COMMAND_SECTIONS = {
+    "pretrain": ("model", "dec", "mask", "recon", "simclr", "train"),
+    "finetune": ("model", "seg", "train", "swi"),
+    "eval": ("swi",),
+    "reconstruct": ("mask",),
+    "ablate": ("model", "dec", "mask", "recon", "simclr", "train", "seg", "swi"),
+}
+
+
 def resolve_config(
     file_path: str | None = None,
     overrides: dict[str, Any] | None = None,
     assignments: list[str] | None = None,
     echo: dict[str, Any] | None = None,
+    command: str | None = None,
 ) -> dict[str, Any]:
     """A command's config: defaults <- a checkpoint's config ``echo`` <-
     config file <- explicit flags (None is not given) <- --set key=value pairs.
 
-    Each key the file, a flag or --set gives is check()ed, and one that
-    ``echo`` holds with another value raises ValueError. Then derived() fills
-    the placeholders that no source gave: a given one is >= 1 once checked.
+    Each key the file, a flag or --set gives is check()ed. For a ``command``
+    of COMMAND_SECTIONS, a --set key outside its sections that ``echo`` does
+    not hold raises ConfigError naming the key and the command. A given key
+    that ``echo`` holds with another value raises ValueError. Then derived()
+    fills the placeholders that no source gave: a given one is >= 1 once
+    checked.
     """
     given = load_config_file(file_path) if file_path else {}
     for key, value in (overrides or {}).items():
@@ -341,7 +358,11 @@ def resolve_config(
         if "=" not in assignment:
             raise ConfigError(f"--set expects key=value, got {assignment!r}")
         key, _, value = assignment.partition("=")
-        given[key.strip()] = _coerce(key.strip(), value)
+        key = key.strip()
+        given[key] = _coerce(key, value)
+        unread = key.partition(".")[0] not in COMMAND_SECTIONS.get(command, SECTIONS)
+        if unread and key not in (echo or {}):
+            raise ConfigError(f"{key} is not read by {command}")
     for key, value in given.items():
         check(key, value)
     check_echo(echo or {}, given)

@@ -191,13 +191,15 @@ def retained_bytes(graph):
 
 
 def attention_reference(x, params, num_heads, g):
-    """Numpy copy of the unfused graph the ``attention`` op replaced: the
-    q, k and v projections ``x @ w + b`` of ``params = (wq, bq, wk, bk, wv,
-    bv)``, reshape and permute copies of the heads and of k^T, matmul, scale,
-    softmax, matmul and the merge, differentiated node by node in reverse for
-    the upstream gradient ``g``. As the projections' linear VJPs ran in
-    reverse tape order, x's gradient is summed v, k, q. Returns
-    (out, (gx, gwq, gbq, gwk, gbk, gwv, gbv))."""
+    """Numpy copy of the unfused graph the ``attention`` op replaced, the
+    tolerance reference for the op: the q, k and v projections ``x @ w + b``
+    of ``params = (wq, bq, wk, bk, wv, bv)``, the heads, scores scaled by
+    1/sqrt(d), a max-subtracted softmax normalised over (N, N), matmul and
+    the merge, differentiated node by node in reverse for the upstream
+    gradient ``g``, with the softmax term rowsum(dP * P) over (N, N). The op
+    folds the scale into q, keeps a log-sum-exp and takes the softmax term
+    from its output, so the two agree within a tolerance, not bitwise.
+    Returns (out, (gx, gwq, gbq, gwk, gbk, gwv, gbv))."""
     n = x.shape[0]
     dim = params[0].shape[1]
     d = dim // num_heads

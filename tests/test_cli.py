@@ -12,10 +12,14 @@ import numpy as np
 import pytest
 
 import vmim
+import vmim.checkpoint
+import vmim.cli
+import vmim.inference
 import vmim.train
 from vmim.autodiff import Tensor
 from vmim.cli import build_parser, run
 from vmim.config import (
+    COMMAND_SECTIONS,
     SECTIONS,
     ConfigError,
     DEFAULTS,
@@ -51,6 +55,20 @@ class TestConfig:
     def test_unknown_key_rejected(self):
         with pytest.raises(ConfigError, match="unknown config key"):
             resolve_config(None, {}, ["train.bogus=1"])
+
+    def test_set_outside_the_command_sections_rejected(self, tmp_path):
+        # A config file may hold any key, and a --set the checkpoint's echo
+        # holds passes on to the echo comparison.
+        cfg_file = tmp_path / "run.cfg"
+        cfg_file.write_text("dec.dim = 48\n")
+        assert resolve_config(str(cfg_file), command="eval")["dec.dim"] == 48
+        echo = {"model.depth": 1}
+        assert resolve_config(None, {}, ["model.depth=1"], echo, command="eval")["model.depth"] == 1
+        with pytest.raises(ConfigError, match="^dec.dim is not read by eval$"):
+            resolve_config(None, {}, ["dec.dim=48"], command="eval")
+        subcommands = build_parser()._subparsers._group_actions[0].choices
+        assert set(COMMAND_SECTIONS) == set(subcommands) - {"synth"}
+        assert all(set(s) <= set(SECTIONS) for s in COMMAND_SECTIONS.values())
 
     def test_derived_fields(self):
         cfg = derived(dict(DEFAULTS))
@@ -588,6 +606,46 @@ class TestCheckpointModelKeys:
             "error: checkpoint model.mlp_ratio=4 conflicts with config 2\n"
         )
 
+    @pytest.mark.parametrize("command, assignment", [
+        ("eval", "dec.dim=48"),
+        ("finetune", "mask.ratio=0.5"),
+    ], ids=["eval-dec", "finetune-mask"])
+    def test_set_of_a_key_the_command_never_reads_exit_1(
+        self, synth_dir, small_checkpoints, tmp_path, capsys, command, assignment
+    ):
+        # Both used to exit 0 and write the unused value into the manifest.
+        # A config file may still hold such keys: the rerun from a manifest
+        # above passes every key to eval.
+        inputs = ["--checkpoint", small_checkpoints[1]] if command == "eval" else []
+        out = tmp_path / "out"
+        code = run([command, *inputs, "--data", synth_dir, "--out", str(out),
+                    "--set", assignment])
+        assert code == 1
+        key = assignment.partition("=")[0]
+        assert capsys.readouterr().err == f"error: {key} is not read by {command}\n"
+        assert not out.exists()
+
+    def test_eval_and_reconstruct_read_the_payload_once(self, synth_dir, small_checkpoints,
+                                                        tmp_path, monkeypatch):
+        # cli._config takes the config echo from the header; the payload is
+        # read once, by evaluate or reconstruct_dump.
+        loads = []
+        real = vmim.checkpoint.load_checkpoint
+
+        def counted(path):
+            loads.append(path)
+            return real(path)
+
+        for module in (vmim.cli, vmim.inference):
+            monkeypatch.setattr(module, "load_checkpoint", counted)
+        mae, seg = small_checkpoints
+        assert run(["eval", "--checkpoint", seg, "--data", synth_dir,
+                    "--out", str(tmp_path / "ev")]) == 0
+        assert run(["reconstruct", "--checkpoint", mae, "--depths", "3",
+                    "--volume", os.path.join(synth_dir, "sample0000.vol"),
+                    "--out", str(tmp_path / "rec")]) == 0
+        assert loads == [seg, mae]
+
 
 class TestAblateCLI:
     def test_micro_grid_table_layout_and_rerun(self, synth_dir, tmp_path):
@@ -680,12 +738,12 @@ def test_pipeline_runs_without_scipy(tmp_path):
     env = dict(os.environ, PYTHONPATH=src, OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1")
     data, pre, fine, ev = (str(tmp_path / name) for name in ("data", "pre", "fine", "eval"))
     tiny = ["--window", "16", "--epochs", "1", "--set", "train.warmup_epochs=0",
-            "--set", "model.embed_dim=32", "--set", "model.depth=1", "--set", "seg.width=4"]
+            "--set", "model.embed_dim=32", "--set", "model.depth=1"]
     steps = [
         ["synth", "--seed", "3", "--count", "4", "--shape", "16", "--classes", "3", "--out", data],
         ["pretrain", "--method", "mae", "--data", data, "--out", pre, *tiny],
         ["finetune", "--checkpoint", os.path.join(pre, "checkpoint.vmim"), "--data", data,
-         "--out", fine, *tiny],
+         "--out", fine, *tiny, "--set", "seg.width=4"],
         ["eval", "--checkpoint", os.path.join(fine, "checkpoint.vmim"), "--data", data,
          "--out", ev],
     ]

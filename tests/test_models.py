@@ -13,7 +13,7 @@ from helpers import (
     unetr_decoder_reference,
 )
 from vmim.autodiff import Graph, Tensor, apply, backward, finite_diff_check
-from vmim.checkpoint import load_checkpoint, save_checkpoint
+from vmim.checkpoint import load_checkpoint, load_checkpoint_config, save_checkpoint
 from vmim.losses import dice_ce_loss, masked_recon_loss
 from vmim.models import (
     _block,
@@ -43,6 +43,13 @@ CFG = ViTConfig(64, 4, 4, 8)
 DEC = MAEDecoderConfig(32, 2, 4)
 
 
+def _owner(a):
+    """The array that owns the memory of the view a."""
+    while isinstance(a.base, np.ndarray):
+        a = a.base
+    return a
+
+
 def small_volume(seed=0, edge=16):
     rng = np.random.default_rng(seed)
     return Volume(rng.uniform(size=(1, edge, edge, edge)))
@@ -67,8 +74,11 @@ class TestEncode:
         assert kinds == ln + attention + ["add"] + ln + ["mlp", "add"]
 
     def test_recorded_block_keeps_no_attention_heads(self):
-        # The attention VJP rebuilds its heads from the block's rows, so no
-        # (H, N, d) copy of q or v and no (H, d, N) copy of k stays on the tape.
+        # The attention VJP rebuilds its heads from the block's rows and its
+        # probabilities from each row's log-sum-exp. Its node holds its seven
+        # operands, that (H, N, 1) log-sum-exp and its output, whose memory
+        # the proj linear node holds as its input anyway: no (N, N), (H, N,
+        # d) or (H, d, N) array.
         n, heads = 9, CFG.num_heads
         d = CFG.embed_dim // heads
         params = init_simmim_params(CFG, seed=0)
@@ -76,8 +86,19 @@ class TestEncode:
         with Graph() as g:
             g.watch_all([x, *params.values()])
             _block(x, params, "enc.0", heads)
+        nodes = [node for node in g.nodes if not node.is_leaf]
+        i = [node.kind for node in nodes].index("attention")
+        attention, proj = nodes[i], nodes[i + 1]
+        names = [f"enc.0.{name}.{part}" for name in "qkv" for part in "wb"]
+        rows, *weights, lse, out = attention.ctx
+        assert rows.shape == (n, CFG.embed_dim)
+        assert [id(a) for a in weights] == [id(params[name].data) for name in names]
+        assert lse.shape == (heads, n, 1)
+        assert proj.kind == "linear" and out.shape == (n, CFG.embed_dim)
+        assert _owner(out) is _owner(proj.ctx[0])
         shapes = [a.shape for a in context_arrays(g)]
-        assert (heads, n, d) not in shapes and (heads, d, n) not in shapes
+        for shape in ((n, n), (heads, n, d), (heads, d, n)):
+            assert shape not in shapes
 
     def test_simclr_term_at_benchmark_sizes_keeps_under_22_mib(self):
         # One SimCLR loss term of the benchmark: 2 crops x 2 views of 48^3 on
@@ -476,6 +497,23 @@ class TestCheckpoint:
         for name in params:
             assert np.array_equal(loaded[name].data, params[name].data)
             assert loaded[name].requires_grad
+
+    def test_config_is_read_from_the_header_alone(self, tmp_path):
+        # With the payload cut short, load_checkpoint fails on the first
+        # tensor, and the header still gives the config echo.
+        from vmim.checkpoint import CheckpointError
+
+        config = {"method": "simmim", "model.embed_dim": 64}
+        path = tmp_path / "c.vmim"
+        save_checkpoint(str(path), init_simmim_params(CFG, seed=0), config)
+        assert load_checkpoint_config(str(path)) == config
+        path.write_bytes(path.read_bytes()[:-8])
+        assert load_checkpoint_config(str(path)) == config
+        with pytest.raises(CheckpointError, match="runs past the payload"):
+            load_checkpoint(str(path))
+        path.write_bytes(b"VMIM1\n" + struct.pack("<Q", 2) + b"[]")
+        with pytest.raises(CheckpointError, match="malformed tensor index"):
+            load_checkpoint_config(str(path))
 
     def test_failed_write_keeps_previous_checkpoint(self, tmp_path):
         path = tmp_path / "c.vmim"
