@@ -133,7 +133,7 @@ class Tensor:
         return apply("mul", (self, other))
 
     def __matmul__(self, other: "Tensor") -> "Tensor":
-        return apply("matmul", (self, other))
+        return apply("linear", (self, other))
 
     def scale(self, factor: float) -> "Tensor":
         return apply("mul", (self, Tensor(float(factor))))
@@ -309,54 +309,35 @@ def _vjp_mul(ctx, g):
     return (_unbroadcast(g * b, a.shape), _unbroadcast(g * a, b.shape))
 
 
-# -- matmul / linear --
+# -- linear --
 
-def _fwd_matmul(arrays, attrs):
-    a, b = arrays
-    if a.ndim < 2 or b.ndim < 2:
-        raise _shape_error("matmul", f"operands must be >=2-D, got {a.shape} and {b.shape}")
-    if a.shape[-1] != b.shape[-2]:
-        raise _shape_error("matmul", f"inner dims differ: {a.shape} vs {b.shape}")
-    try:
-        np.broadcast_shapes(a.shape[:-2], b.shape[:-2])
-    except ValueError:
-        raise _shape_error("matmul", f"batch dims differ: {a.shape} vs {b.shape}") from None
-    return np.matmul(a, b), (a, b)
-
-
-def _vjp_matmul(ctx, g):
-    a, b = ctx
-    ga = np.matmul(g, np.swapaxes(b, -1, -2))
-    gb = np.matmul(np.swapaxes(a, -1, -2), g)
-    return (_unbroadcast(ga, a.shape), _unbroadcast(gb, b.shape))
-
-
-def _check_linear(kind, x, w, b):
-    if w.ndim != 2 or x.shape[-1] != w.shape[0]:
+def _check_linear(kind, x, w, b=None):
+    if w.ndim != 2 or x.shape[-1:] != w.shape[:1]:
         raise _shape_error(kind, f"input {x.shape} incompatible with weight {w.shape}")
-    if b.shape != (w.shape[1],):
+    if b is not None and b.shape != (w.shape[1],):
         raise _shape_error(kind, f"bias {b.shape} incompatible with weight {w.shape}")
 
 
 def _fwd_linear(arrays, attrs):
-    # x @ w + b as (rows, out): one GEMM over every leading axis (x @ w on a
-    # >2-D x would run one small GEMM per row of the leading axes), the bias
-    # added in place.
-    x, w, b = arrays
-    _check_linear("linear", x, w, b)
+    # x @ w, plus b when given, as (rows, out): one GEMM over every leading
+    # axis (x @ w on a >2-D x would run one small GEMM per row of the
+    # leading axes), the bias added in place.
+    x, w, *b = arrays
+    _check_linear("linear", x, w, *b)
     out = x.reshape(-1, x.shape[-1]) @ w
-    out += b
-    return out.reshape(x.shape[:-1] + (w.shape[1],)), (x, w)
+    if b:
+        out += b[0]
+    return out.reshape(x.shape[:-1] + (w.shape[1],)), (x, w, bool(b))
 
 
 def _vjp_linear(ctx, g):
-    x, w = ctx
+    # (gx, gw), and gb for a node with a bias.
+    x, w, biased = ctx
     x2 = x.reshape(-1, x.shape[-1])
     g2 = g.reshape(-1, g.shape[-1])
     gx = (g2 @ w.T).reshape(x.shape)
     gw = x2.T @ g2
-    gb = g2.sum(axis=0)
-    return (gx, gw, gb)
+    return (gx, gw, g2.sum(axis=0)) if biased else (gx, gw)
 
 
 # -- layout --
@@ -564,10 +545,10 @@ def _vjp_attention(ctx, g):
         np.matmul(dsg.transpose(0, 2, 1), q[hs, :, :d], out=gk[:, hs].transpose(1, 0, 2))
     gq *= 1.0 / np.sqrt(d)
     merge = (n, heads * d)
-    gx, gwv, gbv = _vjp_linear((x, wv), gv.reshape(merge))
-    gx_k, gwk, gbk = _vjp_linear((x, wk), gk.reshape(merge))
+    gx, gwv, gbv = _vjp_linear((x, wv, True), gv.reshape(merge))
+    gx_k, gwk, gbk = _vjp_linear((x, wk, True), gk.reshape(merge))
     gx += gx_k
-    gx_q, gwq, gbq = _vjp_linear((x, wq), gq.reshape(merge))
+    gx_q, gwq, gbq = _vjp_linear((x, wq, True), gq.reshape(merge))
     gx += gx_q
     return gx, gwq, gbq, gwk, gbk, gwv, gbv
 
@@ -981,7 +962,6 @@ def _vjp_rownorm(ctx, g):
 _register("add", _fwd_add, _vjp_add)
 _register("sub", _fwd_sub, _vjp_sub)
 _register("mul", _fwd_mul, _vjp_mul)
-_register("matmul", _fwd_matmul, _vjp_matmul)
 _register("linear", _fwd_linear, _vjp_linear)
 _register("reshape", _fwd_reshape, _vjp_reshape)
 _register("permute", _fwd_permute, _vjp_permute)

@@ -82,7 +82,7 @@ def ntxent(embeddings: Tensor, temperature: float) -> Tensor:
         raise ValueError(f"temperature must be positive, got {temperature}")
 
     b = n // 2
-    sim = apply("matmul", (embeddings, embeddings.permute((1, 0))))
+    sim = embeddings @ embeddings.permute((1, 0))
     logits = sim.scale(1.0 / temperature)
     # Anchors never compare against themselves.
     logits = logits + Tensor(np.diag(np.full(n, -1e9)))

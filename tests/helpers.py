@@ -14,8 +14,10 @@ DIFFERENTIABLE_PROBES = {
     "add": lambda t, aux: (t + aux["b"]).sum(),
     "sub": lambda t, aux: (t - aux["b"]).sum(),
     "mul": lambda t, aux: (t * aux["b"]).sum(),
-    "matmul": lambda t, aux: (t @ aux["m"]).sum(),
-    "linear": lambda t, aux: apply("linear", (t, aux["w"], aux["bias"])).sum(),
+    # With a bias and without one (``@``).
+    "linear": lambda t, aux: apply("linear", (t, aux["w"], aux["bias"])).sum() + (
+        t @ aux["m"]
+    ).sum(),
     "reshape": lambda t, aux: (t.reshape((20,)) * aux["v20"]).sum(),
     "permute": lambda t, aux: (t.permute((1, 0)) * aux["b_t"]).sum(),
     "concat": lambda t, aux: (
@@ -116,6 +118,8 @@ INPUT_PROBES = {
         lambda t, aux: (apply("linear", (t, aux["w"], aux["bias"])) * aux["lin_w"]).sum(),
         (2, 3, 2, 5),
     ),
+    # The weight of a linear with no bias, on a channel-last input.
+    "linear.w": (lambda t, aux: ((aux["lin_x"] @ t) * aux["lin_w"]).sum(), (5, 2)),
     **{
         f"attention.{o}": (_attention_probe(o), shape)
         for o, shape in zip(_ATTENTION_OPERANDS, [(6, 4)] + list(_attention_shapes(4).values()))
@@ -135,7 +139,7 @@ def input_probe_aux(rng):
         **{name: Tensor(rng.normal(size=(6, 4))) for name in ("att_x", "att_w")},
         **{name: Tensor(rng.normal(size=(4, 4))) for name in ("att_wq", "att_wk", "att_wv")},
         **_side_normals(rng, mlp_x=(2, 3, 2, 5), mlp_x_w=(36, 3), att_bq=(4,), att_bk=(4,),
-                        att_bv=(4,)),
+                        att_bv=(4,), lin_x=(2, 3, 2, 5)),
     }
 
 
