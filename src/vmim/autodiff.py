@@ -15,12 +15,14 @@ works in place on buffers it allocated itself, never on an operand. Both
 modes give bitwise-equal outputs.
 
 Besides elementwise, layout and reduction primitives, the registry holds
-fused kernels for the chains the models run most: ``attention`` (multi-head
+one dense kernel, ``linear`` (x @ w, plus a bias when given), and fused
+kernels for the chains the models run most: ``attention`` (multi-head
 scaled dot-product attention), ``mlp`` (dense, GELU, dense), ``dice_ce``
 and ``log_softmax``. Each is one tape node with a closed-form VJP.
-``attention`` takes the rows and the q, k and v projection parameters,
-runs its heads in cache-sized groups and keeps each row's log-sum-exp and
-its output, not its heads or probabilities, which its VJP recomputes.
+``attention`` takes the rows and the q, k and v projections (k has no
+bias, which the softmax would cancel), runs its heads in cache-sized
+groups and keeps each row's log-sum-exp and its output, not its heads or
+probabilities, which its VJP recomputes.
 ``gelu`` and ``mlp`` share one GELU kernel, which evaluates the normal CDF
 itself from Cody's rational approximations of erf and erfc, so numpy is the
 engine's only dependency. ``mlp`` works in cache-sized row blocks, never
@@ -85,7 +87,8 @@ def _freeze(arr: np.ndarray) -> np.ndarray:
 
 
 class Tensor:
-    """Immutable dense float64 array, optionally tracked on a graph."""
+    """Immutable dense float64 array, optionally tracked on a graph. ``x @ w``
+    is a ``linear`` node with no bias: w is 2-D, x any rank >= 1."""
 
     __slots__ = ("data", "requires_grad", "node_id", "_tape")
 
@@ -238,7 +241,8 @@ _REGISTRY: dict[str, _Op] = {}
 def _register(kind: str, forward: Callable, vjp: Callable, run: Callable | None = None) -> None:
     """Register an op kind.
 
-    forward(arrays, attrs) returns (output, VJP context) for a recorded node.
+    forward(arrays, attrs) returns (output, VJP context) for a recorded node,
+    and vjp(context, g) one gradient per operand, as many as the node had.
     run(arrays, attrs), when given, returns the output alone for a node that
     will not be recorded; it keeps no context and may overwrite buffers it
     allocates itself, never an operand. Its output must equal forward's
@@ -331,7 +335,6 @@ def _fwd_linear(arrays, attrs):
 
 
 def _vjp_linear(ctx, g):
-    # (gx, gw), and gb for a node with a bias.
     x, w, biased = ctx
     x2 = x.reshape(-1, x.shape[-1])
     g2 = g.reshape(-1, g.shape[-1])
@@ -437,15 +440,17 @@ def _vjp_layernorm(ctx, g):
 # -- fused model kernels --
 
 def _check_attention(arrays, heads):
-    x, wq = arrays[0], arrays[1]
+    if len(arrays) != 6:
+        raise _shape_error("attention", f"takes (x, wq, bq, wk, wv, bv), got {len(arrays)} operands")
+    x, wq, bq, wk, wv, bv = arrays
     if x.ndim != 2:
         raise _shape_error("attention", f"x must be (N, C), got {x.shape}")
-    for name, w, b in zip("qkv", arrays[1::2], arrays[2::2]):
+    for name, w, b in (("q", wq, bq), ("k", wk, None), ("v", wv, bv)):
         if w.ndim != 2 or w.shape[0] != x.shape[1]:
             raise _shape_error("attention", f"x {x.shape} incompatible with w{name} {w.shape}")
         if w.shape != wq.shape:
             raise _shape_error("attention", f"w{name} {w.shape} differs from wq {wq.shape}")
-        if b.shape != (w.shape[1],):
+        if b is not None and b.shape != (w.shape[1],):
             raise _shape_error(
                 "attention", f"b{name} {b.shape} incompatible with w{name} {w.shape}"
             )
@@ -453,18 +458,20 @@ def _check_attention(arrays, heads):
         raise _shape_error("attention", f"dim {wq.shape[1]} does not split into {heads} heads")
 
 
-def _attention_heads(x, wq, bq, wk, bk, wv, bv, heads, spare):
-    # The q, k and v projections x @ w + b by linear's own calls, copied out
-    # by heads with ``spare`` extra columns or rows: q~ = q / sqrt(d) as (H,
-    # N, d + spare) and k transposed as (H, d + spare, N). The forward (no
-    # spare) takes v as (H, N, d) for P v; the VJP (one spare) multiplies
-    # only by v^T and takes it as (H, d + 1, N). The spare rows of k and v
-    # are ones, and the VJP writes -L into q~'s spare column.
+def _attention_heads(x, wq, bq, wk, wv, bv, heads, spare):
+    # x @ wq + bq, x @ wk and x @ wv + bv by linear's own calls (no key
+    # bias, which the softmax cancels), copied out by heads with ``spare``
+    # extra columns or rows: q~ = q / sqrt(d) as (H, N, d + spare) and k
+    # transposed as (H, d + spare, N). The forward (no spare) takes v as
+    # (H, N, d) for P v; the VJP (one spare) multiplies only by v^T and
+    # takes it as (H, d + 1, N). The spare rows of k and v are ones, and
+    # the VJP writes -L into q~'s spare column.
     n, d = x.shape[0], wq.shape[1] // heads
 
     def project(w, b, scale, transposed):
         p = x @ w
-        p += b
+        if b is not None:
+            p += b
         if transposed:
             t = np.empty((heads, d + spare, n))
             t[:, d:] = 1.0
@@ -476,7 +483,7 @@ def _attention_heads(x, wq, bq, wk, bk, wv, bv, heads, spare):
         return t
 
     q = project(wq, bq, 1.0 / np.sqrt(d), False)
-    return q, project(wk, bk, 1.0, True), project(wv, bv, 1.0, spare > 0)
+    return q, project(wk, None, 1.0, True), project(wv, bv, 1.0, spare > 0)
 
 
 def _head_groups(heads, n):
@@ -523,9 +530,9 @@ def _vjp_attention(ctx, g):
     # * (dP - D) is one multiply. Then dv = P^T dO, dq = dS k / sqrt(d) and
     # dk = dS^T q~, and the projections' gradients by linear's VJP, with x's
     # summed v, k, q.
-    x, wq, bq, wk, bk, wv, bv, lse, y = ctx
+    x, wq, bq, wk, wv, bv, lse, y = ctx
     heads = lse.shape[0]
-    q, k, v = _attention_heads(x, wq, bq, wk, bk, wv, bv, heads, spare=1)
+    q, k, v = _attention_heads(x, wq, bq, wk, wv, bv, heads, spare=1)
     n, d = q.shape[1], q.shape[2] - 1
     np.negative(lse[..., 0], out=q[..., d])
     go = np.empty((heads, n, d + 1))
@@ -546,11 +553,11 @@ def _vjp_attention(ctx, g):
     gq *= 1.0 / np.sqrt(d)
     merge = (n, heads * d)
     gx, gwv, gbv = _vjp_linear((x, wv, True), gv.reshape(merge))
-    gx_k, gwk, gbk = _vjp_linear((x, wk, True), gk.reshape(merge))
+    gx_k, gwk = _vjp_linear((x, wk, False), gk.reshape(merge))
     gx += gx_k
     gx_q, gwq, gbq = _vjp_linear((x, wq, True), gq.reshape(merge))
     gx += gx_q
-    return gx, gwq, gbq, gwk, gbk, gwv, gbv
+    return gx, gwq, gbq, gwk, gwv, gbv
 
 
 # Elements per block of the GELU chains, of layernorm's squares and of an

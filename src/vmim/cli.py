@@ -15,7 +15,7 @@ import sys
 
 from . import __version__
 from .checkpoint import load_checkpoint, load_checkpoint_config
-from .config import ConfigError, build, check_echo, resolve_config
+from .config import ConfigError, build, check_echo, check_window, resolve_config
 from .inference import evaluate, reconstruct_dump
 from .patches import MaskingConfig, check_mask_at_window
 from .rng import derive_seed
@@ -247,6 +247,7 @@ def _cmd_ablate(args) -> int:
         for ratio in ratios:
             check_mask_at_window(MaskingConfig(patch, ratio), token_patch, window)
             cells.append((patch, ratio))
+    check_window(build("swi", cfg).window, token_patch, "swi.window")
 
     rows = []
     for patch, ratio in cells:

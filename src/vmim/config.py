@@ -109,13 +109,11 @@ class _Section:
             check(key, value)
 
 
-def check_window(window: int, token_patch: int) -> None:
-    """Raise ValueError, naming both keys, when ``window``^3 crops do not
-    split into whole token patches."""
+def check_window(window: int, token_patch: int, key: str = "train.window") -> None:
+    """Raise ValueError, naming ``key`` and model.token_patch, when
+    ``window``^3 crops do not split into whole token patches."""
     if window % token_patch:
-        raise ValueError(
-            f"train.window {window} is not divisible by model.token_patch {token_patch}"
-        )
+        raise ValueError(f"{key} {window} is not divisible by model.token_patch {token_patch}")
 
 
 @dataclass(frozen=True)

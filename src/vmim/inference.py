@@ -8,7 +8,7 @@ from typing import Callable
 import numpy as np
 
 from .checkpoint import load_checkpoint
-from .config import MaskingConfig, SegConfig, SlidingWindowConfig, build
+from .config import MaskingConfig, SegConfig, SlidingWindowConfig, build, check_window
 from .metrics import DiceReport, dice
 from .models import mae_forward, simmim_forward, unetr_segment
 from .patches import PatchGrid, sample_mask, unpatchify
@@ -123,12 +123,14 @@ def evaluate(
     """Sliding-window segmentation of every volume, Dice per foreground class.
 
     Per-class scores are averaged over volumes; the report average is the
-    mean over foreground classes.
+    mean over foreground classes. Raises ValueError, naming swi.window,
+    before any window when the windows split no whole token patches.
     """
     params, config = load_checkpoint(checkpoint_path)
     if config.get("method") != "seg":
         raise ValueError(f"checkpoint method {config.get('method')!r} is not a segmentation model")
     seg_cfg = build("seg", config, vit=build("model", config))
+    check_window(swi_cfg.window, seg_cfg.vit.token_patch, "swi.window")
     return dice_over_dataset(
         lambda v: predict_labels(seg_cfg, params, v, swi_cfg),
         dataset,

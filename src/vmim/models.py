@@ -71,7 +71,8 @@ class _Init:
         self.zeros(f"{prefix}.ln1.b", (dim,))
         for proj in ("q", "k", "v", "proj"):
             self.weight(f"{prefix}.{proj}.w", (dim, dim))
-            self.zeros(f"{prefix}.{proj}.b", (dim,))
+            if proj != "k":  # the softmax cancels a key bias
+                self.zeros(f"{prefix}.{proj}.b", (dim,))
         self.ones(f"{prefix}.ln2.g", (dim,))
         self.zeros(f"{prefix}.ln2.b", (dim,))
         self.weight(f"{prefix}.mlp1.w", (dim, mlp_dim))
@@ -177,7 +178,7 @@ def _attention(x: Tensor, params: Params, prefix: str, num_heads: int) -> Tensor
     """Multi-head self-attention of (N, dim) rows: one fused ``attention``
     node, which takes the rows and the q, k and v projection parameters and
     keeps no projected heads for its VJP, then the output projection."""
-    qkv = [params[f"{prefix}.{name}.{part}"] for name in ("q", "k", "v") for part in ("w", "b")]
+    qkv = [params[f"{prefix}.{name}"] for name in ("q.w", "q.b", "k.w", "v.w", "v.b")]
     mixed = apply("attention", (x, *qkv), {"num_heads": num_heads})
     return _linear(mixed, params, f"{prefix}.proj")
 

@@ -42,12 +42,10 @@ def adamw_step(
     """One decoupled-weight-decay Adam update; returns fresh parameters.
 
     Decay is applied multiplicatively before the Adam delta, and bias
-    correction uses the post-increment step count.
+    correction uses the post-increment step count. A rejected gradient
+    leaves ``state`` as it was: every one is checked before any update.
     """
-    t = state.t + 1
-    bc1 = 1.0 - cfg.beta1**t
-    bc2 = 1.0 - cfg.beta2**t
-    new_params: dict[str, Tensor] = {}
+    arrays = {}
     for name, p in params.items():
         g = grads[name]
         g = g.data if isinstance(g, Tensor) else np.asarray(g, dtype=np.float64)
@@ -55,7 +53,13 @@ def adamw_step(
             raise ValueError(f"gradient shape {g.shape} != parameter {name} shape {p.shape}")
         if not np.isfinite(g).all():
             raise NonFiniteError(f"non-finite gradient for parameter {name!r}")
-        w = p.data
+        arrays[name] = g
+    t = state.t + 1
+    bc1 = 1.0 - cfg.beta1**t
+    bc2 = 1.0 - cfg.beta2**t
+    new_params: dict[str, Tensor] = {}
+    for name, g in arrays.items():
+        w = params[name].data
         if cfg.weight_decay:
             w = w * (1.0 - lr * cfg.weight_decay)
         m = cfg.beta1 * state.m[name] + (1.0 - cfg.beta1) * g

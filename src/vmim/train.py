@@ -400,8 +400,9 @@ def finetune(
 
     checkpoint_params None trains from scratch (the supervised baseline).
     Validation Dice is recorded every eval cadence and at the final epoch.
-    Raises NonFiniteError, naming the step, when the loss or a gradient
-    turns non-finite.
+    Raises ValueError, naming the key, at set-up when train.window or
+    swi.window splits no whole token patches, and NonFiniteError, naming
+    the step, when the loss or a gradient turns non-finite.
 
     Sets the process-wide malloc policy of _keep_freed_heap_mapped.
     """
@@ -410,6 +411,7 @@ def finetune(
     vit = seg_cfg.vit
     check_window(train_cfg.window, vit.token_patch)
     swi_cfg = swi_cfg or build("swi", DEFAULTS, window=train_cfg.window)
+    check_window(swi_cfg.window, vit.token_patch, "swi.window")
 
     params = init_seg_params(seg_cfg, train_cfg.seed)
     if checkpoint_params is not None:

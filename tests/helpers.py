@@ -77,7 +77,7 @@ def _side_normals(rng, **shapes):
     return {name: Tensor(side.normal(size=shape)) for name, shape in shapes.items()}
 
 
-_ATTENTION_OPERANDS = ("x", "wq", "bq", "wk", "bk", "wv", "bv")
+_ATTENTION_OPERANDS = ("x", "wq", "bq", "wk", "wv", "bv")
 
 
 def _attention_shapes(dim):
@@ -138,8 +138,8 @@ def input_probe_aux(rng):
         # Width 4 in two heads, in place of probe_aux's width-5 attention.
         **{name: Tensor(rng.normal(size=(6, 4))) for name in ("att_x", "att_w")},
         **{name: Tensor(rng.normal(size=(4, 4))) for name in ("att_wq", "att_wk", "att_wv")},
-        **_side_normals(rng, mlp_x=(2, 3, 2, 5), mlp_x_w=(36, 3), att_bq=(4,), att_bk=(4,),
-                        att_bv=(4,), lin_x=(2, 3, 2, 5)),
+        **_side_normals(rng, mlp_x=(2, 3, 2, 5), mlp_x_w=(36, 3), att_bq=(4,), att_bv=(4,),
+                        lin_x=(2, 3, 2, 5)),
     }
 
 
@@ -194,20 +194,23 @@ def retained_bytes(graph):
     return sum(a.nbytes for a in context_arrays(graph))
 
 
-def attention_reference(x, params, num_heads, g):
+def attention_reference(x, params, num_heads, g, bk=None):
     """Numpy copy of the unfused graph the ``attention`` op replaced, the
     tolerance reference for the op: the q, k and v projections ``x @ w + b``
-    of ``params = (wq, bq, wk, bk, wv, bv)``, the heads, scores scaled by
-    1/sqrt(d), a max-subtracted softmax normalised over (N, N), matmul and
-    the merge, differentiated node by node in reverse for the upstream
-    gradient ``g``, with the softmax term rowsum(dP * P) over (N, N). The op
-    folds the scale into q, keeps a log-sum-exp and takes the softmax term
-    from its output, so the two agree within a tolerance, not bitwise.
-    Returns (out, (gx, gwq, gbq, gwk, gbk, gwv, gbv))."""
+    of the op's ``params = (wq, bq, wk, wv, bv)`` and a key bias ``bk``
+    (zeros when None), the heads, scores scaled by 1/sqrt(d), a
+    max-subtracted softmax normalised over (N, N), matmul and the merge,
+    differentiated node by node in reverse for the upstream gradient ``g``,
+    with the softmax term rowsum(dP * P) over (N, N). The op has no key
+    bias, which the softmax cancels, folds the scale into q, keeps a
+    log-sum-exp and takes the softmax term from its output, so the two
+    agree within a tolerance, not bitwise. Returns (out, (gx, gwq, gbq,
+    gwk, gwv, gbv)); the key bias's gradient is analytically zero."""
     n = x.shape[0]
-    dim = params[0].shape[1]
+    wq, bq, wk, wv, bv = params
+    dim = wq.shape[1]
     d = dim // num_heads
-    weights_biases = list(zip(params[::2], params[1::2]))
+    weights_biases = [(wq, bq), (wk, np.zeros(dim) if bk is None else bk), (wv, bv)]
     q, k, v = (x @ w + b for w, b in weights_biases)
 
     def heads(a):
@@ -231,8 +234,8 @@ def attention_reference(x, params, num_heads, g):
     g_kh = np.transpose(g_kt, (0, 2, 1))
     merged = [np.transpose(a, (1, 0, 2)).reshape(n, dim) for a in (g_qh, g_kh, g_vh)]
     linear = [(gp @ w.T, x.T @ gp, gp.sum(axis=0)) for (w, _), gp in zip(weights_biases, merged)]
-    (gx_q, *grads_q), (gx_k, *grads_k), (gx_v, *grads_v) = linear
-    return out, ((gx_v + gx_k) + gx_q, *grads_q, *grads_k, *grads_v)
+    (gx_q, *grads_q), (gx_k, gwk, _), (gx_v, *grads_v) = linear
+    return out, ((gx_v + gx_k) + gx_q, *grads_q, gwk, *grads_v)
 
 
 def normal_cdf(a):

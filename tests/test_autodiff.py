@@ -48,7 +48,7 @@ def _attention_case(n, num_heads, dim=64):
 
 def _attention_through_tape(x, params, g, num_heads):
     """The output of a recorded ``attention`` and the gradients of (y * g).sum()
-    with respect to its seven operands."""
+    with respect to its six operands."""
     with Graph() as graph:
         operands = [Tensor(a, requires_grad=True) for a in (x, *params)]
         graph.watch_all(operands)
@@ -88,14 +88,14 @@ class TestForward:
         # make the values the rows themselves.
         rng = np.random.default_rng(3)
         x, wk = rng.normal(size=(5, 6)), rng.normal(size=(6, 6))
-        params = (np.zeros((6, 6)), np.zeros(6), wk, rng.normal(size=6), np.eye(6), np.zeros(6))
+        params = (np.zeros((6, 6)), np.zeros(6), wk, np.eye(6), np.zeros(6))
         out = apply("attention", tuple(Tensor(a) for a in (x, *params)), {"num_heads": 2})
         assert np.abs(out.data - x.mean(axis=0)).max() <= 1e-12
 
     def test_attention_weights_sum_to_one_and_are_shift_invariant(self):
-        # Values that are all 1 come out as 1. Adding one vector to the key
-        # bias shifts each query's scores by a constant, which the softmax
-        # cancels.
+        # Values that are all 1 come out as 1. A key bias shifts each query's
+        # scores by a constant, which the softmax cancels, so the op, which
+        # has none, matches the unfused graph with a nonzero one.
         rng = np.random.default_rng(3)
         x = rng.normal(size=(5, 8))
         wq, wk, wv = rng.normal(size=(3, 8, 8))
@@ -105,11 +105,11 @@ class TestForward:
             operands = tuple(Tensor(a) for a in (x, *params))
             return apply("attention", operands, {"num_heads": 4}).data
 
-        ones = attend(wq, bq, wk, bk, np.zeros((8, 8)), np.ones(8))
+        ones = attend(wq, bq, wk, np.zeros((8, 8)), np.ones(8))
         assert np.abs(ones - 1.0).max() <= 1e-12
-        y = attend(wq, bq, wk, bk, wv, bv)
-        shifted = attend(wq, bq, wk, bk + rng.normal(size=8) * 3, wv, bv)
-        assert np.abs(y - shifted).max() <= 1e-12
+        params = (wq, bq, wk, wv, bv)
+        out, _ = attention_reference(x, params, 4, np.zeros((5, 8)), bk=bk * 3)
+        assert _rel_err(attend(*params), out) <= 1e-14
 
     @pytest.mark.parametrize("num_heads", [1, 4])
     def test_attention_matches_reference_within_tolerance(self, num_heads):
@@ -118,17 +118,13 @@ class TestForward:
         # computes the softmax in another order than the unfused graph, so
         # the output, the leaf gradients and their column sums are compared
         # relative to each array's largest entry: 1.6e-15 and 5e-15 were
-        # measured. The key-bias gradient is analytically zero and compared
-        # absolutely (2.9e-14 measured).
+        # measured.
         for n in (7, 54, 70, 216):
             x, params, g = _attention_case(n, num_heads)
             out, grads = attention_reference(x, params, num_heads, g)
             y, got = _attention_through_tape(x, params, g, num_heads)
             assert _rel_err(y, out) <= 1e-14, n
             for name, a, want in zip(helpers._ATTENTION_OPERANDS, got, grads):
-                if name == "bk":
-                    assert np.abs(a - want).max() <= 1e-13, n
-                    continue
                 assert _rel_err(a, want) <= 1e-14, (n, name)
                 assert _rel_err(a.sum(axis=0), want.sum(axis=0)) <= 1e-14, (n, name)
 
@@ -144,21 +140,18 @@ class TestForward:
         # (7 rows, one head) the rows are one-hot, and the q and k gradients
         # are rounding noise in both kernels, so they are left out.
         x, params, g = _attention_case(n, 4)
-        params = tuple(p * 12.0 if i < 4 else p for i, p in enumerate(params))
+        params = tuple(p * 12.0 if i < 3 else p for i, p in enumerate(params))
         q, k, _ = autodiff._attention_heads(x, *params, 4, spare=0)
         scores = np.matmul(q, k)
         assert 1e3 <= np.abs(scores).max() <= 2e3
         _, ctx = autodiff._REGISTRY["attention"].forward([x, *params], {"num_heads": 4})
-        assert (ctx[7] >= scores.max(axis=-1, keepdims=True)).all()
+        assert (ctx[6] >= scores.max(axis=-1, keepdims=True)).all()
         out, grads = attention_reference(x, params, 4, g)
         y, got = _attention_through_tape(x, params, g, 4)
         assert np.isfinite(y).all() and all(np.isfinite(a).all() for a in got)
         assert _rel_err(y, out) <= 1e-14
         for name, a, want in zip(helpers._ATTENTION_OPERANDS, got, grads):
-            if name == "bk":
-                assert np.abs(a - want).max() <= 1e-12
-            else:
-                assert _rel_err(a, want) <= 1e-13, name
+            assert _rel_err(a, want) <= 1e-13, name
 
     def test_recorded_attention_keeps_less_than_its_probabilities(self):
         # The full sequence of the default encoder: 216 tokens, 4 heads. The
@@ -262,7 +255,8 @@ class TestForward:
 
     def test_fused_ops_reject_bad_shapes(self):
         x = Tensor(np.zeros((4, 6)))
-        params = (Tensor(np.zeros((6, 6))), Tensor(np.zeros(6))) * 3
+        w, b = Tensor(np.zeros((6, 6))), Tensor(np.zeros(6))
+        params = (w, b, w, w, b)
         with pytest.raises(ShapeMismatchError, match=r"attention.*x must be \(N, C\)"):
             apply("attention", (Tensor(np.zeros((2, 4, 6))), *params), {"num_heads": 2})
         with pytest.raises(ShapeMismatchError, match=r"linear.*\(4, 6\).*\(5, 2\)"):
@@ -321,7 +315,8 @@ class TestForward:
             ({"wk": (5, 6)}, 2, r"attention: x \(4, 6\) incompatible with wk \(5, 6\)"),
             ({"wv": (6, 4), "bv": (4,)}, 2, r"attention: wv \(6, 4\) differs from wq \(6, 6\)"),
             ({"bq": (5,)}, 2, r"attention: bq \(5,\) incompatible with wq \(6, 6\)"),
-            ({"bk": (6, 1)}, 2, r"attention: bk \(6, 1\) incompatible with wk \(6, 6\)"),
+            # A key bias as a seventh operand, as the op once took.
+            ({"bk": (6,)}, 2, r"attention: takes \(x, wq, bq, wk, wv, bv\), got 7 operands"),
             ({"bv": (4,)}, 2, r"attention: bv \(4,\) incompatible with wv \(6, 6\)"),
             ({}, 4, r"attention: dim 6 does not split into 4 heads"),
         ],
@@ -375,7 +370,7 @@ class TestForward:
             xwb = (a * b + a, b.permute((1, 0)), Tensor(np.ones(3)))
             h = apply("gelu", (apply("linear", xwb),))
             w, bias = b.permute((1, 0)) @ h @ b, a.sum(axis=0)
-            qkv = (w, bias, w, b.sum(axis=0), w, bias)
+            qkv = (w, bias, w, w, bias)
             loss = (apply("attention", (a, *qkv), {"num_heads": 2}) - b).sum()
         backward(g, loss)
         assert (a.data.tobytes(), b.data.tobytes()) == before
@@ -678,7 +673,7 @@ class TestDeterminism:
             g.watch(w)
             h = apply("gelu", (apply("linear", (x, w, Tensor(x0[0]))),))
             h = apply("layernorm", (h,), {"eps": 1e-6})
-            qkv = (w, Tensor(x0[1]), w.permute((1, 0)), Tensor(x0[2]), w, Tensor(x0[3]))
+            qkv = (w, Tensor(x0[1]), w.permute((1, 0)), w, Tensor(x0[3]))
             loss = (apply("attention", (h, *qkv), {"num_heads": 4}) * Tensor(x0)).mean()
         grads = backward(g, loss)
         return loss.data.tobytes(), grads[x.node_id].data.tobytes(), grads[w.node_id].data.tobytes()

@@ -342,8 +342,12 @@ class TestDispatch:
         ("pretrain --method mae", "train.window=20",
          "train.window 20 is not divisible by model.token_patch 8"),
         ("finetune", "train.window=20", "train.window 20 is not divisible by model.token_patch 8"),
+        ("finetune --window 16", "swi.window=20",
+         "swi.window 20 is not divisible by model.token_patch 8"),
         ("ablate --patch-sizes 8 --ratios 0.5", "train.window=20",
          "train.window 20 is not divisible by model.token_patch 8"),
+        ("ablate --patch-sizes 8 --ratios 0.5 --set train.window=16", "swi.window=20",
+         "swi.window 20 is not divisible by model.token_patch 8"),
         ("pretrain --method mae", "model.embed_dim=30",
          "model.embed_dim 30 is not divisible by model.num_heads 4"),
         ("pretrain --method mae", "dec.dim=30", "dec.dim 30 is not divisible by dec.heads 4"),
@@ -355,7 +359,8 @@ class TestDispatch:
          "model.token_patch must be a power-of-two for the segmentation decoder, got 6"),
         ("finetune", "model.depth=0",
          "model.depth must be >= 1 for the segmentation decoder's taps, got 0"),
-    ], ids=["pretrain-window", "finetune-window", "ablate-window", "embed-heads", "dec-heads",
+    ], ids=["pretrain-window", "finetune-window", "finetune-swi-window", "ablate-window",
+            "ablate-swi-window", "embed-heads", "dec-heads",
             "mask-patch", "window-mask-patch", "seg-token-patch", "seg-depth"])
     def test_cross_field_error_exit_1_names_its_keys(
         self, synth_dir, tmp_path, capsys, command, assignment, message
@@ -363,7 +368,10 @@ class TestDispatch:
         # The window errors used to read "window 20 not divisible by token
         # patch 8" (pretrain, finetune), "extent 20 on axis 0 is not
         # divisible by patch size 8" (ablate) and "token grid extent 6 on
-        # axis 0 is not divisible by masked/token patch ratio 4".
+        # axis 0 is not divisible by masked/token patch ratio 4". The
+        # swi.window ones failed only at the first validation, after an
+        # epoch of training, with "extent 20 on axis 0 is not divisible by
+        # patch size 8".
         labeled = ["--labeled-data", synth_dir, "--val-data", synth_dir]
         code = run([*command.split(), *(labeled if command.startswith("ablate") else []),
                     "--data", synth_dir, "--out", str(tmp_path / "out"),
@@ -579,6 +587,17 @@ class TestCheckpointModelKeys:
         assert code == 1
         assert capsys.readouterr().err == f"error: {message}\n"
         assert not out.exists()
+
+    def test_eval_window_that_splits_no_token_patch_exit_1(self, synth_dir, small_checkpoints,
+                                                           tmp_path, capsys):
+        # It used to fail in the first window, naming no key: "extent 20 on
+        # axis 0 is not divisible by patch size 8".
+        code = run(["eval", "--checkpoint", small_checkpoints[1], "--data", synth_dir,
+                    "--out", str(tmp_path / "out"), "--window", "20"])
+        assert code == 1
+        assert capsys.readouterr().err == (
+            "error: swi.window 20 is not divisible by model.token_patch 8\n"
+        )
 
     def test_reconstruct_takes_model_keys_from_the_checkpoint(self, synth_dir, small_checkpoints,
                                                               tmp_path, capsys):

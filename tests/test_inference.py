@@ -5,8 +5,12 @@ import os
 import numpy as np
 import pytest
 
-from helpers import traced_peak
-from vmim.autodiff import Graph
+import vmim.inference
+import vmim.models
+from helpers import attention_reference, traced_peak
+from vmim.autodiff import Graph, Tensor
+from vmim.checkpoint import load_checkpoint, save_checkpoint
+from vmim.config import checkpoint_config
 from vmim.inference import (
     SlidingWindowConfig,
     _window_starts,
@@ -18,10 +22,19 @@ from vmim.inference import (
     sliding_window_infer,
     write_pgm,
 )
-from vmim.models import SegConfig, ViTConfig, init_seg_params, unetr_segment
+from vmim.models import (
+    MAEDecoderConfig,
+    ReconLossConfig,
+    SegConfig,
+    ViTConfig,
+    encoder_param_names,
+    init_mae_params,
+    init_seg_params,
+    unetr_segment,
+)
 from vmim.patches import MaskingConfig, PatchGrid, sample_mask
 from vmim.rng import Rng
-from vmim.train import TrainConfig, finetune, pretrain
+from vmim.train import TrainConfig, finetune, load_encoder_weights, pretrain
 from vmim.volume import LabelVolume, Volume, synth_generate
 
 
@@ -203,6 +216,19 @@ class TestEvaluationProtocol:
         assert set(report.per_class) == {1, 2}
         assert all(0.0 <= s <= 1.0 for s in report.per_class.values())
 
+    def test_evaluate_rejects_a_window_that_splits_no_token_patch(self, tmp_path, monkeypatch):
+        # It used to fail in the first window's patchify, naming no key:
+        # "extent 20 on axis 0 is not divisible by patch size 8".
+        seg = SegConfig(ViTConfig(32, 2, 4, 8), 3, width=8)
+        path = str(tmp_path / "seg.vmim")
+        save_checkpoint(path, init_seg_params(seg, 0), checkpoint_config(
+            "seg", TrainConfig(batch_size=1, warmup_epochs=0, total_epochs=1, window=16),
+            model=seg.vit, seg=seg))
+        monkeypatch.setattr(vmim.inference, "predict_labels", None)  # no window may run
+        with pytest.raises(ValueError, match=r"^swi.window 20 is not divisible by "
+                                             r"model.token_patch 8$"):
+            evaluate(path, synth_generate(8, 1, 24, 3), SlidingWindowConfig(20, 0.5))
+
     def test_evaluate_rejects_non_seg_checkpoint(self, tmp_path):
         vit = ViTConfig(32, 2, 4, 8)
         vols = [v for v, _ in synth_generate(8, 2, 16, 3)]
@@ -276,3 +302,96 @@ class TestReconstructDump:
         v = Volume(np.zeros((1, 16, 16, 16)))
         with pytest.raises(ValueError, match="depth index"):
             reconstruct_dump(simmim_checkpoint, v, MaskingConfig(8, 0.5), [16], str(tmp_path))
+
+
+def _save_with_key_biases(path, params, config):
+    """A checkpoint of ``params`` as written while every block had a key
+    bias: one nonzero ``<block>.k.b`` beside each ``<block>.k.w``."""
+    rng = np.random.default_rng(11)
+    old = dict(params)
+    for name, w in params.items():
+        if name.endswith(".k.w"):
+            old[name[:-1] + "b"] = Tensor(rng.normal(size=w.shape[1]))
+    save_checkpoint(path, old, config)
+    return path
+
+
+def _recorded_attention(monkeypatch):
+    """(operand arrays, heads, output) of every attention the models run."""
+    calls = []
+    real_apply = vmim.models.apply
+
+    def spy(kind, operands, attrs=None):
+        out = real_apply(kind, operands, attrs)
+        if kind == "attention":
+            calls.append(([t.data for t in operands], attrs["num_heads"], out.data))
+        return out
+
+    monkeypatch.setattr(vmim.models, "apply", spy)
+    return calls
+
+
+def _assert_match_reference_with_key_bias(calls, path):
+    # Each output against the unfused graph with its block's stored key bias,
+    # which shifts each row of scores by a constant that the softmax cancels.
+    params, _ = load_checkpoint(path)
+    blocks = {name[:-4]: p.data for name, p in params.items() if name.endswith(".q.w")}
+    assert calls
+    for (x, wq, *rest), heads, out in calls:
+        (block,) = [b for b, w in blocks.items() if np.array_equal(w, wq)]
+        bk = params[f"{block}.k.b"].data
+        assert np.abs(bk).min() > 0
+        want, _ = attention_reference(x, (wq, *rest), heads, np.zeros_like(out), bk=bk)
+        assert np.abs(out - want).max() <= 1e-14 * np.abs(want).max(), block
+
+
+class TestCheckpointsWithKeyBias:
+    """Checkpoints written while attention had a key bias load, and their
+    ``*.k.b`` tensors are ignored."""
+
+    VIT = ViTConfig(32, 2, 4, 8)
+    TRAIN = TrainConfig(batch_size=1, warmup_epochs=0, total_epochs=1, window=16)
+
+    def test_encoder_weights_load_without_the_key_biases(self, tmp_path):
+        path = _save_with_key_biases(
+            str(tmp_path / "mae.vmim"),
+            init_mae_params(self.VIT, MAEDecoderConfig(16, 1, 2), 1),
+            checkpoint_config("mae", self.TRAIN, model=self.VIT),
+        )
+        stored, _ = load_checkpoint(path)
+        assert "enc.0.k.b" in stored
+        scratch = init_seg_params(SegConfig(self.VIT, 3, width=8), 0)
+        warm = load_encoder_weights(scratch, stored)
+        assert list(warm) == list(scratch)
+        for name in encoder_param_names(scratch):
+            assert warm[name].data.tobytes() == stored[name].data.tobytes(), name
+
+    def test_evaluate_ignores_the_key_biases(self, tmp_path, monkeypatch):
+        seg = SegConfig(self.VIT, 3, width=8)
+        params = init_seg_params(seg, 2)
+        config = checkpoint_config("seg", self.TRAIN, model=self.VIT, seg=seg)
+        plain = str(tmp_path / "plain.vmim")
+        save_checkpoint(plain, params, config)
+        old = _save_with_key_biases(str(tmp_path / "old.vmim"), params, config)
+        dataset = synth_generate(4, 1, 16, 3)
+        swi = SlidingWindowConfig(16, 0.5)
+        calls = _recorded_attention(monkeypatch)
+        report = evaluate(old, dataset, swi)
+        _assert_match_reference_with_key_bias(calls, old)
+        assert report.per_class == evaluate(plain, dataset, swi).per_class
+
+    def test_reconstruct_ignores_the_key_biases(self, tmp_path, monkeypatch):
+        dec = MAEDecoderConfig(16, 1, 2)
+        config = checkpoint_config(
+            "mae", self.TRAIN, model=self.VIT, dec=dec, recon=ReconLossConfig()
+        )
+        old = _save_with_key_biases(
+            str(tmp_path / "old.vmim"), init_mae_params(self.VIT, dec, 3), config
+        )
+        v = Volume(np.random.default_rng(4).uniform(size=(1, 16, 16, 16)))
+        calls = _recorded_attention(monkeypatch)
+        paths = reconstruct_dump(old, v, MaskingConfig(8, 0.5), [3], str(tmp_path / "d"))
+        assert len(paths) == 3
+        # Two encoder blocks on the visible tokens, one decoder block on all.
+        assert len(calls) == 3
+        _assert_match_reference_with_key_bias(calls, old)

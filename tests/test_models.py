@@ -12,8 +12,10 @@ from helpers import (
     retained_bytes,
     unetr_decoder_reference,
 )
+from vmim import autodiff
 from vmim.autodiff import Graph, Tensor, apply, backward, finite_diff_check
 from vmim.checkpoint import load_checkpoint, load_checkpoint_config, save_checkpoint
+from vmim.inference import seg_model_fn
 from vmim.losses import dice_ce_loss, masked_recon_loss
 from vmim.models import (
     _block,
@@ -75,7 +77,7 @@ class TestEncode:
 
     def test_recorded_block_keeps_no_attention_heads(self):
         # The attention VJP rebuilds its heads from the block's rows and its
-        # probabilities from each row's log-sum-exp. Its node holds its seven
+        # probabilities from each row's log-sum-exp. Its node holds its six
         # operands, that (H, N, 1) log-sum-exp and its output, whose memory
         # the proj linear node holds as its input anyway: no (N, N), (H, N,
         # d) or (H, d, N) array.
@@ -89,7 +91,7 @@ class TestEncode:
         nodes = [node for node in g.nodes if not node.is_leaf]
         i = [node.kind for node in nodes].index("attention")
         attention, proj = nodes[i], nodes[i + 1]
-        names = [f"enc.0.{name}.{part}" for name in "qkv" for part in "wb"]
+        names = [f"enc.0.{name}" for name in ("q.w", "q.b", "k.w", "v.w", "v.b")]
         rows, *weights, lse, out = attention.ctx
         assert rows.shape == (n, CFG.embed_dim)
         assert [id(a) for a in weights] == [id(params[name].data) for name in names]
@@ -475,6 +477,58 @@ class TestParameters:
             ViTConfig(65, 4, 4, 8)
         with pytest.raises(ValueError, match="divisible"):
             MAEDecoderConfig(33, 2, 4)
+
+
+def _model_terms():
+    """name -> (params, loss term) of one small seeded term per model: MAE,
+    SimMIM and SimCLR pretraining and a fine-tuning crop of the segmenter."""
+    vit, dec = ViTConfig(32, 2, 4, 8), MAEDecoderConfig(16, 1, 2)
+    seg = SegConfig(vit, 3, width=4)
+    v, views = small_volume(seed=1), [small_volume(seed=i) for i in range(2, 6)]
+    mask = mask_for(v, 0.5)
+    labels = np.random.default_rng(1).integers(0, 3, size=(16, 16, 16))
+    return {
+        "mae": (init_mae_params(vit, dec, 0), lambda p: mae_forward(vit, dec, p, v, mask)[1]),
+        "simmim": (init_simmim_params(vit, 0), lambda p: simmim_forward(vit, p, v, mask)[1]),
+        "simclr": (init_simclr_params(vit, SimCLRConfig(32, 16), 0),
+                   lambda p: simclr_forward(vit, p, views[:2], views[2:], 0.5)),
+        "seg": (init_seg_params(seg, 0),
+                lambda p: dice_ce_loss(unetr_segment(seg, p, v), labels)),
+    }, seg
+
+
+class TestNothingDead:
+    @pytest.mark.parametrize("model", ["mae", "simmim", "simclr", "seg"])
+    def test_every_parameter_gets_a_gradient_above_rounding_noise(self, model):
+        # A parameter whose gradient is analytically zero does nothing: the
+        # attention key bias, which the softmax cancels, got about 1e-17.
+        params, term = _model_terms()[0][model]
+        with Graph() as graph:
+            graph.watch_all(params.values())
+            loss = term(params)
+        grads = backward(graph, loss)
+        peaks = {name: np.abs(grads[p.node_id].data).max() for name, p in params.items()}
+        top = max(peaks.values())
+        assert [name for name, peak in peaks.items() if peak <= 1e-10 * top] == []
+
+    def test_models_run_every_registered_op_kind(self, monkeypatch):
+        # A kind that only the tests call is dead code: every kind must run
+        # in a recorded term of some model or in an unrecorded window.
+        seen = set()
+
+        class Recording(dict):
+            def get(self, kind, default=None):
+                seen.add(kind)
+                return super().get(kind, default)
+
+        monkeypatch.setattr(autodiff, "_REGISTRY", Recording(autodiff._REGISTRY))
+        terms, seg = _model_terms()
+        for params, term in terms.values():
+            with Graph() as graph:
+                graph.watch_all(params.values())
+                term(params)
+        seg_model_fn(seg, terms["seg"][0])(small_volume(seed=6).data)
+        assert seen == set(autodiff._REGISTRY)
 
 
 class TestCheckpoint:

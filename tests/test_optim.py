@@ -91,6 +91,21 @@ class TestAdamW:
         with pytest.raises(ValueError, match="shape"):
             adamw_step(params, {"w": np.zeros(2)}, state, 0.1)
 
+    @pytest.mark.parametrize(
+        "bad, error, pattern",
+        [(np.full(2, np.nan), NonFiniteError, "'b'"), (np.zeros(3), ValueError, "parameter b ")],
+        ids=["non-finite", "shape"],
+    )
+    def test_rejected_gradient_leaves_state_unchanged(self, bad, error, pattern):
+        # The moments of 'a', checked first, used to advance before 'b'
+        # raised, while t stayed 0.
+        params = {name: Tensor(np.ones(2), requires_grad=True) for name in "ab"}
+        state = OptState.init(params)
+        with pytest.raises(error, match=pattern):
+            adamw_step(params, {"a": np.ones(2), "b": bad}, state, 0.1)
+        assert state.t == 0
+        assert not any(a.any() for a in [*state.m.values(), *state.v.values()])
+
     def test_updates_are_deterministic(self):
         def run():
             params = {"w": Tensor(np.arange(4.0), requires_grad=True)}
