@@ -326,6 +326,8 @@ def _fwd_linear(arrays, attrs):
     # x @ w, plus b when given, as (rows, out): one GEMM over every leading
     # axis (x @ w on a >2-D x would run one small GEMM per row of the
     # leading axes), the bias added in place.
+    if not 2 <= len(arrays) <= 3:
+        raise _shape_error("linear", f"takes (x, w[, b]), got {len(arrays)}")
     x, w, *b = arrays
     _check_linear("linear", x, w, *b)
     out = x.reshape(-1, x.shape[-1]) @ w
@@ -441,7 +443,7 @@ def _vjp_layernorm(ctx, g):
 
 def _check_attention(arrays, heads):
     if len(arrays) != 6:
-        raise _shape_error("attention", f"takes (x, wq, bq, wk, wv, bv), got {len(arrays)} operands")
+        raise _shape_error("attention", f"takes (x, wq, bq, wk, wv, bv), got {len(arrays)}")
     x, wq, bq, wk, wv, bv = arrays
     if x.ndim != 2:
         raise _shape_error("attention", f"x must be (N, C), got {x.shape}")

@@ -263,6 +263,10 @@ class TestForward:
             apply("linear", (x, Tensor(np.zeros((5, 2))), Tensor(np.zeros(2))))
         with pytest.raises(ShapeMismatchError, match="linear.*bias"):
             apply("linear", (x, Tensor(np.zeros((6, 2))), Tensor(np.zeros(3))))
+        b2 = Tensor(np.zeros(2))
+        for operands in [(x,), (x, Tensor(np.zeros((6, 2))), b2, b2)]:
+            with pytest.raises(ShapeMismatchError, match=r"linear: takes \(x, w\[, b\]\), got"):
+                apply("linear", operands)
 
     @pytest.mark.parametrize(
         "n, c, hidden, h, k", [(9, 16, 64, 64, 16), (27, 5, 16, 2, 3)], ids=["dense", "split-rows"]
@@ -316,7 +320,7 @@ class TestForward:
             ({"wv": (6, 4), "bv": (4,)}, 2, r"attention: wv \(6, 4\) differs from wq \(6, 6\)"),
             ({"bq": (5,)}, 2, r"attention: bq \(5,\) incompatible with wq \(6, 6\)"),
             # A key bias as a seventh operand, as the op once took.
-            ({"bk": (6,)}, 2, r"attention: takes \(x, wq, bq, wk, wv, bv\), got 7 operands"),
+            ({"bk": (6,)}, 2, r"attention: takes \(x, wq, bq, wk, wv, bv\), got 7$"),
             ({"bv": (4,)}, 2, r"attention: bv \(4,\) incompatible with wv \(6, 6\)"),
             ({}, 4, r"attention: dim 6 does not split into 4 heads"),
         ],
