@@ -14,10 +14,8 @@ DIFFERENTIABLE_PROBES = {
     "add": lambda t, aux: (t + aux["b"]).sum(),
     "sub": lambda t, aux: (t - aux["b"]).sum(),
     "mul": lambda t, aux: (t * aux["b"]).sum(),
-    # With a bias and without one (``@``).
-    "linear": lambda t, aux: apply("linear", (t, aux["w"], aux["bias"])).sum() + (
-        t @ aux["m"]
-    ).sum(),
+    "matmul": lambda t, aux: (t @ aux["m"]).sum(),
+    "linear": lambda t, aux: apply("linear", (t, aux["w"], aux["bias"])).sum(),
     "reshape": lambda t, aux: (t.reshape((20,)) * aux["v20"]).sum(),
     "permute": lambda t, aux: (t.permute((1, 0)) * aux["b_t"]).sum(),
     "concat": lambda t, aux: (
@@ -49,6 +47,15 @@ DIFFERENTIABLE_PROBES = {
     ).scale(1.7),
     "rownorm": lambda t, aux: (apply("rownorm", (t,)) * aux["b"]).sum(),
 }
+
+# Probes of one form of an op, named after the form -> the op they call.
+# ``@`` is a linear with no bias.
+PROBE_OPS = {"matmul": "linear"}
+
+
+def probe_op(kind):
+    """The op kind that the DIFFERENTIABLE_PROBES entry ``kind`` checks."""
+    return PROBE_OPS.get(kind, kind)
 
 
 def probe_aux(rng):
