@@ -226,10 +226,12 @@ class Graph:
 # ---------------------------------------------------------------------------
 
 class _Op:
-    __slots__ = ("kind", "forward", "vjp", "run")
+    __slots__ = ("kind", "fewest", "most", "forward", "vjp", "run")
 
-    def __init__(self, kind, forward, vjp, run):
+    def __init__(self, kind, fewest, most, forward, vjp, run):
         self.kind = kind
+        self.fewest = fewest
+        self.most = most
         self.forward = forward
         self.vjp = vjp
         self.run = run
@@ -238,9 +240,13 @@ class _Op:
 _REGISTRY: dict[str, _Op] = {}
 
 
-def _register(kind: str, forward: Callable, vjp: Callable, run: Callable | None = None) -> None:
+def _register(kind: str, operands: int | tuple[int, int | None], forward: Callable,
+              vjp: Callable, run: Callable | None = None) -> None:
     """Register an op kind.
 
+    operands is the number of operands the kind takes, or (fewest, most),
+    where a most of None sets no limit; apply raises ShapeMismatchError,
+    naming the kind, for any other count before the kernel runs.
     forward(arrays, attrs) returns (output, VJP context) for a recorded node,
     and vjp(context, g) one gradient per operand, as many as the node had.
     run(arrays, attrs), when given, returns the output alone for a node that
@@ -252,7 +258,8 @@ def _register(kind: str, forward: Callable, vjp: Callable, run: Callable | None 
     if run is None:
         def run(arrays, attrs):
             return forward(arrays, attrs)[0]
-    _REGISTRY[kind] = _Op(kind, forward, vjp, run)
+    fewest, most = (operands, operands) if isinstance(operands, int) else operands
+    _REGISTRY[kind] = _Op(kind, fewest, most, forward, vjp, run)
 
 
 def _shape_error(kind: str, detail: str) -> ShapeMismatchError:
@@ -326,8 +333,6 @@ def _fwd_linear(arrays, attrs):
     # x @ w, plus b when given, as (rows, out): one GEMM over every leading
     # axis (x @ w on a >2-D x would run one small GEMM per row of the
     # leading axes), the bias added in place.
-    if not 2 <= len(arrays) <= 3:
-        raise _shape_error("linear", f"takes (x, w[, b]), got {len(arrays)}")
     x, w, *b = arrays
     _check_linear("linear", x, w, *b)
     out = x.reshape(-1, x.shape[-1]) @ w
@@ -399,13 +404,20 @@ def _fwd_gather_rows(arrays, attrs):
         raise _shape_error("gather_rows", f"indices must be 1-D, got shape {idx.shape}")
     if idx.size and (idx.min() < 0 or idx.max() >= a.shape[0]):
         raise _shape_error("gather_rows", f"index out of range for {a.shape[0]} rows")
-    return a[idx], (a.shape, idx)
+    distinct = idx.size == 0 or np.bincount(idx).max() == 1
+    return a[idx], (a.shape, idx, distinct)
 
 
 def _vjp_gather_rows(ctx, g):
-    shape, idx = ctx
+    # Into zeros, a fancy-index += over distinct rows writes np.add.at's
+    # bytes (0.0 + -0.0 is 0.0 either way) without np.add.at's slow path;
+    # repeated rows need np.add.at to accumulate.
+    shape, idx, distinct = ctx
     out = np.zeros(shape)
-    np.add.at(out, idx, g)
+    if distinct:
+        out[idx] += g
+    else:
+        np.add.at(out, idx, g)
     return (out,)
 
 
@@ -442,8 +454,6 @@ def _vjp_layernorm(ctx, g):
 # -- fused model kernels --
 
 def _check_attention(arrays, heads):
-    if len(arrays) != 6:
-        raise _shape_error("attention", f"takes (x, wq, bq, wk, wv, bv), got {len(arrays)}")
     x, wq, bq, wk, wv, bv = arrays
     if x.ndim != 2:
         raise _shape_error("attention", f"x must be (N, C), got {x.shape}")
@@ -968,24 +978,24 @@ def _vjp_rownorm(ctx, g):
     return ((g - y * (g * y).sum(axis=-1, keepdims=True)) / norm,)
 
 
-_register("add", _fwd_add, _vjp_add)
-_register("sub", _fwd_sub, _vjp_sub)
-_register("mul", _fwd_mul, _vjp_mul)
-_register("linear", _fwd_linear, _vjp_linear)
-_register("reshape", _fwd_reshape, _vjp_reshape)
-_register("permute", _fwd_permute, _vjp_permute)
-_register("concat", _fwd_concat, _vjp_concat)
-_register("gather_rows", _fwd_gather_rows, _vjp_gather_rows)
-_register("layernorm", _fwd_layernorm, _vjp_layernorm)
-_register("attention", _fwd_attention, _vjp_attention)
-_register("gelu", _fwd_gelu, _vjp_gelu, _run_gelu)
-_register("mlp", _fwd_mlp, _vjp_mlp, _run_mlp)
-_register("sum", _fwd_sum, _vjp_reduce)
-_register("mean", _fwd_mean, _vjp_reduce)
-_register("abs", _fwd_abs, _vjp_abs)
-_register("log_softmax", _fwd_log_softmax, _vjp_log_softmax)
-_register("dice_ce", _fwd_dice_ce, _vjp_dice_ce)
-_register("rownorm", _fwd_rownorm, _vjp_rownorm)
+_register("add", 2, _fwd_add, _vjp_add)
+_register("sub", 2, _fwd_sub, _vjp_sub)
+_register("mul", 2, _fwd_mul, _vjp_mul)
+_register("linear", (2, 3), _fwd_linear, _vjp_linear)
+_register("reshape", 1, _fwd_reshape, _vjp_reshape)
+_register("permute", 1, _fwd_permute, _vjp_permute)
+_register("concat", (1, None), _fwd_concat, _vjp_concat)
+_register("gather_rows", 1, _fwd_gather_rows, _vjp_gather_rows)
+_register("layernorm", 1, _fwd_layernorm, _vjp_layernorm)
+_register("attention", 6, _fwd_attention, _vjp_attention)
+_register("gelu", 1, _fwd_gelu, _vjp_gelu, _run_gelu)
+_register("mlp", 5, _fwd_mlp, _vjp_mlp, _run_mlp)
+_register("sum", 1, _fwd_sum, _vjp_reduce)
+_register("mean", 1, _fwd_mean, _vjp_reduce)
+_register("abs", 1, _fwd_abs, _vjp_abs)
+_register("log_softmax", 1, _fwd_log_softmax, _vjp_log_softmax)
+_register("dice_ce", 1, _fwd_dice_ce, _vjp_dice_ce)
+_register("rownorm", 1, _fwd_rownorm, _vjp_rownorm)
 
 
 def apply(kind: str, operands: Sequence[Tensor], attrs: dict | None = None) -> Tensor:
@@ -1001,6 +1011,11 @@ def apply(kind: str, operands: Sequence[Tensor], attrs: dict | None = None) -> T
     op = _REGISTRY.get(kind)
     if op is None:
         raise UnknownOpError(f"unknown op kind {kind!r}")
+    n = len(operands)
+    if not op.fewest <= n <= (n if op.most is None else op.most):
+        want = (f"{op.fewest}" if op.most == op.fewest else f"at least {op.fewest}"
+                if op.most is None else f"{op.fewest} to {op.most}")
+        raise _shape_error(kind, f"operand count {n}, expected {want}")
     arrays = [t.data for t in operands]
     attrs = attrs or {}
     requires = any(t.requires_grad for t in operands)

@@ -48,7 +48,8 @@ def save_checkpoint(path: str, params: dict[str, Tensor], config: dict) -> None:
             fh.write(struct.pack("<Q", len(header)))
             fh.write(header)
             for name in names:
-                fh.write(params[name].data.astype("<f8").tobytes())
+                # A copy only where float64 is not little-endian.
+                fh.write(np.ascontiguousarray(params[name].data, dtype="<f8"))
         os.replace(tmp, path)
     except BaseException:
         if os.path.exists(tmp):

@@ -153,6 +153,8 @@ def write_pgm(path: str, image: np.ndarray) -> None:
 
 
 def _to_bytes(data: np.ndarray) -> np.ndarray:
+    """Min-max scaled to 0..255, computed in float64 (volumes are float32)."""
+    data = np.asarray(data, dtype=np.float64)
     lo, hi = float(data.min()), float(data.max())
     if hi <= lo:
         return np.zeros(data.shape, dtype=np.uint8)

@@ -235,9 +235,9 @@ def _patchify_masked(cfg: ViTConfig, volume: Volume, mask: Mask) -> TokenBatch:
     return batch
 
 
-def _fill_masked(rows: Tensor, sources: np.ndarray, token: Tensor, mask: Mask) -> Tensor:
-    """The full sequence: the i-th visible slot holds ``rows[sources[i]]``,
-    each masked slot ``token``.
+def _fill_masked(rows: Tensor, token: Tensor, mask: Mask) -> Tensor:
+    """The full sequence: the i-th visible slot holds ``rows[i]``, each
+    masked slot ``token``.
 
     One gather from ``rows`` stacked over one token row per masked slot. The
     token rows are ``token`` added to zeros, so the gather writes each row's
@@ -246,7 +246,7 @@ def _fill_masked(rows: Tensor, sources: np.ndarray, token: Tensor, mask: Mask) -
     """
     token_rows = Tensor(np.zeros((mask.num_masked, token.shape[1]))) + token
     index = np.empty(mask.total_tokens, dtype=np.int64)
-    index[mask.visible_token_ids()] = sources
+    index[mask.visible_token_ids()] = np.arange(rows.shape[0])
     index[mask.masked_token_ids] = rows.shape[0] + np.arange(mask.num_masked)
     stacked = apply("concat", (rows, token_rows), {"axis": 0})
     return apply("gather_rows", (stacked,), {"indices": index})
@@ -275,7 +275,7 @@ def mae_forward(
     latents = encode(cfg, params, batch.tokens[visible], enc_pos[visible])
 
     projected = _linear(latents, params, "dec_embed")
-    full = _fill_masked(projected, np.arange(visible.size), params["mask_token"], mask)
+    full = _fill_masked(projected, params["mask_token"], mask)
     dec_pos = Tensor(positional_table(grid, dec_cfg.dim))
     full = full + dec_pos
     decoded = _run_blocks(full, params, "dec", dec_cfg.depth, dec_cfg.heads)
@@ -294,15 +294,17 @@ def simmim_forward(
     recon_cfg: ReconLossConfig = ReconLossConfig(),
 ) -> tuple[Tensor, Tensor]:
     """Full-sequence pass with mask-token substitution in embedding space
-    and a single linear projection back to voxels.
+    and a single linear projection back to voxels. Only the visible tokens
+    are patch-embedded: the mask token replaces the others.
 
     Returns (predicted tokens (N, token_dim), masked reconstruction loss).
     """
     batch = _patchify_masked(cfg, volume, mask)
     grid = batch.grid
 
-    embedded = _linear(Tensor(batch.tokens), params, "patch_embed")
-    mixed = _fill_masked(embedded, mask.visible_token_ids(), params["mask_token"], mask)
+    visible = batch.tokens[mask.visible_token_ids()]
+    embedded = _linear(Tensor(visible), params, "patch_embed")
+    mixed = _fill_masked(embedded, params["mask_token"], mask)
     pos = Tensor(positional_table(grid, cfg.embed_dim))
     h = mixed + pos
     h = _run_blocks(h, params, "enc", cfg.depth, cfg.num_heads)
@@ -371,13 +373,14 @@ def _voxel_axes(levels: int) -> list[int]:
 
 
 def _voxel_blocks(volume: Volume, grid: PatchGrid) -> np.ndarray:
-    """(C, D, H, W) voxels as (T, p^3, C) token blocks (off the tape)."""
+    """(C, D, H, W) voxels as float64 (T, p^3, C) token blocks (off the tape),
+    widened by the one copy that reorders them."""
     levels = int(math.log2(grid.token_patch))
     split = []
     for n in grid.grid:
         split += [n] + [2] * levels
     blocks = np.moveaxis(volume.data, 0, -1).reshape(split + [grid.channels])
-    blocks = blocks.transpose(np.argsort(_voxel_axes(levels)))
+    blocks = np.ascontiguousarray(blocks.transpose(np.argsort(_voxel_axes(levels))), np.float64)
     return blocks.reshape(grid.num_tokens, grid.token_patch**3, grid.channels)
 
 

@@ -87,14 +87,18 @@ class Mask:
 
 
 def patchify(volume: Volume, token_patch: int) -> TokenBatch:
-    """Split into p^3 blocks; each token is the row-major flat (C,p,p,p) block."""
+    """Split into p^3 blocks; each token is the row-major flat (C,p,p,p) block.
+
+    The float32 voxels are widened to float64 tokens (exactly) by the one
+    copy that reorders them.
+    """
     grid = PatchGrid.for_volume(volume, token_patch)
     c = grid.channels
     p = grid.token_patch
     gd, gh, gw = grid.grid
-    blocks = volume.data.reshape(c, gd, p, gh, p, gw, p)
-    tokens = blocks.transpose(1, 3, 5, 0, 2, 4, 6).reshape(grid.num_tokens, grid.token_dim)
-    return TokenBatch(np.ascontiguousarray(tokens), grid)
+    blocks = volume.data.reshape(c, gd, p, gh, p, gw, p).transpose(1, 3, 5, 0, 2, 4, 6)
+    tokens = np.ascontiguousarray(blocks, dtype=np.float64)
+    return TokenBatch(tokens.reshape(grid.num_tokens, grid.token_dim), grid)
 
 
 def unpatchify(tokens: np.ndarray, grid: PatchGrid) -> np.ndarray:

@@ -279,9 +279,11 @@ def _train(params, cfg: TrainConfig, n, rng, term_loss, epoch_end, out_dir, conf
 # ---------------------------------------------------------------------------
 
 def _augment_view(volume: Volume, window: int, rng: Rng) -> Volume:
+    """A random crop scaled by a random factor in [0.9, 1.1]: the product is
+    taken in float64 and rounded once to the view's float32."""
     crop, _ = crop_sampler(volume, None, window, rng)
     factor = rng.uniform_in(0.9, 1.1)
-    return Volume(crop.data * factor, crop.spacing, crop.modality)
+    return Volume(crop.data.astype(np.float64) * factor, crop.spacing, crop.modality)
 
 
 def pretrain(

@@ -2,7 +2,9 @@
 
 On disk a volume is a raw little-endian float32 payload (``.vol``) next to
 a key/value sidecar header (``.volh``); label maps use ``.lab``/``.labh``
-with a uint16 payload. In memory everything is float64.
+with a uint16 payload. In memory a volume is float32 too, as on disk, and
+label ids are uint16; voxels are widened to float64 only where they become
+model inputs (``patches.patchify``, ``models._voxel_blocks``).
 """
 
 from __future__ import annotations
@@ -22,27 +24,47 @@ class VolumeIOError(ValueError):
     """Malformed header or payload."""
 
 
+_F32_MAX = float(np.finfo(np.float32).max)
+# One past the largest id a uint16 label map can hold.
+_LABEL_IDS = 1 << 16
+
+
 @dataclass
 class Volume:
-    """Dense voxel grid, channels x depth x height x width, with spacing in mm."""
+    """Dense voxel grid, channels x depth x height x width, with spacing in mm.
+
+    ``data`` is stored as float32, as on disk: other input is rounded once
+    to float32. A non-finite voxel, or a finite one beyond the float32 range
+    (magnitude above 3.4028235e+38), raises VolumeIOError.
+    """
 
     data: np.ndarray
     spacing: tuple[float, float, float] = (1.0, 1.0, 1.0)
     modality: str = "SYNTH"
 
     def __post_init__(self):
-        self.data = np.asarray(self.data, dtype=np.float64)
-        if self.data.ndim != 4:
-            raise VolumeIOError(f"volume data must be 4-D (C,D,H,W), got {self.data.shape}")
-        if min(self.data.shape) < 1:
-            raise VolumeIOError(f"all extents must be >= 1, got {self.data.shape}")
+        data = np.asarray(self.data)
+        if data.ndim != 4:
+            raise VolumeIOError(f"volume data must be 4-D (C,D,H,W), got {data.shape}")
+        if min(data.shape) < 1:
+            raise VolumeIOError(f"all extents must be >= 1, got {data.shape}")
         self.spacing = tuple(float(s) for s in self.spacing)
         if len(self.spacing) != 3 or min(self.spacing) <= 0:
             raise VolumeIOError(f"spacing must be 3 positive floats, got {self.spacing}")
         if self.modality not in MODALITIES:
             raise VolumeIOError(f"modality must be one of {MODALITIES}, got {self.modality!r}")
-        if not np.isfinite(self.data).all():
+        if not np.isfinite(data).all():
             raise VolumeIOError("volume contains non-finite voxels")
+        if data.dtype != np.float32:
+            data = np.asarray(data, dtype=np.float64)
+            for value in (float(data.min()), float(data.max())):
+                if abs(value) > _F32_MAX:
+                    raise VolumeIOError(
+                        f"voxel {value!r} outside the float32 range "
+                        f"[{-_F32_MAX!r}, {_F32_MAX!r}]"
+                    )
+            data = data.astype(np.float32)
+        self.data = data
 
     @property
     def channels(self) -> int:
@@ -61,15 +83,22 @@ class LabelVolume:
     num_classes: int
 
     def __post_init__(self):
-        self.data = np.asarray(self.data, dtype=np.uint16)
-        if self.data.ndim != 3:
-            raise VolumeIOError(f"label data must be 3-D (D,H,W), got {self.data.shape}")
-        if self.num_classes < 1:
-            raise VolumeIOError(f"num_classes must be >= 1, got {self.num_classes}")
-        if self.data.size and int(self.data.max()) >= self.num_classes:
+        data = np.asarray(self.data)
+        if data.ndim != 3:
+            raise VolumeIOError(f"label data must be 3-D (D,H,W), got {data.shape}")
+        if not 1 <= self.num_classes <= _LABEL_IDS:
             raise VolumeIOError(
-                f"label id {int(self.data.max())} out of range for {self.num_classes} classes"
+                f"num_classes must be in [1, {_LABEL_IDS}], got {self.num_classes}"
             )
+        if not np.issubdtype(data.dtype, np.integer):
+            raise VolumeIOError(f"label data must have an integer dtype, got {data.dtype}")
+        if data.size:
+            for value in (int(data.min()), int(data.max())):
+                if not 0 <= value < self.num_classes:
+                    raise VolumeIOError(
+                        f"label id {value} out of range [0, {self.num_classes})"
+                    )
+        self.data = data.astype(np.uint16, copy=False)
 
 
 # ---------------------------------------------------------------------------
@@ -151,7 +180,7 @@ def load_volume(path: str) -> Volume:
     )
     if not np.isfinite(raw).all():
         raise VolumeIOError(f"{path}: payload contains non-finite voxels")
-    return Volume(raw.astype(np.float64), spacing, modality)
+    return Volume(raw, spacing, modality)
 
 
 def save_labels(path: str, labels: LabelVolume) -> None:
@@ -188,7 +217,9 @@ def synth_generate(
     Each sample carries one disjoint ellipsoid per foreground class. Class
     mean intensities are distinct but the gaps are comparable to the texture
     noise, so clean segmentation needs spatial context, not just a voxel
-    threshold.
+    threshold. Voxels are drawn in float64 and rounded once to the
+    Volume's float32, as save_volume rounds them, so a saved and reloaded
+    sample is the same sample.
     """
     if isinstance(shape, int):
         shape = (shape, shape, shape)

@@ -266,7 +266,7 @@ class TestForward:
             apply("linear", (x, Tensor(np.zeros((6, 2))), Tensor(np.zeros(3))))
         b2 = Tensor(np.zeros(2))
         for operands in [(x,), (x, Tensor(np.zeros((6, 2))), b2, b2)]:
-            with pytest.raises(ShapeMismatchError, match=r"linear: takes \(x, w\[, b\]\), got"):
+            with pytest.raises(ShapeMismatchError, match=r"linear: operand count \d, expected 2 to 3$"):
                 apply("linear", operands)
 
     @pytest.mark.parametrize(
@@ -321,7 +321,7 @@ class TestForward:
             ({"wv": (6, 4), "bv": (4,)}, 2, r"attention: wv \(6, 4\) differs from wq \(6, 6\)"),
             ({"bq": (5,)}, 2, r"attention: bq \(5,\) incompatible with wq \(6, 6\)"),
             # A key bias as a seventh operand, as the op once took.
-            ({"bk": (6,)}, 2, r"attention: takes \(x, wq, bq, wk, wv, bv\), got 7$"),
+            ({"bk": (6,)}, 2, r"attention: operand count 7, expected 6$"),
             ({"bv": (4,)}, 2, r"attention: bv \(4,\) incompatible with wv \(6, 6\)"),
             ({}, 4, r"attention: dim 6 does not split into 4 heads"),
         ],
@@ -395,6 +395,18 @@ class TestForward:
         with pytest.raises(ShapeMismatchError, match="add"):
             Tensor(np.zeros((2, 3))) + Tensor(np.zeros((4,)))
 
+    @pytest.mark.parametrize("kind, count", [
+        pytest.param(kind, n, id=f"{kind}-{n}")
+        for kind, op in autodiff._REGISTRY.items()
+        for n in (op.fewest - 1, op.most and op.most + 1)
+        if n is not None
+    ])
+    def test_wrong_operand_count_names_the_kind(self, kind, count):
+        # One operand too few, and one too many where the kind has a limit.
+        operands = tuple(Tensor(np.zeros((2, 2))) for _ in range(count))
+        with pytest.raises(ShapeMismatchError, match=rf"^{kind}: operand count {count}, expected "):
+            apply(kind, operands)
+
 
 class TestBackward:
     def test_sum_gives_ones(self):
@@ -415,6 +427,23 @@ class TestBackward:
         grads = backward(g, loss)
         assert np.array_equal(grads[w.node_id].data, np.zeros((2, 2)))
         assert np.array_equal(grads[x.node_id].data, [1.0, 1.0])
+
+    @pytest.mark.parametrize("rows, indices", [
+        (270, np.random.default_rng(3).permutation(270)[:216]),
+        (4, np.array([3, 1, 1, 0])),
+    ], ids=["distinct", "repeated"])
+    def test_gather_rows_vjp_writes_add_at_bytes(self, rows, indices):
+        # Distinct indices take the fancy-index scatter, repeats np.add.at;
+        # both give np.add.at's bytes, with -0.0 gradients landing as +0.0.
+        op = autodiff._REGISTRY["gather_rows"]
+        g = np.random.default_rng(4).normal(size=(indices.size, 64))
+        g[::3, ::2] = -0.0
+        _, ctx = op.forward([np.zeros((rows, 64))], {"indices": indices})
+        assert ctx[-1] == (np.unique(indices).size == indices.size)
+        expected = np.zeros((rows, 64))
+        np.add.at(expected, indices, g)
+        (got,) = op.vjp(ctx, g)
+        assert got.tobytes() == expected.tobytes()
 
     def test_non_scalar_loss_rejected(self):
         with Graph() as g:

@@ -39,7 +39,7 @@ from vmim.train import (
     pretrain,
     subset_labeled,
 )
-from vmim.volume import LabelVolume, Volume, synth_generate
+from vmim.volume import LabelVolume, Volume, load_volume, save_volume, synth_generate
 
 TINY = ViTConfig(32, 2, 4, 8)
 
@@ -161,6 +161,21 @@ class TestPretrain:
                      mask_cfg=MaskingConfig(8, 0.75))
         assert open(a.checkpoint_path, "rb").read() == open(b.checkpoint_path, "rb").read()
         assert open(a.trace_path).read() == open(b.trace_path).read()
+
+    @pytest.mark.parametrize("method", ["mae", "simmim", "simclr"])
+    def test_in_memory_volumes_train_as_saved_and_reloaded(self, method, volumes, tmp_path):
+        # Volumes hold what a .vol file holds, so a round trip through disk
+        # changes no checkpoint byte.
+        reloaded = []
+        for i, v in enumerate(volumes):
+            path = str(tmp_path / f"v{i}.vol")
+            save_volume(path, v)
+            reloaded.append(load_volume(path))
+        cfg = quick_cfg(total_epochs=1, warmup_epochs=0, batch_size=3)
+        kw = dict(mask_cfg=MaskingConfig(8, 0.75), dec_cfg=MAEDecoderConfig(32, 1, 4))
+        a = pretrain(method, TINY, cfg, volumes, str(tmp_path / "memory"), **kw)
+        b = pretrain(method, TINY, cfg, reloaded, str(tmp_path / "disk"), **kw)
+        assert open(a.checkpoint_path, "rb").read() == open(b.checkpoint_path, "rb").read()
 
     def test_seed_changes_outcome(self, volumes, tmp_path):
         a = pretrain("simmim", TINY, quick_cfg(seed=0), volumes, str(tmp_path / "s0"),

@@ -1,10 +1,14 @@
 """Volume I/O and the synthetic generator."""
 
 import os
+import re
+import warnings
 
 import numpy as np
 import pytest
 
+from vmim.rng import Rng
+from vmim.train import _augment_view, crop_sampler
 from vmim.volume import (
     LabelVolume,
     Volume,
@@ -89,6 +93,43 @@ class TestIO:
             fh.write("shape = -1 -2 4\nnum_classes = 3\ndtype = u16le\n")
         with pytest.raises(VolumeIOError, match=r"l\.labh.*extents"):
             load_labels(path)
+
+    def test_volumes_hold_float32_from_every_source(self, tmp_path):
+        (v, _), = synth_generate(3, 1, 16, 3)
+        path = str(tmp_path / "v.vol")
+        save_volume(path, v)
+        sources = {
+            "float64 input": Volume(np.zeros((1, 4, 4, 4))),
+            "int input": Volume(np.ones((1, 4, 4, 4), dtype=np.int64)),
+            "synth_generate": v,
+            "load_volume": load_volume(path),
+            "crop_sampler": crop_sampler(v, None, 8, Rng(0))[0],
+            "_augment_view": _augment_view(v, 8, Rng(0)),
+        }
+        for name, volume in sources.items():
+            assert volume.data.dtype == np.float32 and volume.data.itemsize == 4, name
+        # A synth volume is what saving and reloading it gives.
+        assert sources["load_volume"].data.tobytes() == v.data.tobytes()
+
+    @pytest.mark.parametrize("value", [1e300, -1e300, 3.5e38])
+    def test_voxel_beyond_float32_range_rejected(self, value):
+        data = np.zeros((1, 2, 2, 2))
+        data[0, 1, 0, 1] = value
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(VolumeIOError, match=re.escape(f"voxel {value!r} outside the float32")):
+                Volume(data)
+        edge = float(np.finfo(np.float32).max)
+        assert Volume(np.full((1, 2, 2, 2), -edge)).data.min() == -edge
+
+    @pytest.mark.parametrize("ids, pattern", [
+        ([65536, 1], r"label id 65536 out of range \[0, 3\)"),
+        ([-65535, 1], r"label id -65535 out of range \[0, 3\)"),
+        ([1.7, 1], "integer dtype, got float64"),
+    ], ids=["above-uint16", "negative", "fraction"])
+    def test_label_ids_that_uint16_would_corrupt_rejected(self, ids, pattern):
+        with pytest.raises(VolumeIOError, match=pattern):
+            LabelVolume(np.array(ids).reshape(2, 1, 1), 3)
 
     def test_label_round_trip(self, tmp_path):
         labels = LabelVolume(np.random.default_rng(1).integers(0, 3, size=(8, 8, 8)), 3)
