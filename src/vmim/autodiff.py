@@ -14,11 +14,12 @@ context, and an op that registers an unrecorded forward (``gelu``, ``mlp``)
 works in place on buffers it allocated itself, never on an operand. Both
 modes give bitwise-equal outputs.
 
-Besides elementwise, layout and reduction primitives, the registry holds
-one dense kernel, ``linear`` (x @ w, plus a bias when given), and fused
-kernels for the chains the models run most: ``attention`` (multi-head
-scaled dot-product attention), ``mlp`` (dense, GELU, dense), ``dice_ce``
-and ``log_softmax``. Each is one tape node with a closed-form VJP.
+Besides elementwise, layout and mean primitives, the registry holds one
+dense kernel, ``linear`` (x @ w, plus a bias when given), fused kernels for
+the chains the models run most, ``attention`` (multi-head scaled
+dot-product attention) and ``mlp`` (dense, GELU, dense), and one kernel per
+training loss: ``recon`` (masked reconstruction), ``dice_ce`` and
+``ntxent``. Each is one tape node with a closed-form VJP.
 ``attention`` takes the rows and the q, k and v projections (k has no
 bias, which the softmax would cancel), runs its heads in cache-sized
 groups and keeps each row's log-sum-exp and its output, not its heads or
@@ -129,9 +130,6 @@ class Tensor:
     def __add__(self, other: "Tensor") -> "Tensor":
         return apply("add", (self, other))
 
-    def __sub__(self, other: "Tensor") -> "Tensor":
-        return apply("sub", (self, other))
-
     def __mul__(self, other: "Tensor") -> "Tensor":
         return apply("mul", (self, other))
 
@@ -146,9 +144,6 @@ class Tensor:
 
     def permute(self, axes: Sequence[int]) -> "Tensor":
         return apply("permute", (self,), {"axes": tuple(axes)})
-
-    def sum(self, axis=None, keepdims: bool = False) -> "Tensor":
-        return apply("sum", (self,), {"axis": axis, "keepdims": keepdims})
 
     def mean(self, axis=None, keepdims: bool = False) -> "Tensor":
         return apply("mean", (self,), {"axis": axis, "keepdims": keepdims})
@@ -296,17 +291,6 @@ def _fwd_add(arrays, attrs):
 def _vjp_add(ctx, g):
     sa, sb = ctx
     return (_unbroadcast(g, sa), _unbroadcast(g, sb))
-
-
-def _fwd_sub(arrays, attrs):
-    a, b = arrays
-    _check_broadcast("sub", a, b)
-    return a - b, (a.shape, b.shape)
-
-
-def _vjp_sub(ctx, g):
-    sa, sb = ctx
-    return (_unbroadcast(g, sa), _unbroadcast(-g, sb))
 
 
 def _fwd_mul(arrays, attrs):
@@ -827,35 +811,28 @@ def _vjp_mlp(ctx, g):
     return (gx.reshape(x.shape), *grads)
 
 
-# -- reductions --
+# -- reduction --
 
-def _norm_axis(axis, ndim, kind):
+def _norm_axis(axis, ndim):
     if axis is None:
         return tuple(range(ndim))
     if isinstance(axis, int):
         axis = (axis,)
     axis = tuple(a % ndim if -ndim <= a < ndim else a for a in axis)
     if any(not 0 <= a < ndim for a in axis):
-        raise _shape_error(kind, f"axis {axis} invalid for rank {ndim}")
+        raise _shape_error("mean", f"axis {axis} invalid for rank {ndim}")
     return axis
-
-
-def _fwd_sum(arrays, attrs):
-    (a,) = arrays
-    axis = _norm_axis(attrs.get("axis"), a.ndim, "sum")
-    keepdims = attrs.get("keepdims", False)
-    return a.sum(axis=axis, keepdims=keepdims), (a.shape, axis, keepdims, 1.0)
 
 
 def _fwd_mean(arrays, attrs):
     (a,) = arrays
-    axis = _norm_axis(attrs.get("axis"), a.ndim, "mean")
+    axis = _norm_axis(attrs.get("axis"), a.ndim)
     keepdims = attrs.get("keepdims", False)
     count = int(np.prod([a.shape[i] for i in axis])) if axis else 1
     return a.mean(axis=axis, keepdims=keepdims), (a.shape, axis, keepdims, 1.0 / count)
 
 
-def _vjp_reduce(ctx, g):
+def _vjp_mean(ctx, g):
     shape, axis, keepdims, factor = ctx
     if not keepdims:
         for ax in sorted(axis):
@@ -864,31 +841,6 @@ def _vjp_reduce(ctx, g):
 
 
 # -- loss kernels --
-
-def _fwd_abs(arrays, attrs):
-    (a,) = arrays
-    return np.abs(a), np.sign(a)
-
-
-def _vjp_abs(ctx, g):
-    return (g * ctx,)
-
-
-def _fwd_log_softmax(arrays, attrs):
-    # Over the last axis, with the row max as a constant shift.
-    (a,) = arrays
-    shifted = a - a.max(axis=-1, keepdims=True)
-    e = np.exp(shifted)
-    s = e.sum(axis=-1, keepdims=True)
-    return shifted - np.log(s), (e, s)
-
-
-def _vjp_log_softmax(ctx, g):
-    # g - softmax * sum(g), rounded as e * (sum(g) / s): seeded SimCLR runs
-    # reproduce the outputs of earlier versions bitwise only in this order.
-    e, s = ctx
-    return (g - e * (g.sum(axis=-1, keepdims=True) / s),)
-
 
 def _dice_ce_attrs(z, attrs):
     labels = np.asarray(attrs["labels"])
@@ -965,21 +917,79 @@ def _vjp_dice_ce(ctx, g):
     return (out.T.reshape(shape),)
 
 
-def _fwd_rownorm(arrays, attrs):
-    (a,) = arrays
-    norm = np.sqrt((a * a).sum(axis=-1, keepdims=True))
-    norm = np.maximum(norm, 1e-12)
-    y = a / norm
-    return y, (y, norm)
+def _fwd_recon(arrays, attrs):
+    # Mean |r| (l1) or r^2 (l2) of the residuals r = pred - target over the
+    # rows ``ids``, distinct as a mask's are. The target is an attr, so it
+    # is neither copied nor given a gradient.
+    (pred,) = arrays
+    target, ids, norm = np.asarray(attrs["target"]), np.asarray(attrs["ids"]), attrs["norm"]
+    if target.shape != pred.shape:
+        raise ValueError(f"pred shape {pred.shape} != target shape {target.shape}")
+    if norm not in ("l1", "l2"):
+        raise ValueError(f"norm must be 'l1' or 'l2', got {norm!r}")
+    if ids.size == 0:
+        raise ValueError("no masked patches to reconstruct")
+    if ids.ndim != 1 or np.unique(ids).size != ids.size or ids.min() < 0 or ids.max() >= len(pred):
+        raise ValueError(f"masked row ids must be distinct and lie in [0, {len(pred)})")
+    r = pred[ids] - target[ids]
+    per = np.abs(r) if norm == "l1" else r * r
+    return per.mean(axis=tuple(range(per.ndim))), (pred.shape, ids, norm, r)
 
 
-def _vjp_rownorm(ctx, g):
-    y, norm = ctx
-    return ((g - y * (g * y).sum(axis=-1, keepdims=True)) / norm,)
+def _vjp_recon(ctx, g):
+    # Rounded as the gather, subtract, abs or square, and mean chain this op
+    # replaced: g / count times sign(r), or twice g / count times r (the
+    # square's two equal terms summed), added into the masked rows of zeros.
+    shape, ids, norm, r = ctx
+    scaled = g * (1.0 / r.size)
+    out = np.zeros(shape)
+    out[ids] += scaled * np.sign(r) if norm == "l1" else 2.0 * (scaled * r)
+    return (out,)
+
+
+def _fwd_ntxent(arrays, attrs):
+    # NT-Xent (SimCLR, Chen et al., arXiv 2002.05709) over 2B projections z,
+    # rows i and i + B positives. Each row is normalised, u = z / |z| with
+    # |z| clamped at 1e-12, and with S = u u^T / tau row i's loss is the
+    # log-sum-exp of S_ij over j != i minus S_i,pos(i); the loss is the mean
+    # over rows. The self-similarity is left out exactly (-inf on the
+    # diagonal), and the context keeps u, |z| and the softmax P.
+    (z,) = arrays
+    tau = attrs["temperature"]
+    n = z.shape[0] if z.ndim == 2 else 0
+    if n % 2 or n < 4:
+        raise ValueError(f"need an even number >= 4 of embedding rows, got shape {z.shape}")
+    if not tau > 0:
+        raise ValueError(f"temperature must be positive, got {tau}")
+    norm = np.maximum(np.sqrt((z * z).sum(axis=-1, keepdims=True)), 1e-12)
+    u = z / norm
+    s = u @ u.T
+    s *= 1.0 / tau
+    np.fill_diagonal(s, -np.inf)
+    top = s.max(axis=-1, keepdims=True)
+    p = np.exp(s - top)
+    total = p.sum(axis=-1, keepdims=True)
+    pos = (np.arange(n) + n // 2) % n
+    loss = (top[:, 0] + np.log(total[:, 0]) - s[np.arange(n), pos]).mean()
+    p /= total
+    return np.asarray(loss), (u, norm, p, pos, tau)
+
+
+def _vjp_ntxent(ctx, g):
+    # dS = g (P - Y) / 2B for the positive indicator Y, dU = (dS + dS^T) u /
+    # tau and dz = (dU - u rowsum(dU * u)) / |z|. P is overwritten in place.
+    u, norm, ds, pos, tau = ctx
+    n = u.shape[0]
+    ds[np.arange(n), pos] -= 1.0
+    ds *= g / n
+    du = (ds + ds.T) @ u
+    du *= 1.0 / tau
+    du -= u * (du * u).sum(axis=-1, keepdims=True)
+    du /= norm
+    return (du,)
 
 
 _register("add", 2, _fwd_add, _vjp_add)
-_register("sub", 2, _fwd_sub, _vjp_sub)
 _register("mul", 2, _fwd_mul, _vjp_mul)
 _register("linear", (2, 3), _fwd_linear, _vjp_linear)
 _register("reshape", 1, _fwd_reshape, _vjp_reshape)
@@ -990,12 +1000,10 @@ _register("layernorm", 1, _fwd_layernorm, _vjp_layernorm)
 _register("attention", 6, _fwd_attention, _vjp_attention)
 _register("gelu", 1, _fwd_gelu, _vjp_gelu, _run_gelu)
 _register("mlp", 5, _fwd_mlp, _vjp_mlp, _run_mlp)
-_register("sum", 1, _fwd_sum, _vjp_reduce)
-_register("mean", 1, _fwd_mean, _vjp_reduce)
-_register("abs", 1, _fwd_abs, _vjp_abs)
-_register("log_softmax", 1, _fwd_log_softmax, _vjp_log_softmax)
+_register("mean", 1, _fwd_mean, _vjp_mean)
 _register("dice_ce", 1, _fwd_dice_ce, _vjp_dice_ce)
-_register("rownorm", 1, _fwd_rownorm, _vjp_rownorm)
+_register("recon", 1, _fwd_recon, _vjp_recon)
+_register("ntxent", 1, _fwd_ntxent, _vjp_ntxent)
 
 
 def apply(kind: str, operands: Sequence[Tensor], attrs: dict | None = None) -> Tensor:

@@ -363,6 +363,9 @@ def run(argv: list[str] | None = None) -> int:
     except (ConfigError, ValueError, OSError, RuntimeError, FloatingPointError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
+    except MemoryError as exc:
+        print(f"error: out of memory: {exc}", file=sys.stderr)
+        return 1
 
 
 def main() -> None:

@@ -2,9 +2,9 @@
 
 Inputs are channel-last: reconstruction predictions are (N, token_dim)
 token rows and segmentation logits are (D, H, W, num_classes).
-Dice+CE and NT-Xent's log-softmax are single fused ops of the autodiff
-registry (``dice_ce`` and ``log_softmax``), each with a closed-form
-gradient. ReconLossConfig lives with the key schema in ``config``.
+Each objective is one op of the autodiff registry (``recon``, ``dice_ce``
+and ``ntxent``), one tape node with a closed-form gradient.
+ReconLossConfig lives with the key schema in ``config``.
 """
 
 from __future__ import annotations
@@ -26,22 +26,15 @@ def masked_recon_loss(
 
     Visible tokens never enter the computation, so the loss is bitwise
     invariant to their contents.
+
+    The loss is one ``recon`` tape node, bitwise equal in value and
+    gradient to the gather, subtract, abs or square, and mean graph it
+    replaced. Raises ValueError for an empty mask or mismatched shapes.
     """
-    if mask.num_masked == 0:
-        raise ValueError("no masked patches to reconstruct")
-    if not isinstance(target, Tensor):
-        target = Tensor(target)
-    if pred.shape != target.shape:
-        raise ValueError(f"pred shape {pred.shape} != target shape {target.shape}")
+    if isinstance(target, Tensor):
+        target = target.data
     ids = mask.masked_token_ids
-    residual = apply("gather_rows", (pred,), {"indices": ids}) - apply(
-        "gather_rows", (target,), {"indices": ids}
-    )
-    if cfg.norm == "l1":
-        per_voxel = apply("abs", (residual,))
-    else:
-        per_voxel = residual * residual
-    return per_voxel.mean()
+    return apply("recon", (pred,), {"target": target, "ids": ids, "norm": cfg.norm})
 
 
 def dice_ce_loss(
@@ -71,23 +64,12 @@ def dice_ce_loss(
 
 
 def ntxent(embeddings: Tensor, temperature: float) -> Tensor:
-    """NT-Xent over 2B row-normalized embeddings; rows i and i+B are positives."""
-    n = embeddings.shape[0]
-    if n % 2 or n < 4:
-        raise ValueError(f"need an even number >= 4 of embeddings, got {n}")
-    norms = np.sqrt((embeddings.data**2).sum(axis=-1))
-    if np.abs(norms - 1.0).max() > 1e-6:
-        raise ValueError("embeddings must be L2-normalized rows")
-    if temperature <= 0:
-        raise ValueError(f"temperature must be positive, got {temperature}")
+    """NT-Xent over 2B embedding rows; rows i and i+B are positives.
 
-    b = n // 2
-    sim = embeddings @ embeddings.permute((1, 0))
-    logits = sim.scale(1.0 / temperature)
-    # Anchors never compare against themselves.
-    logits = logits + Tensor(np.diag(np.full(n, -1e9)))
-    log_probs = apply("log_softmax", (logits,))
-    pos = np.zeros((n, n))
-    pos[np.arange(b), np.arange(b) + b] = 1.0
-    pos[np.arange(b) + b, np.arange(b)] = 1.0
-    return (log_probs * Tensor(pos)).sum(axis=-1).mean().scale(-1.0)
+    Rows are L2-normalised inside the one ``ntxent`` tape node (a norm is
+    clamped at 1e-12), so unnormalised projections give the loss of their
+    normalised rows. Each anchor's softmax leaves out its own row exactly.
+    Raises ValueError for fewer than 4 or an odd number of rows and for a
+    temperature that is not positive.
+    """
+    return apply("ntxent", (embeddings,), {"temperature": temperature})

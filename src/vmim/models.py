@@ -272,11 +272,12 @@ def mae_forward(
 
     visible = mask.visible_token_ids()
     enc_pos = positional_table(grid, cfg.embed_dim)
-    latents = encode(cfg, params, batch.tokens[visible], enc_pos[visible])
+    tokens, positions = (Tensor._wrap(a[visible]) for a in (batch.tokens, enc_pos))
+    latents = encode(cfg, params, tokens, positions)
 
     projected = _linear(latents, params, "dec_embed")
     full = _fill_masked(projected, params["mask_token"], mask)
-    dec_pos = Tensor(positional_table(grid, dec_cfg.dim))
+    dec_pos = Tensor._wrap(positional_table(grid, dec_cfg.dim))
     full = full + dec_pos
     decoded = _run_blocks(full, params, "dec", dec_cfg.depth, dec_cfg.heads)
     decoded = _ln(decoded, params, "dec_norm")
@@ -303,9 +304,9 @@ def simmim_forward(
     grid = batch.grid
 
     visible = batch.tokens[mask.visible_token_ids()]
-    embedded = _linear(Tensor(visible), params, "patch_embed")
+    embedded = _linear(Tensor._wrap(visible), params, "patch_embed")
     mixed = _fill_masked(embedded, params["mask_token"], mask)
-    pos = Tensor(positional_table(grid, cfg.embed_dim))
+    pos = Tensor._wrap(positional_table(grid, cfg.embed_dim))
     h = mixed + pos
     h = _run_blocks(h, params, "enc", cfg.depth, cfg.num_heads)
     h = _ln(h, params, "enc_norm")
@@ -318,7 +319,7 @@ def simmim_forward(
 def _pooled_embedding(cfg: ViTConfig, params: Params, volume: Volume) -> Tensor:
     batch = patchify(volume, cfg.token_patch)
     pos = positional_table(batch.grid, cfg.embed_dim)
-    latents = encode(cfg, params, batch.tokens, pos)
+    latents = encode(cfg, params, Tensor._wrap(batch.tokens), Tensor._wrap(pos))
     return latents.mean(axis=0, keepdims=True)  # (1, E)
 
 
@@ -336,9 +337,7 @@ def simclr_forward(
         raise ValueError("contrastive loss needs batch size >= 2 for negatives")
     pooled = [_pooled_embedding(cfg, params, v) for v in view1 + view2]
     stacked = apply("concat", tuple(pooled), {"axis": 0})  # (2B, E)
-    projected = _mlp(stacked, params, "proj1", "proj2")
-    normalized = apply("rownorm", (projected,))
-    return ntxent(normalized, temperature)
+    return ntxent(_mlp(stacked, params, "proj1", "proj2"), temperature)
 
 
 def tap_depths(depth: int) -> list[int]:
@@ -352,8 +351,8 @@ def _encoder_taps(vit: ViTConfig, params: Params, volume: Volume) -> tuple[Patch
     the deepest is layer-normed."""
     batch = patchify(volume, vit.token_patch)
     taps = tap_depths(vit.depth)
-    h = _linear(Tensor(batch.tokens), params, "patch_embed")
-    h = h + Tensor(positional_table(batch.grid, vit.embed_dim))
+    h = _linear(Tensor._wrap(batch.tokens), params, "patch_embed")
+    h = h + Tensor._wrap(positional_table(batch.grid, vit.embed_dim))
     tapped = []
     for i in range(vit.depth):
         h = _block(h, params, f"enc.{i}", vit.num_heads)
@@ -471,7 +470,7 @@ def unetr_segment(cfg: SegConfig, params: Params, volume: Volume) -> Tensor:
             # block-diagonal copy of the fuse's raw-voxel rows.
             c = vit.channels
             raw = _voxel_blocks(volume, grid).reshape(t, m, 8 * c)
-            parts.append(Tensor(raw))
+            parts.append(Tensor._wrap(raw))
             raw_rows = _rows(fuse_w, fuse_w.shape[0] - c, fuse_w.shape[0])
             eye = Tensor(np.eye(8).reshape(8, 1, 8, 1))
             block = (eye * raw_rows.reshape((1, c, 1, f))).reshape((8 * c, 8 * f))

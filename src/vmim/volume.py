@@ -178,9 +178,10 @@ def load_volume(path: str) -> Volume:
     raw, (spacing, modality) = _load(
         path, "f32le", 4, lambda h: (tuple(float(x) for x in h["spacing"].split()), h["modality"])
     )
-    if not np.isfinite(raw).all():
-        raise VolumeIOError(f"{path}: payload contains non-finite voxels")
-    return Volume(raw, spacing, modality)
+    try:
+        return Volume(raw, spacing, modality)
+    except VolumeIOError as exc:
+        raise VolumeIOError(f"{path}: {exc}") from None
 
 
 def save_labels(path: str, labels: LabelVolume) -> None:

@@ -11,46 +11,57 @@ from vmim.autodiff import Tensor, apply
 from vmim.train import TrainConfig, finetune
 
 DIFFERENTIABLE_PROBES = {
-    "add": lambda t, aux: (t + aux["b"]).sum(),
-    "sub": lambda t, aux: (t - aux["b"]).sum(),
-    "mul": lambda t, aux: (t * aux["b"]).sum(),
-    "matmul": lambda t, aux: (t @ aux["m"]).sum(),
-    "linear": lambda t, aux: apply("linear", (t, aux["w"], aux["bias"])).sum(),
-    "reshape": lambda t, aux: (t.reshape((20,)) * aux["v20"]).sum(),
-    "permute": lambda t, aux: (t.permute((1, 0)) * aux["b_t"]).sum(),
+    "add": lambda t, aux: (t + aux["b"]).mean(),
+    "mul": lambda t, aux: (t * aux["b"]).mean(),
+    "matmul": lambda t, aux: (t @ aux["m"]).mean(),
+    "linear": lambda t, aux: apply("linear", (t, aux["w"], aux["bias"])).mean(),
+    "reshape": lambda t, aux: (t.reshape((20,)) * aux["v20"]).mean(),
+    "permute": lambda t, aux: (t.permute((1, 0)) * aux["b_t"]).mean(),
     "concat": lambda t, aux: (
         apply("concat", (t, aux["b"]), {"axis": 0}) * aux["cat_w"]
-    ).sum(),
+    ).mean(),
     "gather_rows": lambda t, aux: (
         apply("gather_rows", (t,), {"indices": np.array([3, 1, 1, 0])}) * aux["g_w"]
-    ).sum(),
+    ).mean(),
     "layernorm": lambda t, aux: (
         apply("layernorm", (t,), {"eps": 1e-6}) * aux["b"]
-    ).sum(),
+    ).mean(),
     # The input is the rows x; INPUT_PROBES check each operand alone.
     "attention": lambda t, aux: (
         apply("attention", (t, *_attention_params(aux)), {"num_heads": 1}) * aux["b"]
-    ).sum(),
-    "gelu": lambda t, aux: apply("gelu", (t,)).sum(),
+    ).mean(),
+    "gelu": lambda t, aux: apply("gelu", (t,)).mean(),
     # The hidden width 6 splits into 3 rows of h = 2 per input row.
     "mlp": lambda t, aux: (
         apply("mlp", (t, aux["w1"], aux["b1"], aux["w2"], aux["b2"])) * aux["mlp_w"]
-    ).sum(),
-    "sum": lambda t, aux: (t.sum(axis=1) * aux["v4"]).sum(),
-    "mean": lambda t, aux: (t.mean(axis=0) * aux["v5"]).sum(),
-    "abs": lambda t, aux: apply("abs", (t,)).sum(),
-    "log_softmax": lambda t, aux: (apply("log_softmax", (t,)) * aux["b"]).sum(),
+    ).mean(),
+    "mean": lambda t, aux: (t.mean(axis=0) * aux["v5"]).mean(),
     # Four voxels of five classes: class 2 is absent from the labels. The
-    # scale gives the op an upstream gradient other than 1.
+    # scale gives the op an upstream gradient other than 1, as in the loss
+    # probes below.
     "dice_ce": lambda t, aux: apply(
         "dice_ce", (t,), {"labels": np.array([4, 0, 1, 3]), "weight_dice": 0.5, "smooth": 1e-5}
     ).scale(1.7),
-    "rownorm": lambda t, aux: (apply("rownorm", (t,)) * aux["b"]).sum(),
+    # Rows 0, 2 and 3 of the four are masked.
+    "recon.l1": lambda t, aux: _recon(t, "l1"),
+    "recon.l2": lambda t, aux: _recon(t, "l2"),
+    # Four unnormalised rows: B = 2 pairs.
+    "ntxent": lambda t, aux: apply("ntxent", (t,), {"temperature": 0.5}).scale(1.7),
 }
+
+
+# The reconstruction probes' target: -1.0, -0.9, ..., 0.9 as (4, 5).
+_RECON_TARGET = np.arange(-10.0, 10.0).reshape(4, 5) / 10.0
+
+
+def _recon(t, norm):
+    attrs = {"target": _RECON_TARGET, "ids": np.array([0, 2, 3]), "norm": norm}
+    return apply("recon", (t,), attrs).scale(1.7)
+
 
 # Probes of one form of an op, named after the form -> the op they call.
 # ``@`` is a linear with no bias.
-PROBE_OPS = {"matmul": "linear"}
+PROBE_OPS = {"matmul": "linear", "recon.l1": "recon", "recon.l2": "recon"}
 
 
 def probe_op(kind):
@@ -66,7 +77,6 @@ def probe_aux(rng):
         "w": Tensor(rng.normal(size=(5, 2))),
         "bias": Tensor(rng.normal(size=(2,))),
         "v20": Tensor(rng.normal(size=(20,))),
-        "v4": Tensor(rng.normal(size=(4,))),
         "v5": Tensor(rng.normal(size=(5,))),
         "cat_w": Tensor(rng.normal(size=(8, 5))),
         "g_w": Tensor(rng.normal(size=(4, 5))),
@@ -101,7 +111,7 @@ def _attention_probe(operand):
     def probe(t, aux):
         args = [aux["att_x"], *_attention_params(aux)]
         args[_ATTENTION_OPERANDS.index(operand)] = t
-        return (apply("attention", tuple(args), {"num_heads": 2}) * aux["att_w"]).sum()
+        return (apply("attention", tuple(args), {"num_heads": 2}) * aux["att_w"]).mean()
 
     return probe
 
@@ -113,7 +123,7 @@ def _mlp_probe(operand):
     def probe(t, aux):
         args = [aux["mlp_x"], aux["w1"], aux["b1"], aux["w2"], aux["b2"]]
         args[_MLP_OPERANDS.index(operand)] = t
-        return (apply("mlp", tuple(args)) * aux["mlp_x_w"]).sum()
+        return (apply("mlp", tuple(args)) * aux["mlp_x_w"]).mean()
 
     return probe
 
@@ -122,11 +132,11 @@ def _mlp_probe(operand):
 # above differentiate only their (4, 5) input. name -> (probe, input shape).
 INPUT_PROBES = {
     "linear": (
-        lambda t, aux: (apply("linear", (t, aux["w"], aux["bias"])) * aux["lin_w"]).sum(),
+        lambda t, aux: (apply("linear", (t, aux["w"], aux["bias"])) * aux["lin_w"]).mean(),
         (2, 3, 2, 5),
     ),
     # The weight of a linear with no bias, on a channel-last input.
-    "linear.w": (lambda t, aux: ((aux["lin_x"] @ t) * aux["lin_w"]).sum(), (5, 2)),
+    "linear.w": (lambda t, aux: ((aux["lin_x"] @ t) * aux["lin_w"]).mean(), (5, 2)),
     **{
         f"attention.{o}": (_attention_probe(o), shape)
         for o, shape in zip(_ATTENTION_OPERANDS, [(6, 4)] + list(_attention_shapes(4).values()))
@@ -152,9 +162,16 @@ def input_probe_aux(rng):
 
 def probe_input(kind, rng):
     x = rng.uniform(-2.0, 2.0, size=(4, 5))
-    if kind == "abs":
-        x = x + np.sign(x) * 0.1
+    if kind == "recon.l1":
+        # Residuals at least 0.1 from the kink of |r|.
+        x = x + np.sign(x - _RECON_TARGET) * 0.1
     return x
+
+
+def weighted_total(y, g):
+    """sum(y * g) as a (1, 1) ``linear`` node over y's flat rows: the
+    gradient it sends to y is exactly the array g."""
+    return y.reshape((1, y.size)) @ Tensor(np.reshape(g, (-1, 1)))
 
 
 def traced_peak(f):
@@ -354,3 +371,46 @@ def dice_ce_reference(logits, labels, weight_dice=0.5, smooth=1e-5):
     g_log_probs = onehot * (-(1.0 - weight_dice) / v)
     g_z += g_log_probs - e * (g_log_probs.sum(axis=-1, keepdims=True) / s)
     return loss, g_z.reshape(logits.shape)
+
+
+def recon_reference(pred, target, ids, norm, g=1.0):
+    """Numpy copy of the graph the ``recon`` op replaced: gather the masked
+    rows of pred and target, subtract, abs (l1) or square (l2) and mean,
+    differentiated node by node in reverse for the upstream gradient ``g``.
+    Returns (loss, gradient with respect to pred)."""
+    r = pred[ids] - target[ids]
+    per = np.abs(r) if norm == "l1" else r * r
+    loss = per.mean(axis=tuple(range(per.ndim)))
+    g_per = np.broadcast_to(np.asarray(g) * (1.0 / per.size), per.shape).copy()
+    g_r = g_per * np.sign(r) if norm == "l1" else g_per * r + g_per * r
+    grad = np.zeros(pred.shape)
+    np.add.at(grad, ids, g_r)
+    return loss, grad
+
+
+def ntxent_reference(z, tau, g=1.0):
+    """Numpy copy of the graph the ``ntxent`` op replaced: normalised rows
+    (norms clamped at 1e-12), their similarities over tau, -1e9 added on the
+    diagonal, a max-shifted log-softmax, the positives picked by an
+    indicator product, the row sums, their mean and the sign, differentiated
+    node by node in reverse for the upstream gradient ``g``. Returns (loss,
+    gradient with respect to z)."""
+    n = z.shape[0]
+    b = n // 2
+    norm = np.maximum(np.sqrt((z * z).sum(axis=-1, keepdims=True)), 1e-12)
+    y = z / norm
+    logits = (y @ y.T) * (1.0 / tau) + np.diag(np.full(n, -1e9))
+    shifted = logits - logits.max(axis=-1, keepdims=True)
+    e = np.exp(shifted)
+    s = e.sum(axis=-1, keepdims=True)
+    log_probs = shifted - np.log(s)
+    pos = np.zeros((n, n))
+    pos[np.arange(b), np.arange(b) + b] = 1.0
+    pos[np.arange(b) + b, np.arange(b)] = 1.0
+    loss = -(log_probs * pos).sum(axis=-1).mean()
+
+    g_log_probs = np.full((n, n), -np.asarray(g) / n) * pos
+    g_logits = g_log_probs - e * (g_log_probs.sum(axis=-1, keepdims=True) / s)
+    g_sim = g_logits * (1.0 / tau)
+    g_y = g_sim @ y + g_sim.T @ y
+    return loss, (g_y - y * (g_y * y).sum(axis=-1, keepdims=True)) / norm

@@ -17,6 +17,7 @@ from helpers import (
     probe_input,
     probe_op,
     traced_peak,
+    weighted_total,
 )
 from vmim import autodiff
 from vmim.autodiff import (
@@ -48,13 +49,13 @@ def _attention_case(n, num_heads, dim=64):
 
 
 def _attention_through_tape(x, params, g, num_heads):
-    """The output of a recorded ``attention`` and the gradients of (y * g).sum()
+    """The output of a recorded ``attention`` and the gradients of sum(y * g)
     with respect to its six operands."""
     with Graph() as graph:
         operands = [Tensor(a, requires_grad=True) for a in (x, *params)]
         graph.watch_all(operands)
         y = apply("attention", tuple(operands), {"num_heads": num_heads})
-        loss = (y * Tensor(g)).sum()
+        loss = weighted_total(y, g)
     got = backward(graph, loss)
     return y.data, [got[t.node_id].data for t in operands]
 
@@ -177,7 +178,7 @@ class TestForward:
             xwb = [Tensor(a, requires_grad=True) for a in (x, w, b)]
             graph.watch_all(xwb)
             y = apply("gelu", (apply("linear", tuple(xwb)),))
-            loss = (y * Tensor(g)).sum()
+            loss = weighted_total(y, g)
         got = backward(graph, loss)
         assert y.data.tobytes() == out.tobytes()
         for t, expected in zip(xwb, grads):
@@ -276,7 +277,7 @@ class TestForward:
         assert n * hidden <= autodiff._MLP_BLOCK
         rng = np.random.default_rng(n)
         arrays = [rng.normal(size=s) for s in ((n, c), (c, hidden), (hidden,), (h, k), (k,))]
-        g = Tensor(rng.normal(size=(n * hidden // h, k)))
+        g = rng.normal(size=(n * hidden // h, k))
 
         def value_and_grads(fused):
             with Graph() as graph:
@@ -288,7 +289,7 @@ class TestForward:
                     act = apply("gelu", (apply("linear", tuple(ts[:3])),))
                     act = act.reshape((n * hidden // h, h))
                     y = apply("linear", (act, ts[3], ts[4]))
-                loss = (y * g).sum()
+                loss = weighted_total(y, g)
             grads = backward(graph, loss)
             return [y.data.tobytes()] + [grads[t.node_id].data.tobytes() for t in ts]
 
@@ -307,7 +308,7 @@ class TestForward:
             ts = [Tensor(a, requires_grad=True) for a in arrays]
             graph.watch_all(ts)
             y = apply("mlp", tuple(ts))
-            loss = (y * Tensor(g)).sum()
+            loss = weighted_total(y, g)
         grads = backward(graph, loss)
         assert y.shape == out.shape
         for got, ref in zip([y.data] + [grads[t.node_id].data for t in ts], (out,) + expected):
@@ -374,9 +375,9 @@ class TestForward:
             g.watch(b)
             xwb = (a * b + a, b.permute((1, 0)), Tensor(np.ones(3)))
             h = apply("gelu", (apply("linear", xwb),))
-            w, bias = b.permute((1, 0)) @ h @ b, a.sum(axis=0)
+            w, bias = b.permute((1, 0)) @ h @ b, a.mean(axis=0)
             qkv = (w, bias, w, w, bias)
-            loss = (apply("attention", (a, *qkv), {"num_heads": 2}) - b).sum()
+            loss = (apply("attention", (a, *qkv), {"num_heads": 2}) * b).mean()
         backward(g, loss)
         assert (a.data.tobytes(), b.data.tobytes()) == before
 
@@ -410,11 +411,12 @@ class TestForward:
 
 class TestBackward:
     def test_sum_gives_ones(self):
-        g = grad_of(lambda x: x.sum(), np.random.default_rng(0).normal(size=(3, 5)))
+        x = np.random.default_rng(0).normal(size=(3, 5))
+        g = grad_of(lambda t: weighted_total(t, np.ones(15)), x)
         assert np.array_equal(g, np.ones((3, 5)))
 
     def test_square_sum_hand_case(self):
-        g = grad_of(lambda x: (x * x).sum(), np.array([1.0, 2.0, 3.0]))
+        g = grad_of(lambda x: weighted_total(x * x, np.ones(3)), np.array([1.0, 2.0, 3.0]))
         assert np.array_equal(g, [2.0, 4.0, 6.0])
 
     def test_unused_leaf_gets_zeros(self):
@@ -423,10 +425,10 @@ class TestBackward:
             w = Tensor(np.ones((2, 2)), requires_grad=True)
             g.watch(x)
             g.watch(w)
-            loss = x.sum()
+            loss = x.mean()
         grads = backward(g, loss)
         assert np.array_equal(grads[w.node_id].data, np.zeros((2, 2)))
-        assert np.array_equal(grads[x.node_id].data, [1.0, 1.0])
+        assert np.array_equal(grads[x.node_id].data, [0.5, 0.5])
 
     @pytest.mark.parametrize("rows, indices", [
         (270, np.random.default_rng(3).permutation(270)[:216]),
@@ -457,11 +459,11 @@ class TestBackward:
         with Graph() as g:
             x = Tensor([1.0], requires_grad=True)
             g.watch(x)
-            _ = x.sum()
+            _ = x.mean()
         with Graph() as other:
             z = Tensor([1.0], requires_grad=True)
             other.watch(z)
-            loss = z.sum()
+            loss = z.mean()
         with pytest.raises(GraphError, match="belong"):
             backward(g, loss)
         backward(other, loss)
@@ -470,7 +472,7 @@ class TestBackward:
         with Graph() as g:
             x = Tensor([1.0], requires_grad=True)
             g.watch(x)
-            loss = x.sum()
+            loss = x.mean()
         backward(g, loss)
         with pytest.raises(GraphError, match="consumed"):
             backward(g, loss)
@@ -484,15 +486,15 @@ class TestBackward:
                 t = Tensor(a, requires_grad=True)
                 graph.watch(t)
                 y = f(t)
-                loss = (y * Tensor(g)).sum()
+                loss = weighted_total(y, g)
             kinds = [node.kind for node in graph.nodes if not node.is_leaf]
             return kinds, y.data.tobytes(), backward(graph, loss)[t.node_id].data.tobytes()
 
         kinds, value, grad = value_and_grad(lambda t: t.scale(1.7))
-        assert kinds == ["mul", "mul", "sum"]
+        assert kinds == ["mul", "reshape", "linear"]
         assert (value, grad) == value_and_grad(lambda t: t * Tensor(1.7))[1:]
         assert (value, grad) == ((a * 1.7).tobytes(), (g * 1.7).tobytes())
-        assert finite_diff_check(lambda t: (t.scale(1.7) * Tensor(g)).sum(), a) < 1e-8
+        assert finite_diff_check(lambda t: (t.scale(1.7) * Tensor(g)).mean(), a) < 1e-8
 
     def test_each_context_is_released_after_its_vjp(self, monkeypatch):
         # A small segmenter and its loss: when each VJP starts, every node
@@ -526,12 +528,12 @@ class TestBackward:
         w = rng.normal(size=(3, 3))
 
         def f(arr):
-            shifted = arr - arr.max(axis=-1, keepdims=True)
-            log_probs = shifted - np.log(np.exp(shifted).sum(axis=-1, keepdims=True))
-            return float(np.sum(log_probs * w + arr @ arr))
+            d = arr - arr.mean(axis=-1, keepdims=True)
+            normed = d / np.sqrt((d * d).mean(axis=-1, keepdims=True) + 1e-6)
+            return float(np.mean(normed * w + arr @ arr))
 
         analytic = grad_of(
-            lambda t: (apply("log_softmax", (t,)) * Tensor(w) + t @ t).sum(), x
+            lambda t: (apply("layernorm", (t,), {"eps": 1e-6}) * Tensor(w) + t @ t).mean(), x
         )
         h = 1e-7
         for i in range(3):
@@ -567,17 +569,17 @@ class TestFiniteDifference:
 
     def test_linear_function_is_nearly_exact(self):
         x = np.random.default_rng(2).normal(size=(3, 3))
-        assert finite_diff_check(lambda t: t.sum(), x, h=1e-5) < 1e-9
+        assert finite_diff_check(lambda t: t.mean(), x, h=1e-5) < 1e-9
 
     def test_rejects_bad_step(self):
         with pytest.raises(ValueError, match="step"):
-            finite_diff_check(lambda t: t.sum(), np.ones(3), h=0.5)
+            finite_diff_check(lambda t: t.mean(), np.ones(3), h=0.5)
 
     @pytest.mark.parametrize("max_probes", [0, -3])
     def test_rejects_fewer_than_one_probe(self, max_probes):
         # Zero probes would pass without checking anything.
         with pytest.raises(ValueError, match="max_probes"):
-            finite_diff_check(lambda t: t.sum(), np.ones(3), max_probes=max_probes)
+            finite_diff_check(lambda t: t.mean(), np.ones(3), max_probes=max_probes)
 
     @pytest.mark.parametrize("max_probes, probes", [(None, 50), (1, 1), (32, 32), (64, 50)])
     def test_probe_count(self, max_probes, probes):
@@ -586,7 +588,7 @@ class TestFiniteDifference:
 
         def f(t):
             calls.append(1)
-            return t.sum()
+            return t.mean()
 
         finite_diff_check(f, np.zeros(50), max_probes=max_probes)
         assert len(calls) == 1 + 2 * probes

@@ -771,3 +771,35 @@ def test_pipeline_runs_without_scipy(tmp_path):
                               capture_output=True, text=True, timeout=300)
         assert done.returncode == 0, (argv[0], done.stderr)
     assert os.path.exists(os.path.join(ev, "dice_report.txt"))
+
+
+# Runs the CLI with its address space capped, in this child process only.
+_WITH_ADDRESS_LIMIT = """
+import resource
+import sys
+
+import numpy
+
+resource.setrlimit(resource.RLIMIT_AS, (int(sys.argv[1]), resource.RLIM_INFINITY))
+from vmim.cli import run
+
+sys.exit(run(sys.argv[2:]))
+"""
+
+
+def test_out_of_memory_exits_1_without_a_traceback(tmp_path):
+    # A 24000-wide model asks numpy for 4.3 GiB per attention weight. Under
+    # a 1.5 GB address-space limit the allocation fails at once, and
+    # nothing close to the machine's memory is ever touched.
+    data = str(tmp_path / "data")
+    assert run(["synth", "--seed", "3", "--count", "2", "--shape", "16", "--out", data]) == 0
+    src = os.path.dirname(os.path.dirname(os.path.abspath(vmim.__file__)))
+    env = dict(os.environ, PYTHONPATH=src, OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1")
+    argv = ["pretrain", "--method", "mae", "--data", data, "--out", str(tmp_path / "pre"),
+            "--window", "16", "--epochs", "1", "--set", "train.warmup_epochs=0",
+            "--set", "model.embed_dim=24000"]
+    done = subprocess.run([sys.executable, "-c", _WITH_ADDRESS_LIMIT, str(1_500_000_000), *argv],
+                          env=env, capture_output=True, text=True, timeout=300)
+    assert done.returncode == 1, done.stderr
+    assert done.stderr.startswith("error: out of memory: "), done.stderr
+    assert "Traceback" not in done.stderr

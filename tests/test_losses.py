@@ -8,12 +8,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from vmim import autodiff
-from vmim.autodiff import Graph, Tensor, backward, finite_diff_check
+from vmim.autodiff import Graph, Tensor, apply, backward, finite_diff_check
 from vmim.losses import ReconLossConfig, dice_ce_loss, masked_recon_loss, ntxent
 from vmim.metrics import DiceReport, dice
 from vmim.patches import Mask
 
-from helpers import dice_ce_reference
+from helpers import dice_ce_reference, ntxent_reference, recon_reference
 
 
 def make_mask(ids, total):
@@ -82,6 +82,39 @@ class TestMaskedReconLoss:
     def test_empty_mask_rejected(self):
         with pytest.raises(ValueError, match="no masked patches"):
             masked_recon_loss(Tensor(np.zeros((2, 2))), np.zeros((2, 2)), make_mask([], 2))
+
+    @pytest.mark.parametrize("norm", ["l1", "l2"])
+    def test_matches_the_composite_graph_bitwise(self, norm):
+        # A float32 target, and rows of pred equal to it: residuals of
+        # exactly 0, whose -0.0 gradient terms under the negative upstream
+        # gradient must land as +0.0, are covered.
+        rng = np.random.default_rng(15)
+        target = rng.normal(size=(12, 7)).astype(np.float32)
+        pred = rng.normal(size=(12, 7))
+        pred[[2, 5]] = target[[2, 5]]
+        pred[9, :3] = target[9, :3]
+        mask = make_mask([0, 2, 5, 9, 11], 12)
+        want, want_grad = recon_reference(pred, target, mask.masked_token_ids, norm, g=-1.7)
+        with Graph() as g:
+            t = Tensor(pred, requires_grad=True)
+            g.watch(t)
+            loss = masked_recon_loss(t, target, mask, ReconLossConfig(norm))
+            scaled = loss.scale(-1.7)
+        assert [node.kind for node in g.nodes if not node.is_leaf] == ["recon", "mul"]
+        grad = backward(g, scaled)[t.node_id].data
+        assert loss.data.tobytes() == np.asarray(want).tobytes()
+        assert grad.tobytes() == want_grad.tobytes()
+        assert (grad[mask.visible_token_ids()] == 0.0).all()
+
+    def test_bad_input_names_argument(self):
+        pred, target = Tensor(np.zeros((4, 3))), np.zeros((4, 3))
+        with pytest.raises(ValueError, match=r"pred shape \(4, 3\) != target shape \(4, 2\)"):
+            masked_recon_loss(pred, np.zeros((4, 2)), make_mask([1], 4))
+        with pytest.raises(ValueError, match="norm must be 'l1' or 'l2'"):
+            apply("recon", (pred,), {"target": target, "ids": np.array([1]), "norm": "l3"})
+        for ids in ([1, 1], [4], [-1]):
+            with pytest.raises(ValueError, match=r"distinct and lie in \[0, 4\)"):
+                apply("recon", (pred,), {"target": target, "ids": np.array(ids), "norm": "l1"})
 
     def test_gradient_matches_finite_differences(self):
         rng = np.random.default_rng(4)
@@ -340,10 +373,52 @@ class TestNTXent:
         assert all(a > b for a, b in zip(losses, losses[1:]))
         assert all(v >= 0.0 for v in losses)
 
-    def test_rejects_unnormalized_rows(self):
-        with pytest.raises(ValueError, match="normalized"):
-            ntxent(Tensor(np.full((4, 3), 2.0)), 0.5)
+    def test_unnormalised_rows_give_the_loss_of_their_normalised_rows(self):
+        rng = np.random.default_rng(10)
+        raw = rng.normal(size=(6, 4))
+        emb = raw / np.linalg.norm(raw, axis=1, keepdims=True)
+        scaled = emb * rng.uniform(0.1, 10.0, size=(6, 1))
+        got = ntxent(Tensor(scaled), 0.5).item()
+        assert got == pytest.approx(ntxent(Tensor(emb), 0.5).item(), abs=1e-14)
+        assert got == pytest.approx(ntxent_brute(emb, 0.5), abs=1e-12)
+
+    @pytest.mark.parametrize(
+        "b, tau, zero_row",
+        [(2, 0.5, False), (3, 0.1, False), (3, 1e6, False), (3, 0.5, True)],
+        ids=["b2", "b3", "tau1e6", "zero-row"],
+    )
+    def test_matches_composite_reference(self, b, tau, zero_row):
+        # The op leaves self-similarity out exactly where the graph it
+        # replaced added -1e9, and takes the softmax in another order, so the
+        # two agree within a tolerance relative to each array's largest
+        # entry. A zero row keeps its norm clamped at 1e-12.
+        rng = np.random.default_rng(20 + b)
+        z = rng.normal(size=(2 * b, 5)) * 3.0
+        if zero_row:
+            z[1] = 0.0
+        want, want_grad = ntxent_reference(z, tau, g=1.7)
+        with Graph() as g:
+            t = Tensor(z, requires_grad=True)
+            g.watch(t)
+            loss = ntxent(t, tau)
+            scaled = loss.scale(1.7)
+        assert [node.kind for node in g.nodes if not node.is_leaf] == ["ntxent", "mul"]
+        grad = backward(g, scaled)[t.node_id].data
+        assert abs(loss.item() - want) <= 1e-14 * abs(want)
+        assert np.abs(grad - want_grad).max() <= 1e-14 * np.abs(want_grad).max()
+        assert np.isfinite(grad).all()
 
     def test_rejects_tiny_batch(self):
         with pytest.raises(ValueError, match=">= 4"):
             ntxent(Tensor(np.eye(2)), 0.5)
+
+    def test_rejects_odd_batch_and_bad_temperature(self):
+        with pytest.raises(ValueError, match=">= 4"):
+            ntxent(Tensor(np.ones((5, 3))), 0.5)
+        with pytest.raises(ValueError, match="temperature must be positive"):
+            ntxent(Tensor(np.ones((4, 3))), 0.0)
+
+
+def test_the_composite_loss_kinds_are_gone():
+    assert not {"sub", "abs", "sum", "log_softmax", "rownorm"} & set(autodiff._REGISTRY)
+    assert not hasattr(Tensor, "__sub__") and not hasattr(Tensor, "sum")

@@ -6,11 +6,14 @@ import struct
 import numpy as np
 import pytest
 
+import vmim.models
+
 from helpers import (
     context_arrays,
     conv_transpose_reference,
     retained_bytes,
     unetr_decoder_reference,
+    weighted_total,
 )
 from vmim import autodiff
 from vmim.autodiff import Graph, Tensor, apply, backward, finite_diff_check
@@ -36,7 +39,9 @@ from vmim.models import (
     tap_depths,
     unetr_segment,
 )
-from vmim.patches import Mask, MaskingConfig, PatchGrid, patchify, positional_table, sample_mask
+from vmim.patches import (
+    Mask, MaskingConfig, PatchGrid, TokenBatch, patchify, positional_table, sample_mask,
+)
 from vmim.rng import Rng
 from vmim.volume import Volume
 
@@ -289,7 +294,7 @@ class TestFillMasked:
         token = Tensor(rng.normal(size=(1, 6)), requires_grad=True)
         with Graph() as graph:
             graph.watch_all((rows, token))
-            loss = (_fill_masked(rows, token, mask) * Tensor(g)).sum()
+            loss = weighted_total(_fill_masked(rows, token, mask), g)
         grads = backward(graph, loss)
         assert np.array_equal(grads[rows.node_id].data, g[visible])
         g_token = g[mask.masked_token_ids].sum(axis=0, keepdims=True)
@@ -319,6 +324,26 @@ class TestSimCLR:
 
 
 class TestUNETR:
+    def test_recorded_crop_holds_no_copy_of_its_tokens(self, monkeypatch):
+        # The patch embedding keeps the token array patchify built, not a
+        # second copy of it.
+        seg = SegConfig(CFG, num_classes=3, width=4)
+        params = init_seg_params(seg, seed=0)
+        built = []
+
+        def recording_patchify(volume, token_patch):
+            built.append(patchify(volume, token_patch).tokens)
+            return TokenBatch(built[-1], PatchGrid.for_volume(volume, token_patch))
+
+        monkeypatch.setattr(vmim.models, "patchify", recording_patchify)
+        with Graph() as g:
+            g.watch_all(params.values())
+            unetr_segment(seg, params, small_volume(seed=7))
+        (tokens,) = built
+        copies = [a for a in context_arrays(g) if a.dtype == tokens.dtype
+                  and a.size == tokens.size and np.array_equal(a.reshape(tokens.shape), tokens)]
+        assert [id(a) for a in copies] == [id(_owner(tokens))]
+
     def test_output_matches_input_spatial_shape(self):
         seg = SegConfig(CFG, num_classes=3, width=8)
         params = init_seg_params(seg, seed=0)
@@ -448,7 +473,7 @@ class TestUNETR:
         weights = Tensor(np.random.default_rng(6).normal(size=(16, 16, 16, 3)))
 
         def f(t):
-            return (unetr_segment(seg, {**params, name: t}, v) * weights).sum()
+            return (unetr_segment(seg, {**params, name: t}, v) * weights).mean()
 
         assert finite_diff_check(f, params[name].data, h=1e-5) < 1e-6
 
@@ -460,7 +485,7 @@ class TestUNETR:
         with Graph() as g:
             g.watch_all(params.values())
             logits = unetr_segment(seg, params, v)
-            loss = (logits * Tensor(rng.normal(size=logits.shape))).sum()
+            loss = (logits * Tensor(rng.normal(size=logits.shape))).mean()
         grads = backward(g, loss)
         dead = [
             name

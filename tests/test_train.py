@@ -283,7 +283,7 @@ def test_diverged_loss_reports_step(volumes, tmp_path):
 @pytest.mark.parametrize("grad_clip", [0.0, 1.0])
 def test_non_finite_gradient_reports_step_and_parameter(grad_clip):
     # The loss is finite, but backward overflows: d/dx meets 1e300 * 1e300 = inf
-    # on two paths of opposite sign (inf - inf = NaN) and d/dy is inf. "w" has a
+    # on two paths of opposite sign (inf + -inf = NaN) and d/dy is inf. "w" has a
     # finite gradient and comes first: a NaN global norm would turn its clipped
     # gradient NaN, so a check after clipping would name "w" instead of "x".
     params = {
@@ -293,11 +293,11 @@ def test_non_finite_gradient_reports_step_and_parameter(grad_clip):
     }
 
     def overflow(t):
-        return t.scale(1e300).scale(1e300).sum()
+        return t.scale(1e300).scale(1e300).mean()
 
     with Graph() as graph:
         graph.watch_all(params.values())
-        loss = params["w"].sum() + (overflow(params["x"]) - overflow(params["x"]))
+        loss = params["w"].mean() + (overflow(params["x"]) + overflow(params["x"]).scale(-1.0))
         loss = loss + overflow(params["y"])
     assert np.isfinite(loss.item())
     cfg = quick_cfg(grad_clip=grad_clip)
@@ -367,7 +367,7 @@ def test_non_finite_second_term_reports_step_before_any_update(monkeypatch, tmp_
     def term_loss(params, ids):
         terms.append(ids)
         factor = np.inf if len(terms) == 4 else 1.0  # step 1's second term
-        return params["w"].scale(factor).sum()
+        return params["w"].scale(factor).mean()
 
     updates = []
     real_adamw_step = vmim.train.adamw_step

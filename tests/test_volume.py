@@ -74,7 +74,7 @@ class TestIO:
         bad = np.zeros(4096, dtype="<f4")
         bad[77] = np.nan
         bad.tofile(path)
-        with pytest.raises(VolumeIOError, match="finite"):
+        with pytest.raises(VolumeIOError, match=re.escape(path) + ": .*non-finite"):
             load_volume(path)
 
     def test_negative_volume_extents_name_header(self, tmp_path):
