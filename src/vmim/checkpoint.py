@@ -87,7 +87,8 @@ def load_checkpoint_config(path: str) -> dict:
 
 
 def load_checkpoint(path: str) -> tuple[dict[str, Tensor], dict]:
-    """Named tensors and config echo; a corrupt file raises CheckpointError."""
+    """Named tensors and config echo; a corrupt file, or a tensor with a
+    non-finite entry, raises CheckpointError."""
     with open(path, "rb") as fh:
         config, index = _read_header(fh, path)
         payload = fh.read()
@@ -97,5 +98,7 @@ def load_checkpoint(path: str) -> tuple[dict[str, Tensor], dict]:
         if min(shape, default=0) < 0 or start < 0 or start + size * 8 > len(payload):
             raise CheckpointError(f"{path}: tensor {name} runs past the payload")
         raw = np.frombuffer(payload, dtype="<f8", count=size, offset=start)
+        if not np.isfinite(raw).all():
+            raise CheckpointError(f"{path}: tensor {name} holds non-finite values")
         params[name] = Tensor(raw.reshape(shape), requires_grad=True)
     return params, config

@@ -111,7 +111,7 @@ def dice_over_dataset(
     for volume, labels in dataset:
         predicted = predict(volume)
         for c in sums:
-            sums[c] += dice(labels, predicted, c)
+            sums[c] += dice(labels.data, predicted, c)
     return DiceReport({c: s / len(dataset) for c, s in sums.items()})
 
 

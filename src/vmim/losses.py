@@ -18,7 +18,7 @@ from .patches import Mask
 
 def masked_recon_loss(
     pred: Tensor,
-    target: Tensor | np.ndarray,
+    target: np.ndarray,
     mask: Mask,
     cfg: ReconLossConfig = ReconLossConfig(),
 ) -> Tensor:
@@ -31,8 +31,6 @@ def masked_recon_loss(
     gradient to the gather, subtract, abs or square, and mean graph it
     replaced. Raises ValueError for an empty mask or mismatched shapes.
     """
-    if isinstance(target, Tensor):
-        target = target.data
     ids = mask.masked_token_ids
     return apply("recon", (pred,), {"target": target, "ids": ids, "norm": cfg.norm})
 

@@ -6,17 +6,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .volume import LabelVolume
 
-
-def dice(truth: LabelVolume | np.ndarray, pred: LabelVolume | np.ndarray, class_id: int) -> float:
-    """2 * |G intersect P| / (|G| + |P|) for one class; 1.0 when both empty."""
-    g = truth.data if isinstance(truth, LabelVolume) else np.asarray(truth)
-    p = pred.data if isinstance(pred, LabelVolume) else np.asarray(pred)
-    if g.shape != p.shape:
-        raise ValueError(f"label shapes differ: {g.shape} vs {p.shape}")
-    g_bin = g == class_id
-    p_bin = p == class_id
+def dice(truth: np.ndarray, pred: np.ndarray, class_id: int) -> float:
+    """2 * |G intersect P| / (|G| + |P|) for one class of two label arrays;
+    1.0 when both are empty."""
+    if truth.shape != pred.shape:
+        raise ValueError(f"label shapes differ: {truth.shape} vs {pred.shape}")
+    g_bin = truth == class_id
+    p_bin = pred == class_id
     total = int(g_bin.sum()) + int(p_bin.sum())
     if total == 0:
         return 1.0

@@ -161,10 +161,6 @@ def encoder_param_names(params: Params) -> list[str]:
 # Forward passes
 # ---------------------------------------------------------------------------
 
-def _as_tensor(x) -> Tensor:
-    return x if isinstance(x, Tensor) else Tensor(x)
-
-
 def _ln(x: Tensor, params: Params, prefix: str) -> Tensor:
     normed = apply("layernorm", (x,), {"eps": 1e-6})
     return normed * params[f"{prefix}.g"] + params[f"{prefix}.b"]
@@ -205,20 +201,18 @@ def _run_blocks(x: Tensor, params: Params, stem: str, depth: int, num_heads: int
     return x
 
 
-def encode(cfg: ViTConfig, params: Params, tokens, positions) -> Tensor:
+def encode(cfg: ViTConfig, params: Params, tokens: Tensor, positions: Tensor) -> Tensor:
     """Patch-embed raw tokens, add positions, run the transformer stack.
 
     tokens may be restricted to the visible rows; positions must be
     row-aligned with tokens.
     """
-    x = _as_tensor(tokens)
-    pos = _as_tensor(positions)
-    if x.shape[-1] != cfg.token_dim():
-        raise ValueError(f"token dim {x.shape[-1]} != expected {cfg.token_dim()}")
-    if pos.shape != (x.shape[0], cfg.embed_dim):
-        raise ValueError(f"positions shape {pos.shape} misaligned with tokens {x.shape}")
-    h = _linear(x, params, "patch_embed")
-    h = h + pos
+    if tokens.shape[-1] != cfg.token_dim():
+        raise ValueError(f"token dim {tokens.shape[-1]} != expected {cfg.token_dim()}")
+    if positions.shape != (tokens.shape[0], cfg.embed_dim):
+        raise ValueError(f"positions shape {positions.shape} misaligned with tokens {tokens.shape}")
+    h = _linear(tokens, params, "patch_embed")
+    h = h + positions
     h = _run_blocks(h, params, "enc", cfg.depth, cfg.num_heads)
     return _ln(h, params, "enc_norm")
 

@@ -34,31 +34,30 @@ class AdamWConfig:
 
 def adamw_step(
     params: dict[str, Tensor],
-    grads: dict[str, Tensor | np.ndarray],
+    grads: dict[str, np.ndarray],
     state: OptState,
     lr: float,
     cfg: AdamWConfig = AdamWConfig(),
 ) -> tuple[dict[str, Tensor], OptState]:
-    """One decoupled-weight-decay Adam update; returns fresh parameters.
+    """One decoupled-weight-decay Adam update from float64 gradient arrays;
+    returns fresh parameters.
 
     Decay is applied multiplicatively before the Adam delta, and bias
     correction uses the post-increment step count. A rejected gradient
     leaves ``state`` as it was: every one is checked before any update.
     """
-    arrays = {}
     for name, p in params.items():
         g = grads[name]
-        g = g.data if isinstance(g, Tensor) else np.asarray(g, dtype=np.float64)
         if g.shape != p.shape:
             raise ValueError(f"gradient shape {g.shape} != parameter {name} shape {p.shape}")
         if not np.isfinite(g).all():
             raise NonFiniteError(f"non-finite gradient for parameter {name!r}")
-        arrays[name] = g
     t = state.t + 1
     bc1 = 1.0 - cfg.beta1**t
     bc2 = 1.0 - cfg.beta2**t
     new_params: dict[str, Tensor] = {}
-    for name, g in arrays.items():
+    for name in params:
+        g = grads[name]
         w = params[name].data
         if cfg.weight_decay:
             w = w * (1.0 - lr * cfg.weight_decay)
@@ -91,8 +90,8 @@ def lr_at(
     return min_lr + (base_lr - min_lr) * 0.5 * (1.0 + math.cos(math.pi * progress))
 
 
-def clip_grad_norm(grads: dict[str, np.ndarray | Tensor], max_norm: float) -> dict[str, np.ndarray]:
-    """Global-norm gradient clipping; no-op when max_norm <= 0.
+def clip_grad_norm(grads: dict[str, np.ndarray], max_norm: float) -> dict[str, np.ndarray]:
+    """Global-norm clipping of gradient arrays; no-op when max_norm <= 0.
 
     A non-finite gradient raises NonFiniteError naming the first such
     parameter, searched for only when the global norm is not finite:
@@ -101,25 +100,22 @@ def clip_grad_norm(grads: dict[str, np.ndarray | Tensor], max_norm: float) -> di
     on values scaled by the largest magnitude, so neither their norm nor
     the clip factor has to be a float.
     """
-    arrays = {
-        name: (g.data if isinstance(g, Tensor) else np.asarray(g)) for name, g in grads.items()
-    }
     if max_norm <= 0:
-        return arrays
+        return grads
     with np.errstate(over="ignore"):
-        total = math.sqrt(sum(float((a * a).sum()) for a in arrays.values()))
+        total = math.sqrt(sum(float((a * a).sum()) for a in grads.values()))
     if math.isfinite(total):
         if total <= max_norm:
-            return arrays
+            return grads
         factor = max_norm / total
-        return {name: a * factor for name, a in arrays.items()}
-    for name, a in arrays.items():
+        return {name: a * factor for name, a in grads.items()}
+    for name, a in grads.items():
         if not np.isfinite(a).all():
             raise NonFiniteError(f"non-finite gradient for parameter {name!r}")
-    peak = max(float(np.abs(a).max(initial=0.0)) for a in arrays.values())
-    scaled = {name: a / peak for name, a in arrays.items()}
+    peak = max(float(np.abs(a).max(initial=0.0)) for a in grads.values())
+    scaled = {name: a / peak for name, a in grads.items()}
     root = math.sqrt(sum(float((u * u).sum()) for u in scaled.values()))
     if peak * root <= max_norm:  # the product is inf when the norm is past the float range
-        return arrays
+        return grads
     factor = max_norm / root
     return {name: u * factor for name, u in scaled.items()}

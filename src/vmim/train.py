@@ -87,9 +87,7 @@ def crop_sampler(
         raise ValueError(f"window {window} exceeds volume extents {extents}")
     starts = [rng.randbelow(n - window + 1) for n in extents]
     slices = tuple(slice(s, s + window) for s in starts)
-    crop = Volume(
-        volume.data[(slice(None),) + slices].copy(), volume.spacing, volume.modality
-    )
+    crop = Volume(volume.data[(slice(None),) + slices].copy())
     label_crop = None
     if labels is not None:
         label_crop = LabelVolume(labels.data[slices].copy(), labels.num_classes)
@@ -200,18 +198,15 @@ def _step(params, grads, state, lr, cfg: TrainConfig, step: int):
     """Clip the summed gradients ``grads`` and AdamW-update; returns the new
     (params, state).
 
-    A non-finite gradient raises NonFiniteError naming the step and the
-    first such parameter in ``params`` order, before any update. Gradients
-    are checked before clipping, because one NaN makes the global norm, and
-    so every clipped gradient, NaN.
+    A non-finite gradient raises NonFiniteError naming the first such
+    parameter in ``params`` order and the step, before any update: clipping
+    finds it when the global norm is not finite, AdamW otherwise.
     """
-    for name in params:
-        if not np.isfinite(grads[name]).all():
-            raise NonFiniteError(
-                f"non-finite gradient for parameter {name!r} at step {step}"
-            )
-    grads = clip_grad_norm(grads, cfg.grad_clip)
-    return adamw_step(params, grads, state, lr, cfg.adamw)
+    try:
+        grads = clip_grad_norm(grads, cfg.grad_clip)
+        return adamw_step(params, grads, state, lr, cfg.adamw)
+    except NonFiniteError as exc:
+        raise NonFiniteError(f"{exc} at step {step}") from None
 
 
 @dataclass
@@ -283,7 +278,7 @@ def _augment_view(volume: Volume, window: int, rng: Rng) -> Volume:
     taken in float64 and rounded once to the view's float32."""
     crop, _ = crop_sampler(volume, None, window, rng)
     factor = rng.uniform_in(0.9, 1.1)
-    return Volume(crop.data.astype(np.float64) * factor, crop.spacing, crop.modality)
+    return Volume(crop.data.astype(np.float64) * factor)
 
 
 def pretrain(

@@ -1,10 +1,14 @@
 """3-D volumes: file I/O and synthesis.
 
 On disk a volume is a raw little-endian float32 payload (``.vol``) next to
-a key/value sidecar header (``.volh``); label maps use ``.lab``/``.labh``
-with a uint16 payload. In memory a volume is float32 too, as on disk, and
-label ids are uint16; voxels are widened to float64 only where they become
-model inputs (``patches.patchify``, ``models._voxel_blocks``).
+a key/value sidecar header (``.volh``) that holds its ``shape`` and
+``dtype``; label maps use ``.lab``/``.labh`` with a uint16 payload and a
+``num_classes`` key as well. A reader ignores any other header key, so a
+``.volh`` that still carries the ``spacing`` and ``modality`` lines of the
+older format loads to the same voxels. In memory a volume is float32 too,
+as on disk, and label ids are uint16; voxels are widened to float64 only
+where they become model inputs (``patches.patchify``,
+``models._voxel_blocks``).
 """
 
 from __future__ import annotations
@@ -16,8 +20,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .rng import Rng, np_generator
-
-MODALITIES = ("CT", "MRI", "SYNTH")
 
 
 class VolumeIOError(ValueError):
@@ -31,16 +33,16 @@ _LABEL_IDS = 1 << 16
 
 @dataclass
 class Volume:
-    """Dense voxel grid, channels x depth x height x width, with spacing in mm.
+    """Dense voxel grid, channels x depth x height x width.
 
-    ``data`` is stored as float32, as on disk: other input is rounded once
-    to float32. A non-finite voxel, or a finite one beyond the float32 range
-    (magnitude above 3.4028235e+38), raises VolumeIOError.
+    It carries no voxel spacing or modality: the synthetic volumes have
+    neither, and nothing would read them. ``data`` is stored as float32,
+    as on disk: other input is rounded once to float32. A non-finite
+    voxel, or a finite one beyond the float32 range (magnitude above
+    3.4028235e+38), raises VolumeIOError.
     """
 
     data: np.ndarray
-    spacing: tuple[float, float, float] = (1.0, 1.0, 1.0)
-    modality: str = "SYNTH"
 
     def __post_init__(self):
         data = np.asarray(self.data)
@@ -48,11 +50,6 @@ class Volume:
             raise VolumeIOError(f"volume data must be 4-D (C,D,H,W), got {data.shape}")
         if min(data.shape) < 1:
             raise VolumeIOError(f"all extents must be >= 1, got {data.shape}")
-        self.spacing = tuple(float(s) for s in self.spacing)
-        if len(self.spacing) != 3 or min(self.spacing) <= 0:
-            raise VolumeIOError(f"spacing must be 3 positive floats, got {self.spacing}")
-        if self.modality not in MODALITIES:
-            raise VolumeIOError(f"modality must be one of {MODALITIES}, got {self.modality!r}")
         if not np.isfinite(data).all():
             raise VolumeIOError("volume contains non-finite voxels")
         if data.dtype != np.float32:
@@ -140,11 +137,13 @@ def _save(path: str, data: np.ndarray, dtype: str, **header: str) -> None:
     data.astype(_PAYLOAD[dtype]).tofile(path)
 
 
-def _load(path: str, dtype: str, ndim: int, parse):
-    """The payload of ``path`` shaped by its header, and ``parse(header)``.
+def _load(path: str, dtype: str, ndim: int, make, parse):
+    """``make(payload, *parse(header))`` for the payload of ``path`` shaped
+    by its header.
 
     A missing or garbled header, another dtype or number of axes, an extent
-    below 1 or a payload of another size raises VolumeIOError.
+    below 1 or a payload of another size raises VolumeIOError, and so does
+    a payload ``make`` rejects, with the path in front of its message.
     """
     header_path = _header_path(path)
     if not os.path.exists(header_path):
@@ -166,22 +165,18 @@ def _load(path: str, dtype: str, ndim: int, parse):
     actual = os.path.getsize(path)
     if actual != expected:
         raise VolumeIOError(f"{path}: payload is {actual} bytes, header implies {expected}")
-    return np.fromfile(path, dtype=_PAYLOAD[dtype]).reshape(shape), parsed
+    try:
+        return make(np.fromfile(path, dtype=_PAYLOAD[dtype]).reshape(shape), *parsed)
+    except VolumeIOError as exc:
+        raise VolumeIOError(f"{path}: {exc}") from None
 
 
 def save_volume(path: str, volume: Volume) -> None:
-    spacing = " ".join(repr(s) for s in volume.spacing)
-    _save(path, volume.data, "f32le", spacing=spacing, modality=volume.modality)
+    _save(path, volume.data, "f32le")
 
 
 def load_volume(path: str) -> Volume:
-    raw, (spacing, modality) = _load(
-        path, "f32le", 4, lambda h: (tuple(float(x) for x in h["spacing"].split()), h["modality"])
-    )
-    try:
-        return Volume(raw, spacing, modality)
-    except VolumeIOError as exc:
-        raise VolumeIOError(f"{path}: {exc}") from None
+    return _load(path, "f32le", 4, Volume, lambda h: ())
 
 
 def save_labels(path: str, labels: LabelVolume) -> None:
@@ -189,8 +184,7 @@ def save_labels(path: str, labels: LabelVolume) -> None:
 
 
 def load_labels(path: str) -> LabelVolume:
-    raw, num_classes = _load(path, "u16le", 3, lambda h: int(h["num_classes"]))
-    return LabelVolume(raw, num_classes)
+    return _load(path, "u16le", 3, LabelVolume, lambda h: (int(h["num_classes"]),))
 
 
 # ---------------------------------------------------------------------------
@@ -257,6 +251,6 @@ def synth_generate(
                 raise RuntimeError(
                     f"could not place ellipsoid for class {k} after {max_retries} retries"
                 )
-        volume = Volume(np.clip(data, 0.0, 1.0)[None], (1.0, 1.0, 1.0), "SYNTH")
+        volume = Volume(np.clip(data, 0.0, 1.0)[None])
         samples.append((volume, LabelVolume(labels, num_classes)))
     return samples

@@ -588,6 +588,29 @@ class TestCheckpointModelKeys:
         assert capsys.readouterr().err == f"error: {message}\n"
         assert not out.exists()
 
+    @pytest.mark.parametrize("command, which, name", [
+        ("eval", 1, "seg.head.w"),
+        ("finetune", 0, "patch_embed.w"),
+    ])
+    def test_non_finite_checkpoint_tensor_exit_1_names_file_and_tensor(
+        self, synth_dir, small_checkpoints, tmp_path, capsys, command, which, name
+    ):
+        # It used to load: eval printed Dice 0.0 and exited 0, and finetune
+        # failed later with "non-finite loss at step 0".
+        params, config = vmim.checkpoint.load_checkpoint(small_checkpoints[which])
+        data = params[name].data.copy()
+        data[0, 0] = np.nan
+        params[name] = Tensor(data)
+        path = str(tmp_path / "nan.vmim")
+        vmim.checkpoint.save_checkpoint(path, params, config)
+        extra = ["--epochs", "1", "--window", "16"] if command == "finetune" else []
+        code = run([command, "--checkpoint", path, "--data", synth_dir,
+                    "--out", str(tmp_path / "out"), *extra])
+        assert code == 1
+        assert capsys.readouterr().err == (
+            f"error: {path}: tensor {name} holds non-finite values\n"
+        )
+
     def test_eval_window_that_splits_no_token_patch_exit_1(self, synth_dir, small_checkpoints,
                                                            tmp_path, capsys):
         # It used to fail in the first window, naming no key: "extent 20 on

@@ -1,6 +1,7 @@
 """Encoder/heads: shapes, equivariance, masking semantics, checkpoints."""
 
 import json
+import re
 import struct
 
 import numpy as np
@@ -126,7 +127,7 @@ class TestEncode:
         rng = np.random.default_rng(1)
         tokens = rng.normal(size=(5, cfg.token_dim()))
         positions = rng.normal(size=(5, cfg.embed_dim))
-        out = encode(cfg, params, tokens, positions).data
+        out = encode(cfg, params, Tensor(tokens), Tensor(positions)).data
 
         embedded = tokens @ params["patch_embed.w"].data + params["patch_embed.b"].data
         h = embedded + positions
@@ -139,23 +140,26 @@ class TestEncode:
         params = init_simmim_params(CFG, seed=0)
         for n in (1, 7, 27):
             tokens = np.random.default_rng(n).normal(size=(n, CFG.token_dim()))
-            out = encode(CFG, params, tokens, np.zeros((n, CFG.embed_dim)))
+            out = encode(CFG, params, Tensor(tokens), Tensor(np.zeros((n, CFG.embed_dim))))
             assert out.shape == (n, CFG.embed_dim)
 
     def test_permutation_equivariance_without_positions(self):
         params = init_simmim_params(CFG, seed=3)
         rng = np.random.default_rng(4)
         tokens = rng.normal(size=(8, CFG.token_dim()))
-        zeros = np.zeros((8, CFG.embed_dim))
-        base = encode(CFG, params, tokens, zeros).data
+        zeros = Tensor(np.zeros((8, CFG.embed_dim)))
+        base = encode(CFG, params, Tensor(tokens), zeros).data
         perm = rng.permutation(8)
-        permuted = encode(CFG, params, tokens[perm], zeros).data
+        permuted = encode(CFG, params, Tensor(tokens[perm]), zeros).data
         assert np.abs(permuted - base[perm]).max() < 1e-12
 
     def test_misaligned_positions_rejected(self):
         params = init_simmim_params(CFG, seed=0)
         with pytest.raises(ValueError, match="misaligned"):
-            encode(CFG, params, np.zeros((4, CFG.token_dim())), np.zeros((3, CFG.embed_dim)))
+            encode(
+                CFG, params, Tensor(np.zeros((4, CFG.token_dim()))),
+                Tensor(np.zeros((3, CFG.embed_dim))),
+            )
 
 
 class TestMAE:
@@ -169,7 +173,7 @@ class TestMAE:
         assert (grid.num_tokens, mask.num_masked, len(visible)) == (216, 162, 54)
         params = init_simmim_params(cfg, seed=0)
         pos = positional_table(grid, cfg.embed_dim)
-        latents = encode(cfg, params, patchify(v, 16).tokens[visible], pos[visible])
+        latents = encode(cfg, params, Tensor(patchify(v, 16).tokens[visible]), Tensor(pos[visible]))
         assert latents.shape == (54, cfg.embed_dim)
 
     def test_decoder_covers_full_sequence(self):
@@ -648,6 +652,20 @@ class TestCheckpoint:
         path.write_bytes(b"VMIM1\n" + struct.pack("<Q", length) + raw_header + bytes(32))
         with pytest.raises(CheckpointError):
             load_checkpoint(str(path))
+
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    def test_non_finite_tensor_names_file_and_tensor(self, tmp_path, value):
+        from vmim.checkpoint import CheckpointError
+
+        params = init_simmim_params(CFG, seed=0)
+        data = params["head.w"].data.copy()
+        data[3, 1] = value
+        params["head.w"] = Tensor(data)
+        path = str(tmp_path / "c.vmim")
+        save_checkpoint(path, params, {})
+        message = re.escape(f"{path}: tensor head.w holds non-finite values")
+        with pytest.raises(CheckpointError, match=message):
+            load_checkpoint(path)
 
     def test_bad_magic_rejected(self, tmp_path):
         path = str(tmp_path / "bad.vmim")

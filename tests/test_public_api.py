@@ -1,6 +1,8 @@
 """The names ``import vmim`` exports: a change to this set must be deliberate."""
 
+import importlib
 import os
+import re
 import subprocess
 import sys
 import types
@@ -76,3 +78,24 @@ def test_config_dataclasses_keep_their_old_paths_and_positional_order():
     assert vmim.SegConfig(vit, 3, 16) == vmim.SegConfig(vit=vit, num_classes=3)
     assert vmim.SlidingWindowConfig(48, 0.5) == vmim.SlidingWindowConfig(window=48)
     assert vmim.ReconLossConfig("l1") == vmim.ReconLossConfig()
+
+
+def test_benchmark_workloads_import_and_build_their_configs(monkeypatch):
+    # benchmarks/ lies outside testpaths: without this, a narrowed API that
+    # breaks the benchmark would still pass the test suite.
+    bench = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "benchmarks")
+    monkeypatch.syspath_prepend(bench)
+    workloads = importlib.import_module("workloads")
+    try:
+        assert sorted(workloads.WORKLOADS) == ["finetune", "infer", "pretrain"]
+        assert workloads.SEG.vit == workloads.VIT
+        assert workloads.SEG.num_classes == workloads.NUM_CLASSES
+        cfg = workloads.train_config(seed=1, epochs=2)
+        assert (cfg.seed, cfg.total_epochs, cfg.batch_size) == (1, 2, workloads.BATCH)
+        with open(workloads.__file__, encoding="utf-8") as fh:
+            calls = set(re.findall(r"\b(checkpoint|inference|train|volume)\.(\w+)\(", fh.read()))
+        assert {("train", "pretrain"), ("train", "finetune"), ("inference", "evaluate")} <= calls
+        for module, name in calls:
+            assert callable(getattr(getattr(workloads, module), name)), f"{module}.{name}"
+    finally:
+        sys.modules.pop("workloads", None)

@@ -21,20 +21,32 @@ from vmim.volume import (
 )
 
 
-def rand_volume(rng, shape=(1, 16, 16, 16), spacing=(1.0, 1.0, 1.0)):
-    data = rng.uniform(size=shape).astype(np.float32).astype(np.float64)
-    return Volume(data, spacing)
+def rand_volume(rng, shape=(1, 16, 16, 16)):
+    return Volume(rng.uniform(size=shape).astype(np.float32).astype(np.float64))
 
 
 class TestIO:
     def test_round_trip_is_bitwise(self, tmp_path):
-        v = rand_volume(np.random.default_rng(0), spacing=(1.5, 1.5, 2.0))
+        v = rand_volume(np.random.default_rng(0))
         path = str(tmp_path / "v.vol")
         save_volume(path, v)
         loaded = load_volume(path)
-        assert np.array_equal(loaded.data, v.data)
-        assert loaded.spacing == v.spacing
-        assert loaded.modality == v.modality
+        assert loaded.data.tobytes() == v.data.tobytes()
+
+    def test_sidecar_holds_only_shape_and_dtype(self, tmp_path):
+        path = str(tmp_path / "v.vol")
+        save_volume(path, rand_volume(np.random.default_rng(0), shape=(2, 16, 17, 18)))
+        with open(str(tmp_path / "v.volh"), encoding="utf-8") as fh:
+            assert fh.read() == "shape = 2 16 17 18\ndtype = f32le\n"
+
+    def test_older_sidecar_with_spacing_and_modality_loads_bitwise(self, tmp_path):
+        v = rand_volume(np.random.default_rng(2))
+        path = str(tmp_path / "v.vol")
+        v.data.astype("<f4").tofile(path)
+        with open(str(tmp_path / "v.volh"), "w", encoding="utf-8") as fh:
+            fh.write("shape = 1 16 16 16\nspacing = 1.5 1.5 2.0\nmodality = CT\n"
+                     "dtype = f32le\n")
+        assert load_volume(path).data.tobytes() == v.data.tobytes()
 
     def test_header_size_arithmetic(self, tmp_path):
         v = Volume(np.zeros((1, 16, 16, 16)))
@@ -92,6 +104,16 @@ class TestIO:
         with open(str(tmp_path / "l.labh"), "w") as fh:
             fh.write("shape = -1 -2 4\nnum_classes = 3\ndtype = u16le\n")
         with pytest.raises(VolumeIOError, match=r"l\.labh.*extents"):
+            load_labels(path)
+
+    def test_label_id_out_of_range_names_the_file(self, tmp_path):
+        path = str(tmp_path / "l.lab")
+        save_labels(path, LabelVolume(np.zeros((2, 2, 2), dtype=np.uint16), 3))
+        bad = np.zeros(8, dtype="<u2")
+        bad[5] = 7
+        bad.tofile(path)
+        message = re.escape(path) + r": label id 7 out of range \[0, 3\)"
+        with pytest.raises(VolumeIOError, match=message):
             load_labels(path)
 
     def test_volumes_hold_float32_from_every_source(self, tmp_path):
