@@ -15,25 +15,36 @@ works in place on buffers it allocated itself, never on an operand. Both
 modes give bitwise-equal outputs.
 
 Besides elementwise, layout and mean primitives, the registry holds one
-dense kernel, ``linear`` (x @ w, plus a bias when given), fused kernels for
-the chains the models run most, ``attention`` (multi-head scaled
-dot-product attention) and ``mlp`` (dense, GELU, dense), and one kernel per
-training loss: ``recon`` (masked reconstruction), ``dice_ce`` and
-``ntxent``. Each is one tape node with a closed-form VJP.
-``attention`` takes the rows and the q, k and v projections (k has no
-bias, which the softmax would cancel), runs its heads in cache-sized
-groups and keeps each row's log-sum-exp and its output, not its heads or
-probabilities, which its VJP recomputes.
-``gelu`` and ``mlp`` share one GELU kernel, which evaluates the normal CDF
-itself from Cody's rational approximations of erf and erfc, so numpy is the
-engine's only dependency. ``mlp`` works in cache-sized row blocks, never
-writes its GELU output in full and keeps no pre-activation for its VJP, and
-a call that fits in one block is bitwise equal to ``linear``, ``gelu`` and
-``linear``.
+dense kernel, ``linear`` (x @ w, plus a bias when given), fused kernels
+that make each model layer one node, and one kernel per training loss:
+``recon`` (masked reconstruction), ``dice_ce`` and ``ntxent``. Each is one
+tape node with a closed-form VJP. The fused kernels keep only what their
+VJP cannot rebuild in one cheap pass:
+
+- ``attention(x, g, b, wq, bq, wk, wv, bv)``: multi-head scaled dot-product
+  self-attention of the pre-normed rows layernorm(x) * g + b, with the q,
+  k and v projections (k has no bias, which the softmax would cancel). It
+  runs its heads in cache-sized groups and keeps the layernorm output,
+  each row's log-sum-exp and its output, not the normed rows, heads or
+  probabilities, which its VJP recomputes.
+- ``mlp(x, w1, b1, w2, b2)``: dense, GELU, dense; ``mlp(x, g, b, w1, b1,
+  w2, b2)`` is the same after that pre-norm, keeping the layernorm output,
+  not the normed rows. It works in cache-sized row blocks, never writes
+  its GELU output in full and keeps no pre-activation.
+- ``gelu(x, w, b)``: GELU(x @ w + b), keeping its operands and CDF, not
+  the pre-activation.
+
+Forward and VJP, the pre-norm rounds as separate ``layernorm``, ``mul``
+and ``add`` nodes and ``gelu``'s dense layer as a ``linear`` node, and an
+``mlp`` call that fits in one row block as ``linear``, ``gelu`` and
+``linear`` nodes. ``gelu`` and ``mlp`` share one GELU kernel, which
+evaluates the normal CDF itself from Cody's rational approximations of erf
+and erfc, so numpy is the engine's only dependency.
 """
 
 from __future__ import annotations
 
+import sys
 import threading
 from typing import Any, Callable, Iterable, Sequence
 
@@ -221,12 +232,11 @@ class Graph:
 # ---------------------------------------------------------------------------
 
 class _Op:
-    __slots__ = ("kind", "fewest", "most", "forward", "vjp", "run")
+    __slots__ = ("kind", "counts", "forward", "vjp", "run")
 
-    def __init__(self, kind, fewest, most, forward, vjp, run):
+    def __init__(self, kind, counts, forward, vjp, run):
         self.kind = kind
-        self.fewest = fewest
-        self.most = most
+        self.counts = counts
         self.forward = forward
         self.vjp = vjp
         self.run = run
@@ -235,13 +245,14 @@ class _Op:
 _REGISTRY: dict[str, _Op] = {}
 
 
-def _register(kind: str, operands: int | tuple[int, int | None], forward: Callable,
+def _register(kind: str, operands: int | tuple[int, ...] | range, forward: Callable,
               vjp: Callable, run: Callable | None = None) -> None:
     """Register an op kind.
 
-    operands is the number of operands the kind takes, or (fewest, most),
-    where a most of None sets no limit; apply raises ShapeMismatchError,
-    naming the kind, for any other count before the kernel runs.
+    operands is the number of operands the kind takes, or the numbers it
+    takes as a tuple, or as a range for a kind with no limit; apply raises
+    ShapeMismatchError, naming the kind, for any other count before the
+    kernel runs.
     forward(arrays, attrs) returns (output, VJP context) for a recorded node,
     and vjp(context, g) one gradient per operand, as many as the node had.
     run(arrays, attrs), when given, returns the output alone for a node that
@@ -253,8 +264,14 @@ def _register(kind: str, operands: int | tuple[int, int | None], forward: Callab
     if run is None:
         def run(arrays, attrs):
             return forward(arrays, attrs)[0]
-    fewest, most = (operands, operands) if isinstance(operands, int) else operands
-    _REGISTRY[kind] = _Op(kind, fewest, most, forward, vjp, run)
+    counts = (operands,) if isinstance(operands, int) else operands
+    _REGISTRY[kind] = _Op(kind, counts, forward, vjp, run)
+
+
+def _expected_counts(counts) -> str:
+    if isinstance(counts, range):
+        return f"at least {counts.start}"
+    return " or ".join(str(n) for n in counts)
 
 
 def _shape_error(kind: str, detail: str) -> ShapeMismatchError:
@@ -437,10 +454,44 @@ def _vjp_layernorm(ctx, g):
 
 # -- fused model kernels --
 
+def _check_norm(kind, x, g, b):
+    for name, p in (("g", g), ("b", b)):
+        if p.shape != x.shape[-1:]:
+            raise _shape_error(kind, f"norm {name} {p.shape} incompatible with x {x.shape}")
+
+
+def _affine(norm):
+    # y = d * g + b from a pre-norm's context (d, inv, g, b), by the mul and
+    # add nodes' own ufunc calls, the add in place.
+    d, _, g, b = norm
+    y = d * g
+    y += b
+    return y
+
+
+def _norm_affine(x, g, b, attrs):
+    # The pre-norm of a fused layer: its context (d, inv, g, b), with the
+    # layernorm d of x and its inverse deviations, and the rows y = d * g +
+    # b, bitwise what the layernorm, mul and add nodes give. A recorded
+    # node keeps the context, not y, which its VJP rebuilds with _affine.
+    d, (_, inv) = _fwd_layernorm((x,), attrs)
+    norm = (d, inv, g, b)
+    return norm, _affine(norm)
+
+
+def _vjp_norm_affine(norm, gy):
+    # (gx, gg, gb) from y's gradient: the add, mul and layernorm VJPs in turn.
+    d, inv, g, b = norm
+    gdg, gb = _vjp_add((d.shape, b.shape), gy)
+    gd, gg = _vjp_mul((d, g), gdg)
+    return (*_vjp_layernorm((d, inv), gd), gg, gb)
+
+
 def _check_attention(arrays, heads):
-    x, wq, bq, wk, wv, bv = arrays
+    x, gamma, beta, wq, bq, wk, wv, bv = arrays
     if x.ndim != 2:
         raise _shape_error("attention", f"x must be (N, C), got {x.shape}")
+    _check_norm("attention", x, gamma, beta)
     for name, w, b in (("q", wq, bq), ("k", wk, None), ("v", wv, bv)):
         if w.ndim != 2 or w.shape[0] != x.shape[1]:
             raise _shape_error("attention", f"x {x.shape} incompatible with w{name} {w.shape}")
@@ -489,16 +540,19 @@ def _head_groups(heads, n):
 
 
 def _fwd_attention(arrays, attrs):
-    # Multi-head scaled dot-product self-attention of (N, C) rows x, with
-    # the q, k and v projections inside the op, after FlashAttention-2 (Dao,
-    # arXiv 2307.08691). Per group of heads: S = q~ k^T, its row max m, S -=
-    # m, exp, the row sums l and O = P v, then O /= l over (N, d), not P over
-    # (N, N). The context keeps the operands, each row's log-sum-exp L = m +
-    # log l as (H, N, 1), and the output, which the next linear node holds
-    # anyway: no heads or probabilities.
+    # Multi-head scaled dot-product self-attention of the pre-normed rows y
+    # = layernorm(x) * g + b, with the q, k and v projections inside the op,
+    # after FlashAttention-2 (Dao, arXiv 2307.08691). Per group of heads: S
+    # = q~ k^T, its row max m, S -= m, exp, the row sums l and O = P v, then
+    # O /= l over (N, d), not P over (N, N). The context keeps the norm's
+    # (d, inv, g, b), the projection parameters, each row's log-sum-exp L =
+    # m + log l as (H, N, 1), and the output, which the next linear node
+    # holds anyway: no y, heads or probabilities.
     heads = attrs["num_heads"]
     _check_attention(arrays, heads)
-    q, k, v = _attention_heads(*arrays, heads, spare=0)
+    x, g, b, *weights = arrays
+    norm, y = _norm_affine(x, g, b, attrs)
+    q, k, v = _attention_heads(y, *weights, heads, spare=0)
     n, d = q.shape[1:]
     lse = np.empty((heads, n, 1))
     out = np.empty((n, heads, d))
@@ -514,26 +568,28 @@ def _fwd_attention(arrays, attrs):
         np.matmul(s, v[hs], out=o)
         o /= total
         lse[hs] += np.log(total)
-    y = out.reshape(n, heads * d)
-    return y, (*arrays, lse, y)
+    out = out.reshape(n, heads * d)
+    return out, (*norm, *weights, lse, out)
 
 
 def _vjp_attention(ctx, g):
-    # The heads rebuilt by the forward's call, with -L in q~'s spare column,
-    # so that P = exp([q~ | -L] @ [k^T ; 1]) <= 1 takes one GEMM and one
-    # pass. The softmax term D = rowsum(dO * O) comes from the (N, d) output,
-    # and -D rides in the same way: [dO | -D] @ [v^T ; 1] = dP - D, so dS = P
-    # * (dP - D) is one multiply. Then dv = P^T dO, dq = dS k / sqrt(d) and
-    # dk = dS^T q~, and the projections' gradients by linear's VJP, with x's
-    # summed v, k, q.
-    x, wq, bq, wk, wv, bv, lse, y = ctx
+    # y rebuilt from the norm's context, and the heads from y by the
+    # forward's call, with -L in q~'s spare column, so that P = exp([q~ |
+    # -L] @ [k^T ; 1]) <= 1 takes one GEMM and one pass. The softmax term D
+    # = rowsum(dO * O) comes from the (N, d) output, and -D rides in the
+    # same way: [dO | -D] @ [v^T ; 1] = dP - D, so dS = P * (dP - D) is one
+    # multiply. Then dv = P^T dO, dq = dS k / sqrt(d) and dk = dS^T q~, the
+    # projections' gradients by linear's VJP, with y's summed v, k, q, and
+    # the norm's by its add, mul and layernorm VJPs.
+    *norm, wq, bq, wk, wv, bv, lse, out = ctx
+    y = _affine(norm)
     heads = lse.shape[0]
-    q, k, v = _attention_heads(x, wq, bq, wk, wv, bv, heads, spare=1)
+    q, k, v = _attention_heads(y, wq, bq, wk, wv, bv, heads, spare=1)
     n, d = q.shape[1], q.shape[2] - 1
     np.negative(lse[..., 0], out=q[..., d])
     go = np.empty((heads, n, d + 1))
     go[..., :d] = g.reshape(n, heads, d).transpose(1, 0, 2)
-    np.negative((g * y).reshape(n, heads, d).sum(axis=-1).T, out=go[..., d])
+    np.negative((g * out).reshape(n, heads, d).sum(axis=-1).T, out=go[..., d])
     gq, gk, gv = (np.empty((n, heads, d)) for _ in range(3))
     groups, size = _head_groups(heads, n)
     p, ds = np.empty((size, n, n)), np.empty((size, n, n))
@@ -548,12 +604,12 @@ def _vjp_attention(ctx, g):
         np.matmul(dsg.transpose(0, 2, 1), q[hs, :, :d], out=gk[:, hs].transpose(1, 0, 2))
     gq *= 1.0 / np.sqrt(d)
     merge = (n, heads * d)
-    gx, gwv, gbv = _vjp_linear((x, wv, True), gv.reshape(merge))
-    gx_k, gwk = _vjp_linear((x, wk, False), gk.reshape(merge))
-    gx += gx_k
-    gx_q, gwq, gbq = _vjp_linear((x, wq, True), gq.reshape(merge))
-    gx += gx_q
-    return gx, gwq, gbq, gwk, gwv, gbv
+    gy, gwv, gbv = _vjp_linear((y, wv, True), gv.reshape(merge))
+    gy_k, gwk = _vjp_linear((y, wk, False), gk.reshape(merge))
+    gy += gy_k
+    gy_q, gwq, gbq = _vjp_linear((y, wq, True), gq.reshape(merge))
+    gy += gy_q
+    return (*_vjp_norm_affine(norm, gy), gwq, gbq, gwk, gwv, gbv)
 
 
 # Elements per block of the GELU chains, of layernorm's squares and of an
@@ -690,23 +746,31 @@ def _gelu_grad(a, cdf, g):
     return cdf
 
 
+def _gelu_layer(arrays, record):
+    # GELU(x @ w + b): the pre-activation by linear's own call, GELU in place
+    # over it, so the output rounds as a linear then a GELU. A recorded node
+    # keeps (x, w, b) and the CDF, not the pre-activation, which its VJP
+    # recomputes with the same call; an unrecorded one works in a single
+    # block-sized CDF buffer.
+    _check_linear("gelu", *arrays)
+    out, _ = _fwd_linear(arrays, {})
+    cdf = np.empty_like(out) if record else None
+    _gelu(out, out, cdf)
+    return out, ((*arrays, cdf) if record else None)
+
+
 def _fwd_gelu(arrays, attrs):
-    (a,) = arrays
-    cdf, out = np.empty_like(a), np.empty_like(a)
-    _gelu(a, out, cdf)
-    return out, (a, cdf)
+    return _gelu_layer(arrays, record=True)
 
 
 def _run_gelu(arrays, attrs):
-    (a,) = arrays
-    out = np.empty_like(a)
-    _gelu(a, out)
-    return out
+    return _gelu_layer(arrays, record=False)[0]
 
 
 def _vjp_gelu(ctx, g):
-    a, cdf = ctx
-    return (_gelu_grad(a, cdf, g),)
+    x, w, b, cdf = ctx
+    pre, _ = _fwd_linear((x, w, b), {})
+    return _vjp_linear((x, w, True), _gelu_grad(pre, cdf, g))
 
 
 # Hidden elements per row block of mlp (512 KB): a block's pre-activation,
@@ -775,21 +839,45 @@ def _mlp(arrays, record):
     return out, ((x, w1, b1, w2, cdf) if record else None)
 
 
+def _mlp_input(arrays, attrs):
+    # The dense layers' operands (x, w1, b1, w2, b2), and None or, for the
+    # pre-norm form (x, g, b, w1, b1, w2, b2), the norm's context, with x
+    # replaced by the pre-normed rows.
+    if len(arrays) == 5:
+        return arrays, None
+    x, g, b, *dense = arrays
+    _check_norm("mlp", x, g, b)
+    _check_mlp(x, *dense)
+    norm, y = _norm_affine(x, g, b, attrs)
+    return (y, *dense), norm
+
+
 def _fwd_mlp(arrays, attrs):
-    return _mlp(arrays, record=True)
+    dense, norm = _mlp_input(arrays, attrs)
+    out, ctx = _mlp(dense, record=True)
+    return out, (ctx if norm is None else (*norm, *ctx[1:]))
 
 
 def _run_mlp(arrays, attrs):
-    return _mlp(arrays, record=False)[0]
+    return _mlp(_mlp_input(arrays, attrs)[0], record=False)[0]
 
 
 def _vjp_mlp(ctx, g):
+    # The pre-norm form rebuilds its rows y from the norm's context, runs
+    # the dense layers' VJP on them, then the norm's.
+    *norm, w1, b1, w2, cdf = ctx
+    if len(norm) == 1:
+        return _vjp_dense_mlp(norm[0], w1, b1, w2, cdf, g)
+    gy, *grads = _vjp_dense_mlp(_affine(norm), w1, b1, w2, cdf, g)
+    return (*_vjp_norm_affine(norm, gy), *grads)
+
+
+def _vjp_dense_mlp(x, w1, b1, w2, cdf, g):
     # Per row block: the pre-activation recomputed into a block-sized buffer
     # by the forward's own call, the GELU output as pre * cdf (bitwise what
     # _gelu wrote), the second layer's gradients, the GELU gradient in place
     # over the CDF, then the first layer's. The first block assigns each
     # weight gradient, so a one-block call rounds as linear, gelu and linear.
-    x, w1, b1, w2, cdf = ctx
     x2 = x.reshape(-1, x.shape[-1])
     h = w2.shape[0]
     gx = np.empty_like(x2)
@@ -994,12 +1082,12 @@ _register("mul", 2, _fwd_mul, _vjp_mul)
 _register("linear", (2, 3), _fwd_linear, _vjp_linear)
 _register("reshape", 1, _fwd_reshape, _vjp_reshape)
 _register("permute", 1, _fwd_permute, _vjp_permute)
-_register("concat", (1, None), _fwd_concat, _vjp_concat)
+_register("concat", range(1, sys.maxsize), _fwd_concat, _vjp_concat)
 _register("gather_rows", 1, _fwd_gather_rows, _vjp_gather_rows)
 _register("layernorm", 1, _fwd_layernorm, _vjp_layernorm)
-_register("attention", 6, _fwd_attention, _vjp_attention)
-_register("gelu", 1, _fwd_gelu, _vjp_gelu, _run_gelu)
-_register("mlp", 5, _fwd_mlp, _vjp_mlp, _run_mlp)
+_register("attention", 8, _fwd_attention, _vjp_attention)
+_register("gelu", 3, _fwd_gelu, _vjp_gelu, _run_gelu)
+_register("mlp", (5, 7), _fwd_mlp, _vjp_mlp, _run_mlp)
 _register("mean", 1, _fwd_mean, _vjp_mean)
 _register("dice_ce", 1, _fwd_dice_ce, _vjp_dice_ce)
 _register("recon", 1, _fwd_recon, _vjp_recon)
@@ -1020,10 +1108,8 @@ def apply(kind: str, operands: Sequence[Tensor], attrs: dict | None = None) -> T
     if op is None:
         raise UnknownOpError(f"unknown op kind {kind!r}")
     n = len(operands)
-    if not op.fewest <= n <= (n if op.most is None else op.most):
-        want = (f"{op.fewest}" if op.most == op.fewest else f"at least {op.fewest}"
-                if op.most is None else f"{op.fewest} to {op.most}")
-        raise _shape_error(kind, f"operand count {n}, expected {want}")
+    if n not in op.counts:
+        raise _shape_error(kind, f"operand count {n}, expected {_expected_counts(op.counts)}")
     arrays = [t.data for t in operands]
     attrs = attrs or {}
     requires = any(t.requires_grad for t in operands)

@@ -10,6 +10,13 @@ reconstruction heads predict (N, token_dim) tokens, and the segmentation
 decoder works on (T, m, C) token blocks and returns (D, H, W, num_classes)
 logits. Only the input ``Volume.data`` is (C, D, H, W).
 
+Each layer is one tape node. A transformer block is a pre-norm
+``attention`` node (layer norm, affine and the q, k and v projections),
+the ``proj`` linear, a residual add, a pre-norm ``mlp`` node and its
+residual add. Every dense layer followed by GELU is one ``gelu`` or
+``mlp`` node. ``layernorm``, ``mul`` and ``add`` nodes remain for the
+final ``enc_norm`` and ``dec_norm``.
+
 The config dataclasses (ViTConfig, MAEDecoderConfig, SimCLRConfig,
 SegConfig) live with the key schema in ``config`` and are re-exported here.
 """
@@ -171,28 +178,31 @@ def _linear(x: Tensor, params: Params, prefix: str) -> Tensor:
 
 
 def _attention(x: Tensor, params: Params, prefix: str, num_heads: int) -> Tensor:
-    """Multi-head self-attention of (N, dim) rows: one fused ``attention``
-    node, which takes the rows and the q, k and v projection parameters and
-    keeps no projected heads for its VJP, then the output projection."""
-    qkv = [params[f"{prefix}.{name}"] for name in ("q.w", "q.b", "k.w", "v.w", "v.b")]
-    mixed = apply("attention", (x, *qkv), {"num_heads": num_heads})
+    """Pre-norm multi-head self-attention of (N, dim) rows: one fused
+    ``attention`` node, which takes the rows, the ``ln1`` affine and the q,
+    k and v projection parameters and keeps neither the normed rows nor
+    projected heads for its VJP, then the output projection."""
+    names = ("ln1.g", "ln1.b", "q.w", "q.b", "k.w", "v.w", "v.b")
+    mixed = apply("attention", (x, *(params[f"{prefix}.{n}"] for n in names)),
+                  {"num_heads": num_heads})
     return _linear(mixed, params, f"{prefix}.proj")
 
 
 def _linear_gelu(x: Tensor, params: Params, prefix: str) -> Tensor:
-    return apply("gelu", (_linear(x, params, prefix),))
+    return apply("gelu", (x, params[f"{prefix}.w"], params[f"{prefix}.b"]))
 
 
-def _mlp(x: Tensor, params: Params, first: str, second: str) -> Tensor:
-    """Dense, GELU, dense as one fused ``mlp`` node."""
-    w1, b1 = params[f"{first}.w"], params[f"{first}.b"]
-    w2, b2 = params[f"{second}.w"], params[f"{second}.b"]
-    return apply("mlp", (x, w1, b1, w2, b2))
+def _mlp(x: Tensor, params: Params, first: str, second: str, norm: str | None = None) -> Tensor:
+    """Dense, GELU, dense as one fused ``mlp`` node, after the affine layer
+    norm ``norm`` when one is named."""
+    pre = (params[f"{norm}.g"], params[f"{norm}.b"]) if norm else ()
+    dense = [params[f"{name}.{p}"] for name in (first, second) for p in ("w", "b")]
+    return apply("mlp", (x, *pre, *dense))
 
 
 def _block(x: Tensor, params: Params, prefix: str, num_heads: int) -> Tensor:
-    x = x + _attention(_ln(x, params, f"{prefix}.ln1"), params, prefix, num_heads)
-    return x + _mlp(_ln(x, params, f"{prefix}.ln2"), params, f"{prefix}.mlp1", f"{prefix}.mlp2")
+    x = x + _attention(x, params, prefix, num_heads)
+    return x + _mlp(x, params, f"{prefix}.mlp1", f"{prefix}.mlp2", norm=f"{prefix}.ln2")
 
 
 def _run_blocks(x: Tensor, params: Params, stem: str, depth: int, num_heads: int) -> Tensor:
@@ -430,7 +440,7 @@ def unetr_segment(cfg: SegConfig, params: Params, volume: Volume) -> Tensor:
     ``mlp`` node: each coarse row's 8f GELU outputs are its 8 children's
     features, so the full-resolution features are never stored whole. The
     other dense layers (``seg.in``, the skip projections and the earlier
-    fuses) are each a ``linear`` node followed by a ``gelu`` node.
+    fuses) are each one ``gelu`` node, which keeps no pre-activation.
     Returns (D, H, W, num_classes) logits.
     """
     vit = cfg.vit
@@ -476,6 +486,6 @@ def unetr_segment(cfg: SegConfig, params: Params, volume: Volume) -> Tensor:
         if s == stages:
             head = (params["seg.head.w"], params["seg.head.b"])
             return _blocks_to_voxels(apply("mlp", fuse + head), grid)
-        x = apply("gelu", (apply("linear", fuse),)).reshape((t, 8 * m, f))
+        x = apply("gelu", fuse).reshape((t, 8 * m, f))
     # A token patch of 1 has no upsampling stage to fuse the head into.
     return _blocks_to_voxels(_linear(x, params, "seg.head"), grid)

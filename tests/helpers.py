@@ -30,10 +30,15 @@ DIFFERENTIABLE_PROBES = {
     "attention": lambda t, aux: (
         apply("attention", (t, *_attention_params(aux)), {"num_heads": 1}) * aux["b"]
     ).mean(),
-    "gelu": lambda t, aux: apply("gelu", (t,)).mean(),
+    "gelu": lambda t, aux: (apply("gelu", (t, aux["w"], aux["bias"])) * aux["gelu_w"]).mean(),
     # The hidden width 6 splits into 3 rows of h = 2 per input row.
     "mlp": lambda t, aux: (
         apply("mlp", (t, aux["w1"], aux["b1"], aux["w2"], aux["b2"])) * aux["mlp_w"]
+    ).mean(),
+    # The same after an affine layer norm of the rows.
+    "mlp.ln": lambda t, aux: (
+        apply("mlp", (t, aux["ln_g"], aux["ln_b"], aux["w1"], aux["b1"], aux["w2"], aux["b2"]))
+        * aux["mlp_w"]
     ).mean(),
     "mean": lambda t, aux: (t.mean(axis=0) * aux["v5"]).mean(),
     # Four voxels of five classes: class 2 is absent from the labels. The
@@ -61,7 +66,7 @@ def _recon(t, norm):
 
 # Probes of one form of an op, named after the form -> the op they call.
 # ``@`` is a linear with no bias.
-PROBE_OPS = {"matmul": "linear", "recon.l1": "recon", "recon.l2": "recon"}
+PROBE_OPS = {"matmul": "linear", "mlp.ln": "mlp", "recon.l1": "recon", "recon.l2": "recon"}
 
 
 def probe_op(kind):
@@ -81,7 +86,8 @@ def probe_aux(rng):
         "cat_w": Tensor(rng.normal(size=(8, 5))),
         "g_w": Tensor(rng.normal(size=(4, 5))),
         **_side_normals(
-            rng, w1=(5, 6), b1=(6,), w2=(2, 3), b2=(3,), mlp_w=(12, 3), **_attention_shapes(5)
+            rng, w1=(5, 6), b1=(6,), w2=(2, 3), b2=(3,), mlp_w=(12, 3), **_attention_shapes(5),
+            gelu_w=(4, 2), ln_g=(5,), ln_b=(5,),
         ),
     }
 
@@ -94,11 +100,12 @@ def _side_normals(rng, **shapes):
     return {name: Tensor(side.normal(size=shape)) for name, shape in shapes.items()}
 
 
-_ATTENTION_OPERANDS = ("x", "wq", "bq", "wk", "wv", "bv")
+_ATTENTION_OPERANDS = ("x", "g", "b", "wq", "bq", "wk", "wv", "bv")
 
 
 def _attention_shapes(dim):
-    # The q, k and v projection parameters of an attention over width dim.
+    # The norm's affine and the q, k and v projection parameters of an
+    # attention over width dim.
     return {f"att_{name}": (dim, dim) if name[0] == "w" else (dim,)
             for name in _ATTENTION_OPERANDS[1:]}
 
@@ -107,26 +114,24 @@ def _attention_params(aux):
     return tuple(aux[f"att_{name}"] for name in _ATTENTION_OPERANDS[1:])
 
 
-def _attention_probe(operand):
-    def probe(t, aux):
-        args = [aux["att_x"], *_attention_params(aux)]
-        args[_ATTENTION_OPERANDS.index(operand)] = t
-        return (apply("attention", tuple(args), {"num_heads": 2}) * aux["att_w"]).mean()
+def _operand_probes(form, kind, operands, x_key, weight, prefix="", attrs=None):
+    """INPUT_PROBES entries ``form.<operand>``, each differentiating one
+    operand of ``kind`` at its input shape; ``operands`` are (name, shape)
+    pairs, x first. The other operands are aux[x_key] and aux[prefix +
+    name], and the output is weighted by aux[weight]."""
+    keys = [x_key] + [prefix + name for name, _ in operands[1:]]
 
-    return probe
+    def probe_of(i):
+        def probe(t, aux):
+            args = [t if j == i else aux[key] for j, key in enumerate(keys)]
+            return (apply(kind, tuple(args), attrs) * aux[weight]).mean()
+
+        return probe
+
+    return {f"{form}.{name}": (probe_of(i), shape) for i, (name, shape) in enumerate(operands)}
 
 
-_MLP_OPERANDS = ("x", "w1", "b1", "w2", "b2")
-
-
-def _mlp_probe(operand):
-    def probe(t, aux):
-        args = [aux["mlp_x"], aux["w1"], aux["b1"], aux["w2"], aux["b2"]]
-        args[_MLP_OPERANDS.index(operand)] = t
-        return (apply("mlp", tuple(args)) * aux["mlp_x_w"]).mean()
-
-    return probe
-
+_MLP_SHAPES = [("w1", (5, 6)), ("b1", (6,)), ("w2", (2, 3)), ("b2", (3,))]
 
 # Probes of one operand at a time, or of a channel-last input: the probes
 # above differentiate only their (4, 5) input. name -> (probe, input shape).
@@ -137,14 +142,19 @@ INPUT_PROBES = {
     ),
     # The weight of a linear with no bias, on a channel-last input.
     "linear.w": (lambda t, aux: ((aux["lin_x"] @ t) * aux["lin_w"]).mean(), (5, 2)),
-    **{
-        f"attention.{o}": (_attention_probe(o), shape)
-        for o, shape in zip(_ATTENTION_OPERANDS, [(6, 4)] + list(_attention_shapes(4).values()))
-    },
-    **{
-        f"mlp.{o}": (_mlp_probe(o), shape)
-        for o, shape in zip(_MLP_OPERANDS, [(2, 3, 2, 5), (5, 6), (6,), (2, 3), (3,)])
-    },
+    **_operand_probes(
+        "attention", "attention",
+        list(zip(_ATTENTION_OPERANDS, [(6, 4), *_attention_shapes(4).values()])),
+        "att_x", "att_w", prefix="att_", attrs={"num_heads": 2},
+    ),
+    **_operand_probes("mlp", "mlp", [("x", (2, 3, 2, 5)), *_MLP_SHAPES], "mlp_x", "mlp_x_w"),
+    **_operand_probes(
+        "mlp.ln", "mlp", [("x", (2, 3, 2, 5)), ("ln_g", (5,)), ("ln_b", (5,)), *_MLP_SHAPES],
+        "mlp_x", "mlp_x_w",
+    ),
+    **_operand_probes(
+        "gelu", "gelu", [("x", (2, 3, 2, 5)), ("w", (5, 2)), ("bias", (2,))], "lin_x", "lin_w"
+    ),
 }
 
 
@@ -156,7 +166,7 @@ def input_probe_aux(rng):
         **{name: Tensor(rng.normal(size=(6, 4))) for name in ("att_x", "att_w")},
         **{name: Tensor(rng.normal(size=(4, 4))) for name in ("att_wq", "att_wk", "att_wv")},
         **_side_normals(rng, mlp_x=(2, 3, 2, 5), mlp_x_w=(36, 3), att_bq=(4,), att_bv=(4,),
-                        lin_x=(2, 3, 2, 5)),
+                        lin_x=(2, 3, 2, 5), att_g=(4,), att_b=(4,)),
     }
 
 
@@ -193,23 +203,22 @@ def finetune_step_peak(seg_cfg, pairs, window, out_dir):
     return peak
 
 
+def _owners(ctx):
+    """The arrays in a VJP context, each as the array that owns its memory:
+    a view stands for its base."""
+    if isinstance(ctx, np.ndarray):
+        while isinstance(ctx.base, np.ndarray):
+            ctx = ctx.base
+        yield ctx
+    elif isinstance(ctx, (tuple, list)):
+        for part in ctx:
+            yield from _owners(part)
+
+
 def context_arrays(graph):
     """The distinct arrays that own the memory of what the nodes of
-    ``graph`` hold as VJP context: a view stands for its base."""
-    owners = {}
-
-    def visit(item):
-        if isinstance(item, np.ndarray):
-            while isinstance(item.base, np.ndarray):
-                item = item.base
-            owners[id(item)] = item
-        elif isinstance(item, (tuple, list)):
-            for part in item:
-                visit(part)
-
-    for node in graph.nodes:
-        visit(node.ctx)
-    return list(owners.values())
+    ``graph`` hold as VJP context."""
+    return list({id(a): a for node in graph.nodes for a in _owners(node.ctx)}.values())
 
 
 def retained_bytes(graph):
@@ -218,24 +227,61 @@ def retained_bytes(graph):
     return sum(a.nbytes for a in context_arrays(graph))
 
 
+def retained_by_kind(graph):
+    """Bytes of VJP context per op kind, each owning array counted once,
+    under the kind of the first node that holds it; the values sum to
+    ``retained_bytes(graph)``."""
+    seen, by_kind = set(), {}
+    for node in graph.nodes:
+        for a in _owners(node.ctx):
+            if id(a) not in seen:
+                seen.add(id(a))
+                by_kind[node.kind] = by_kind.get(node.kind, 0) + a.nbytes
+    return by_kind
+
+
+def layernorm_reference(x, eps=1e-6):
+    """Two-pass numpy layer norm over the last axis: (d, 1 / sqrt(var + eps))."""
+    d = x - x.mean(axis=-1, keepdims=True)
+    inv = 1.0 / np.sqrt((d * d).mean(axis=-1, keepdims=True) + eps)
+    return d * inv, inv
+
+
+def norm_affine_reference(x, ln_g, ln_b):
+    """Numpy pre-norm ``layernorm(x) * ln_g + ln_b`` and its VJP: returns
+    (y, vjp), where vjp(gy) gives (gx, g_ln_g, g_ln_b)."""
+    d, inv = layernorm_reference(x)
+
+    def vjp(gy):
+        gd = gy * ln_g
+        gx = inv * (gd - gd.mean(axis=-1, keepdims=True)
+                    - d * (gd * d).mean(axis=-1, keepdims=True))
+        lead = tuple(range(x.ndim - 1))
+        return gx, (gy * d).sum(axis=lead), gy.sum(axis=lead)
+
+    return d * ln_g + ln_b, vjp
+
+
 def attention_reference(x, params, num_heads, g, bk=None):
     """Numpy copy of the unfused graph the ``attention`` op replaced, the
-    tolerance reference for the op: the q, k and v projections ``x @ w + b``
-    of the op's ``params = (wq, bq, wk, wv, bv)`` and a key bias ``bk``
-    (zeros when None), the heads, scores scaled by 1/sqrt(d), a
-    max-subtracted softmax normalised over (N, N), matmul and the merge,
-    differentiated node by node in reverse for the upstream gradient ``g``,
-    with the softmax term rowsum(dP * P) over (N, N). The op has no key
-    bias, which the softmax cancels, folds the scale into q, keeps a
-    log-sum-exp and takes the softmax term from its output, so the two
-    agree within a tolerance, not bitwise. Returns (out, (gx, gwq, gbq,
-    gwk, gwv, gbv)); the key bias's gradient is analytically zero."""
+    tolerance reference for the op: the pre-norm y = layernorm(x) * ln_g +
+    ln_b, the q, k and v projections ``y @ w + b`` of the op's ``params =
+    (ln_g, ln_b, wq, bq, wk, wv, bv)`` and a key bias ``bk`` (zeros when
+    None), the heads, scores scaled by 1/sqrt(d), a max-subtracted softmax
+    normalised over (N, N), matmul and the merge, differentiated node by
+    node in reverse for the upstream gradient ``g``, with the softmax term
+    rowsum(dP * P) over (N, N). The op has no key bias, which the softmax
+    cancels, folds the scale into q, keeps a log-sum-exp and takes the
+    softmax term from its output, so the two agree within a tolerance, not
+    bitwise. Returns (out, (gx, g_ln_g, g_ln_b, gwq, gbq, gwk, gwv, gbv));
+    the key bias's gradient is analytically zero."""
     n = x.shape[0]
-    wq, bq, wk, wv, bv = params
+    ln_g, ln_b, wq, bq, wk, wv, bv = params
+    y, norm_vjp = norm_affine_reference(x, ln_g, ln_b)
     dim = wq.shape[1]
     d = dim // num_heads
     weights_biases = [(wq, bq), (wk, np.zeros(dim) if bk is None else bk), (wv, bv)]
-    q, k, v = (x @ w + b for w, b in weights_biases)
+    q, k, v = (y @ w + b for w, b in weights_biases)
 
     def heads(a):
         return a.reshape(n, num_heads, d).transpose(1, 0, 2).copy()
@@ -257,9 +303,9 @@ def attention_reference(x, params, num_heads, g, bk=None):
     g_kt = np.matmul(np.swapaxes(qh, -1, -2), g_scores)
     g_kh = np.transpose(g_kt, (0, 2, 1))
     merged = [np.transpose(a, (1, 0, 2)).reshape(n, dim) for a in (g_qh, g_kh, g_vh)]
-    linear = [(gp @ w.T, x.T @ gp, gp.sum(axis=0)) for (w, _), gp in zip(weights_biases, merged)]
-    (gx_q, *grads_q), (gx_k, gwk, _), (gx_v, *grads_v) = linear
-    return out, ((gx_v + gx_k) + gx_q, *grads_q, gwk, *grads_v)
+    linear = [(gp @ w.T, y.T @ gp, gp.sum(axis=0)) for (w, _), gp in zip(weights_biases, merged)]
+    (gy_q, *grads_q), (gy_k, gwk, _), (gy_v, *grads_v) = linear
+    return out, (*norm_vjp((gy_v + gy_k) + gy_q), *grads_q, gwk, *grads_v)
 
 
 def normal_cdf(a):
@@ -285,10 +331,16 @@ def linear_gelu_reference(x, w, b, g):
     return out, ((ga @ w.T).reshape(x.shape), x2.T @ ga, ga.sum(axis=0))
 
 
-def mlp_reference(x, w1, b1, w2, b2, g):
+def mlp_reference(x, w1, b1, w2, b2, g, norm=None):
     """Numpy copy of ``linear(gelu(linear(x, w1, b1)).reshape(-1, h), w2, b2)``
     with w2 of shape (h, K), as whole arrays, differentiated in reverse for
-    the upstream gradient ``g``. Returns (out, (gx, gw1, gb1, gw2, gb2))."""
+    the upstream gradient ``g``. With ``norm = (ln_g, ln_b)`` the rows are
+    first layer-normed and scaled, ``layernorm(x) * ln_g + ln_b``. Returns
+    (out, (gx, [g_ln_g, g_ln_b,] gw1, gb1, gw2, gb2))."""
+    if norm is not None:
+        y, norm_vjp = norm_affine_reference(x, *norm)
+        out, (gy, *grads) = mlp_reference(y, w1, b1, w2, b2, g)
+        return out, (*norm_vjp(gy), *grads)
     h = w2.shape[0]
     g_act = (g @ w2.T).reshape(-1, w1.shape[1])
     act, first = linear_gelu_reference(x, w1, b1, g_act)

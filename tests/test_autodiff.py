@@ -11,6 +11,7 @@ from helpers import (
     _attention_shapes,
     attention_reference,
     input_probe_aux,
+    layernorm_reference,
     linear_gelu_reference,
     mlp_reference,
     probe_aux,
@@ -37,20 +38,20 @@ from vmim.volume import Volume
 
 
 def _attention_case(n, num_heads, dim=64):
-    """Seeded rows, q/k/v projection parameters and an upstream gradient
-    for an attention over n rows of width dim."""
+    """Seeded rows, the norm's affine (about 1 and 0), the q/k/v projection
+    parameters and an upstream gradient for an attention over n rows of
+    width dim."""
     rng = np.random.default_rng(n * 10 + num_heads)
     x = rng.normal(size=(n, dim))
-    params = tuple(
-        rng.normal(size=s) * (dim**-0.5 if len(s) == 2 else 1.0)
-        for s in _attention_shapes(dim).values()
-    )
-    return x, params, rng.normal(size=(n, dim))
+    ln_g, ln_b, *proj = _attention_shapes(dim).values()
+    norm = (1.0 + 0.1 * rng.normal(size=ln_g), 0.1 * rng.normal(size=ln_b))
+    params = tuple(rng.normal(size=s) * (dim**-0.5 if len(s) == 2 else 1.0) for s in proj)
+    return x, norm + params, rng.normal(size=(n, dim))
 
 
 def _attention_through_tape(x, params, g, num_heads):
     """The output of a recorded ``attention`` and the gradients of sum(y * g)
-    with respect to its six operands."""
+    with respect to its eight operands."""
     with Graph() as graph:
         operands = [Tensor(a, requires_grad=True) for a in (x, *params)]
         graph.watch_all(operands)
@@ -65,6 +66,16 @@ def _rel_err(got, want):
     return np.abs(got - want).max() / np.abs(want).max()
 
 
+def _gelu_rows(a):
+    """The gelu op on the values of a 1-D array, as rows of width 1 times a
+    weight of 1 plus a bias of 0: (its pre-activation, its output). The
+    pre-activation is a, except that -0.0 becomes 0.0."""
+    operands = (Tensor(a.reshape(-1, 1)), Tensor(np.ones((1, 1))), Tensor(np.zeros(1)))
+    pre = apply("linear", operands).data[:, 0]
+    assert np.array_equal(pre, a, equal_nan=True)
+    return pre, apply("gelu", operands).data[:, 0]
+
+
 def grad_of(f, x):
     """Analytic gradient of a scalar-valued tensor function at x."""
     with Graph() as g:
@@ -72,6 +83,13 @@ def grad_of(f, x):
         g.watch(xt)
         y = f(xt)
     return backward(g, y)[xt.node_id].data
+
+
+def _wrong_counts(counts):
+    """Every operand count from none to one past the most a kind takes, or
+    to its least for a kind with no limit, that the kind does not take."""
+    top = counts.start if isinstance(counts, range) else max(counts)
+    return [n for n in range(top + 2) if n not in counts]
 
 
 class TestForward:
@@ -86,13 +104,15 @@ class TestForward:
         assert np.array_equal(out, a)
 
     def test_attention_with_equal_scores_averages_values(self):
-        # Zero query projections give every score 0; identity value weights
-        # make the values the rows themselves.
+        # Zero query projections give every score 0; an identity norm affine
+        # and identity value weights make the values the layer-normed rows.
         rng = np.random.default_rng(3)
         x, wk = rng.normal(size=(5, 6)), rng.normal(size=(6, 6))
-        params = (np.zeros((6, 6)), np.zeros(6), wk, np.eye(6), np.zeros(6))
+        norm = (np.ones(6), np.zeros(6))
+        params = (*norm, np.zeros((6, 6)), np.zeros(6), wk, np.eye(6), np.zeros(6))
         out = apply("attention", tuple(Tensor(a) for a in (x, *params)), {"num_heads": 2})
-        assert np.abs(out.data - x.mean(axis=0)).max() <= 1e-12
+        normed, _ = layernorm_reference(x)
+        assert np.abs(out.data - normed.mean(axis=0)).max() <= 1e-12
 
     def test_attention_weights_sum_to_one_and_are_shift_invariant(self):
         # Values that are all 1 come out as 1. A key bias shifts each query's
@@ -101,15 +121,15 @@ class TestForward:
         rng = np.random.default_rng(3)
         x = rng.normal(size=(5, 8))
         wq, wk, wv = rng.normal(size=(3, 8, 8))
-        bq, bk, bv = rng.normal(size=(3, 8))
+        bq, bk, bv, ln_g, ln_b = rng.normal(size=(5, 8))
 
         def attend(*params):
             operands = tuple(Tensor(a) for a in (x, *params))
             return apply("attention", operands, {"num_heads": 4}).data
 
-        ones = attend(wq, bq, wk, np.zeros((8, 8)), np.ones(8))
+        ones = attend(ln_g, ln_b, wq, bq, wk, np.zeros((8, 8)), np.ones(8))
         assert np.abs(ones - 1.0).max() <= 1e-12
-        params = (wq, bq, wk, wv, bv)
+        params = (ln_g, ln_b, wq, bq, wk, wv, bv)
         out, _ = attention_reference(x, params, 4, np.zeros((5, 8)), bk=bk * 3)
         assert _rel_err(attend(*params), out) <= 1e-14
 
@@ -119,8 +139,11 @@ class TestForward:
         # 70 (4 heads run in groups of 3 and 1) and the full 216. The kernel
         # computes the softmax in another order than the unfused graph, so
         # the output, the leaf gradients and their column sums are compared
-        # relative to each array's largest entry: 1.6e-15 and 5e-15 were
-        # measured.
+        # relative to each array's largest entry: 1.6e-15 and 6.9e-15 were
+        # measured. The norm's g gradient is itself a column sum whose total
+        # cancels (5.7 against entries up to 14.6 at 216 rows, 4 heads), so
+        # its total is compared relative to the sum of its entries' sizes
+        # (7.2e-16 measured).
         for n in (7, 54, 70, 216):
             x, params, g = _attention_case(n, num_heads)
             out, grads = attention_reference(x, params, num_heads, g)
@@ -128,7 +151,11 @@ class TestForward:
             assert _rel_err(y, out) <= 1e-14, n
             for name, a, want in zip(helpers._ATTENTION_OPERANDS, got, grads):
                 assert _rel_err(a, want) <= 1e-14, (n, name)
-                assert _rel_err(a.sum(axis=0), want.sum(axis=0)) <= 1e-14, (n, name)
+                total, want_total = a.sum(axis=0), want.sum(axis=0)
+                if name == "g":
+                    assert abs(total - want_total) <= 1e-14 * np.abs(want).sum(), n
+                else:
+                    assert _rel_err(total, want_total) <= 1e-14, (n, name)
 
     @pytest.mark.parametrize("n", [54, 216])
     def test_attention_with_scores_beyond_exp_range(self, n):
@@ -137,17 +164,19 @@ class TestForward:
         # largest score m, as l >= 1, so the forward's S - m and the VJP's
         # S - L are <= 0 up to the rounding of the VJP's score GEMM. Rounding
         # a score of that size moves it by up to 2e-13 in either kernel, so
-        # the gradients get a bound of 1e-13 (3.9e-14 measured); the outputs
+        # the gradients get a bound of 1e-13 (2.2e-14 measured); the outputs
         # keep 1e-14 (2e-16 measured). With fewer keys than these sizes
         # (7 rows, one head) the rows are one-hot, and the q and k gradients
         # are rounding noise in both kernels, so they are left out.
         x, params, g = _attention_case(n, 4)
-        params = tuple(p * 12.0 if i < 3 else p for i, p in enumerate(params))
-        q, k, _ = autodiff._attention_heads(x, *params, 4, spare=0)
+        params = tuple(p * 12.5 if 2 <= i < 5 else p for i, p in enumerate(params))
+        _, y = autodiff._norm_affine(x, *params[:2], {})
+        q, k, _ = autodiff._attention_heads(y, *params[2:], 4, spare=0)
         scores = np.matmul(q, k)
         assert 1e3 <= np.abs(scores).max() <= 2e3
         _, ctx = autodiff._REGISTRY["attention"].forward([x, *params], {"num_heads": 4})
-        assert (ctx[6] >= scores.max(axis=-1, keepdims=True)).all()
+        lse = ctx[-2]
+        assert lse.shape == (4, n, 1) and (lse >= scores.max(axis=-1, keepdims=True)).all()
         out, grads = attention_reference(x, params, 4, g)
         y, got = _attention_through_tape(x, params, g, 4)
         assert np.isfinite(y).all() and all(np.isfinite(a).all() for a in got)
@@ -177,7 +206,7 @@ class TestForward:
         with Graph() as graph:
             xwb = [Tensor(a, requires_grad=True) for a in (x, w, b)]
             graph.watch_all(xwb)
-            y = apply("gelu", (apply("linear", tuple(xwb)),))
+            y = apply("gelu", tuple(xwb))
             loss = weighted_total(y, g)
         got = backward(graph, loss)
         assert y.data.tobytes() == out.tobytes()
@@ -193,11 +222,11 @@ class TestForward:
         x = np.abs(np.random.default_rng(5).normal(size=spread.size) * spread)
         root2 = np.sqrt(2.0)
         x = np.concatenate([x, [0.0, 1.0, root2, np.nextafter(root2, 2.0), 1e300, np.inf]])
-        pos, neg = (apply("gelu", (Tensor(v),)).data for v in (x, -x))
+        (pre_pos, pos), (pre_neg, neg) = _gelu_rows(x), _gelu_rows(-x)
         cdf_pos, cdf_neg = helpers.normal_cdf(x), helpers.normal_cdf(-x)
         with np.errstate(over="ignore", invalid="ignore"):
-            assert pos.tobytes() == (x * cdf_pos).tobytes()
-            assert neg.tobytes() == (-x * cdf_neg).tobytes()
+            assert pos.tobytes() == (pre_pos * helpers.normal_cdf(pre_pos)).tobytes()
+            assert neg.tobytes() == (pre_neg * helpers.normal_cdf(pre_neg)).tobytes()
             tail = x * x > 2.0
         assert tail.any() and (~tail).any()
         assert cdf_pos[tail].tobytes() == (1.0 - cdf_neg[tail]).tobytes()
@@ -243,13 +272,13 @@ class TestForward:
         assert np.array_equal(cdf[10:13], [0.0] * 3)
         assert np.isnan(cdf[13])
         # gelu(inf) = inf and gelu(-inf) = -inf * 0, as with scipy's erf.
-        y = apply("gelu", (Tensor([np.inf, -np.inf, np.nan]),)).data
+        _, y = _gelu_rows(np.array([np.inf, -np.inf, np.nan]))
         assert y[0] == np.inf and np.isnan(y[1]) and np.isnan(y[2])
 
     def test_linear_gelu_hand_values(self):
         # gelu(1) = Phi(1); gelu(0) = 0; gelu(a) = a for large a, 0 for very negative a.
         xwb = (Tensor(np.eye(3)), Tensor(np.eye(3)), Tensor([0.0, 40.0, -40.0]))
-        y = apply("gelu", (apply("linear", xwb),))
+        y = apply("gelu", xwb)
         assert abs(y.data[0, 0] - 0.8413447460685429) <= 1e-15
         assert np.array_equal(y.data[1:, 0], [0.0, 0.0])
         assert np.array_equal(y.data[:, 1], [40.0, 41.0, 40.0])
@@ -258,42 +287,70 @@ class TestForward:
     def test_fused_ops_reject_bad_shapes(self):
         x = Tensor(np.zeros((4, 6)))
         w, b = Tensor(np.zeros((6, 6))), Tensor(np.zeros(6))
-        params = (w, b, w, w, b)
+        params = (b, b, w, b, w, w, b)
         with pytest.raises(ShapeMismatchError, match=r"attention.*x must be \(N, C\)"):
             apply("attention", (Tensor(np.zeros((2, 4, 6))), *params), {"num_heads": 2})
-        with pytest.raises(ShapeMismatchError, match=r"linear.*\(4, 6\).*\(5, 2\)"):
-            apply("linear", (x, Tensor(np.zeros((5, 2))), Tensor(np.zeros(2))))
-        with pytest.raises(ShapeMismatchError, match="linear.*bias"):
-            apply("linear", (x, Tensor(np.zeros((6, 2))), Tensor(np.zeros(3))))
+        for kind in ("linear", "gelu"):
+            with pytest.raises(ShapeMismatchError, match=rf"{kind}.*\(4, 6\).*\(5, 2\)"):
+                apply(kind, (x, Tensor(np.zeros((5, 2))), Tensor(np.zeros(2))))
+            with pytest.raises(ShapeMismatchError, match=f"{kind}.*bias"):
+                apply(kind, (x, Tensor(np.zeros((6, 2))), Tensor(np.zeros(3))))
         b2 = Tensor(np.zeros(2))
         for operands in [(x,), (x, Tensor(np.zeros((6, 2))), b2, b2)]:
-            with pytest.raises(ShapeMismatchError, match=r"linear: operand count \d, expected 2 to 3$"):
+            pattern = r"linear: operand count \d, expected 2 or 3$"
+            with pytest.raises(ShapeMismatchError, match=pattern):
                 apply("linear", operands)
+
+    @pytest.mark.parametrize("kind", ["attention", "mlp"])
+    @pytest.mark.parametrize("which", [1, 2], ids=["g", "b"])
+    def test_pre_norm_rejects_a_bad_affine(self, kind, which):
+        # The norm's g and b must each be one value per column of x.
+        x = np.zeros((4, 6))
+        if kind == "attention":
+            shapes = [(4, 6), (6,), (6,), (6, 6), (6,), (6, 6), (6, 6), (6,)]
+        else:
+            shapes = [(4, 6), (6,), (6,), (6, 8), (8,), (4, 3), (3,)]
+        shapes[which] = (5,)
+        name = "gb"[which - 1]
+        operands = tuple(Tensor(x if i == 0 else np.zeros(s)) for i, s in enumerate(shapes))
+        pattern = rf"^{kind}: norm {name} \(5,\) incompatible with x \(4, 6\)$"
+        with pytest.raises(ShapeMismatchError, match=pattern):
+            apply(kind, operands, {"num_heads": 2})
 
     @pytest.mark.parametrize(
         "n, c, hidden, h, k", [(9, 16, 64, 64, 16), (27, 5, 16, 2, 3)], ids=["dense", "split-rows"]
     )
     def test_single_block_mlp_matches_linear_gelu_then_linear_bitwise(self, n, c, hidden, h, k):
+        # Both forms: the pre-norm one rounds as layernorm, mul and add
+        # nodes before them.
         assert n * hidden <= autodiff._MLP_BLOCK
         rng = np.random.default_rng(n)
         arrays = [rng.normal(size=s) for s in ((n, c), (c, hidden), (hidden,), (h, k), (k,))]
+        norm = [rng.normal(size=c) for _ in range(2)]
         g = rng.normal(size=(n * hidden // h, k))
 
-        def value_and_grads(fused):
+        def value_and_grads(fused, normed):
             with Graph() as graph:
-                ts = [Tensor(a, requires_grad=True) for a in arrays]
+                ts = [Tensor(a, requires_grad=True) for a in arrays[:1] + norm + arrays[1:]]
+                if not normed:
+                    ts[1:3] = []
                 graph.watch_all(ts)
                 if fused:
                     y = apply("mlp", tuple(ts))
                 else:
-                    act = apply("gelu", (apply("linear", tuple(ts[:3])),))
+                    x, *dense = ts
+                    if normed:
+                        ln_g, ln_b, *dense = dense
+                        x = apply("layernorm", (x,), {"eps": 1e-6}) * ln_g + ln_b
+                    act = apply("gelu", (x, *dense[:2]))
                     act = act.reshape((n * hidden // h, h))
-                    y = apply("linear", (act, ts[3], ts[4]))
+                    y = apply("linear", (act, *dense[2:]))
                 loss = weighted_total(y, g)
             grads = backward(graph, loss)
             return [y.data.tobytes()] + [grads[t.node_id].data.tobytes() for t in ts]
 
-        assert value_and_grads(True) == value_and_grads(False)
+        for normed in (False, True):
+            assert value_and_grads(True, normed) == value_and_grads(False, normed), normed
 
     def test_ragged_multi_block_mlp_matches_reference(self):
         # Three full row blocks and 7 rows; each row's 128 hidden units are
@@ -302,17 +359,19 @@ class TestForward:
         n = 3 * (autodiff._MLP_BLOCK // hidden) + 7
         rng = np.random.default_rng(10)
         arrays = [rng.normal(size=s) for s in ((n, 6), (6, hidden), (hidden,), (h, k), (k,))]
+        norm = (1.0 + 0.1 * rng.normal(size=6), 0.1 * rng.normal(size=6))
         g = rng.normal(size=(8 * n, k))
-        out, expected = mlp_reference(*arrays, g)
-        with Graph() as graph:
-            ts = [Tensor(a, requires_grad=True) for a in arrays]
-            graph.watch_all(ts)
-            y = apply("mlp", tuple(ts))
-            loss = weighted_total(y, g)
-        grads = backward(graph, loss)
-        assert y.shape == out.shape
-        for got, ref in zip([y.data] + [grads[t.node_id].data for t in ts], (out,) + expected):
-            assert np.abs(got - ref).max() <= 1e-12 * np.abs(ref).max()
+        for pre in (None, norm):
+            out, expected = mlp_reference(*arrays, g, norm=pre)
+            with Graph() as graph:
+                ts = [Tensor(a, requires_grad=True) for a in [arrays[0], *(pre or ()), *arrays[1:]]]
+                graph.watch_all(ts)
+                y = apply("mlp", tuple(ts))
+                loss = weighted_total(y, g)
+            grads = backward(graph, loss)
+            assert y.shape == out.shape
+            for got, ref in zip([y.data] + [grads[t.node_id].data for t in ts], (out, *expected)):
+                assert np.abs(got - ref).max() <= 1e-12 * np.abs(ref).max()
 
     @pytest.mark.parametrize(
         "bad, heads, pattern",
@@ -321,8 +380,8 @@ class TestForward:
             ({"wk": (5, 6)}, 2, r"attention: x \(4, 6\) incompatible with wk \(5, 6\)"),
             ({"wv": (6, 4), "bv": (4,)}, 2, r"attention: wv \(6, 4\) differs from wq \(6, 6\)"),
             ({"bq": (5,)}, 2, r"attention: bq \(5,\) incompatible with wq \(6, 6\)"),
-            # A key bias as a seventh operand, as the op once took.
-            ({"bk": (6,)}, 2, r"attention: operand count 7, expected 6$"),
+            # A key bias as a ninth operand, as the op once took.
+            ({"bk": (6,)}, 2, r"attention: operand count 9, expected 8$"),
             ({"bv": (4,)}, 2, r"attention: bv \(4,\) incompatible with wv \(6, 6\)"),
             ({}, 4, r"attention: dim 6 does not split into 4 heads"),
         ],
@@ -374,10 +433,11 @@ class TestForward:
             g.watch(a)
             g.watch(b)
             xwb = (a * b + a, b.permute((1, 0)), Tensor(np.ones(3)))
-            h = apply("gelu", (apply("linear", xwb),))
+            h = apply("gelu", xwb)
             w, bias = b.permute((1, 0)) @ h @ b, a.mean(axis=0)
-            qkv = (w, bias, w, w, bias)
-            loss = (apply("attention", (a, *qkv), {"num_heads": 2}) * b).mean()
+            params = (bias, bias, w, bias, w, w, bias)
+            loss = (apply("attention", (a, *params), {"num_heads": 2}) * b).mean()
+            loss = loss + apply("mlp", (a, bias, bias, w, bias, w, bias)).mean()
         backward(g, loss)
         assert (a.data.tobytes(), b.data.tobytes()) == before
 
@@ -399,14 +459,29 @@ class TestForward:
     @pytest.mark.parametrize("kind, count", [
         pytest.param(kind, n, id=f"{kind}-{n}")
         for kind, op in autodiff._REGISTRY.items()
-        for n in (op.fewest - 1, op.most and op.most + 1)
-        if n is not None
+        for n in _wrong_counts(op.counts)
     ])
-    def test_wrong_operand_count_names_the_kind(self, kind, count):
-        # One operand too few, and one too many where the kind has a limit.
-        operands = tuple(Tensor(np.zeros((2, 2))) for _ in range(count))
-        with pytest.raises(ShapeMismatchError, match=rf"^{kind}: operand count {count}, expected "):
-            apply(kind, operands)
+    def test_wrong_operand_count_names_the_kind(self, kind, count, monkeypatch):
+        # Every count from none to one past the most a kind takes (to one
+        # past the least for concat, which has no limit), including the 6
+        # between mlp's two forms, fails before a kernel runs, recorded or
+        # not.
+        op = autodiff._REGISTRY[kind]
+
+        def kernel(arrays, attrs):
+            raise AssertionError(f"{kind} ran a kernel on {len(arrays)} operands")
+
+        monkeypatch.setattr(op, "forward", kernel)
+        monkeypatch.setattr(op, "run", kernel)
+        pattern = rf"^{kind}: operand count {count}, expected "
+        for graph in (None, Graph()):
+            operands = tuple(Tensor(np.zeros((2, 2)), requires_grad=True) for _ in range(count))
+            with pytest.raises(ShapeMismatchError, match=pattern):
+                if graph is None:
+                    apply(kind, operands)
+                else:
+                    with graph:
+                        apply(kind, operands)
 
 
 class TestBackward:
@@ -657,28 +732,36 @@ class TestUnrecordedForward:
             # Mixed signs on both sides of the normal CDF's |a| = sqrt(2) branch.
             assert (a > np.sqrt(2.0)).any() and (a < -np.sqrt(2.0)).any()
             assert (np.abs(a) < np.sqrt(2.0)).any()
-        outs = _three_modes(kind, [a])
+        # Rows of width 1 times a weight of 1: the pre-activation is a.
+        outs = _three_modes(kind, [a.reshape(-1, 1), np.ones((1, 1)), np.zeros(1)])
         assert outs[0].size == size
         assert outs[0].tobytes() == outs[1].tobytes() == outs[2].tobytes()
 
     def test_unrecorded_gelu_ops_allocate_little_beyond_the_output(self):
         # 1M-element output: a recorded node also holds a full-size CDF; an
-        # unrecorded one only a block.
-        operands = (Tensor(np.random.default_rng(0).normal(size=(8192, 128))),)
+        # unrecorded one only a block, and GELU runs in place over the
+        # dense layer's output. The pre-activations are of unit scale, as a
+        # standard normal input's: the share of each block that takes the
+        # CDF's erfc form sets the size of its temporaries.
+        rng = np.random.default_rng(0)
+        shapes_scales = (((8192, 16), 1.0), ((16, 128), 0.25), ((128,), 0.0))
+        operands = tuple(Tensor(rng.normal(size=s) * c) for s, c in shapes_scales)
         out, peak = traced_peak(lambda: apply("gelu", operands))
         assert out.size == 1 << 20
         assert peak <= 1.1 * out.data.nbytes, f"peak {peak / out.data.nbytes:.2f}x the output"
 
     def test_mlp_is_bitwise_equal_across_blocks(self):
-        # A ragged multi-block call, unrecorded, recorded and under a
-        # graph with no grad operand.
+        # A ragged multi-block call of each form, unrecorded, recorded and
+        # under a graph with no grad operand.
         hidden = 64
         n = 2 * (autodiff._MLP_BLOCK // hidden) + 5
         rng = np.random.default_rng(4)
         arrays = [rng.normal(size=s) for s in ((n, 3), (3, hidden), (hidden,), (8, 2), (2,))]
-        outs = _three_modes("mlp", arrays)
-        assert outs[0].shape == (8 * n, 2)
-        assert outs[0].tobytes() == outs[1].tobytes() == outs[2].tobytes()
+        norm = [rng.normal(size=3) for _ in range(2)]
+        for operands in (arrays, arrays[:1] + norm + arrays[1:]):
+            outs = _three_modes("mlp", operands)
+            assert outs[0].shape == (8 * n, 2)
+            assert outs[0].tobytes() == outs[1].tobytes() == outs[2].tobytes()
 
     @pytest.mark.parametrize(
         "kind, shapes, bound",
@@ -708,10 +791,12 @@ class TestDeterminism:
             w = Tensor(w0, requires_grad=True)
             g.watch(x)
             g.watch(w)
-            h = apply("gelu", (apply("linear", (x, w, Tensor(x0[0]))),))
-            h = apply("layernorm", (h,), {"eps": 1e-6})
-            qkv = (w, Tensor(x0[1]), w.permute((1, 0)), w, Tensor(x0[3]))
-            loss = (apply("attention", (h, *qkv), {"num_heads": 4}) * Tensor(x0)).mean()
+            h = apply("gelu", (x, w, Tensor(x0[0])))
+            params = (Tensor(x0[4]), Tensor(x0[5]), w, Tensor(x0[1]), w.permute((1, 0)), w,
+                      Tensor(x0[3]))
+            h = apply("attention", (h, *params), {"num_heads": 4})
+            h = apply("mlp", (h, *params[:4], w, Tensor(x0[2])))
+            loss = (h * Tensor(x0)).mean()
         grads = backward(g, loss)
         return loss.data.tobytes(), grads[x.node_id].data.tobytes(), grads[w.node_id].data.tobytes()
 

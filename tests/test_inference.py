@@ -337,11 +337,12 @@ def _assert_match_reference_with_key_bias(calls, path):
     params, _ = load_checkpoint(path)
     blocks = {name[:-4]: p.data for name, p in params.items() if name.endswith(".q.w")}
     assert calls
-    for (x, wq, *rest), heads, out in calls:
+    for (x, *rest), heads, out in calls:
+        wq = rest[2]
         (block,) = [b for b, w in blocks.items() if np.array_equal(w, wq)]
         bk = params[f"{block}.k.b"].data
         assert np.abs(bk).min() > 0
-        want, _ = attention_reference(x, (wq, *rest), heads, np.zeros_like(out), bk=bk)
+        want, _ = attention_reference(x, rest, heads, np.zeros_like(out), bk=bk)
         assert np.abs(out - want).max() <= 1e-14 * np.abs(want).max(), block
 
 
