@@ -30,7 +30,9 @@ VJP cannot rebuild in one cheap pass:
 - ``mlp(x, w1, b1, w2, b2)``: dense, GELU, dense; ``mlp(x, g, b, w1, b1,
   w2, b2)`` is the same after that pre-norm, keeping the layernorm output,
   not the normed rows. It works in cache-sized row blocks, never writes
-  its GELU output in full and keeps no pre-activation.
+  its GELU output in full and keeps no pre-activation. The plain form
+  keeps its GELU CDF; the pre-norm form, the transformer MLP, recomputes
+  that too in its VJP, so it keeps nothing of its hidden width.
 - ``gelu(x, w, b)``: GELU(x @ w + b), keeping its operands and CDF, not
   the pre-activation.
 
@@ -710,11 +712,12 @@ def _normal_cdf(a, out, t, d):
 
 def _gelu(a, out, cdf=None):
     # Writes gelu(a) = a * Phi(a) into out, which may be a itself, as in
-    # mlp's blocks: each block reads a before it writes out. A recorded node
-    # passes a full-size cdf, kept for the VJP, which then needs only exp for
-    # the pdf; an unrecorded one works in a single block-sized buffer. The
-    # |a| <= sqrt 2 form overflows to inf / inf beyond |a| of about 1e61,
-    # where the erfc form replaces it, so those warnings are silenced.
+    # mlp's blocks: each block reads a before it writes out. A node that
+    # keeps its CDF for the VJP, which then needs only exp for the pdf,
+    # passes a full-size cdf, and the pre-norm mlp's VJP passes a block's to
+    # recompute it; without cdf the CDF goes to a single block-sized buffer.
+    # The |a| <= sqrt 2 form overflows to inf / inf beyond |a| of about
+    # 1e61, where the erfc form replaces it, so those warnings are silenced.
     flat_a, flat_out = a.reshape(-1), out.reshape(-1)
     size = min(flat_a.size, _BLOCK)
     t, d = np.empty(size), np.empty(size)
@@ -812,15 +815,16 @@ def _mlp_pre(x2, w1, b1, rows, out):
     out += b1
 
 
-def _mlp(arrays, record):
+def _mlp(arrays, keep_cdf):
     # gelu(x @ w1 + b1).reshape(-1, h) @ w2 + b2 with w2 of shape (h, K), one
     # row block at a time. Each block's pre-activation goes to a block-sized
-    # buffer, and GELU runs in place over it. A recorded node keeps only the
-    # full CDF for the VJP, which recomputes the pre-activation from x; an
-    # unrecorded one keeps nothing full-size. The second GEMM is
-    # row-major, the same call as linear's, so a one-block call rounds as
-    # linear, gelu and linear on any BLAS. Split into blocks it differs from
-    # the whole-array product by about 1e-16 relative; the class-major
+    # buffer, and GELU runs in place over it. With keep_cdf the full CDF is
+    # also returned, for a VJP that would rather keep it than recompute it;
+    # otherwise the CDF too stays block-sized, and the call is the same
+    # whether its node is recorded or not. The second GEMM is row-major,
+    # the same call as linear's, so a one-block call rounds as linear, gelu
+    # and linear on any BLAS. Split into blocks it differs from the
+    # whole-array product by about 1e-16 relative; the class-major
     # w2.T @ act.T, bitwise equal to it on some BLAS builds, was no faster.
     x, w1, b1, w2, b2 = arrays
     _check_mlp(x, w1, b1, w2, b2)
@@ -828,15 +832,15 @@ def _mlp(arrays, record):
     n, hidden = x2.shape[0], w1.shape[1]
     h, k = w2.shape
     out = np.empty((n * hidden // h, k))
-    cdf = np.empty((n, hidden)) if record else None
+    cdf = np.empty((n, hidden)) if keep_cdf else None
     pre_buf = _mlp_buffer(x2, w1)
     for rows, cols in _mlp_blocks(x2, w1, w2):
         pre = pre_buf[: rows.stop - rows.start]
         _mlp_pre(x2, w1, b1, rows, pre)
-        _gelu(pre, pre, cdf[rows] if record else None)
+        _gelu(pre, pre, cdf[rows] if keep_cdf else None)
         np.matmul(pre.reshape(-1, h), w2, out=out[cols])
         out[cols] += b2
-    return out, ((x, w1, b1, w2, cdf) if record else None)
+    return out, cdf
 
 
 def _mlp_input(arrays, attrs):
@@ -853,42 +857,58 @@ def _mlp_input(arrays, attrs):
 
 
 def _fwd_mlp(arrays, attrs):
+    # The plain form keeps (x, w1, b1, w2, cdf): its large user is the
+    # segmenter's full-resolution tail, whose CDF is much of a fine-tuning
+    # step's time, so recomputing it there would cost more than it saves.
+    # The pre-norm form, the transformer MLP, keeps (d, inv, g, b, w1, b1,
+    # w2): its VJP recomputes the CDF too, so the node holds nothing of the
+    # hidden width.
     dense, norm = _mlp_input(arrays, attrs)
-    out, ctx = _mlp(dense, record=True)
-    return out, (ctx if norm is None else (*norm, *ctx[1:]))
+    out, cdf = _mlp(dense, keep_cdf=norm is None)
+    return out, ((*dense[:4], cdf) if norm is None else (*norm, *dense[1:4]))
 
 
 def _run_mlp(arrays, attrs):
-    return _mlp(_mlp_input(arrays, attrs)[0], record=False)[0]
+    return _mlp(_mlp_input(arrays, attrs)[0], keep_cdf=False)[0]
 
 
 def _vjp_mlp(ctx, g):
-    # The pre-norm form rebuilds its rows y from the norm's context, runs
-    # the dense layers' VJP on them, then the norm's.
-    *norm, w1, b1, w2, cdf = ctx
-    if len(norm) == 1:
-        return _vjp_dense_mlp(norm[0], w1, b1, w2, cdf, g)
-    gy, *grads = _vjp_dense_mlp(_affine(norm), w1, b1, w2, cdf, g)
+    # The plain form's context is (x, w1, b1, w2, cdf). The pre-norm form
+    # rebuilds its rows y from the norm's context, runs the dense layers'
+    # VJP on them with no CDF, then the norm's.
+    if len(ctx) == 5:
+        return _vjp_dense_mlp(*ctx, g)
+    *norm, w1, b1, w2 = ctx
+    gy, *grads = _vjp_dense_mlp(_affine(norm), w1, b1, w2, None, g)
     return (*_vjp_norm_affine(norm, gy), *grads)
 
 
 def _vjp_dense_mlp(x, w1, b1, w2, cdf, g):
     # Per row block: the pre-activation recomputed into a block-sized buffer
-    # by the forward's own call, the GELU output as pre * cdf (bitwise what
-    # _gelu wrote), the second layer's gradients, the GELU gradient in place
+    # by the forward's own call; the GELU output as pre * cdf, with the
+    # block's CDF taken from cdf or, when cdf is None, recomputed by the
+    # forward's _gelu into a block-sized buffer (both bitwise what the
+    # forward had); the second layer's gradients, the GELU gradient in place
     # over the CDF, then the first layer's. The first block assigns each
     # weight gradient, so a one-block call rounds as linear, gelu and linear.
     x2 = x.reshape(-1, x.shape[-1])
     h = w2.shape[0]
     gx = np.empty_like(x2)
     pre_buf = _mlp_buffer(x2, w1)
+    cdf_buf = _mlp_buffer(x2, w1) if cdf is None else None
     grads = [None] * 4
     for rows, cols in _mlp_blocks(x2, w1, w2):
         pre, g_out = pre_buf[: rows.stop - rows.start], g[cols]
         _mlp_pre(x2, w1, b1, rows, pre)
-        act = (pre * cdf[rows]).reshape(-1, h)
+        if cdf is None:
+            c, act = cdf_buf[: len(pre)], np.empty_like(pre)
+            _gelu(pre, act, c)
+        else:
+            c = cdf[rows]
+            act = pre * c
+        act = act.reshape(-1, h)
         g_act = (g_out @ w2.T).reshape(pre.shape)
-        g_pre = _gelu_grad(pre, cdf[rows], g_act)
+        g_pre = _gelu_grad(pre, c, g_act)
         np.matmul(g_pre, w1.T, out=gx[rows])
         parts = (x2[rows].T @ g_pre, g_pre.sum(axis=0), act.T @ g_out, g_out.sum(axis=0))
         for i, part in enumerate(parts):

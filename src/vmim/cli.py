@@ -23,6 +23,7 @@ from .train import finetune, pretrain
 from .volume import (
     LabelVolume,
     Volume,
+    check_pair,
     load_labels,
     load_volume,
     save_labels,
@@ -42,10 +43,12 @@ def _load_labeled(directory: str) -> list[tuple[Volume, LabelVolume]]:
     names = sorted(f for f in os.listdir(directory) if f.endswith(".vol"))
     pairs = []
     for n in names:
-        lab = os.path.join(directory, n[: -len(".vol")] + ".lab")
+        vol, lab = os.path.join(directory, n), os.path.join(directory, n[: -len(".vol")] + ".lab")
         if not os.path.exists(lab):
             raise FileNotFoundError(f"no label file for {n} in {directory}")
-        pairs.append((load_volume(os.path.join(directory, n)), load_labels(lab)))
+        pair = (load_volume(vol), load_labels(lab))
+        check_pair(*pair, f"{vol} and {lab}")
+        pairs.append(pair)
     if not pairs:
         raise FileNotFoundError(f"no labeled volume pairs in {directory}")
     return pairs
@@ -79,6 +82,8 @@ def _write_manifest(
 # ---------------------------------------------------------------------------
 
 def _cmd_synth(args) -> int:
+    if args.count < 1:
+        raise ConfigError(f"--count must be at least 1, got {args.count}")
     out = args.out
     os.makedirs(out, exist_ok=True)
     config = {

@@ -62,7 +62,7 @@ from .models import (
 from .optim import OptState, adamw_step, clip_grad_norm, lr_at
 from .patches import PatchGrid, check_mask_at_window, sample_mask
 from .rng import Rng
-from .volume import LabelVolume, Volume
+from .volume import LabelVolume, Volume, check_pair
 
 PRETRAIN_METHODS = ("mae", "simmim", "simclr")
 
@@ -397,14 +397,19 @@ def finetune(
 
     checkpoint_params None trains from scratch (the supervised baseline).
     Validation Dice is recorded every eval cadence and at the final epoch.
-    Raises ValueError, naming the key, at set-up when train.window or
-    swi.window splits no whole token patches, and NonFiniteError, naming
-    the step, when the loss or a gradient turns non-finite.
+    Raises VolumeIOError, naming the set and the pair index, when a pair's
+    label extents differ from its volume's; ValueError, naming the key, at
+    set-up when train.window or swi.window splits no whole token patches;
+    and NonFiniteError, naming the step, when the loss or a gradient turns
+    non-finite.
 
     Sets the process-wide malloc policy of _keep_freed_heap_mapped.
     """
     if not train_set:
         raise ValueError("labeled training set is empty")
+    for set_name, pairs in (("train_set", train_set), ("val_set", val_set)):
+        for i, pair in enumerate(pairs):
+            check_pair(*pair, f"{set_name} pair {i}")
     vit = seg_cfg.vit
     check_window(train_cfg.window, vit.token_patch)
     swi_cfg = swi_cfg or build("swi", DEFAULTS, window=train_cfg.window)

@@ -98,6 +98,16 @@ class LabelVolume:
         self.data = data.astype(np.uint16, copy=False)
 
 
+def check_pair(volume: Volume, labels: LabelVolume, name: str) -> None:
+    """Raise VolumeIOError, naming the pair ``name``, when the label map's
+    extents differ from the volume's."""
+    if labels.data.shape != volume.extents:
+        raise VolumeIOError(
+            f"{name}: label extents {labels.data.shape} differ from volume extents "
+            f"{volume.extents}"
+        )
+
+
 # ---------------------------------------------------------------------------
 # key = value sidecar format
 # ---------------------------------------------------------------------------

@@ -8,7 +8,7 @@ import numpy as np
 
 from vmim import autodiff
 from vmim.autodiff import Tensor, apply
-from vmim.train import TrainConfig, finetune
+from vmim.train import TrainConfig, finetune, pretrain
 
 DIFFERENTIABLE_PROBES = {
     "add": lambda t, aux: (t + aux["b"]).mean(),
@@ -200,6 +200,15 @@ def finetune_step_peak(seg_cfg, pairs, window, out_dir):
     all of ``pairs``, allocates under tracemalloc."""
     cfg = TrainConfig(batch_size=len(pairs), warmup_epochs=0, total_epochs=1, window=window)
     _, peak = traced_peak(lambda: finetune(None, seg_cfg, cfg, pairs, [], out_dir))
+    return peak
+
+
+def pretrain_step_peak(method, vit_cfg, volumes, window, out_dir):
+    """Peak bytes that a pretrain() of one step, on a batch of all of
+    ``volumes``, allocates under tracemalloc; the heads take their
+    defaults."""
+    cfg = TrainConfig(batch_size=len(volumes), warmup_epochs=0, total_epochs=1, window=window)
+    _, peak = traced_peak(lambda: pretrain(method, vit_cfg, cfg, volumes, out_dir))
     return peak
 
 

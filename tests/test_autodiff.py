@@ -373,6 +373,53 @@ class TestForward:
             for got, ref in zip([y.data] + [grads[t.node_id].data for t in ts], (out, *expected)):
                 assert np.abs(got - ref).max() <= 1e-12 * np.abs(ref).max()
 
+    def test_two_block_pre_norm_mlp_recomputes_its_cdf_bitwise(self):
+        # A full row block and a ragged one of 7 rows, with most
+        # pre-activations past the normal CDF's |a| = sqrt(2) branch, in
+        # both blocks. The node keeps no CDF: its VJP recomputes each
+        # block's. It matches, bitwise in value and in all seven gradients,
+        # the unfused graph of layernorm, mul and add nodes, then per row
+        # block gather_rows, gelu, reshape and linear nodes and one concat:
+        # the per-block weight gradients of two blocks sum in either order
+        # to the same bits. It is also bitwise equal in all three modes.
+        hidden, h, k, c = 128, 16, 3, 6
+        per = autodiff._MLP_BLOCK // hidden
+        n = per + 7
+        rng = np.random.default_rng(11)
+        shapes = ((n, c), (c,), (c,), (c, hidden), (hidden,), (h, k), (k,))
+        arrays = [rng.normal(size=s) for s in shapes]
+        arrays[1] = 1.0 + 0.1 * arrays[1]
+        y = helpers.norm_affine_reference(arrays[0], *arrays[1:3])[0]
+        past = np.abs(y @ arrays[3] + arrays[4]) > np.sqrt(2.0)
+        assert past[:per].mean() > 0.4 and past[per:].mean() > 0.4
+        g = rng.normal(size=(n * hidden // h, k))
+
+        def value_and_grads(fused):
+            with Graph() as graph:
+                ts = [Tensor(a, requires_grad=True) for a in arrays]
+                graph.watch_all(ts)
+                if fused:
+                    out = apply("mlp", tuple(ts))
+                else:
+                    x, ln_g, ln_b, w1, b1, w2, b2 = ts
+                    y = apply("layernorm", (x,), {"eps": 1e-6}) * ln_g + ln_b
+                    outs = []
+                    for rows in (np.arange(per), np.arange(per, n)):
+                        block = apply("gather_rows", (y,), {"indices": rows})
+                        act = apply("gelu", (block, w1, b1))
+                        act = act.reshape((rows.size * hidden // h, h))
+                        outs.append(apply("linear", (act, w2, b2)))
+                    out = apply("concat", tuple(outs), {"axis": 0})
+                loss = weighted_total(out, g)
+            if fused:  # (d, inv, ln_g, ln_b, w1, b1, w2): no CDF
+                assert [len(node.ctx) for node in graph.nodes if node.kind == "mlp"] == [7]
+            grads = backward(graph, loss)
+            return [out.data.tobytes()] + [grads[t.node_id].data.tobytes() for t in ts]
+
+        assert value_and_grads(True) == value_and_grads(False)
+        outs = _three_modes("mlp", arrays)
+        assert outs[0].tobytes() == outs[1].tobytes() == outs[2].tobytes()
+
     @pytest.mark.parametrize(
         "bad, heads, pattern",
         [

@@ -3,6 +3,7 @@
 import json
 import os
 import re
+import shutil
 import struct
 import subprocess
 import sys
@@ -126,6 +127,13 @@ class TestSynth:
         assert manifest["version"]
         assert manifest["seed"] == 7
         assert len(manifest["artifacts"]) == 16
+
+    @pytest.mark.parametrize("count", [0, -2])
+    def test_count_below_one_exit_1_names_the_flag(self, tmp_path, capsys, count):
+        out = tmp_path / "out"
+        assert run(["synth", "--count", str(count), "--shape", "16", "--out", str(out)]) == 1
+        assert capsys.readouterr().err == f"error: --count must be at least 1, got {count}\n"
+        assert not out.exists()
 
     def test_volumes_load_back(self, synth_dir):
         v = load_volume(os.path.join(synth_dir, "sample0000.vol"))
@@ -417,6 +425,32 @@ class TestDispatch:
         assert code == 1
         err = capsys.readouterr().err
         assert err.startswith(f"error: {path}: ") and "Traceback" not in err
+
+    @pytest.mark.parametrize("command", ["finetune", "eval"])
+    def test_label_extents_unlike_the_volume_exit_1_names_both_files(
+        self, synth_dir, small_checkpoints, tmp_path, capsys, command
+    ):
+        # sample0000's 40^3 volume paired with a 32^3 label map: rejected
+        # where the pairs are loaded, before any training step or window.
+        data, small = tmp_path / "data", tmp_path / "small"
+        shutil.copytree(synth_dir, data)
+        assert run(["synth", "--seed", "1", "--count", "1", "--shape", "32",
+                    "--out", str(small)]) == 0
+        for ext in (".lab", ".labh"):
+            shutil.copy(small / f"sample0000{ext}", data)
+        out = tmp_path / "out"
+        args = {
+            "finetune": ["--data", str(data), "--epochs", "1", "--window", "16",
+                         "--set", "model.depth=1"],
+            "eval": ["--checkpoint", small_checkpoints[1], "--data", str(data)],
+        }[command]
+        assert run([command, *args, "--out", str(out)]) == 1
+        vol, lab = (os.path.join(str(data), f"sample0000{ext}") for ext in (".vol", ".lab"))
+        assert capsys.readouterr().err == (
+            f"error: {vol} and {lab}: label extents (32, 32, 32) differ from volume "
+            "extents (40, 40, 40)\n"
+        )
+        assert not (out / "trace.tsv").exists() and not (out / "dice_report.txt").exists()
 
     def test_eval_on_corrupt_checkpoint_exit_1(self, synth_dir, tmp_path, capsys):
         path = tmp_path / "corrupt.vmim"

@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 import vmim
-from helpers import finetune_step_peak
+from helpers import finetune_step_peak, pretrain_step_peak
 from vmim.autodiff import Graph, NonFiniteError, Tensor, backward
 from vmim.inference import SlidingWindowConfig
 from vmim.losses import ReconLossConfig, dice_ce_loss
@@ -39,7 +39,9 @@ from vmim.train import (
     pretrain,
     subset_labeled,
 )
-from vmim.volume import LabelVolume, Volume, load_volume, save_volume, synth_generate
+from vmim.volume import (
+    LabelVolume, Volume, VolumeIOError, load_volume, save_volume, synth_generate,
+)
 
 TINY = ViTConfig(32, 2, 4, 8)
 
@@ -209,6 +211,24 @@ class TestPretrain:
 
 
 class TestFinetune:
+    @pytest.mark.parametrize("which", ["train_set", "val_set"])
+    def test_label_extents_unlike_the_volume_rejected_naming_the_pair(
+        self, labeled, tmp_path, which
+    ):
+        # Pair 1's 24^3 volume with a 16^3 label map: rejected before any
+        # step, so the run leaves no out_dir.
+        volume, labels = labeled[1]
+        bad = (volume, LabelVolume(labels.data[:16, :16, :16], labels.num_classes))
+        sets = {"train_set": labeled[:2], "val_set": labeled[2:4]}
+        sets[which] = [sets[which][0], bad]
+        out = tmp_path / "ft"
+        pattern = (rf"^{which} pair 1: label extents \(16, 16, 16\) differ from volume "
+                   r"extents \(24, 24, 24\)$")
+        with pytest.raises(VolumeIOError, match=pattern):
+            finetune(None, SegConfig(TINY, 3, width=8), quick_cfg(), sets["train_set"],
+                     sets["val_set"], str(out))
+        assert not out.exists()
+
     def test_dice_trace_in_range_and_loss_decreases_early(self, labeled, tmp_path):
         seg = SegConfig(TINY, 3, width=8)
         cfg = quick_cfg(total_epochs=3, eval_every=1, batch_size=2)
@@ -357,6 +377,18 @@ def test_a_step_holds_one_crops_tape(labeled, tmp_path):
     one = finetune_step_peak(seg, labeled[:1], 24, str(tmp_path / "one"))
     two = finetune_step_peak(seg, labeled[:2], 24, str(tmp_path / "two"))
     assert two <= 1.15 * one
+
+
+def test_a_simclr_step_at_benchmark_sizes_peaks_under_18_mib(tmp_path):
+    # A one-step SimCLR pretrain() on the default model, 2 crops x 2 views
+    # of 48^3, as in the benchmark: one term whose tape is the whole batch.
+    # Each transformer MLP's VJP recomputes its GELU CDF, so the step peaks
+    # at 17.66 MiB, against 24.29 MiB while each MLP kept its (N, 4 dim) CDF.
+    rng = np.random.default_rng(0)
+    volumes = [Volume(rng.uniform(size=(1, 64, 64, 64))) for _ in range(2)]
+    vit = ViTConfig(64, 4, 4, 8)
+    peak = pretrain_step_peak("simclr", vit, volumes, 48, str(tmp_path))
+    assert peak <= 18 * 2**20, f"{peak / 2**20:.2f} MiB"
 
 
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")
