@@ -10,19 +10,19 @@ and safe to share across threads; a Graph belongs to one training step.
 A node is recorded only when a Graph is active and some operand requires
 grad, and :func:`apply` decides this before the kernel runs. Everything
 else, which is all of inference, runs unrecorded: the op keeps no VJP
-context, and an op that registers an unrecorded forward (``gelu``, ``mlp``)
-works in place on buffers it allocated itself, never on an operand. Both
-modes give bitwise-equal outputs.
+context, and an op that registers an unrecorded forward (``layernorm``,
+``gelu``, ``mlp``) works in place on buffers it allocated itself, never on
+an operand. Both modes give bitwise-equal outputs.
 
 Besides elementwise, layout and mean primitives, the registry holds one
-dense kernel, ``linear`` (x @ w, plus a bias when given), fused kernels
-that make each model layer one node, and one kernel per training loss:
-``recon`` (masked reconstruction), ``dice_ce`` and ``ntxent``. Each is one
-tape node with a closed-form VJP. The fused kernels keep only what their
-VJP cannot rebuild in one cheap pass:
+dense kernel, ``linear`` (x @ w, plus a bias when given), one affine layer
+norm, ``layernorm(x, g, b)``, fused kernels that make each model layer one
+node, and one kernel per training loss: ``recon`` (masked reconstruction),
+``dice_ce`` and ``ntxent``. Each is one tape node with a closed-form VJP.
+The fused kernels keep only what their VJP cannot rebuild in one pass:
 
 - ``attention(x, g, b, wq, bq, wk, wv, bv)``: multi-head scaled dot-product
-  self-attention of the pre-normed rows layernorm(x) * g + b, with the q,
+  self-attention of the pre-normed rows layernorm(x, g, b), with the q,
   k and v projections (k has no bias, which the softmax would cancel). It
   runs its heads in cache-sized groups and keeps the layernorm output,
   each row's log-sum-exp and its output, not the normed rows, heads or
@@ -36,12 +36,12 @@ VJP cannot rebuild in one cheap pass:
 - ``gelu(x, w, b)``: GELU(x @ w + b), keeping its operands and CDF, not
   the pre-activation.
 
-Forward and VJP, the pre-norm rounds as separate ``layernorm``, ``mul``
-and ``add`` nodes and ``gelu``'s dense layer as a ``linear`` node, and an
-``mlp`` call that fits in one row block as ``linear``, ``gelu`` and
-``linear`` nodes. ``gelu`` and ``mlp`` share one GELU kernel, which
-evaluates the normal CDF itself from Cody's rational approximations of erf
-and erfc, so numpy is the engine's only dependency.
+Forward and VJP, the pre-norm rounds as a ``layernorm`` node, ``gelu``'s
+dense layer as a ``linear`` node, and an ``mlp`` call that fits in one row
+block as ``linear``, ``gelu`` and ``linear`` nodes. ``gelu`` and ``mlp``
+share one GELU kernel, which evaluates the normal CDF itself from Cody's
+rational approximations of erf and erfc, so numpy is the engine's only
+dependency.
 """
 
 from __future__ import annotations
@@ -260,8 +260,8 @@ def _register(kind: str, operands: int | tuple[int, ...] | range, forward: Calla
     run(arrays, attrs), when given, returns the output alone for a node that
     will not be recorded; it keeps no context and may overwrite buffers it
     allocates itself, never an operand. Its output must equal forward's
-    bitwise; ``gelu`` and ``mlp`` register one. Without run, the unrecorded
-    path calls forward and drops the context.
+    bitwise; ``layernorm``, ``gelu`` and ``mlp`` register one. Without run,
+    the unrecorded path calls forward and drops the context.
     """
     if run is None:
         def run(arrays, attrs):
@@ -426,35 +426,9 @@ def _vjp_gather_rows(ctx, g):
 
 # -- normalization --
 
-def _fwd_layernorm(arrays, attrs):
-    (a,) = arrays
-    eps = attrs.get("eps", 1e-6)
-    if eps <= 0:
-        raise _shape_error("layernorm", f"eps must be positive, got {eps}")
-    mu = a.mean(axis=-1, keepdims=True)
-    d = a - mu
-    # Each row's variance reduces its own contiguous squares, so squaring a
-    # block of rows at a time gives the whole-array values with a
-    # block-sized temporary; d is the one full-size array, scaled in place.
-    var = np.empty_like(mu)
-    width = a.shape[-1]
-    rows, var_rows = d.reshape(mu.size, width), var.reshape(mu.size, 1)
-    for block in _row_blocks(rows.shape[0], width, _BLOCK):
-        sq = rows[block] * rows[block]
-        var_rows[block] = sq.mean(axis=-1, keepdims=True)
-    inv = 1.0 / np.sqrt(var + eps)
-    d *= inv
-    return d, (d, inv)
+# Added to each row's variance by every layer norm.
+_EPS = 1e-6
 
-
-def _vjp_layernorm(ctx, g):
-    y, inv = ctx
-    gm = g.mean(axis=-1, keepdims=True)
-    gym = (g * y).mean(axis=-1, keepdims=True)
-    return (inv * (g - gm - y * gym),)
-
-
-# -- fused model kernels --
 
 def _check_norm(kind, x, g, b):
     for name, p in (("g", g), ("b", b)):
@@ -462,32 +436,54 @@ def _check_norm(kind, x, g, b):
             raise _shape_error(kind, f"norm {name} {p.shape} incompatible with x {x.shape}")
 
 
-def _affine(norm):
-    # y = d * g + b from a pre-norm's context (d, inv, g, b), by the mul and
-    # add nodes' own ufunc calls, the add in place.
+def _affine(norm, out=None):
+    # y = d * g + b from a layer norm's context (d, inv, g, b), by the mul
+    # and add nodes' own ufunc calls, the add in place; into out when given.
     d, _, g, b = norm
-    y = d * g
+    y = np.multiply(d, g, out=out)
     y += b
     return y
 
 
-def _norm_affine(x, g, b, attrs):
-    # The pre-norm of a fused layer: its context (d, inv, g, b), with the
-    # layernorm d of x and its inverse deviations, and the rows y = d * g +
-    # b, bitwise what the layernorm, mul and add nodes give. A recorded
-    # node keeps the context, not y, which its VJP rebuilds with _affine.
-    d, (_, inv) = _fwd_layernorm((x,), attrs)
+def _layernorm(arrays, record):
+    # y = d * g + b over the last axis, d = (x - mean) * inv. Each row's
+    # variance reduces its own contiguous squares, so squaring a block of
+    # rows at a time gives them with a block-sized temporary. A recorded node
+    # keeps (d, inv, g, b), not y; an unrecorded one writes y over d.
+    x, g, b = arrays
+    _check_norm("layernorm", x, g, b)
+    mu = x.mean(axis=-1, keepdims=True)
+    d = x - mu
+    var = np.empty_like(mu)
+    width = x.shape[-1]
+    rows, var_rows = d.reshape(mu.size, width), var.reshape(mu.size, 1)
+    for block in _row_blocks(rows.shape[0], width, _BLOCK):
+        sq = rows[block] * rows[block]
+        var_rows[block] = sq.mean(axis=-1, keepdims=True)
+    inv = 1.0 / np.sqrt(var + _EPS)
+    d *= inv
     norm = (d, inv, g, b)
-    return norm, _affine(norm)
+    return _affine(norm, None if record else d), (norm if record else None)
 
 
-def _vjp_norm_affine(norm, gy):
-    # (gx, gg, gb) from y's gradient: the add, mul and layernorm VJPs in turn.
-    d, inv, g, b = norm
-    gdg, gb = _vjp_add((d.shape, b.shape), gy)
-    gd, gg = _vjp_mul((d, g), gdg)
-    return (*_vjp_layernorm((d, inv), gd), gg, gb)
+def _fwd_layernorm(arrays, attrs):
+    return _layernorm(arrays, record=True)
 
+
+def _run_layernorm(arrays, attrs):
+    return _layernorm(arrays, record=False)[0]
+
+
+def _vjp_layernorm(ctx, gy):
+    # (gx, gg, gb) from y's gradient: the add, mul and norm VJPs in turn.
+    d, inv, g, b = ctx
+    gd = gy * g
+    gm = gd.mean(axis=-1, keepdims=True)
+    gdm = (gd * d).mean(axis=-1, keepdims=True)
+    return inv * (gd - gm - d * gdm), _unbroadcast(gy * d, g.shape), _unbroadcast(gy, b.shape)
+
+
+# -- fused model kernels --
 
 def _check_attention(arrays, heads):
     x, gamma, beta, wq, bq, wk, wv, bv = arrays
@@ -553,7 +549,7 @@ def _fwd_attention(arrays, attrs):
     heads = attrs["num_heads"]
     _check_attention(arrays, heads)
     x, g, b, *weights = arrays
-    norm, y = _norm_affine(x, g, b, attrs)
+    y, norm = _fwd_layernorm((x, g, b), attrs)
     q, k, v = _attention_heads(y, *weights, heads, spare=0)
     n, d = q.shape[1:]
     lse = np.empty((heads, n, 1))
@@ -582,7 +578,7 @@ def _vjp_attention(ctx, g):
     # same way: [dO | -D] @ [v^T ; 1] = dP - D, so dS = P * (dP - D) is one
     # multiply. Then dv = P^T dO, dq = dS k / sqrt(d) and dk = dS^T q~, the
     # projections' gradients by linear's VJP, with y's summed v, k, q, and
-    # the norm's by its add, mul and layernorm VJPs.
+    # the norm's by the layernorm VJP.
     *norm, wq, bq, wk, wv, bv, lse, out = ctx
     y = _affine(norm)
     heads = lse.shape[0]
@@ -611,7 +607,7 @@ def _vjp_attention(ctx, g):
     gy += gy_k
     gy_q, gwq, gbq = _vjp_linear((y, wq, True), gq.reshape(merge))
     gy += gy_q
-    return (*_vjp_norm_affine(norm, gy), gwq, gbq, gwk, gwv, gbv)
+    return (*_vjp_layernorm(norm, gy), gwq, gbq, gwk, gwv, gbv)
 
 
 # Elements per block of the GELU chains, of layernorm's squares and of an
@@ -852,7 +848,7 @@ def _mlp_input(arrays, attrs):
     x, g, b, *dense = arrays
     _check_norm("mlp", x, g, b)
     _check_mlp(x, *dense)
-    norm, y = _norm_affine(x, g, b, attrs)
+    y, norm = _fwd_layernorm((x, g, b), attrs)
     return (y, *dense), norm
 
 
@@ -880,7 +876,7 @@ def _vjp_mlp(ctx, g):
         return _vjp_dense_mlp(*ctx, g)
     *norm, w1, b1, w2 = ctx
     gy, *grads = _vjp_dense_mlp(_affine(norm), w1, b1, w2, None, g)
-    return (*_vjp_norm_affine(norm, gy), *grads)
+    return (*_vjp_layernorm(norm, gy), *grads)
 
 
 def _vjp_dense_mlp(x, w1, b1, w2, cdf, g):
@@ -1104,7 +1100,7 @@ _register("reshape", 1, _fwd_reshape, _vjp_reshape)
 _register("permute", 1, _fwd_permute, _vjp_permute)
 _register("concat", range(1, sys.maxsize), _fwd_concat, _vjp_concat)
 _register("gather_rows", 1, _fwd_gather_rows, _vjp_gather_rows)
-_register("layernorm", 1, _fwd_layernorm, _vjp_layernorm)
+_register("layernorm", 3, _fwd_layernorm, _vjp_layernorm, _run_layernorm)
 _register("attention", 8, _fwd_attention, _vjp_attention)
 _register("gelu", 3, _fwd_gelu, _vjp_gelu, _run_gelu)
 _register("mlp", (5, 7), _fwd_mlp, _vjp_mlp, _run_mlp)

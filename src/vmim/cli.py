@@ -84,8 +84,9 @@ def _write_manifest(
 def _cmd_synth(args) -> int:
     if args.count < 1:
         raise ConfigError(f"--count must be at least 1, got {args.count}")
+    # Before the manifest: a rejected --shape or --classes leaves none.
+    samples = synth_generate(args.seed, args.count, args.shape, args.classes, noise=args.noise)
     out = args.out
-    os.makedirs(out, exist_ok=True)
     config = {
         "count": args.count,
         "shape": args.shape,
@@ -97,7 +98,6 @@ def _cmd_synth(args) -> int:
         out, "synth", config, args.seed,
         [s + ext for s in stems for ext in (".vol", ".volh", ".lab", ".labh")],
     )
-    samples = synth_generate(args.seed, args.count, args.shape, args.classes, noise=args.noise)
     for stem, (volume, labels) in zip(stems, samples):
         save_volume(stem + ".vol", volume)
         save_labels(stem + ".lab", labels)

@@ -13,7 +13,7 @@ from .metrics import DiceReport, dice
 from .models import mae_forward, simmim_forward, unetr_segment
 from .patches import PatchGrid, sample_mask, unpatchify
 from .rng import Rng
-from .volume import LabelVolume, Volume
+from .volume import LabelVolume, Volume, check_pair
 
 
 def _window_starts(extent: int, window: int, stride: int) -> list[int]:
@@ -99,10 +99,12 @@ def dice_over_dataset(
     dataset: list[tuple[Volume, LabelVolume]],
     num_classes: int,
 ) -> DiceReport:
-    """Per-foreground-class Dice of a predictor, averaged over volumes."""
+    """Per-foreground-class Dice of a predictor, averaged over volumes; each
+    pair's extents are checked before the first prediction."""
     if not dataset:
         raise ValueError("evaluation dataset is empty")
-    for _, labels in dataset:
+    for i, (volume, labels) in enumerate(dataset):
+        check_pair(volume, labels, f"pair {i}")
         if labels.num_classes != num_classes:
             raise ValueError(
                 f"labels carry {labels.num_classes} classes, model predicts {num_classes}"
@@ -124,7 +126,8 @@ def evaluate(
 
     Per-class scores are averaged over volumes; the report average is the
     mean over foreground classes. Raises ValueError, naming swi.window,
-    before any window when the windows split no whole token patches.
+    before any window when the windows split no whole token patches, and
+    VolumeIOError, naming the pair, when a pair's extents differ.
     """
     params, config = load_checkpoint(checkpoint_path)
     if config.get("method") != "seg":
@@ -206,14 +209,9 @@ def reconstruct_dump(
     recon_bytes = _to_bytes(recon[0])
     masked_bytes = original_bytes.copy()
     if mask is not None:
-        p = grid.token_patch
-        _, gh, gw = grid.grid
-        for token_id in mask.masked_token_ids:
-            td, rem = divmod(int(token_id), gh * gw)
-            th, tw = divmod(rem, gw)
-            masked_bytes[
-                td * p : (td + 1) * p, th * p : (th + 1) * p, tw * p : (tw + 1) * p
-            ] = MASK_GRAY
+        masked_tokens = np.zeros((grid.num_tokens, grid.token_dim), dtype=bool)
+        masked_tokens[mask.masked_token_ids] = True
+        masked_bytes[unpatchify(masked_tokens, grid)[0]] = MASK_GRAY
 
     paths = []
     for d in depth_indices:

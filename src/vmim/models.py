@@ -14,8 +14,8 @@ Each layer is one tape node. A transformer block is a pre-norm
 ``attention`` node (layer norm, affine and the q, k and v projections),
 the ``proj`` linear, a residual add, a pre-norm ``mlp`` node and its
 residual add. Every dense layer followed by GELU is one ``gelu`` or
-``mlp`` node. ``layernorm``, ``mul`` and ``add`` nodes remain for the
-final ``enc_norm`` and ``dec_norm``.
+``mlp`` node, and the final ``enc_norm`` and ``dec_norm`` are one
+``layernorm`` node each.
 
 The config dataclasses (ViTConfig, MAEDecoderConfig, SimCLRConfig,
 SegConfig) live with the key schema in ``config`` and are re-exported here.
@@ -169,8 +169,7 @@ def encoder_param_names(params: Params) -> list[str]:
 # ---------------------------------------------------------------------------
 
 def _ln(x: Tensor, params: Params, prefix: str) -> Tensor:
-    normed = apply("layernorm", (x,), {"eps": 1e-6})
-    return normed * params[f"{prefix}.g"] + params[f"{prefix}.b"]
+    return apply("layernorm", (x, params[f"{prefix}.g"], params[f"{prefix}.b"]))
 
 
 def _linear(x: Tensor, params: Params, prefix: str) -> Tensor:

@@ -209,13 +209,16 @@ def _ellipsoid_mask(extents, center, semi_axes):
     return acc <= 1.0
 
 
+# Placements tried per ellipsoid before synth_generate gives up.
+_MAX_RETRIES = 64
+
+
 def synth_generate(
     seed: int,
     count: int,
     shape: int | tuple[int, int, int],
     num_classes: int,
     noise: float = 0.1,
-    max_retries: int = 64,
 ) -> list[tuple[Volume, LabelVolume]]:
     """Deterministic synthetic volumes: textured ellipsoids on a noisy background.
 
@@ -243,7 +246,7 @@ def synth_generate(
         labels = np.zeros(shape, dtype=np.uint16)
         for k in range(1, num_classes):
             placed = False
-            for _ in range(max_retries):
+            for _ in range(_MAX_RETRIES):
                 semi = [struct.uniform_in(0.10, 0.18) * n for n in shape]
                 center = [
                     struct.uniform_in(semi[a] + 1.0, shape[a] - semi[a] - 1.0)
@@ -259,7 +262,7 @@ def synth_generate(
                 break
             if not placed:
                 raise RuntimeError(
-                    f"could not place ellipsoid for class {k} after {max_retries} retries"
+                    f"could not place ellipsoid for class {k} after {_MAX_RETRIES} retries"
                 )
         volume = Volume(np.clip(data, 0.0, 1.0)[None])
         samples.append((volume, LabelVolume(labels, num_classes)))

@@ -24,7 +24,7 @@ DIFFERENTIABLE_PROBES = {
         apply("gather_rows", (t,), {"indices": np.array([3, 1, 1, 0])}) * aux["g_w"]
     ).mean(),
     "layernorm": lambda t, aux: (
-        apply("layernorm", (t,), {"eps": 1e-6}) * aux["b"]
+        apply("layernorm", (t, aux["ln_g"], aux["ln_b"])) * aux["b"]
     ).mean(),
     # The input is the rows x; INPUT_PROBES check each operand alone.
     "attention": lambda t, aux: (
@@ -155,6 +155,10 @@ INPUT_PROBES = {
     **_operand_probes(
         "gelu", "gelu", [("x", (2, 3, 2, 5)), ("w", (5, 2)), ("bias", (2,))], "lin_x", "lin_w"
     ),
+    **_operand_probes(
+        "layernorm", "layernorm", [("x", (2, 3, 2, 5)), ("ln_g", (5,)), ("ln_b", (5,))],
+        "lin_x", "ln_x_w",
+    ),
 }
 
 
@@ -166,7 +170,7 @@ def input_probe_aux(rng):
         **{name: Tensor(rng.normal(size=(6, 4))) for name in ("att_x", "att_w")},
         **{name: Tensor(rng.normal(size=(4, 4))) for name in ("att_wq", "att_wk", "att_wv")},
         **_side_normals(rng, mlp_x=(2, 3, 2, 5), mlp_x_w=(36, 3), att_bq=(4,), att_bv=(4,),
-                        lin_x=(2, 3, 2, 5), att_g=(4,), att_b=(4,)),
+                        lin_x=(2, 3, 2, 5), att_g=(4,), att_b=(4,), ln_x_w=(2, 3, 2, 5)),
     }
 
 
@@ -249,17 +253,13 @@ def retained_by_kind(graph):
     return by_kind
 
 
-def layernorm_reference(x, eps=1e-6):
-    """Two-pass numpy layer norm over the last axis: (d, 1 / sqrt(var + eps))."""
+def layernorm_reference(x, ln_g, ln_b):
+    """Numpy affine layer norm ``d * ln_g + ln_b`` over the last axis, with
+    the two-pass d = (x - mean) * inv, inv = 1 / sqrt(var + 1e-6), and its
+    VJP: returns (y, vjp), where vjp(gy) gives (gx, g_ln_g, g_ln_b)."""
     d = x - x.mean(axis=-1, keepdims=True)
-    inv = 1.0 / np.sqrt((d * d).mean(axis=-1, keepdims=True) + eps)
-    return d * inv, inv
-
-
-def norm_affine_reference(x, ln_g, ln_b):
-    """Numpy pre-norm ``layernorm(x) * ln_g + ln_b`` and its VJP: returns
-    (y, vjp), where vjp(gy) gives (gx, g_ln_g, g_ln_b)."""
-    d, inv = layernorm_reference(x)
+    inv = 1.0 / np.sqrt((d * d).mean(axis=-1, keepdims=True) + 1e-6)
+    d = d * inv
 
     def vjp(gy):
         gd = gy * ln_g
@@ -286,7 +286,7 @@ def attention_reference(x, params, num_heads, g, bk=None):
     the key bias's gradient is analytically zero."""
     n = x.shape[0]
     ln_g, ln_b, wq, bq, wk, wv, bv = params
-    y, norm_vjp = norm_affine_reference(x, ln_g, ln_b)
+    y, norm_vjp = layernorm_reference(x, ln_g, ln_b)
     dim = wq.shape[1]
     d = dim // num_heads
     weights_biases = [(wq, bq), (wk, np.zeros(dim) if bk is None else bk), (wv, bv)]
@@ -347,7 +347,7 @@ def mlp_reference(x, w1, b1, w2, b2, g, norm=None):
     first layer-normed and scaled, ``layernorm(x) * ln_g + ln_b``. Returns
     (out, (gx, [g_ln_g, g_ln_b,] gw1, gb1, gw2, gb2))."""
     if norm is not None:
-        y, norm_vjp = norm_affine_reference(x, *norm)
+        y, norm_vjp = layernorm_reference(x, *norm)
         out, (gy, *grads) = mlp_reference(y, w1, b1, w2, b2, g)
         return out, (*norm_vjp(gy), *grads)
     h = w2.shape[0]

@@ -111,7 +111,7 @@ class TestForward:
         norm = (np.ones(6), np.zeros(6))
         params = (*norm, np.zeros((6, 6)), np.zeros(6), wk, np.eye(6), np.zeros(6))
         out = apply("attention", tuple(Tensor(a) for a in (x, *params)), {"num_heads": 2})
-        normed, _ = layernorm_reference(x)
+        normed, _ = layernorm_reference(x, *norm)
         assert np.abs(out.data - normed.mean(axis=0)).max() <= 1e-12
 
     def test_attention_weights_sum_to_one_and_are_shift_invariant(self):
@@ -170,7 +170,7 @@ class TestForward:
         # are rounding noise in both kernels, so they are left out.
         x, params, g = _attention_case(n, 4)
         params = tuple(p * 12.5 if 2 <= i < 5 else p for i, p in enumerate(params))
-        _, y = autodiff._norm_affine(x, *params[:2], {})
+        y, _ = autodiff._fwd_layernorm([x, *params[:2]], {})
         q, k, _ = autodiff._attention_heads(y, *params[2:], 4, spare=0)
         scores = np.matmul(q, k)
         assert 1e3 <= np.abs(scores).max() <= 2e3
@@ -300,16 +300,21 @@ class TestForward:
             pattern = r"linear: operand count \d, expected 2 or 3$"
             with pytest.raises(ShapeMismatchError, match=pattern):
                 apply("linear", operands)
+        # The layer norm takes its affine: x alone is the form it once had.
+        with pytest.raises(ShapeMismatchError, match=r"^layernorm: operand count 1, expected 3$"):
+            apply("layernorm", (x,))
 
-    @pytest.mark.parametrize("kind", ["attention", "mlp"])
+    @pytest.mark.parametrize("kind", ["attention", "mlp", "layernorm"])
     @pytest.mark.parametrize("which", [1, 2], ids=["g", "b"])
     def test_pre_norm_rejects_a_bad_affine(self, kind, which):
         # The norm's g and b must each be one value per column of x.
         x = np.zeros((4, 6))
         if kind == "attention":
             shapes = [(4, 6), (6,), (6,), (6, 6), (6,), (6, 6), (6, 6), (6,)]
-        else:
+        elif kind == "mlp":
             shapes = [(4, 6), (6,), (6,), (6, 8), (8,), (4, 3), (3,)]
+        else:
+            shapes = [(4, 6), (6,), (6,)]
         shapes[which] = (5,)
         name = "gb"[which - 1]
         operands = tuple(Tensor(x if i == 0 else np.zeros(s)) for i, s in enumerate(shapes))
@@ -321,8 +326,7 @@ class TestForward:
         "n, c, hidden, h, k", [(9, 16, 64, 64, 16), (27, 5, 16, 2, 3)], ids=["dense", "split-rows"]
     )
     def test_single_block_mlp_matches_linear_gelu_then_linear_bitwise(self, n, c, hidden, h, k):
-        # Both forms: the pre-norm one rounds as layernorm, mul and add
-        # nodes before them.
+        # Both forms: the pre-norm one rounds as a layernorm node before them.
         assert n * hidden <= autodiff._MLP_BLOCK
         rng = np.random.default_rng(n)
         arrays = [rng.normal(size=s) for s in ((n, c), (c, hidden), (hidden,), (h, k), (k,))]
@@ -341,7 +345,7 @@ class TestForward:
                     x, *dense = ts
                     if normed:
                         ln_g, ln_b, *dense = dense
-                        x = apply("layernorm", (x,), {"eps": 1e-6}) * ln_g + ln_b
+                        x = apply("layernorm", (x, ln_g, ln_b))
                     act = apply("gelu", (x, *dense[:2]))
                     act = act.reshape((n * hidden // h, h))
                     y = apply("linear", (act, *dense[2:]))
@@ -378,10 +382,10 @@ class TestForward:
         # pre-activations past the normal CDF's |a| = sqrt(2) branch, in
         # both blocks. The node keeps no CDF: its VJP recomputes each
         # block's. It matches, bitwise in value and in all seven gradients,
-        # the unfused graph of layernorm, mul and add nodes, then per row
-        # block gather_rows, gelu, reshape and linear nodes and one concat:
-        # the per-block weight gradients of two blocks sum in either order
-        # to the same bits. It is also bitwise equal in all three modes.
+        # the unfused graph of a layernorm node, then per row block
+        # gather_rows, gelu, reshape and linear nodes and one concat: the
+        # per-block weight gradients of two blocks sum in either order to
+        # the same bits. It is also bitwise equal in all three modes.
         hidden, h, k, c = 128, 16, 3, 6
         per = autodiff._MLP_BLOCK // hidden
         n = per + 7
@@ -389,7 +393,7 @@ class TestForward:
         shapes = ((n, c), (c,), (c,), (c, hidden), (hidden,), (h, k), (k,))
         arrays = [rng.normal(size=s) for s in shapes]
         arrays[1] = 1.0 + 0.1 * arrays[1]
-        y = helpers.norm_affine_reference(arrays[0], *arrays[1:3])[0]
+        y = layernorm_reference(*arrays[:3])[0]
         past = np.abs(y @ arrays[3] + arrays[4]) > np.sqrt(2.0)
         assert past[:per].mean() > 0.4 and past[per:].mean() > 0.4
         g = rng.normal(size=(n * hidden // h, k))
@@ -402,7 +406,7 @@ class TestForward:
                     out = apply("mlp", tuple(ts))
                 else:
                     x, ln_g, ln_b, w1, b1, w2, b2 = ts
-                    y = apply("layernorm", (x,), {"eps": 1e-6}) * ln_g + ln_b
+                    y = apply("layernorm", (x, ln_g, ln_b))
                     outs = []
                     for rows in (np.arange(per), np.arange(per, n)):
                         block = apply("gather_rows", (y,), {"indices": rows})
@@ -458,12 +462,35 @@ class TestForward:
 
     @pytest.mark.parametrize("shape", [(4096, 64), (3, 5, 7), (2, 3 * _BLOCK + 1)])
     def test_layernorm_matches_two_pass_formula_bitwise(self, shape):
-        a = np.random.default_rng(len(shape)).normal(size=shape) * 3.0 + 1.0
+        rng = np.random.default_rng(len(shape))
+        a = rng.normal(size=shape) * 3.0 + 1.0
+        g, b = rng.normal(size=(2, shape[-1]))
         mu = a.mean(axis=-1, keepdims=True)
         var = ((a - mu) ** 2).mean(axis=-1, keepdims=True)
-        expected = (a - mu) * (1.0 / np.sqrt(var + 1e-6))
-        out = apply("layernorm", (Tensor(a),), {"eps": 1e-6})
+        expected = (a - mu) * (1.0 / np.sqrt(var + 1e-6)) * g + b
+        out = apply("layernorm", (Tensor(a), Tensor(g), Tensor(b)))
         assert out.data.tobytes() == expected.tobytes()
+
+    @pytest.mark.parametrize("shape", [(4096, 64), (3, 5, 7), (2, 3 * _BLOCK + 1)])
+    def test_layernorm_node_matches_reference_bitwise(self, shape):
+        # Value and all three gradients through the tape, against the numpy
+        # reference. The node keeps (d, inv, g, b), not its output.
+        rng = np.random.default_rng(10 + len(shape))
+        x = rng.normal(size=shape) * 3.0 + 1.0
+        ln_g, ln_b = rng.normal(size=(2, shape[-1]))
+        gy = rng.normal(size=shape)
+        y, vjp = layernorm_reference(x, ln_g, ln_b)
+        with Graph() as graph:
+            ts = [Tensor(a, requires_grad=True) for a in (x, ln_g, ln_b)]
+            graph.watch_all(ts)
+            out = apply("layernorm", tuple(ts))
+            loss = weighted_total(out, gy)
+        (node,) = [n for n in graph.nodes if n.kind == "layernorm"]
+        assert [a.shape for a in node.ctx] == [shape, shape[:-1] + (1,), ln_g.shape, ln_b.shape]
+        grads = backward(graph, loss)
+        assert out.data.tobytes() == y.tobytes()
+        for t, want in zip(ts, vjp(gy)):
+            assert grads[t.node_id].data.tobytes() == want.tobytes()
 
     def test_reshape_round_trip_is_identity(self):
         rng = np.random.default_rng(0)
@@ -648,14 +675,15 @@ class TestBackward:
         rng = np.random.default_rng(11)
         x = rng.uniform(0.5, 1.5, size=(3, 3))
         w = rng.normal(size=(3, 3))
+        g, b = rng.normal(size=(2, 3))
 
         def f(arr):
             d = arr - arr.mean(axis=-1, keepdims=True)
             normed = d / np.sqrt((d * d).mean(axis=-1, keepdims=True) + 1e-6)
-            return float(np.mean(normed * w + arr @ arr))
+            return float(np.mean((normed * g + b) * w + arr @ arr))
 
         analytic = grad_of(
-            lambda t: (apply("layernorm", (t,), {"eps": 1e-6}) * Tensor(w) + t @ t).mean(), x
+            lambda t: (apply("layernorm", (t, Tensor(g), Tensor(b))) * Tensor(w) + t @ t).mean(), x
         )
         h = 1e-7
         for i in range(3):
@@ -817,14 +845,13 @@ class TestUnrecordedForward:
             # rows, 128 hidden units read as 8 voxels of 16 features, 3 classes.
             ("mlp", ((13824, 40), (40, 128), (128,), (16, 3), (3,)), 1.6),
             ("linear", ((110592, 16), (16, 3), (3,)), 1.1),
-            ("layernorm", ((4096, 64),), 1.2),
+            ("layernorm", ((4096, 64), (64,), (64,)), 1.2),
         ],
     )
     def test_unrecorded_op_allocates_little_beyond_the_output(self, kind, shapes, bound):
         rng = np.random.default_rng(0)
         operands = tuple(Tensor(rng.normal(size=s)) for s in shapes)
-        attrs = {"eps": 1e-6} if kind == "layernorm" else None
-        out, peak = traced_peak(lambda: apply(kind, operands, attrs))
+        out, peak = traced_peak(lambda: apply(kind, operands))
         assert peak <= bound * out.data.nbytes, f"peak {peak / out.data.nbytes:.2f}x the output"
 
 

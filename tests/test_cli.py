@@ -135,6 +135,18 @@ class TestSynth:
         assert capsys.readouterr().err == f"error: --count must be at least 1, got {count}\n"
         assert not out.exists()
 
+    @pytest.mark.parametrize(
+        "flags, message",
+        [(["--shape", "8"], "every axis must be >= 16, got (8, 8, 8)"),
+         (["--shape", "16", "--classes", "1"], "num_classes must be >= 2, got 1")],
+        ids=["shape", "classes"],
+    )
+    def test_rejected_run_writes_no_manifest(self, tmp_path, capsys, flags, message):
+        out = tmp_path / "out"
+        assert run(["synth", "--count", "2", *flags, "--out", str(out)]) == 1
+        assert capsys.readouterr().err == f"error: {message}\n"
+        assert not (out / "manifest.json").exists()
+
     def test_volumes_load_back(self, synth_dir):
         v = load_volume(os.path.join(synth_dir, "sample0000.vol"))
         l = load_labels(os.path.join(synth_dir, "sample0000.lab"))

@@ -35,7 +35,7 @@ from vmim.models import (
 from vmim.patches import MaskingConfig, PatchGrid, sample_mask
 from vmim.rng import Rng
 from vmim.train import TrainConfig, finetune, load_encoder_weights, pretrain
-from vmim.volume import LabelVolume, Volume, synth_generate
+from vmim.volume import LabelVolume, Volume, VolumeIOError, synth_generate
 
 
 def identity_model(window):
@@ -150,6 +150,15 @@ class TestTiling:
             SlidingWindowConfig(8, 1.0)
 
 
+def _untrained_seg_checkpoint(tmp_path):
+    seg = SegConfig(ViTConfig(32, 2, 4, 8), 3, width=8)
+    path = str(tmp_path / "seg.vmim")
+    save_checkpoint(path, init_seg_params(seg, 0), checkpoint_config(
+        "seg", TrainConfig(batch_size=1, warmup_epochs=0, total_epochs=1, window=16),
+        model=seg.vit, seg=seg))
+    return path
+
+
 class TestEvaluationProtocol:
     def test_perfect_oracle_scores_one(self):
         dataset = synth_generate(3, 2, 16, 3)
@@ -219,15 +228,24 @@ class TestEvaluationProtocol:
     def test_evaluate_rejects_a_window_that_splits_no_token_patch(self, tmp_path, monkeypatch):
         # It used to fail in the first window's patchify, naming no key:
         # "extent 20 on axis 0 is not divisible by patch size 8".
-        seg = SegConfig(ViTConfig(32, 2, 4, 8), 3, width=8)
-        path = str(tmp_path / "seg.vmim")
-        save_checkpoint(path, init_seg_params(seg, 0), checkpoint_config(
-            "seg", TrainConfig(batch_size=1, warmup_epochs=0, total_epochs=1, window=16),
-            model=seg.vit, seg=seg))
+        path = _untrained_seg_checkpoint(tmp_path)
         monkeypatch.setattr(vmim.inference, "predict_labels", None)  # no window may run
         with pytest.raises(ValueError, match=r"^swi.window 20 is not divisible by "
                                              r"model.token_patch 8$"):
             evaluate(path, synth_generate(8, 1, 24, 3), SlidingWindowConfig(20, 0.5))
+
+    def test_evaluate_rejects_a_pair_of_other_extents_before_any_window(
+        self, tmp_path, monkeypatch
+    ):
+        # It used to run the model over the whole volume, then fail in
+        # metrics.dice with "label shapes differ", naming no pair.
+        path = _untrained_seg_checkpoint(tmp_path)
+        monkeypatch.setattr(vmim.inference, "predict_labels", None)  # no window may run
+        good = synth_generate(8, 1, 32, 3)[0]
+        bad = (good[0], synth_generate(8, 1, 40, 3)[0][1])
+        pattern = r"^pair 1: label extents \(40, 40, 40\) differ from volume extents \(32, "
+        with pytest.raises(VolumeIOError, match=pattern):
+            evaluate(path, [good, bad], SlidingWindowConfig(16, 0.5))
 
     def test_evaluate_rejects_non_seg_checkpoint(self, tmp_path):
         vit = ViTConfig(32, 2, 4, 8)

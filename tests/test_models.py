@@ -625,6 +625,48 @@ def _model_terms():
     }, seg
 
 
+# Non-leaf tape nodes per loss term at the default sizes, by kind: one 48^3
+# crop, 162 of its 216 tokens masked, for MAE and SimMIM and the segmenter,
+# and 2 crops of 2 views for SimCLR. A change that fuses or splits nodes
+# updates these on purpose.
+TERM_NODES = {
+    "mae": {"add": 15, "attention": 6, "concat": 1, "gather_rows": 1, "layernorm": 2,
+            "linear": 9, "mlp": 6, "recon": 1},
+    "simmim": {"add": 10, "attention": 4, "concat": 1, "gather_rows": 1, "layernorm": 1,
+               "linear": 6, "mlp": 4, "recon": 1},
+    "simclr": {"add": 36, "attention": 16, "concat": 1, "layernorm": 4, "linear": 20,
+               "mean": 4, "mlp": 17, "ntxent": 1},
+    "seg": {"add": 9, "attention": 4, "concat": 9, "dice_ce": 1, "gather_rows": 7, "gelu": 6,
+            "layernorm": 1, "linear": 14, "mlp": 5, "mul": 1, "permute": 10, "reshape": 37},
+}
+
+
+@pytest.mark.parametrize(
+    "model, total", [("mae", 41), ("simmim", 28), ("simclr", 99), ("seg", 104)]
+)
+def test_term_at_default_sizes_records_pinned_nodes(model, total):
+    rng = np.random.default_rng(0)
+    v, views = Volume(rng.uniform(size=(1, 48, 48, 48))), [
+        Volume(rng.uniform(size=(1, 48, 48, 48))) for _ in range(4)
+    ]
+    mask = mask_for(v)
+    seg = SegConfig(CFG, 3, width=16)
+    labels = rng.integers(0, 3, size=(48, 48, 48))
+    params, term = {
+        "mae": (init_mae_params(CFG, DEC, 0), lambda p: mae_forward(CFG, DEC, p, v, mask)),
+        "simmim": (init_simmim_params(CFG, 0), lambda p: simmim_forward(CFG, p, v, mask)),
+        "simclr": (init_simclr_params(CFG, SimCLRConfig(64, 64), 0),
+                   lambda p: simclr_forward(CFG, p, views[:2], views[2:], 0.5)),
+        "seg": (init_seg_params(seg, 0), lambda p: dice_ce_loss(unetr_segment(seg, p, v), labels)),
+    }[model]
+    with Graph() as g:
+        g.watch_all(params.values())
+        term(params)
+    kinds = [node.kind for node in g.nodes if not node.is_leaf]
+    assert {kind: kinds.count(kind) for kind in set(kinds)} == TERM_NODES[model]
+    assert len(kinds) == total
+
+
 class TestNothingDead:
     @pytest.mark.parametrize("model", ["mae", "simmim", "simclr", "seg"])
     def test_every_parameter_gets_a_gradient_above_rounding_noise(self, model):
