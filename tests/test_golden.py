@@ -7,7 +7,8 @@ checkpoint with validation; then ``eval``. Every checkpoint, ``trace.tsv``,
 ``.vol``/``.lab`` payload and ``dice_report.txt`` is digested with SHA-256.
 ``manifest.json`` holds absolute paths, so it is left out.
 
-When the numpy version and OpenBLAS configuration match the recording's
+When the numpy version, the OpenBLAS configuration and the OpenBLAS core
+chosen for this CPU match the recording's
 stamp, every digest must match bitwise. Otherwise the test compares float
 summaries (each numeric field of the text files, each checkpoint tensor's
 sum and norm, each payload's sum and norm) within ``RTOL``/``ATOL`` and
@@ -20,6 +21,8 @@ A change that alters these bits on purpose re-records the file with
 and lists the changed artifacts in CHANGES.md.
 """
 
+import ctypes
+import glob
 import hashlib
 import json
 import os
@@ -38,14 +41,30 @@ RTOL, ATOL = 1e-6, 1e-9
 _SHORT = ["--epochs", "2", "--window", "16", "--set", "train.warmup_epochs=0", "--seed", "1"]
 
 
+def _openblas_core() -> str:
+    """The kernel set that numpy's bundled OpenBLAS picked for this CPU at
+    load time: a DYNAMIC_ARCH build's configuration string names only the
+    build target, and two cores may round a GEMM differently."""
+    libs = os.path.join(os.path.dirname(os.path.dirname(np.__file__)), "numpy.libs")
+    for path in glob.glob(os.path.join(libs, "*openblas*")):
+        lib = ctypes.CDLL(path)
+        for name in ("scipy_openblas_get_corename64_", "scipy_openblas_get_corename",
+                     "openblas_get_corename64_", "openblas_get_corename"):
+            if hasattr(lib, name):
+                getattr(lib, name).restype = ctypes.c_char_p
+                return getattr(lib, name)().decode()
+    return "unknown"
+
+
 def stamp() -> dict:
-    """What the bits depend on besides the code: numpy and its BLAS build."""
+    """What the bits depend on besides the code: numpy, its BLAS build and
+    the BLAS kernels chosen for this CPU."""
     try:
         blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
         openblas = blas.get("openblas configuration", blas.get("name", "unknown"))
     except (TypeError, KeyError):  # numpy before mode="dicts"
         openblas = "unknown"
-    return {"numpy": np.__version__, "openblas": openblas}
+    return {"numpy": np.__version__, "openblas": openblas, "core": _openblas_core()}
 
 
 def run_pipeline(root: str) -> None:
