@@ -7,7 +7,7 @@ inference, all on a small deterministic float64 autodiff engine.
 
 __version__ = "0.1.0"
 
-from .autodiff import Graph, Tensor, apply, backward, finite_diff_check
+from .autodiff import Graph, Tensor, apply, backward
 from .inference import SlidingWindowConfig, evaluate, reconstruct_dump, sliding_window_infer
 from .losses import ReconLossConfig, dice_ce_loss, masked_recon_loss, ntxent
 from .metrics import DiceReport, dice

@@ -14,7 +14,8 @@ context, and an op that registers an unrecorded forward (``layernorm``,
 ``gelu``, ``mlp``) works in place on buffers it allocated itself, never on
 an operand. Both modes give bitwise-equal outputs.
 
-Besides elementwise, layout and mean primitives, the registry holds one
+Besides elementwise and layout primitives and the row mean ``mean`` (over
+the leading axis, kept: (N, ...) -> (1, ...)), the registry holds one
 dense kernel, ``linear`` (x @ w, plus a bias when given), one affine layer
 norm, ``layernorm(x, g, b)``, fused kernels that make each model layer one
 node, and one kernel per training loss: ``recon`` (masked reconstruction),
@@ -57,7 +58,6 @@ __all__ = [
     "Graph",
     "apply",
     "backward",
-    "finite_diff_check",
     "ShapeMismatchError",
     "UnknownOpError",
     "GraphError",
@@ -157,9 +157,6 @@ class Tensor:
 
     def permute(self, axes: Sequence[int]) -> "Tensor":
         return apply("permute", (self,), {"axes": tuple(axes)})
-
-    def mean(self, axis=None, keepdims: bool = False) -> "Tensor":
-        return apply("mean", (self,), {"axis": axis, "keepdims": keepdims})
 
 
 # ---------------------------------------------------------------------------
@@ -917,30 +914,16 @@ def _vjp_dense_mlp(x, w1, b1, w2, cdf, g):
 
 # -- reduction --
 
-def _norm_axis(axis, ndim):
-    if axis is None:
-        return tuple(range(ndim))
-    if isinstance(axis, int):
-        axis = (axis,)
-    axis = tuple(a % ndim if -ndim <= a < ndim else a for a in axis)
-    if any(not 0 <= a < ndim for a in axis):
-        raise _shape_error("mean", f"axis {axis} invalid for rank {ndim}")
-    return axis
-
-
 def _fwd_mean(arrays, attrs):
+    # The one form: the mean over the leading axis, which it keeps.
     (a,) = arrays
-    axis = _norm_axis(attrs.get("axis"), a.ndim)
-    keepdims = attrs.get("keepdims", False)
-    count = int(np.prod([a.shape[i] for i in axis])) if axis else 1
-    return a.mean(axis=axis, keepdims=keepdims), (a.shape, axis, keepdims, 1.0 / count)
+    if a.ndim == 0 or a.shape[0] == 0:
+        raise _shape_error("mean", f"needs at least one row, got shape {a.shape}")
+    return a.mean(axis=0, keepdims=True), (a.shape, 1.0 / a.shape[0])
 
 
 def _vjp_mean(ctx, g):
-    shape, axis, keepdims, factor = ctx
-    if not keepdims:
-        for ax in sorted(axis):
-            g = np.expand_dims(g, ax)
+    shape, factor = ctx
     return (np.broadcast_to(g * factor, shape).copy(),)
 
 
@@ -1183,56 +1166,3 @@ def backward(graph: Graph, loss: Tensor) -> dict[int, Tensor]:
     graph.nodes.clear()
     graph._consumed = True
     return leaf_grads
-
-
-def finite_diff_check(
-    f: Callable[[Tensor], Tensor],
-    x: Tensor | np.ndarray,
-    h: float = 1e-5,
-    max_probes: int | None = 32,
-    seed: int = 0,
-) -> float:
-    """Max relative error between analytic and central-difference gradients.
-
-    Probes every coordinate when max_probes is None or at least the input
-    size, otherwise a seeded sample of max_probes coordinates; max_probes
-    below 1 raises ValueError, since zero probes would check nothing. The
-    relative error per coordinate is |analytic - numeric| / max(1, |analytic|).
-    """
-    if not 0.0 < h <= 1e-2:
-        raise ValueError(f"step h must lie in (0, 1e-2], got {h}")
-    if max_probes is not None and max_probes < 1:
-        raise ValueError(f"max_probes must be at least 1 or None, got {max_probes}")
-    base = np.array(x.data if isinstance(x, Tensor) else x, dtype=np.float64)
-
-    with Graph() as graph:
-        xt = Tensor(base, requires_grad=True)
-        graph.watch(xt)
-        y = f(xt)
-    if y.size != 1:
-        raise ValueError(f"f must be scalar-valued, got shape {y.shape}")
-    if not np.isfinite(y.data).all():
-        raise NonFiniteError("f(x) is not finite")
-    analytic = backward(graph, y)[xt.node_id].data.reshape(-1)
-
-    flat = base.reshape(-1)
-    n = flat.size
-    if max_probes is None or n <= max_probes:
-        coords = range(n)
-    else:
-        rng = np.random.Generator(np.random.PCG64(seed))
-        coords = rng.choice(n, size=max_probes, replace=False)
-
-    worst = 0.0
-    for i in coords:
-        bumped = flat.copy()
-        bumped[i] += h
-        hi = f(Tensor(bumped.reshape(base.shape))).item()
-        bumped[i] -= 2 * h
-        lo = f(Tensor(bumped.reshape(base.shape))).item()
-        if not (np.isfinite(hi) and np.isfinite(lo)):
-            raise NonFiniteError("f(x) is not finite at a probe point")
-        numeric = (hi - lo) / (2 * h)
-        err = abs(analytic[i] - numeric) / max(1.0, abs(analytic[i]))
-        worst = max(worst, err)
-    return worst

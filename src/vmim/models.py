@@ -30,7 +30,7 @@ import numpy as np
 from .autodiff import Tensor, apply
 from .config import MAEDecoderConfig, ReconLossConfig, SegConfig, SimCLRConfig, ViTConfig
 from .losses import masked_recon_loss, ntxent
-from .patches import Mask, PatchGrid, TokenBatch, patchify, positional_table
+from .patches import Mask, PatchGrid, TokenBatch, patchify, positional_encoding
 from .rng import np_generator
 from .volume import Volume
 
@@ -274,13 +274,13 @@ def mae_forward(
     grid = batch.grid
 
     visible = mask.visible_token_ids()
-    enc_pos = positional_table(grid, cfg.embed_dim)
+    enc_pos = positional_encoding(grid, cfg.embed_dim)
     tokens, positions = (Tensor._wrap(a[visible]) for a in (batch.tokens, enc_pos))
     latents = encode(cfg, params, tokens, positions)
 
     projected = _linear(latents, params, "dec_embed")
     full = _fill_masked(projected, params["mask_token"], mask)
-    dec_pos = Tensor._wrap(positional_table(grid, dec_cfg.dim))
+    dec_pos = Tensor._wrap(positional_encoding(grid, dec_cfg.dim))
     full = full + dec_pos
     decoded = _run_blocks(full, params, "dec", dec_cfg.depth, dec_cfg.heads)
     decoded = _ln(decoded, params, "dec_norm")
@@ -309,7 +309,7 @@ def simmim_forward(
     visible = batch.tokens[mask.visible_token_ids()]
     embedded = _linear(Tensor._wrap(visible), params, "patch_embed")
     mixed = _fill_masked(embedded, params["mask_token"], mask)
-    pos = Tensor._wrap(positional_table(grid, cfg.embed_dim))
+    pos = Tensor._wrap(positional_encoding(grid, cfg.embed_dim))
     h = mixed + pos
     h = _run_blocks(h, params, "enc", cfg.depth, cfg.num_heads)
     h = _ln(h, params, "enc_norm")
@@ -321,9 +321,9 @@ def simmim_forward(
 
 def _pooled_embedding(cfg: ViTConfig, params: Params, volume: Volume) -> Tensor:
     batch = patchify(volume, cfg.token_patch)
-    pos = positional_table(batch.grid, cfg.embed_dim)
+    pos = positional_encoding(batch.grid, cfg.embed_dim)
     latents = encode(cfg, params, Tensor._wrap(batch.tokens), Tensor._wrap(pos))
-    return latents.mean(axis=0, keepdims=True)  # (1, E)
+    return apply("mean", (latents,))  # (1, E)
 
 
 def simclr_forward(
@@ -355,7 +355,7 @@ def _encoder_taps(vit: ViTConfig, params: Params, volume: Volume) -> tuple[Patch
     batch = patchify(volume, vit.token_patch)
     taps = tap_depths(vit.depth)
     h = _linear(Tensor._wrap(batch.tokens), params, "patch_embed")
-    h = h + Tensor._wrap(positional_table(batch.grid, vit.embed_dim))
+    h = h + Tensor._wrap(positional_encoding(batch.grid, vit.embed_dim))
     tapped = []
     for i in range(vit.depth):
         h = _block(h, params, f"enc.{i}", vit.num_heads)

@@ -2,8 +2,9 @@
 
 Tokens are non-overlapping p^3 voxel blocks in row-major (depth, height,
 width) grid order. Masking units are q^3 voxel super-cells where q is an
-integer multiple of p, so one drawn cell hides (q/p)^3 tokens.
-MaskingConfig lives with the key schema in ``config``.
+integer multiple of p, so one drawn cell hides (q/p)^3 tokens. The
+position code fills the leading 6*floor(dim/6) channels of any width and
+leaves the rest zero. MaskingConfig lives with the key schema in ``config``.
 """
 
 from __future__ import annotations
@@ -178,24 +179,12 @@ def _axis_table(positions: np.ndarray, dim_axis: int) -> np.ndarray:
 
 
 def positional_encoding(grid: PatchGrid, dim: int) -> np.ndarray:
-    """Fixed 3-D sinusoidal encoding, dim/3 channels per axis; (N, dim)."""
-    if dim % 6:
-        raise ValueError(f"encoding dim must be divisible by 6, got {dim}")
+    """Fixed 3-D sinusoidal encoding, (N, dim): 2*floor(dim/6) channels per
+    axis fill the leading 6*floor(dim/6), and the rest stay zero, since
+    model widths (64, 512, ...) are not generally multiples of 6."""
     coords = grid.coordinates().astype(np.float64)
-    per_axis = dim // 3
-    parts = [_axis_table(coords[:, axis], per_axis) for axis in range(3)]
-    return np.concatenate(parts, axis=1)
-
-
-def positional_table(grid: PatchGrid, dim: int) -> np.ndarray:
-    """Sinusoidal table padded with zero channels when dim % 6 != 0.
-
-    Model widths (64, 512, ...) are not generally multiples of 6; the
-    strict encoding fills the leading 6*floor(dim/6) channels and the
-    remainder stays zero.
-    """
-    usable = (dim // 6) * 6
+    per_axis = dim // 6 * 2
     table = np.zeros((grid.num_tokens, dim))
-    if usable:
-        table[:, :usable] = positional_encoding(grid, usable)
+    for axis in range(3):
+        table[:, axis * per_axis : (axis + 1) * per_axis] = _axis_table(coords[:, axis], per_axis)
     return table

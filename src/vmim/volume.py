@@ -236,6 +236,8 @@ def synth_generate(
         raise ValueError(f"every axis must be >= 16, got {shape}")
     if num_classes < 2:
         raise ValueError(f"num_classes must be >= 2, got {num_classes}")
+    if not 0.0 <= noise < math.inf:
+        raise ValueError(f"noise must be finite and >= 0, got {noise}")
 
     levels = np.linspace(0.35, 0.65, num_classes - 1)
     samples = []

@@ -3,44 +3,45 @@ parts, across test modules."""
 
 import math
 import tracemalloc
+from typing import Callable
 
 import numpy as np
 
 from vmim import autodiff
-from vmim.autodiff import Tensor, apply
+from vmim.autodiff import Graph, NonFiniteError, Tensor, apply, backward
 from vmim.train import TrainConfig, finetune, pretrain
 
 DIFFERENTIABLE_PROBES = {
-    "add": lambda t, aux: (t + aux["b"]).mean(),
-    "mul": lambda t, aux: (t * aux["b"]).mean(),
-    "matmul": lambda t, aux: (t @ aux["m"]).mean(),
-    "linear": lambda t, aux: apply("linear", (t, aux["w"], aux["bias"])).mean(),
-    "reshape": lambda t, aux: (t.reshape((20,)) * aux["v20"]).mean(),
-    "permute": lambda t, aux: (t.permute((1, 0)) * aux["b_t"]).mean(),
-    "concat": lambda t, aux: (
+    "add": lambda t, aux: mean_all(t + aux["b"]),
+    "mul": lambda t, aux: mean_all(t * aux["b"]),
+    "matmul": lambda t, aux: mean_all(t @ aux["m"]),
+    "linear": lambda t, aux: mean_all(apply("linear", (t, aux["w"], aux["bias"]))),
+    "reshape": lambda t, aux: mean_all(t.reshape((20,)) * aux["v20"]),
+    "permute": lambda t, aux: mean_all(t.permute((1, 0)) * aux["b_t"]),
+    "concat": lambda t, aux: mean_all(
         apply("concat", (t, aux["b"]), {"axis": 0}) * aux["cat_w"]
-    ).mean(),
-    "gather_rows": lambda t, aux: (
+    ),
+    "gather_rows": lambda t, aux: mean_all(
         apply("gather_rows", (t,), {"indices": np.array([3, 1, 1, 0])}) * aux["g_w"]
-    ).mean(),
-    "layernorm": lambda t, aux: (
+    ),
+    "layernorm": lambda t, aux: mean_all(
         apply("layernorm", (t, aux["ln_g"], aux["ln_b"])) * aux["b"]
-    ).mean(),
+    ),
     # The input is the rows x; INPUT_PROBES check each operand alone.
-    "attention": lambda t, aux: (
+    "attention": lambda t, aux: mean_all(
         apply("attention", (t, *_attention_params(aux)), {"num_heads": 1}) * aux["b"]
-    ).mean(),
-    "gelu": lambda t, aux: (apply("gelu", (t, aux["w"], aux["bias"])) * aux["gelu_w"]).mean(),
+    ),
+    "gelu": lambda t, aux: mean_all(apply("gelu", (t, aux["w"], aux["bias"])) * aux["gelu_w"]),
     # The hidden width 6 splits into 3 rows of h = 2 per input row.
-    "mlp": lambda t, aux: (
+    "mlp": lambda t, aux: mean_all(
         apply("mlp", (t, aux["w1"], aux["b1"], aux["w2"], aux["b2"])) * aux["mlp_w"]
-    ).mean(),
+    ),
     # The same after an affine layer norm of the rows.
-    "mlp.ln": lambda t, aux: (
+    "mlp.ln": lambda t, aux: mean_all(
         apply("mlp", (t, aux["ln_g"], aux["ln_b"], aux["w1"], aux["b1"], aux["w2"], aux["b2"]))
         * aux["mlp_w"]
-    ).mean(),
-    "mean": lambda t, aux: (t.mean(axis=0) * aux["v5"]).mean(),
+    ),
+    "mean": lambda t, aux: mean_all(apply("mean", (t,)) * aux["v5"]),
     # Four voxels of five classes: class 2 is absent from the labels. The
     # scale gives the op an upstream gradient other than 1, as in the loss
     # probes below.
@@ -124,7 +125,7 @@ def _operand_probes(form, kind, operands, x_key, weight, prefix="", attrs=None):
     def probe_of(i):
         def probe(t, aux):
             args = [t if j == i else aux[key] for j, key in enumerate(keys)]
-            return (apply(kind, tuple(args), attrs) * aux[weight]).mean()
+            return mean_all(apply(kind, tuple(args), attrs) * aux[weight])
 
         return probe
 
@@ -137,11 +138,11 @@ _MLP_SHAPES = [("w1", (5, 6)), ("b1", (6,)), ("w2", (2, 3)), ("b2", (3,))]
 # above differentiate only their (4, 5) input. name -> (probe, input shape).
 INPUT_PROBES = {
     "linear": (
-        lambda t, aux: (apply("linear", (t, aux["w"], aux["bias"])) * aux["lin_w"]).mean(),
+        lambda t, aux: mean_all(apply("linear", (t, aux["w"], aux["bias"])) * aux["lin_w"]),
         (2, 3, 2, 5),
     ),
     # The weight of a linear with no bias, on a channel-last input.
-    "linear.w": (lambda t, aux: ((aux["lin_x"] @ t) * aux["lin_w"]).mean(), (5, 2)),
+    "linear.w": (lambda t, aux: mean_all((aux["lin_x"] @ t) * aux["lin_w"]), (5, 2)),
     **_operand_probes(
         "attention", "attention",
         list(zip(_ATTENTION_OPERANDS, [(6, 4), *_attention_shapes(4).values()])),
@@ -180,6 +181,65 @@ def probe_input(kind, rng):
         # Residuals at least 0.1 from the kink of |r|.
         x = x + np.sign(x - _RECON_TARGET) * 0.1
     return x
+
+
+def finite_diff_check(
+    f: Callable[[Tensor], Tensor],
+    x: Tensor | np.ndarray,
+    h: float = 1e-5,
+    max_probes: int | None = 32,
+    seed: int = 0,
+) -> float:
+    """Max relative error between analytic and central-difference gradients.
+
+    Probes every coordinate when max_probes is None or at least the input
+    size, otherwise a seeded sample of max_probes coordinates; max_probes
+    below 1 raises ValueError, since zero probes would check nothing. The
+    relative error per coordinate is |analytic - numeric| / max(1, |analytic|).
+    """
+    if not 0.0 < h <= 1e-2:
+        raise ValueError(f"step h must lie in (0, 1e-2], got {h}")
+    if max_probes is not None and max_probes < 1:
+        raise ValueError(f"max_probes must be at least 1 or None, got {max_probes}")
+    base = np.array(x.data if isinstance(x, Tensor) else x, dtype=np.float64)
+
+    with Graph() as graph:
+        xt = Tensor(base, requires_grad=True)
+        graph.watch(xt)
+        y = f(xt)
+    if y.size != 1:
+        raise ValueError(f"f must be scalar-valued, got shape {y.shape}")
+    if not np.isfinite(y.data).all():
+        raise NonFiniteError("f(x) is not finite")
+    analytic = backward(graph, y)[xt.node_id].data.reshape(-1)
+
+    flat = base.reshape(-1)
+    n = flat.size
+    if max_probes is None or n <= max_probes:
+        coords = range(n)
+    else:
+        rng = np.random.Generator(np.random.PCG64(seed))
+        coords = rng.choice(n, size=max_probes, replace=False)
+
+    worst = 0.0
+    for i in coords:
+        bumped = flat.copy()
+        bumped[i] += h
+        hi = f(Tensor(bumped.reshape(base.shape))).item()
+        bumped[i] -= 2 * h
+        lo = f(Tensor(bumped.reshape(base.shape))).item()
+        if not (np.isfinite(hi) and np.isfinite(lo)):
+            raise NonFiniteError("f(x) is not finite at a probe point")
+        numeric = (hi - lo) / (2 * h)
+        err = abs(analytic[i] - numeric) / max(1.0, abs(analytic[i]))
+        worst = max(worst, err)
+    return worst
+
+
+def mean_all(t):
+    """The mean of every entry of t, shape (1, 1): the one ``mean`` form,
+    the row mean, over t's entries as a column."""
+    return apply("mean", (t.reshape((t.size, 1)),))
 
 
 def weighted_total(y, g):

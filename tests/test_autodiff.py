@@ -1,5 +1,8 @@
 """Tensor engine: forward kernels, gradients, tape semantics."""
 
+import re
+import warnings
+
 import numpy as np
 import pytest
 from scipy.special import erf, erfc
@@ -10,9 +13,11 @@ from helpers import (
     INPUT_PROBES,
     _attention_shapes,
     attention_reference,
+    finite_diff_check,
     input_probe_aux,
     layernorm_reference,
     linear_gelu_reference,
+    mean_all,
     mlp_reference,
     probe_aux,
     probe_input,
@@ -30,7 +35,6 @@ from vmim.autodiff import (
     UnknownOpError,
     apply,
     backward,
-    finite_diff_check,
 )
 from vmim.losses import dice_ce_loss
 from vmim.models import SegConfig, ViTConfig, init_seg_params, unetr_segment
@@ -508,10 +512,10 @@ class TestForward:
             g.watch(b)
             xwb = (a * b + a, b.permute((1, 0)), Tensor(np.ones(3)))
             h = apply("gelu", xwb)
-            w, bias = b.permute((1, 0)) @ h @ b, a.mean(axis=0)
+            w, bias = b.permute((1, 0)) @ h @ b, apply("mean", (a,)).reshape((4,))
             params = (bias, bias, w, bias, w, w, bias)
-            loss = (apply("attention", (a, *params), {"num_heads": 2}) * b).mean()
-            loss = loss + apply("mlp", (a, bias, bias, w, bias, w, bias)).mean()
+            loss = mean_all(apply("attention", (a, *params), {"num_heads": 2}) * b)
+            loss = loss + mean_all(apply("mlp", (a, bias, bias, w, bias, w, bias)))
         backward(g, loss)
         assert (a.data.tobytes(), b.data.tobytes()) == before
 
@@ -529,6 +533,20 @@ class TestForward:
             Tensor(np.zeros((2, 3))) @ Tensor(np.zeros((2, 3)))
         with pytest.raises(ShapeMismatchError, match="add"):
             Tensor(np.zeros((2, 3))) + Tensor(np.zeros((4,)))
+
+    def test_mean_is_the_row_mean_keeping_its_axis(self):
+        a = np.random.default_rng(5).normal(size=(7, 3, 2))
+        out = apply("mean", (Tensor(a),))
+        assert out.data.tobytes() == a.mean(axis=0, keepdims=True).tobytes()
+
+    @pytest.mark.parametrize("shape", [(), (0, 3)], ids=["0-d", "0-row"])
+    def test_mean_without_rows_names_the_op(self, shape):
+        # Rejected before numpy runs: no RuntimeWarning, no ZeroDivisionError.
+        pattern = rf"^mean: needs at least one row, got shape {re.escape(str(shape))}$"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ShapeMismatchError, match=pattern):
+                apply("mean", (Tensor(np.zeros(shape)),))
 
     @pytest.mark.parametrize("kind, count", [
         pytest.param(kind, n, id=f"{kind}-{n}")
@@ -574,7 +592,7 @@ class TestBackward:
             w = Tensor(np.ones((2, 2)), requires_grad=True)
             g.watch(x)
             g.watch(w)
-            loss = x.mean()
+            loss = mean_all(x)
         grads = backward(g, loss)
         assert np.array_equal(grads[w.node_id].data, np.zeros((2, 2)))
         assert np.array_equal(grads[x.node_id].data, [0.5, 0.5])
@@ -608,11 +626,11 @@ class TestBackward:
         with Graph() as g:
             x = Tensor([1.0], requires_grad=True)
             g.watch(x)
-            _ = x.mean()
+            _ = mean_all(x)
         with Graph() as other:
             z = Tensor([1.0], requires_grad=True)
             other.watch(z)
-            loss = z.mean()
+            loss = mean_all(z)
         with pytest.raises(GraphError, match="belong"):
             backward(g, loss)
         backward(other, loss)
@@ -621,7 +639,7 @@ class TestBackward:
         with Graph() as g:
             x = Tensor([1.0], requires_grad=True)
             g.watch(x)
-            loss = x.mean()
+            loss = mean_all(x)
         backward(g, loss)
         with pytest.raises(GraphError, match="consumed"):
             backward(g, loss)
@@ -643,7 +661,7 @@ class TestBackward:
         assert kinds == ["mul", "reshape", "linear"]
         assert (value, grad) == value_and_grad(lambda t: t * Tensor(1.7))[1:]
         assert (value, grad) == ((a * 1.7).tobytes(), (g * 1.7).tobytes())
-        assert finite_diff_check(lambda t: (t.scale(1.7) * Tensor(g)).mean(), a) < 1e-8
+        assert finite_diff_check(lambda t: mean_all(t.scale(1.7) * Tensor(g)), a) < 1e-8
 
     def test_each_context_is_released_after_its_vjp(self, monkeypatch):
         # A small segmenter and its loss: when each VJP starts, every node
@@ -683,7 +701,7 @@ class TestBackward:
             return float(np.mean((normed * g + b) * w + arr @ arr))
 
         analytic = grad_of(
-            lambda t: (apply("layernorm", (t, Tensor(g), Tensor(b))) * Tensor(w) + t @ t).mean(), x
+            lambda t: mean_all(apply("layernorm", (t, Tensor(g), Tensor(b))) * Tensor(w) + t @ t), x
         )
         h = 1e-7
         for i in range(3):
@@ -719,17 +737,17 @@ class TestFiniteDifference:
 
     def test_linear_function_is_nearly_exact(self):
         x = np.random.default_rng(2).normal(size=(3, 3))
-        assert finite_diff_check(lambda t: t.mean(), x, h=1e-5) < 1e-9
+        assert finite_diff_check(mean_all, x, h=1e-5) < 1e-9
 
     def test_rejects_bad_step(self):
         with pytest.raises(ValueError, match="step"):
-            finite_diff_check(lambda t: t.mean(), np.ones(3), h=0.5)
+            finite_diff_check(mean_all, np.ones(3), h=0.5)
 
     @pytest.mark.parametrize("max_probes", [0, -3])
     def test_rejects_fewer_than_one_probe(self, max_probes):
         # Zero probes would pass without checking anything.
         with pytest.raises(ValueError, match="max_probes"):
-            finite_diff_check(lambda t: t.mean(), np.ones(3), max_probes=max_probes)
+            finite_diff_check(mean_all, np.ones(3), max_probes=max_probes)
 
     @pytest.mark.parametrize("max_probes, probes", [(None, 50), (1, 1), (32, 32), (64, 50)])
     def test_probe_count(self, max_probes, probes):
@@ -738,7 +756,7 @@ class TestFiniteDifference:
 
         def f(t):
             calls.append(1)
-            return t.mean()
+            return mean_all(t)
 
         finite_diff_check(f, np.zeros(50), max_probes=max_probes)
         assert len(calls) == 1 + 2 * probes
@@ -870,7 +888,7 @@ class TestDeterminism:
                       Tensor(x0[3]))
             h = apply("attention", (h, *params), {"num_heads": 4})
             h = apply("mlp", (h, *params[:4], w, Tensor(x0[2])))
-            loss = (h * Tensor(x0)).mean()
+            loss = mean_all(h * Tensor(x0))
         grads = backward(g, loss)
         return loss.data.tobytes(), grads[x.node_id].data.tobytes(), grads[w.node_id].data.tobytes()
 

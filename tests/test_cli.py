@@ -138,8 +138,11 @@ class TestSynth:
     @pytest.mark.parametrize(
         "flags, message",
         [(["--shape", "8"], "every axis must be >= 16, got (8, 8, 8)"),
-         (["--shape", "16", "--classes", "1"], "num_classes must be >= 2, got 1")],
-        ids=["shape", "classes"],
+         (["--shape", "16", "--classes", "1"], "num_classes must be >= 2, got 1"),
+         (["--shape", "16", "--noise", "-1"], "noise must be finite and >= 0, got -1.0"),
+         (["--shape", "16", "--noise", "inf"], "noise must be finite and >= 0, got inf"),
+         (["--shape", "16", "--noise", "nan"], "noise must be finite and >= 0, got nan")],
+        ids=["shape", "classes", "noise-negative", "noise-inf", "noise-nan"],
     )
     def test_rejected_run_writes_no_manifest(self, tmp_path, capsys, flags, message):
         out = tmp_path / "out"

@@ -51,8 +51,9 @@ def _openblas_core() -> str:
         for name in ("scipy_openblas_get_corename64_", "scipy_openblas_get_corename",
                      "openblas_get_corename64_", "openblas_get_corename"):
             if hasattr(lib, name):
-                getattr(lib, name).restype = ctypes.c_char_p
-                return getattr(lib, name)().decode()
+                corename = getattr(lib, name)
+                corename.argtypes, corename.restype = [], ctypes.c_char_p
+                return corename().decode()
     return "unknown"
 
 

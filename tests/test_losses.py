@@ -8,12 +8,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from vmim import autodiff
-from vmim.autodiff import Graph, Tensor, apply, backward, finite_diff_check
+from vmim.autodiff import Graph, Tensor, apply, backward
 from vmim.losses import ReconLossConfig, dice_ce_loss, masked_recon_loss, ntxent
 from vmim.metrics import DiceReport, dice
 from vmim.patches import Mask
 
-from helpers import dice_ce_reference, ntxent_reference, recon_reference
+from helpers import dice_ce_reference, finite_diff_check, ntxent_reference, recon_reference
 
 
 def make_mask(ids, total):

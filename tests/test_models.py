@@ -12,13 +12,15 @@ import vmim.models
 from helpers import (
     context_arrays,
     conv_transpose_reference,
+    finite_diff_check,
+    mean_all,
     retained_by_kind,
     retained_bytes,
     unetr_decoder_reference,
     weighted_total,
 )
 from vmim import autodiff
-from vmim.autodiff import Graph, Tensor, apply, backward, finite_diff_check
+from vmim.autodiff import Graph, Tensor, apply, backward
 from vmim.checkpoint import load_checkpoint, load_checkpoint_config, save_checkpoint
 from vmim.inference import seg_model_fn
 from vmim.losses import dice_ce_loss, masked_recon_loss
@@ -42,7 +44,7 @@ from vmim.models import (
     unetr_segment,
 )
 from vmim.patches import (
-    Mask, MaskingConfig, PatchGrid, TokenBatch, patchify, positional_table, sample_mask,
+    Mask, MaskingConfig, PatchGrid, TokenBatch, patchify, positional_encoding, sample_mask,
 )
 from vmim.rng import Rng
 from vmim.volume import Volume
@@ -234,7 +236,7 @@ class TestMAE:
         visible = mask.visible_token_ids()
         assert (grid.num_tokens, mask.num_masked, len(visible)) == (216, 162, 54)
         params = init_simmim_params(cfg, seed=0)
-        pos = positional_table(grid, cfg.embed_dim)
+        pos = positional_encoding(grid, cfg.embed_dim)
         latents = encode(cfg, params, Tensor(patchify(v, 16).tokens[visible]), Tensor(pos[visible]))
         assert latents.shape == (54, cfg.embed_dim)
 
@@ -326,7 +328,7 @@ class TestSimMIM:
     def test_full_mask_rows_identical_when_positions_zeroed(self, monkeypatch):
         import vmim.models as models
 
-        monkeypatch.setattr(models, "positional_table", lambda grid, dim: np.zeros((grid.num_tokens, dim)))
+        monkeypatch.setattr(models, "positional_encoding", lambda grid, dim: np.zeros((grid.num_tokens, dim)))
         v = small_volume(seed=8)
         mask = mask_for(v, ratio=1.0)
         params = init_simmim_params(CFG, seed=4)
@@ -563,7 +565,7 @@ class TestUNETR:
         weights = Tensor(np.random.default_rng(6).normal(size=(16, 16, 16, 3)))
 
         def f(t):
-            return (unetr_segment(seg, {**params, name: t}, v) * weights).mean()
+            return mean_all(unetr_segment(seg, {**params, name: t}, v) * weights)
 
         assert finite_diff_check(f, params[name].data, h=1e-5) < 1e-6
 
@@ -575,7 +577,7 @@ class TestUNETR:
         with Graph() as g:
             g.watch_all(params.values())
             logits = unetr_segment(seg, params, v)
-            loss = (logits * Tensor(rng.normal(size=logits.shape))).mean()
+            loss = mean_all(logits * Tensor(rng.normal(size=logits.shape)))
         grads = backward(g, loss)
         dead = [
             name

@@ -11,7 +11,6 @@ from vmim.patches import (
     PatchGrid,
     patchify,
     positional_encoding,
-    positional_table,
     sample_mask,
     unpatchify,
 )
@@ -169,13 +168,16 @@ class TestPositionalEncoding:
         table = positional_encoding(grid, 12)
         assert np.unique(table, axis=0).shape[0] == grid.num_tokens
 
-    def test_rejects_bad_dim(self):
-        with pytest.raises(ValueError, match="divisible by 6"):
-            positional_encoding(PatchGrid(1, (2, 2, 2), 1), 16)
+    @pytest.mark.parametrize("dim", [1, 5, 16])
+    def test_channels_past_a_multiple_of_6_are_zero(self, dim):
+        table = positional_encoding(PatchGrid(1, (2, 2, 2), 1), dim)
+        assert table.shape == (8, dim)
+        assert not table[:, dim // 6 * 6 :].any()
+        assert table[:, : dim // 6 * 6].any(axis=0).all()
 
     def test_padded_table_extends_strict_encoding(self):
         grid = PatchGrid(1, (3, 3, 3), 1)
-        table = positional_table(grid, 64)
+        table = positional_encoding(grid, 64)
         strict = positional_encoding(grid, 60)
         assert np.array_equal(table[:, :60], strict)
         assert not table[:, 60:].any()

@@ -1,5 +1,6 @@
 """The names ``import vmim`` exports: a change to this set must be deliberate."""
 
+import ast
 import importlib
 import os
 import re
@@ -11,7 +12,7 @@ import vmim
 
 PUBLIC_NAMES = {
     # autodiff
-    "Graph", "Tensor", "apply", "backward", "finite_diff_check",
+    "Graph", "Tensor", "apply", "backward",
     # inference
     "SlidingWindowConfig", "evaluate", "reconstruct_dump", "sliding_window_infer",
     # losses
@@ -99,3 +100,30 @@ def test_benchmark_workloads_import_and_build_their_configs(monkeypatch):
             assert callable(getattr(getattr(workloads, module), name)), f"{module}.{name}"
     finally:
         sys.modules.pop("workloads", None)
+
+
+def test_every_def_in_the_package_has_a_caller():
+    # Use it or delete it: a function or method that nothing in src/vmim
+    # names outside its own body, __init__.py and __all__ serves only the
+    # tests. The count is by name, so a method shares its count with any
+    # attribute of that name; dunders are called by Python itself.
+    package = os.path.dirname(os.path.abspath(vmim.__file__))
+    trees = {}
+    for name in sorted(os.listdir(package)):
+        if name.endswith(".py"):
+            with open(os.path.join(package, name), encoding="utf-8") as fh:
+                trees[name] = ast.parse(fh.read())
+    refs = [node for name, tree in trees.items() if name != "__init__.py"
+            for node in ast.walk(tree) if isinstance(node, (ast.Name, ast.Attribute))]
+    unused = []
+    for module, tree in trees.items():
+        for node in ast.walk(tree):
+            if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                continue
+            if node.name.startswith("__") and node.name.endswith("__"):
+                continue
+            own = {id(inner) for inner in ast.walk(node)}
+            if not any(getattr(ref, "id", getattr(ref, "attr", None)) == node.name
+                       and id(ref) not in own for ref in refs):
+                unused.append(f"{module}:{node.lineno} {node.name}")
+    assert unused == []

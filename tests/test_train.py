@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 import vmim
-from helpers import finetune_step_peak, pretrain_step_peak
+from helpers import finetune_step_peak, mean_all, pretrain_step_peak
 from vmim.autodiff import Graph, NonFiniteError, Tensor, backward
 from vmim.inference import SlidingWindowConfig
 from vmim.losses import ReconLossConfig, dice_ce_loss
@@ -313,11 +313,11 @@ def test_non_finite_gradient_reports_step_and_parameter(grad_clip):
     }
 
     def overflow(t):
-        return t.scale(1e300).scale(1e300).mean()
+        return mean_all(t.scale(1e300).scale(1e300))
 
     with Graph() as graph:
         graph.watch_all(params.values())
-        loss = params["w"].mean() + (overflow(params["x"]) + overflow(params["x"]).scale(-1.0))
+        loss = mean_all(params["w"]) + (overflow(params["x"]) + overflow(params["x"]).scale(-1.0))
         loss = loss + overflow(params["y"])
     assert np.isfinite(loss.item())
     cfg = quick_cfg(grad_clip=grad_clip)
@@ -399,7 +399,7 @@ def test_non_finite_second_term_reports_step_before_any_update(monkeypatch, tmp_
     def term_loss(params, ids):
         terms.append(ids)
         factor = np.inf if len(terms) == 4 else 1.0  # step 1's second term
-        return params["w"].scale(factor).mean()
+        return mean_all(params["w"].scale(factor))
 
     updates = []
     real_adamw_step = vmim.train.adamw_step

@@ -1,5 +1,6 @@
 """Volume I/O and the synthetic generator."""
 
+import math
 import os
 import re
 import warnings
@@ -186,3 +187,6 @@ class TestSynth:
             synth_generate(0, 1, 8, 3)
         with pytest.raises(ValueError, match=">= 2"):
             synth_generate(0, 1, 16, 1)
+        for noise in (-1e-9, math.inf, math.nan):
+            with pytest.raises(ValueError, match="noise must be finite and >= 0"):
+                synth_generate(0, 1, 16, 3, noise=noise)
