@@ -2,13 +2,16 @@
 
 Subcommands: synth, pretrain, finetune, eval, reconstruct, ablate. Every
 artifact-producing run writes a manifest.json (resolved config, seed,
-planned artifact paths) before any work starts; re-running with
-``--config <out>/manifest.json`` and the same data reproduces the run.
+artifact paths): synth and ablate once every check has passed, eval and
+reconstruct once their work returns, pretrain and finetune before set-up.
+Re-running with ``--config <out>/manifest.json`` and the same data
+reproduces the run.
 """
 
 from __future__ import annotations
 
 import argparse
+import itertools
 import json
 import os
 import sys
@@ -17,9 +20,9 @@ from . import __version__
 from .checkpoint import load_checkpoint, load_checkpoint_config
 from .config import ConfigError, build, check_echo, check_window, resolve_config
 from .inference import evaluate, reconstruct_dump
-from .patches import MaskingConfig, check_mask_at_window
+from .patches import check_mask_at_window
 from .rng import derive_seed
-from .train import finetune, pretrain
+from .train import check_crop_window, finetune, pretrain, subset_labeled
 from .volume import (
     LabelVolume,
     Volume,
@@ -105,8 +108,7 @@ def _cmd_synth(args) -> int:
     return 0
 
 
-def _pretrain_once(method, cfg, seed, data_dir, out_dir):
-    dataset = _load_unlabeled(data_dir)
+def _pretrain_once(method, cfg, seed, dataset, out_dir):
     return pretrain(
         method,
         build("model", cfg),
@@ -145,15 +147,13 @@ def _cmd_pretrain(args) -> int:
         [os.path.join(args.out, "checkpoint.vmim"), os.path.join(args.out, "trace.tsv")],
         inputs={"method": args.method, "data": args.data},
     )
-    result = _pretrain_once(args.method, cfg, args.seed, args.data, args.out)
+    result = _pretrain_once(args.method, cfg, args.seed, _load_unlabeled(args.data), args.out)
     print(f"pretrained {args.method}: final loss {result.losses[-1]:.6f} "
           f"-> {result.checkpoint_path}")
     return 0
 
 
-def _finetune_once(cfg, seed, checkpoint, data_dir, val_dir, out_dir):
-    train_set = _load_labeled(data_dir)
-    val_set = _load_labeled(val_dir) if val_dir else []
+def _finetune_once(cfg, seed, checkpoint, train_set, val_set, out_dir):
     seg_cfg = build("seg", cfg, vit=build("model", cfg))
     checkpoint_params = None
     if checkpoint:
@@ -178,9 +178,8 @@ def _cmd_finetune(args) -> int:
         [os.path.join(args.out, "checkpoint.vmim"), os.path.join(args.out, "trace.tsv")],
         inputs={"data": args.data, "val_data": args.val_data, "checkpoint": args.checkpoint},
     )
-    result = _finetune_once(
-        cfg, args.seed, args.checkpoint, args.data, args.val_data, args.out
-    )
+    result = _finetune_once(cfg, args.seed, args.checkpoint, _load_labeled(args.data),
+                            _load_labeled(args.val_data) if args.val_data else [], args.out)
     note = f", final dice {result.final_dice:.4f}" if result.dice_trace else ""
     print(f"finetuned: final loss {result.losses[-1]:.6f}{note} -> {result.checkpoint_path}")
     return 0
@@ -189,12 +188,12 @@ def _cmd_finetune(args) -> int:
 def _cmd_eval(args) -> int:
     cfg = _config(args, args.checkpoint)
     dataset = _load_labeled(args.data)
+    report = evaluate(args.checkpoint, dataset, build("swi", cfg))
     report_path = os.path.join(args.out, "dice_report.txt")
     _write_manifest(
         args.out, "eval", cfg, args.seed, [report_path],
         inputs={"data": args.data, "checkpoint": args.checkpoint},
     )
-    report = evaluate(args.checkpoint, dataset, build("swi", cfg))
     report.save(report_path)
     print(report.to_text(), end="")
     print(f"report -> {report_path}")
@@ -222,56 +221,61 @@ def _cmd_reconstruct(args) -> int:
     depths = _comma_list("--depths", args.depths, int)
     cfg = _config(args, args.checkpoint)
     volume = load_volume(args.volume)
-    _write_manifest(
-        args.out, "reconstruct", cfg, args.seed, [],
-        inputs={"volume": args.volume, "depths": depths, "checkpoint": args.checkpoint},
-    )
     mask_cfg = build("mask", cfg)
     paths = reconstruct_dump(args.checkpoint, volume, mask_cfg, depths, args.out, seed=args.seed)
+    _write_manifest(
+        args.out, "reconstruct", cfg, args.seed, paths,
+        inputs={"volume": args.volume, "depths": depths, "checkpoint": args.checkpoint},
+    )
     print(f"wrote {len(paths)} images to {args.out}")
     return 0
 
 
 def _cmd_ablate(args) -> int:
-    patches = _comma_list("--patch-sizes", args.patch_sizes, int)
-    ratios = _comma_list("--ratios", args.ratios, float)
-    cfg = _config(args)
+    grid = {}
+    for entry in args.grid:
+        key, eq, values = (part.strip() for part in entry.partition("="))
+        if not eq:
+            raise ConfigError(f"--grid expects KEY=V1,V2,..., got {entry!r}")
+        if key in grid:
+            raise ConfigError(f"--grid gives {key} twice")
+        grid[key] = _comma_list(f"--grid {key}", values, str)
+    # Resolve and check every cell before the manifest and any training.
+    cells = []
+    for values in itertools.product(*grid.values()):
+        sets = [f"{key}={value}" for key, value in zip(grid, values)]
+        cfg = resolve_config(args.config, {}, args.set + sets, command="ablate")
+        seed = derive_seed(args.seed, "ablate", *(cfg[key] for key in sorted(grid)))
+        vit, train = build("model", cfg), build("train", cfg, seed=seed)
+        build("dec", cfg), build("seg", cfg, vit=vit)  # for their cross-field rules
+        check_mask_at_window(build("mask", cfg), vit.token_patch, train.window)
+        check_window(build("swi", cfg).window, vit.token_patch, "swi.window")
+        cells.append((cfg, seed))
+    dataset = _load_unlabeled(args.data)
+    labeled, val_set = _load_labeled(args.labeled_data), _load_labeled(args.val_data)
+    for cfg, seed in cells:
+        check_crop_window(cfg["train.window"], enumerate(dataset), "dataset volume")
+        check_crop_window(cfg["train.window"], enumerate(v for v, _ in labeled), "train_set volume")
+        subset_labeled(labeled, cfg["train.labeled_ratio"], seed)
     table_path = os.path.join(args.out, "ablation.tsv")
     _write_manifest(
-        args.out, "ablate", cfg, args.seed, [table_path],
-        inputs={"method": args.method, "patch_sizes": patches, "ratios": ratios,
-                "data": args.data, "labeled_data": args.labeled_data,
-                "val_data": args.val_data},
+        args.out, "ablate", _config(args), args.seed, [table_path],
+        inputs={"method": args.method, "grid": args.grid, "data": args.data,
+                "labeled_data": args.labeled_data, "val_data": args.val_data},
     )
 
-    # Validate the whole grid before any training starts.
-    token_patch = build("model", cfg).token_patch
-    window = build("train", cfg, seed=args.seed).window
-    cells = []
-    for patch in patches:
-        for ratio in ratios:
-            check_mask_at_window(MaskingConfig(patch, ratio), token_patch, window)
-            cells.append((patch, ratio))
-    check_window(build("swi", cfg).window, token_patch, "swi.window")
-
-    rows = []
-    for patch, ratio in cells:
-        cell_cfg = dict(cfg)
-        cell_cfg["mask.patch"] = patch
-        cell_cfg["mask.ratio"] = ratio
-        cell_seed = derive_seed(args.seed, "ablate", patch, repr(ratio))
-        cell_dir = os.path.join(args.out, f"cell_p{patch}_r{ratio}")
-        result = _pretrain_once(args.method, cell_cfg, cell_seed, args.data,
-                                os.path.join(cell_dir, "pretrain"))
-        ft = _finetune_once(cell_cfg, cell_seed, result.checkpoint_path, args.labeled_data,
-                            args.val_data, os.path.join(cell_dir, "finetune"))
-        rows.append((args.method, patch, ratio, ft.final_dice))
-        print(f"cell patch={patch} ratio={ratio}: dice avg {ft.final_dice:.4f}")
+    rows = [["method", *grid, "dice_avg"]]
+    for cfg, seed in cells:
+        cell = [f"{key}={cfg[key]}" for key in grid]
+        cell_dir = os.path.join(args.out, "cell_" + "_".join(cell))
+        result = _pretrain_once(args.method, cfg, seed, dataset, os.path.join(cell_dir, "pretrain"))
+        ft = _finetune_once(cfg, seed, result.checkpoint_path, labeled, val_set,
+                            os.path.join(cell_dir, "finetune"))
+        rows.append([args.method, *(cfg[key] for key in grid), ft.final_dice])
+        print(f"cell {' '.join(cell)}: dice avg {ft.final_dice:.4f}")
 
     with open(table_path, "w", encoding="utf-8") as fh:
-        fh.write("method\tmasked_patch_size\tmasking_ratio\tdice_avg\n")
-        for method, patch, ratio, score in rows:
-            fh.write(f"{method}\t{patch}\t{ratio!r}\t{score!r}\n")
+        fh.writelines("\t".join(map(str, row)) + "\n" for row in rows)
     print(f"table -> {table_path}")
     return 0
 
@@ -347,14 +351,14 @@ def build_parser() -> argparse.ArgumentParser:
     _add_common(rec)
     rec.set_defaults(func=_cmd_reconstruct)
 
-    abl = subs.add_parser("ablate", help="masked patch size x masking ratio sweep")
+    abl = subs.add_parser("ablate", help="pretrain and fine-tune every cell of a config grid")
     abl.add_argument("--method", choices=("mae", "simmim"), default="mae")
     abl.add_argument("--data", required=True)
     abl.add_argument("--labeled-data", required=True)
     abl.add_argument("--val-data", required=True)
     abl.add_argument("--out", required=True)
-    abl.add_argument("--patch-sizes", required=True, help="comma-separated, e.g. 16,32")
-    abl.add_argument("--ratios", required=True, help="comma-separated, e.g. 0.15,0.75")
+    abl.add_argument("--grid", action="append", required=True, metavar="KEY=V1,V2,...",
+                     help="sweep one config key; repeat for more keys, one cell per combination")
     _add_common(abl)
     abl.set_defaults(func=_cmd_ablate)
     return parser

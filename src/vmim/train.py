@@ -23,6 +23,7 @@ from __future__ import annotations
 import ctypes
 import math
 import os
+from collections.abc import Iterable
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -92,6 +93,16 @@ def crop_sampler(
     if labels is not None:
         label_crop = LabelVolume(labels.data[slices].copy(), labels.num_classes)
     return crop, label_crop
+
+
+def check_crop_window(window: int, volumes: Iterable[tuple[int, Volume]], name: str) -> None:
+    """Raise ValueError, naming train.window and the volume's index, when a
+    ``window``^3 crop does not fit in one of the (index, volume) ``volumes``."""
+    for i, volume in volumes:
+        if any(window > n for n in volume.extents):
+            raise ValueError(
+                f"train.window {window} exceeds the extents {volume.extents} of {name} {i}"
+            )
 
 
 def subset_labeled(ids: list, ratio: float, seed: int) -> list:
@@ -295,9 +306,10 @@ def pretrain(
     """Self-supervised pretraining; emits checkpoints and a loss trace.
 
     A None head or masking config takes config.DEFAULTS, resolved against
-    ``vit_cfg``. MAE and SimMIM raise ValueError, naming mask.ratio, before
-    the first step when a mask at ``train_cfg.window`` would hide no patch
-    or every patch. Raises NonFiniteError, naming the step, when the loss or a
+    ``vit_cfg``. Raises ValueError, naming train.window, before the first
+    step when a crop does not fit a volume; MAE and SimMIM raise it, naming
+    mask.ratio, when a mask at ``train_cfg.window`` would hide no patch or
+    every patch. Raises NonFiniteError, naming the step, when the loss or a
     gradient turns non-finite.
 
     Sets the process-wide malloc policy of _keep_freed_heap_mapped.
@@ -314,6 +326,7 @@ def pretrain(
     window, seed = train_cfg.window, train_cfg.seed
     if method != "simclr":
         check_mask_at_window(mask_cfg, vit_cfg.token_patch, window)
+    check_crop_window(window, enumerate(dataset), "dataset volume")
     if method == "simclr":
         if train_cfg.batch_size < 2 or len(dataset) < 2:
             raise ValueError("contrastive pretraining needs batch size >= 2 and >= 2 volumes")
@@ -399,9 +412,9 @@ def finetune(
     Validation Dice is recorded every eval cadence and at the final epoch.
     Raises VolumeIOError, naming the set and the pair index, when a pair's
     label extents differ from its volume's; ValueError, naming the key, at
-    set-up when train.window or swi.window splits no whole token patches;
-    and NonFiniteError, naming the step, when the loss or a gradient turns
-    non-finite.
+    set-up when train.window or swi.window splits no whole token patches or
+    a crop does not fit a volume of the labeled subset; and NonFiniteError,
+    naming the step, when the loss or a gradient turns non-finite.
 
     Sets the process-wide malloc policy of _keep_freed_heap_mapped.
     """
@@ -414,13 +427,15 @@ def finetune(
     check_window(train_cfg.window, vit.token_patch)
     swi_cfg = swi_cfg or build("swi", DEFAULTS, window=train_cfg.window)
     check_window(swi_cfg.window, vit.token_patch, "swi.window")
+    picked = subset_labeled(list(range(len(train_set))), labeled_ratio, train_cfg.seed)
+    check_crop_window(train_cfg.window, ((i, train_set[i][0]) for i in picked), "train_set volume")
+    active = [train_set[i] for i in picked]
 
     params = init_seg_params(seg_cfg, train_cfg.seed)
     if checkpoint_params is not None:
         params = load_encoder_weights(params, checkpoint_params)
     config = checkpoint_config("seg", train_cfg, labeled_ratio, model=vit, seg=seg_cfg)
 
-    active = subset_labeled(train_set, labeled_ratio, train_cfg.seed)
     rng = Rng.derive(train_cfg.seed, "finetune")
 
     def term_loss(params, ids):

@@ -18,6 +18,7 @@ import vmim.cli
 import vmim.inference
 import vmim.train
 from vmim.autodiff import Tensor
+from vmim.checkpoint import load_checkpoint_config
 from vmim.cli import build_parser, run
 from vmim.config import (
     COMMAND_SECTIONS,
@@ -32,6 +33,7 @@ from vmim.config import (
 )
 from vmim.inference import SlidingWindowConfig, evaluate
 from vmim.models import ViTConfig
+from vmim.rng import derive_seed
 from vmim.volume import load_labels, load_volume
 
 
@@ -367,9 +369,9 @@ class TestDispatch:
         ("finetune", "train.window=20", "train.window 20 is not divisible by model.token_patch 8"),
         ("finetune --window 16", "swi.window=20",
          "swi.window 20 is not divisible by model.token_patch 8"),
-        ("ablate --patch-sizes 8 --ratios 0.5", "train.window=20",
+        ("ablate --grid mask.ratio=0.5", "train.window=20",
          "train.window 20 is not divisible by model.token_patch 8"),
-        ("ablate --patch-sizes 8 --ratios 0.5 --set train.window=16", "swi.window=20",
+        ("ablate --grid mask.ratio=0.5 --set train.window=16", "swi.window=20",
          "swi.window 20 is not divisible by model.token_patch 8"),
         ("pretrain --method mae", "model.embed_dim=30",
          "model.embed_dim 30 is not divisible by model.num_heads 4"),
@@ -405,19 +407,9 @@ class TestDispatch:
     @pytest.mark.parametrize("command, message", [
         (["reconstruct", "--depths", "0,x"], "--depths expects comma-separated integers, got 'x'"),
         (["reconstruct", "--depths", ","], "--depths needs at least one value, got ','"),
-        (["ablate", "--patch-sizes", "8,1.5", "--ratios", "0.5"],
-         "--patch-sizes expects comma-separated integers, got '1.5'"),
-        (["ablate", "--patch-sizes", "8", "--ratios", "0.5,abc"],
-         "--ratios expects comma-separated numbers, got 'abc'"),
-        (["ablate", "--patch-sizes", "", "--ratios", "0.5"],
-         "--patch-sizes needs at least one value, got ''"),
-    ], ids=["depths-entry", "depths-empty", "patch-sizes-entry", "ratios-entry",
-            "patch-sizes-empty"])
+    ], ids=["depths-entry", "depths-empty"])
     def test_bad_comma_list_exit_1_names_flag(self, tmp_path, capsys, command, message):
-        paths = {
-            "reconstruct": ["--checkpoint", "none.vmim", "--volume", "none.vol"],
-            "ablate": ["--data", "d", "--labeled-data", "l", "--val-data", "v"],
-        }[command[0]]
+        paths = ["--checkpoint", "none.vmim", "--volume", "none.vol"]
         code = run(command + paths + ["--out", str(tmp_path / "out")])
         err = capsys.readouterr().err
         assert code == 1
@@ -467,6 +459,25 @@ class TestDispatch:
         )
         assert not (out / "trace.tsv").exists() and not (out / "dice_report.txt").exists()
 
+    @pytest.mark.parametrize("command, name", [
+        (["pretrain", "--method", "mae"], "dataset volume"),
+        (["finetune"], "train_set volume"),
+    ], ids=["pretrain", "finetune"])
+    def test_window_beyond_a_volume_exit_1_before_the_trace(
+        self, synth32_dir, tmp_path, capsys, command, name
+    ):
+        # It used to fail in crop_sampler at the first step, naming no key,
+        # with an empty trace.tsv already written.
+        out = tmp_path / "out"
+        code = run([*command, "--data", synth32_dir, "--out", str(out), "--window", "40",
+                    "--epochs", "1", "--set", "train.warmup_epochs=0",
+                    "--set", "model.embed_dim=32", "--set", "model.depth=1"])
+        assert code == 1
+        assert capsys.readouterr().err == (
+            f"error: train.window 40 exceeds the extents (32, 32, 32) of {name} 0\n"
+        )
+        assert not (out / "trace.tsv").exists()
+
     def test_eval_on_corrupt_checkpoint_exit_1(self, synth_dir, tmp_path, capsys):
         path = tmp_path / "corrupt.vmim"
         path.write_bytes(b"VMIM1\n" + struct.pack("<Q", 10**12) + b"{}")
@@ -490,26 +501,30 @@ class TestDispatch:
         ("reconstruct", "--masked-patch", "16", "mask.patch"),
     ])
     def test_value_flag_lands_on_its_key_in_the_manifest(
-        self, synth_dir, tmp_path, command, flag, value, key
+        self, synth_dir, synth32_dir, small_checkpoints, tmp_path, command, flag, value, key
     ):
-        # The manifest is written before any work starts, so the run may
-        # then fail on its missing checkpoint or data.
+        # pretrain and finetune write the manifest before set-up, so they
+        # may then fail on their missing data; eval and reconstruct write it
+        # once their work returns, so they run on the small checkpoints (a
+        # 32^3 volume splits into 16^3 masked patches).
         missing = str(tmp_path / "missing")
         inputs = {
             "pretrain": ["--method", "mae", "--data", missing],
             "finetune": ["--data", missing],
-            "eval": ["--checkpoint", missing, "--data", synth_dir],
-            "reconstruct": ["--checkpoint", missing, "--depths", "0",
-                            "--volume", os.path.join(synth_dir, "sample0000.vol")],
+            "eval": ["--checkpoint", small_checkpoints[1], "--data", synth_dir],
+            "reconstruct": ["--checkpoint", small_checkpoints[0], "--depths", "0",
+                            "--volume", os.path.join(synth32_dir, "sample0000.vol")],
         }[command]
         out = str(tmp_path / "out")
-        run([command, *inputs, "--out", out, flag, value])
+        code = run([command, *inputs, "--out", out, flag, value])
+        assert code == (0 if command in ("eval", "reconstruct") else 1)
         config = json.load(open(os.path.join(out, "manifest.json")))["config"]
         expected = float(value) if "." in value else int(value)
         assert expected != DEFAULTS[key]
         assert config[key] == expected
         if key == "swi.window":
-            assert config["train.window"] == DEFAULTS["train.window"]
+            # The checkpoint's echo gives train.window; the flag sets swi.window alone.
+            assert (config["train.window"], DEFAULTS["train.window"]) == (16, 48)
 
 
 class TestPretrainCLI:
@@ -577,6 +592,13 @@ class TestPretrainCLI:
         bytes_a = open(os.path.join(out_a, "checkpoint.vmim"), "rb").read()
         bytes_b = open(os.path.join(out_b, "checkpoint.vmim"), "rb").read()
         assert bytes_a == bytes_b
+
+
+@pytest.fixture(scope="module")
+def synth32_dir(tmp_path_factory):
+    d = str(tmp_path_factory.mktemp("data32"))
+    assert run(["synth", "--seed", "2", "--count", "2", "--shape", "32", "--out", d]) == 0
+    return d
 
 
 @pytest.fixture(scope="module")
@@ -677,11 +699,32 @@ class TestCheckpointModelKeys:
                   "--volume", os.path.join(synth_dir, "sample0000.vol")]
         out = str(tmp_path / "rec")
         assert run([*common, "--out", out]) == 0
-        config = json.load(open(os.path.join(out, "manifest.json")))["config"]
+        manifest = json.load(open(os.path.join(out, "manifest.json")))
+        config = manifest["config"]
         assert (config["model.embed_dim"], config["dec.dim"], config["dec.depth"]) == (32, 16, 1)
+        # Written once the images are, the manifest lists them (it used to list none).
+        tags = ("original", "masked", "reconstruction")
+        assert manifest["artifacts"] == sorted(os.path.join(out, f"slice003_{t}.pgm") for t in tags)
         code = run([*common, "--out", str(tmp_path / "bad"), "--set", "dec.dim=48"])
         assert code == 1
         assert capsys.readouterr().err == "error: checkpoint dec.dim=16 conflicts with config 48\n"
+
+    @pytest.mark.parametrize("command, message", [
+        ("eval", "checkpoint method 'mae' is not a segmentation model"),
+        ("reconstruct", "depth index 99 out of range [0, 40)"),
+    ], ids=["eval", "reconstruct"])
+    def test_rejected_eval_or_reconstruct_writes_no_manifest(
+        self, synth_dir, small_checkpoints, tmp_path, capsys, command, message
+    ):
+        args = {
+            "eval": ["--checkpoint", small_checkpoints[0], "--data", synth_dir],
+            "reconstruct": ["--checkpoint", small_checkpoints[0], "--depths", "3,99",
+                            "--volume", os.path.join(synth_dir, "sample0000.vol")],
+        }[command]
+        out = tmp_path / "out"
+        assert run([command, *args, "--out", str(out)]) == 1
+        assert capsys.readouterr().err == f"error: {message}\n"
+        assert not (out / "manifest.json").exists()
 
     def test_finetune_conflicting_model_key_exit_1_names_it(self, synth_dir, small_checkpoints,
                                                             tmp_path, capsys):
@@ -739,65 +782,102 @@ class TestCheckpointModelKeys:
 
 
 class TestAblateCLI:
-    def test_micro_grid_table_layout_and_rerun(self, synth_dir, tmp_path):
-        args = [
-            "ablate", "--method", "simmim", "--data", synth_dir,
-            "--labeled-data", synth_dir, "--val-data", synth_dir,
-            "--patch-sizes", "8", "--ratios", "0.25,0.75",
-            "--set", "model.embed_dim=32", "--set", "model.depth=1",
-            "--set", "model.token_patch=8", "--set", "train.window=16",
-            "--set", "train.total_epochs=1", "--set", "train.warmup_epochs=0",
-            "--set", "seg.width=4", "--set", "train.batch_size=4",
-        ]
-        out_a = str(tmp_path / "ab1")
-        assert run(args + ["--out", out_a]) == 0
-        table = open(os.path.join(out_a, "ablation.tsv")).read().splitlines()
-        assert table[0] == "method\tmasked_patch_size\tmasking_ratio\tdice_avg"
-        assert len(table) == 3
-        for row in table[1:]:
-            method, patch, ratio, score = row.split("\t")
-            assert method == "simmim"
-            assert patch == "8"
-            assert 0.0 <= float(score) <= 1.0
+    TINY = ["--set", "model.embed_dim=32", "--set", "model.depth=1",
+            "--set", "train.window=16", "--set", "train.total_epochs=1",
+            "--set", "train.warmup_epochs=0", "--set", "seg.width=4"]
 
-        out_b = str(tmp_path / "ab2")
-        assert run(args + ["--out", out_b]) == 0
-        assert (
-            open(os.path.join(out_a, "ablation.tsv")).read()
-            == open(os.path.join(out_b, "ablation.tsv")).read()
-        )
+    def _ablate(self, synth_dir, out, *flags, method="mae"):
+        return run(["ablate", "--method", method, "--data", synth_dir,
+                    "--labeled-data", synth_dir, "--val-data", synth_dir,
+                    "--out", str(out), *self.TINY, *flags])
+
+    def test_micro_grid_table_layout_and_rerun(self, synth_dir, tmp_path):
+        grid = ["--grid", "mask.patch=8", "--grid", "mask.ratio=0.25,0.75",
+                "--set", "model.token_patch=8", "--set", "train.batch_size=4"]
+        out_a, out_b = tmp_path / "ab1", tmp_path / "ab2"
+        assert self._ablate(synth_dir, out_a, *grid, method="simmim") == 0
+        table = (out_a / "ablation.tsv").read_text().splitlines()
+        assert table[0] == "method\tmask.patch\tmask.ratio\tdice_avg"
+        assert [row.split("\t")[:3] for row in table[1:]] == [
+            ["simmim", "8", "0.25"], ["simmim", "8", "0.75"]]
+        for row in table[1:]:
+            assert 0.0 <= float(row.split("\t")[3]) <= 1.0
+        assert sorted(p for p in os.listdir(out_a) if p.startswith("cell_")) == [
+            "cell_mask.patch=8_mask.ratio=0.25", "cell_mask.patch=8_mask.ratio=0.75"]
+        manifest = json.load(open(out_a / "manifest.json"))
+        assert manifest["inputs"]["grid"] == ["mask.patch=8", "mask.ratio=0.25,0.75"]
+
+        assert self._ablate(synth_dir, out_b, *grid, method="simmim") == 0
+        assert (out_a / "ablation.tsv").read_text() == (out_b / "ablation.tsv").read_text()
+
+    def test_cell_seed_is_the_old_patch_and_ratio_seed(self, synth_dir, tmp_path):
+        # derive_seed writes each part with str(), so the sorted grid values
+        # (8, 0.5) give the seed that --patch-sizes 8 --ratios 0.5 gave.
+        out = tmp_path / "ab"
+        assert self._ablate(synth_dir, out, "--seed", "5", "--grid", "mask.ratio=0.5",
+                            "--grid", "mask.patch=8") == 0
+        cell = out / "cell_mask.ratio=0.5_mask.patch=8"
+        for stage in ("pretrain", "finetune"):
+            echo = load_checkpoint_config(str(cell / stage / "checkpoint.vmim"))
+            assert echo["train.seed"] == derive_seed(5, "ablate", 8, repr(0.5))
+
+    def test_derived_keys_follow_each_cell(self, synth_dir, tmp_path):
+        out = tmp_path / "ab"
+        assert self._ablate(synth_dir, out, "--grid", "model.token_patch=4,8") == 0
+        table = (out / "ablation.tsv").read_text().splitlines()
+        assert table[0] == "method\tmodel.token_patch\tdice_avg"
+        for token_patch in (4, 8):
+            cell = out / f"cell_model.token_patch={token_patch}"
+            echo = load_checkpoint_config(str(cell / "pretrain" / "checkpoint.vmim"))
+            assert (echo["model.token_patch"], echo["mask.patch"]) == (token_patch, token_patch)
+
+    @pytest.mark.parametrize("grid, message", [
+        (["mask.patch"], "--grid expects KEY=V1,V2,..., got 'mask.patch'"),
+        (["mask.patch="], "--grid mask.patch needs at least one value, got ''"),
+        (["mask.patch=8", "mask.patch=16"], "--grid gives mask.patch twice"),
+        (["mask.bogus=1"], "unknown config key 'mask.bogus'"),
+        (["mask.patch=8,1.5"], "mask.patch expects an integer, got 1.5"),
+        (["mask.ratio=0.5,abc"], "mask.ratio expects a number, got 'abc'"),
+        (["mask.ratio=0.5,1.5"], "mask.ratio must lie in [0, 1], got 1.5"),
+    ], ids=["no-equals", "no-values", "key-twice", "unknown-key", "integer-entry",
+            "number-entry", "out-of-range"])
+    def test_bad_grid_exit_1_names_the_key(self, synth_dir, tmp_path, capsys, grid, message):
+        out = tmp_path / "out"
+        flags = [arg for entry in grid for arg in ("--grid", entry)]
+        assert self._ablate(synth_dir, out, *flags) == 1
+        assert capsys.readouterr().err == f"error: {message}\n"
+        assert not out.exists()
+
+    def _rejected(self, synth_dir, tmp_path, capsys, grid, message):
+        out = tmp_path / "out"
+        assert self._ablate(synth_dir, out, *(a for e in grid for a in ("--grid", e))) == 1
+        assert capsys.readouterr().err == f"error: {message}\n"
+        assert not out.exists()  # no manifest and no cell directory
 
     def test_degenerate_mask_cell_aborts_before_training(self, synth_dir, tmp_path, capsys):
         # At window 16 a token patch of 8 gives 8 patches, and ratio 0.01
         # masks none. The grid check used to cover only the patch sizes, so
         # the 0.75 cell was pretrained and fine-tuned before pretrain
-        # rejected the 0.01 one.
-        out = str(tmp_path / "degenerate")
-        code = run([
-            "ablate", "--method", "mae", "--data", synth_dir,
-            "--labeled-data", synth_dir, "--val-data", synth_dir,
-            "--patch-sizes", "8", "--ratios", "0.75,0.01", "--out", out,
-            "--set", "train.window=16", "--set", "train.total_epochs=1",
-            "--set", "train.warmup_epochs=0", "--set", "model.embed_dim=32",
-            "--set", "model.depth=1", "--set", "seg.width=4",
-        ])
-        assert code == 1
-        assert capsys.readouterr().err == (
-            "error: mask.ratio 0.01 masks 0 of 8 patches at train.window 16; "
-            "need at least one masked and one visible patch\n"
-        )
-        assert not any(p.startswith("cell_") for p in os.listdir(out))
+        # rejected the 0.01 one; later the check ran after the manifest.
+        self._rejected(synth_dir, tmp_path, capsys, ["mask.ratio=0.75,0.01"],
+                       "mask.ratio 0.01 masks 0 of 8 patches at train.window 16; "
+                       "need at least one masked and one visible patch")
 
     def test_invalid_cell_aborts_before_training(self, synth_dir, tmp_path, capsys):
-        out = str(tmp_path / "bad")
-        code = run([
-            "ablate", "--method", "simmim", "--data", synth_dir,
-            "--labeled-data", synth_dir, "--val-data", synth_dir,
-            "--patch-sizes", "12", "--ratios", "0.5", "--out", out,
-        ])
-        assert code == 1
-        assert "multiple" in capsys.readouterr().err
-        assert not any(p.startswith("cell_") for p in os.listdir(out))
+        self._rejected(synth_dir, tmp_path, capsys, ["mask.patch=8,4"],
+                       "mask.patch 4 is not a multiple of model.token_patch 8")
+
+    def test_window_beyond_a_volume_aborts_before_training(self, synth_dir, tmp_path, capsys):
+        # synth_dir holds 40^3 volumes.
+        self._rejected(synth_dir, tmp_path, capsys, ["train.window=16,48"],
+                       "train.window 48 exceeds the extents (40, 40, 40) of dataset volume 0")
+
+    def test_labeled_ratio_that_selects_nothing_aborts_before_training(
+        self, synth_dir, tmp_path, capsys
+    ):
+        # synth_dir holds 4 labeled volumes, and floor(0.1 * 4) is 0.
+        self._rejected(synth_dir, tmp_path, capsys, ["train.labeled_ratio=1,0.1"],
+                       "train.labeled_ratio 0.1 of 4 ids selects nothing")
 
 
 # Runs the CLI with every scipy import made to fail, after checking that it does.

@@ -12,7 +12,9 @@ chosen for this CPU match the recording's
 stamp, every digest must match bitwise. Otherwise the test compares float
 summaries (each numeric field of the text files, each checkpoint tensor's
 sum and norm, each payload's sum and norm) within ``RTOL``/``ATOL`` and
-says so in a warning.
+says so in a warning. The stamp leaves out the BLAS thread count, so a
+second test runs the same pipeline in a child process at 2 OpenBLAS
+threads and checks it against the same file.
 
 A change that alters these bits on purpose re-records the file with
 
@@ -26,6 +28,8 @@ import glob
 import hashlib
 import json
 import os
+import subprocess
+import sys
 import tempfile
 import warnings
 
@@ -141,19 +145,20 @@ def _flat(summary) -> np.ndarray:
     return np.array(summary, dtype=np.float64)
 
 
-def test_pipeline_matches_golden_digests(tmp_path):
+def _compare(got: dict, got_stamp: dict) -> None:
+    """Check ``got`` (as artifacts() returns it) against golden.json: the
+    digests when ``got_stamp`` is the recorded stamp, float summaries
+    otherwise."""
     with open(GOLDEN, encoding="utf-8") as fh:
         golden = json.load(fh)
-    run_pipeline(str(tmp_path))
-    got = artifacts(str(tmp_path))
     assert sorted(got) == sorted(golden["artifacts"])
-    if stamp() == golden["stamp"]:
+    if got_stamp == golden["stamp"]:
         changed = [rel for rel, entry in golden["artifacts"].items()
                    if got[rel]["sha256"] != entry["sha256"]]
         assert not changed, f"artifacts whose bytes changed: {changed}"
         return
     warnings.warn(
-        f"golden stamp {golden['stamp']} differs from this environment's {stamp()}: "
+        f"golden stamp {golden['stamp']} differs from this environment's {got_stamp}: "
         f"compared float summaries within rtol={RTOL}, atol={ATOL}, not digests"
     )
     for rel, entry in golden["artifacts"].items():
@@ -162,6 +167,36 @@ def test_pipeline_matches_golden_digests(tmp_path):
         want, have = _flat(entry["summary"]), _flat(got[rel]["summary"])
         assert want.shape == have.shape, rel
         np.testing.assert_allclose(have, want, rtol=RTOL, atol=ATOL, err_msg=rel)
+
+
+def test_pipeline_matches_golden_digests(tmp_path):
+    run_pipeline(str(tmp_path))
+    _compare(artifacts(str(tmp_path)), stamp())
+
+
+# Runs the pipeline in a child process and prints its stamp and artifacts.
+_CHILD = """
+import json
+import sys
+
+from test_golden import artifacts, run_pipeline, stamp
+
+run_pipeline(sys.argv[1])
+print(json.dumps({"stamp": stamp(), "artifacts": artifacts(sys.argv[1])}))
+"""
+
+
+def test_pipeline_matches_golden_digests_at_two_blas_threads(tmp_path):
+    # The stamp leaves out the BLAS thread count, so the bits must not
+    # depend on it. The child starts at most 2 BLAS threads.
+    tests = os.path.dirname(os.path.abspath(__file__))
+    path = os.pathsep.join([os.path.join(os.path.dirname(tests), "src"), tests])
+    env = dict(os.environ, PYTHONPATH=path, OPENBLAS_NUM_THREADS="2", OMP_NUM_THREADS="2")
+    done = subprocess.run([sys.executable, "-c", _CHILD, str(tmp_path)], env=env,
+                          capture_output=True, text=True, timeout=300)
+    assert done.returncode == 0, done.stderr
+    child = json.loads(done.stdout.splitlines()[-1])
+    _compare(child["artifacts"], child["stamp"])
 
 
 if __name__ == "__main__":
